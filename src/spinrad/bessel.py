@@ -4,8 +4,11 @@ Thin, guarded layer over ``scipy.special`` (AMOS) providing complex
 arguments, the exact derivative recurrence C'_m(z) = C_{m-1}(z) - (m/z) C_m(z),
 and the Hankel Wronskian used by the disk scattering matrix.  Orders are
 capped at |m| <= 200 and arguments at |z| <= 1e4; outside that range, or when
-the backend overflows, a :class:`DomainError` is raised instead of returning
-NaN.
+the backend overflows, a :class:`DomainError` naming the first offending
+argument is raised instead of returning NaN.
+
+Every function takes a scalar or an array argument and returns the same
+kind; arrays are evaluated element by element with the scalar arithmetic.
 """
 
 import numpy as np
@@ -17,48 +20,70 @@ ORDER_MAX = 200
 ARG_MAX = 1.0e4
 
 
+def _first(z, mask):
+    """The first entry of z where mask holds, as a Python number."""
+    return np.broadcast_to(z, np.shape(mask)).ravel()[np.argmax(np.ravel(mask))].item()
+
+
+def _array(z, dtype=complex):
+    return np.atleast_1d(np.asarray(z, dtype=dtype))
+
+
+def _out(value, like):
+    """Scalar in, scalar out: unwrap the one-element result of a scalar call."""
+    return value if np.ndim(like) else value.item()
+
+
 def _check(m, z, *, nonzero=False):
     if int(m) != m:
         raise DomainError(f"order must be an integer, got {m!r}")
     if abs(m) > ORDER_MAX:
         raise DomainError(f"order |m|={abs(m)} exceeds cap {ORDER_MAX}")
-    if abs(z) > ARG_MAX:
-        raise DomainError(f"|z|={abs(z):g} exceeds cap {ARG_MAX:g}")
-    if nonzero and z == 0:
+    az = np.abs(z)
+    big = az > ARG_MAX
+    if big.any():
+        raise DomainError(f"|z|={_first(az, big):g} exceeds cap {ARG_MAX:g}")
+    if nonzero and (az == 0).any():
         raise DomainError("argument z = 0 is singular here")
 
 
 def _guard(value, what, m, z):
-    value = complex(value)
-    if not (np.isfinite(value.real) and np.isfinite(value.imag)):
-        raise DomainError(f"{what} overflowed at order {m}, argument {z!r}")
+    bad = ~np.isfinite(value)
+    if bad.any():
+        raise DomainError(f"{what} overflowed at order {m}, argument {_first(z, bad)!r}")
     return value
 
 
 def bessel_j(m, z):
     """Bessel function of the first kind J_m(z), integer m, complex z."""
     _check(m, z)
+    za = _array(z)
+    real = za.imag == 0.0
+    J = np.empty(za.shape, dtype=complex)
+    # the complex AMOS path leaves ~1e-18 imaginary crumbs on real input,
+    # which would break exact identities (e.g. zero flux at corotation)
+    J[real] = sc.jv(abs(m), za.real[real])
+    J[~real] = sc.jv(abs(m), za[~real])
+    J[za == 0] = 1.0 if m == 0 else 0.0
+    J = _guard(J, "J", m, za)
     if m < 0:
-        return (-1) ** (-m) * bessel_j(-m, z)
-    if z == 0:
-        return complex(1.0 if m == 0 else 0.0)
-    z = complex(z)
-    if z.imag == 0.0:
-        # the complex AMOS path leaves ~1e-18 imaginary crumbs on real input,
-        # which would break exact identities (e.g. zero flux at corotation)
-        return complex(float(sc.jv(m, z.real)))
-    return _guard(sc.jv(m, z), "J", m, z)
+        J = (-1) ** (-m) * J
+    return _out(J, z)
 
 
 def bessel_j_deriv(m, z):
     """dJ_m/dz via the recurrence J'_m = J_{m-1} - (m/z) J_m."""
     _check(m, z)
+    za = _array(z)
+    k = abs(m)
+    zero = za == 0
+    zs = np.where(zero, 1.0, za)
+    d = bessel_j(k - 1, zs) - (k / zs) * bessel_j(k, zs)
+    # J_m ~ (z/2)^m / m!: derivative at the origin
+    d[zero] = 0.5 if k == 1 else 0.0
     if m < 0:
-        return (-1) ** (-m) * bessel_j_deriv(-m, z)
-    if z == 0:
-        # J_m ~ (z/2)^m / m!: derivative at the origin
-        return complex(0.5 if m == 1 else 0.0)
-    return bessel_j(m - 1, z) - (m / z) * bessel_j(m, z)
+        d = (-1) ** (-m) * d
+    return _out(d, z)
 
 
 def hankel(kind, m, z):
@@ -66,10 +91,12 @@ def hankel(kind, m, z):
     if kind not in (1, 2):
         raise DomainError(f"kind must be 1 or 2, got {kind!r}")
     _check(m, z, nonzero=True)
-    if m < 0:
-        return (-1) ** (-m) * hankel(kind, -m, z)
     fn = sc.hankel1 if kind == 1 else sc.hankel2
-    return _guard(fn(m, complex(z)), f"H{kind}", m, z)
+    za = _array(z)
+    H = _guard(fn(abs(m), za), f"H{kind}", m, za)
+    if m < 0:
+        H = (-1) ** (-m) * H
+    return _out(H, z)
 
 
 def hankel_deriv(kind, m, z):
@@ -77,27 +104,35 @@ def hankel_deriv(kind, m, z):
     if kind not in (1, 2):
         raise DomainError(f"kind must be 1 or 2, got {kind!r}")
     _check(m, z, nonzero=True)
+    za = _array(z)
+    k = abs(m)
+    d = hankel(kind, k - 1, za) - (k / za) * hankel(kind, k, za)
     if m < 0:
-        return (-1) ** (-m) * hankel_deriv(kind, -m, z)
-    return hankel(kind, m - 1, z) - (m / z) * hankel(kind, m, z)
+        d = (-1) ** (-m) * d
+    return _out(d, z)
 
 
 def bessel_y(m, x):
     """Bessel function of the second kind Y_m(x), real x > 0."""
     _check(m, x, nonzero=True)
-    if x < 0:
+    xa = _array(x, float)
+    if (xa < 0).any():
         raise DomainError("Y_m is real only for x > 0")
+    Y = _guard(sc.yv(abs(m), xa), "Y", m, xa)
     if m < 0:
-        return (-1) ** (-m) * bessel_y(-m, x)
-    return _guard(sc.yv(m, x), "Y", m, x).real
+        Y = (-1) ** (-m) * Y
+    return _out(Y, x)
 
 
 def bessel_y_deriv(m, x):
     """dY_m/dx via the recurrence C'_m = C_{m-1} - (m/x) C_m."""
     _check(m, x, nonzero=True)
+    xa = _array(x, float)
+    k = abs(m)
+    d = bessel_y(k - 1, xa) - (k / xa) * bessel_y(k, xa)
     if m < 0:
-        return (-1) ** (-m) * bessel_y_deriv(-m, x)
-    return bessel_y(m - 1, x) - (m / x) * bessel_y(m, x)
+        d = (-1) ** (-m) * d
+    return _out(d, x)
 
 
 def wronskian_h1h2(m, x):
@@ -108,13 +143,14 @@ def wronskian_h1h2(m, x):
     here because the direct product of Hankel functions loses all digits to
     cancellation once |H_m(x)| is large (high order, small argument).
     """
-    if x <= 0:
-        raise DomainError(f"Wronskian needs x > 0, got {x!r}")
-    j = bessel_j(m, x).real
-    y = bessel_y(m, x)
-    jp = bessel_j_deriv(m, x).real
-    yp = bessel_y_deriv(m, x)
-    return -2j * (j * yp - jp * y)
+    xa = _array(x, float)
+    if (xa <= 0).any():
+        raise DomainError(f"Wronskian needs x > 0, got {_first(xa, xa <= 0)!r}")
+    j = bessel_j(m, xa).real
+    y = bessel_y(m, xa)
+    jp = bessel_j_deriv(m, xa).real
+    yp = bessel_y_deriv(m, xa)
+    return _out(-2j * (j * yp - jp * y), x)
 
 
 def sph_bessel(kind, l, z):
@@ -125,20 +161,24 @@ def sph_bessel(kind, l, z):
     """
     if l < 0 or int(l) != l:
         raise DomainError(f"spherical order must be an integer l >= 0, got {l!r}")
-    if abs(z) > ARG_MAX:
-        raise DomainError(f"|z|={abs(z):g} exceeds cap {ARG_MAX:g}")
+    za = _array(z)
+    big = np.abs(za) > ARG_MAX
+    if big.any():
+        raise DomainError(f"|z|={abs(_first(za, big)):g} exceeds cap {ARG_MAX:g}")
+    zero = za == 0
     if kind == "j":
-        if z == 0:
-            return complex(1.0 if l == 0 else 0.0)
+        zs = np.where(zero, 1.0, za)
         if l == 0:
-            return complex(np.sin(complex(z)) / complex(z))
-        val = sc.jv(l + 0.5, complex(z)) * np.sqrt(np.pi / (2 * complex(z)))
-        return _guard(val, "j", l, z)
+            val = np.sin(zs) / zs
+        else:
+            val = _guard(sc.jv(l + 0.5, zs) * np.sqrt(np.pi / (2 * zs)), "j", l, zs)
+        val[zero] = 1.0 if l == 0 else 0.0
+        return _out(val, z)
     if kind == "h1":
-        if z == 0:
+        if zero.any():
             raise DomainError("h^(1)_l is singular at z = 0")
         if l == 0:
-            return -1j * np.exp(1j * complex(z)) / complex(z)
-        val = sc.hankel1(l + 0.5, complex(z)) * np.sqrt(np.pi / (2 * complex(z)))
-        return _guard(val, "h1", l, z)
+            return _out(-1j * np.exp(1j * za) / za, z)
+        val = sc.hankel1(l + 0.5, za) * np.sqrt(np.pi / (2 * za))
+        return _out(_guard(val, "h1", l, za), z)
     raise DomainError(f"kind must be 'j' or 'h1', got {kind!r}")

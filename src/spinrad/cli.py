@@ -34,6 +34,7 @@ from .radiation import (
     MSumPolicy,
     integrate_power,
     integrate_power_cylinder,
+    occupation_difference,
     spectral_rows,
 )
 from .rotor import (
@@ -44,7 +45,7 @@ from .rotor import (
     torque_law_from_radiation,
     uncertainty,
 )
-from .scattering import DiskTable, SphereTable, load_channel_table
+from .scattering import DiskTable, SphereTable, cylinder_flux_block, load_channel_table
 from .testbody import (
     TwoBodyConfig,
     tangential_force_3d,
@@ -252,7 +253,6 @@ def _meta(args, flags):
         "generator": f"spinrad {__version__}",
         "config_sha256": _config_hash(args.config, args.seed),
         "seed": args.seed,
-        "threads": args.threads,
         "flags": flags,
     }
 
@@ -297,7 +297,7 @@ def _flatten_meta(meta):
 
 def _fmt(v):
     if isinstance(v, float):
-        return repr(v)
+        return repr(float(v))  # a numpy float's repr would be np.float64(...)
     if v is None:
         return ""
     return str(v)
@@ -352,25 +352,20 @@ def run_spectrum(args, parser):
 
 
 def _cylinder_spectral_rows(material, body, state, n_points):
-    from .scattering import cylinder_flux_block
-
     Omega, R, L = body["omega"], body["radius"], body["length"]
     if state.zero_temperature and Omega <= 0:
         return []
     hi = Omega if state.zero_temperature else Omega + 40 * max(state.T_object, state.T_env)
-    rows = []
     gl_x, gl_w = np.polynomial.legendre.leggauss(8)
-    from .radiation import occupation_difference
-
-    for w in np.linspace(0.0, hi, n_points + 2)[1:-1]:
-        flux = float(np.sum(gl_w * [cylinder_flux_block(material, R, Omega, w, k)
-                                    for k in gl_x * w]) * w)
-        if state.zero_temperature:
-            N = -flux * (L / (2 * math.pi)) if w < Omega else 0.0
-        else:
-            N = occupation_difference(w, 1, state) * flux * (L / (2 * math.pi))
-        rows.append((float(w), 1, None, "block", N, float(w) * N / (2 * math.pi)))
-    return rows
+    w = np.linspace(0.0, hi, n_points + 2)[1:-1]
+    block = cylinder_flux_block(material, R, Omega, w, gl_x[:, None] * w)
+    flux = np.sum(gl_w[:, None] * block, axis=0) * w
+    if state.zero_temperature:
+        N = np.where(w < Omega, -flux * (L / (2 * math.pi)), 0.0)
+    else:
+        N = occupation_difference(w, 1, state) * flux * (L / (2 * math.pi))
+    return [(w, 1, None, "block", n, w * n / (2 * math.pi))
+            for w, n in zip(w.tolist(), N.tolist())]
 
 
 def run_stats(args, parser):
@@ -381,7 +376,9 @@ def run_stats(args, parser):
     table = _make_table(geometry, material, body)
     policy = _policy(numerics)
     report = entropy_generation(table, state, policy)
-    radiation = integrate_power(table, state, policy)
+    radiation = report.radiation
+    if radiation is None:  # entropy_generation integrates P, M, Q only for T_object > 0
+        radiation = integrate_power(table, state, policy)
     payload = {
         "meta": _meta(args, radiation.flags),
         "perMode": [
@@ -579,7 +576,6 @@ def build_argparser():
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1)
         if name == "verify":
             p.add_argument("--full", action="store_true",
                            help="include the Monte-Carlo rotor criteria")

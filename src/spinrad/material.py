@@ -24,12 +24,16 @@ class DielectricModel:
         raise NotImplementedError
 
     def epsilon(self, omega):
-        """Causal response eps(omega) on the full real axis."""
-        if omega > 0:
-            return complex(self._positive(omega))
-        if omega < 0:
-            return complex(self._positive(-omega)).conjugate()
-        return self._at_zero()
+        """Causal response eps(omega) on the full real axis, scalar or array omega."""
+        w = np.atleast_1d(np.asarray(omega, dtype=float))
+        eps = np.empty(w.shape, dtype=complex)
+        nonzero = w != 0.0
+        eps[nonzero] = self._positive(np.abs(w[nonzero]))
+        if not nonzero.all():
+            eps[~nonzero] = self._at_zero()
+        neg = w < 0.0
+        eps[neg] = eps[neg].conj()
+        return eps if np.ndim(omega) else eps.item()
 
     def _at_zero(self):
         return complex(self._positive(0.0))
@@ -59,7 +63,7 @@ class Drude(DielectricModel):
         return self.sigma == 0.0
 
     def _positive(self, omega):
-        return 1.0 + 4j * np.pi * self.sigma / omega
+        return 1.0 + 1j * (4.0 * np.pi * self.sigma / omega)
 
     def _at_zero(self):
         raise DomainError("Drude eps diverges at omega = 0; use limiting forms")
@@ -166,14 +170,15 @@ class TabulatedEpsilon(DielectricModel):
         return cls(arr[:, 0], arr[:, 1], arr[:, 2])
 
     def _positive(self, omega):
-        if omega < self._omega[0] or omega > self._omega[-1]:
+        outside = (omega < self._omega[0]) | (omega > self._omega[-1])
+        if outside.any():
             raise DomainError(
-                f"omega={omega:g} outside tabulated range "
+                f"omega={omega[outside][0]:g} outside tabulated range "
                 f"[{self._omega[0]:g}, {self._omega[-1]:g}]"
             )
         re = np.interp(omega, self._omega, self._re)
         im = np.interp(np.log(omega), self._logw, self._im)
-        return complex(re, im)
+        return re + 1j * im
 
     def _at_zero(self):
         raise DomainError("omega = 0 outside tabulated range")
@@ -190,34 +195,35 @@ def bose_occupation(omega, T):
     Negative frequencies follow n(-w) = -1 - n(w); the T = 0 limit is the
     step -Theta(-omega).  omega = 0 raises: at T = 0 the value is ambiguous,
     at T > 0 it diverges and integrands must use the product limit with the
-    vanishing flux factor.
+    vanishing flux factor.  Scalar or array omega.
     """
     if T < 0:
         raise DomainError("temperature must be >= 0")
-    if T == 0.0:
-        if omega > 0:
-            return 0.0
-        if omega < 0:
-            return -1.0
-        raise DomainError("n(0, T=0) is ill-defined")
-    if omega == 0.0:
+    w = np.atleast_1d(np.asarray(omega, dtype=float))
+    if (w == 0.0).any():
+        if T == 0.0:
+            raise DomainError("n(0, T=0) is ill-defined")
         raise BoseDivergenceError("n(omega -> 0, T > 0) diverges like T/omega")
-    x = omega / T
-    if x > 0:
-        if x > 700.0:
-            return float(np.exp(-x))
-        return 1.0 / np.expm1(x)
-    return -1.0 - bose_occupation(-omega, T)
+    if T == 0.0:
+        n = np.where(w > 0, 0.0, -1.0)
+    else:
+        x = np.abs(w) / T
+        # past x = 700 expm1 overflows; exp(-x) is the same number there
+        n_pos = np.where(x > 700.0, np.exp(-x), 1.0 / np.expm1(np.minimum(x, 700.0)))
+        n = np.where(w > 0, n_pos, -1.0 - n_pos)
+    return n if np.ndim(omega) else n.item()
 
 
 def sphere_polarizability(model, R, omega):
-    """Electrostatic dipole polarizability alpha = R^3 (eps - 1)/(eps + 2)."""
+    """Dipole polarizability alpha = R^3 (eps - 1)/(eps + 2), scalar or array omega."""
     if R <= 0:
         raise DomainError("radius must be > 0")
     eps = model.epsilon(omega)
     den = eps + 2.0
-    if abs(den) < 1e-12:
-        raise ResonanceError(f"eps(omega={omega:g}) at the eps = -2 plasmon pole")
+    pole = np.abs(den) < 1e-12
+    if pole.any():
+        w = np.asarray(omega, dtype=float)[pole][0]
+        raise ResonanceError(f"eps(omega={w:g}) at the eps = -2 plasmon pole")
     return R**3 * (eps - 1.0) / den
 
 

@@ -13,7 +13,14 @@ import numpy as np
 
 from .errors import DomainError
 from .quadrature import integrate_segments
-from .radiation import MSumPolicy, TWO_PI, _thermal_cutoff, integrate_power, mode_flux
+from .radiation import (
+    MSumPolicy,
+    RadiationResult,
+    TWO_PI,
+    _thermal_cutoff,
+    integrate_power,
+    mode_flux,
+)
 from .scattering import ModeIndex
 
 P_MAX = 20
@@ -78,14 +85,21 @@ def glauber_pn(N, n):
 
 
 def mode_entropy_rate(N):
-    """Per-mode entropy (N+1)log(N+1) - N log N, in k_B units; 0 at N = 0."""
-    if N < 0:
+    """Per-mode entropy (N+1)log(N+1) - N log N, in k_B units; 0 at N = 0.
+
+    Scalar or array N.
+    """
+    n = np.atleast_1d(np.asarray(N, dtype=float))
+    if (n < 0).any():
         raise DomainError("mean flux must be >= 0")
-    if N == 0.0:
-        return 0.0
-    if N < _ENTROPY_SMALL_N:
-        return N * (1.0 - math.log(N))
-    return (N + 1.0) * math.log1p(N) - N * math.log(N)
+    safe = np.where(n > 0, n, 1.0)
+    S = np.where(
+        n < _ENTROPY_SMALL_N,
+        safe * (1.0 - np.log(safe)),
+        (safe + 1.0) * np.log1p(safe) - safe * np.log(safe),
+    )
+    S[n == 0] = 0.0
+    return S if np.ndim(N) else S.item()
 
 
 def total_mode_entropy(r, x):
@@ -143,6 +157,7 @@ class EntropyReport:
     object_rate: float | None
     combined_rate: float
     quadrature_error: float
+    radiation: RadiationResult | None = None  # the P, M, Q behind object_rate
 
 
 def entropy_generation(table, state, policy=None):
@@ -183,7 +198,7 @@ def entropy_generation(table, state, policy=None):
 
             def integrand(w, m=m, extra=extra, pol=pol):
                 N = mode_flux(table, state, ModeIndex(w, m, extra, pol))
-                return mode_entropy_rate(max(N, 0.0)) / TWO_PI
+                return mode_entropy_rate(np.maximum(N, 0.0)) / TWO_PI
 
             val, err = integrate_segments(
                 integrand, points, epsabs=policy.epsabs, epsrel=max(policy.epsrel, 1e-8)
@@ -194,6 +209,7 @@ def entropy_generation(table, state, policy=None):
 
     object_rate = None
     combined = total
+    rad = None
     if state.T_object > 0:
         rad = integrate_power(table, state, policy)
         if state.Omega == 0:
@@ -201,4 +217,4 @@ def entropy_generation(table, state, policy=None):
         else:
             object_rate = rad.Q / state.T_object
         combined = total + object_rate
-    return EntropyReport(per_mode, total, object_rate, combined, err_total)
+    return EntropyReport(per_mode, total, object_rate, combined, err_total, rad)

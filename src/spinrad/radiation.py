@@ -46,12 +46,6 @@ class MSumPolicy:
 
 
 @dataclass(frozen=True)
-class SpectralFlux:
-    mode: ModeIndex
-    N: float
-
-
-@dataclass(frozen=True)
 class ModeContribution:
     m: int
     extra: object
@@ -97,36 +91,49 @@ class RadiationResult:
 
 def occupation_difference(omega, m, state):
     """n(omega - Omega*m, T_obj) - n(omega, T_env), with T = 0 steps built in."""
-    n_in = bose_occupation(omega - state.Omega * m, state.T_object)
-    n_out = bose_occupation(omega, state.T_env) if state.T_env > 0 else (0.0 if omega > 0 else -1.0)
-    return n_in - n_out
+    w = np.atleast_1d(np.asarray(omega, dtype=float))
+    n_in = bose_occupation(w - state.Omega * m, state.T_object)
+    n_out = bose_occupation(w, state.T_env) if state.T_env > 0 else np.where(w > 0, 0.0, -1.0)
+    dn = n_in - n_out
+    return dn if np.ndim(omega) else dn.item()
 
 
 def mode_flux(table, state, mode):
     """Spectral photon flux N of one channel (photons per unit omega and time).
 
-    At omega = Omega*m the diverging occupation multiplies a vanishing flux
+    ``mode.omega`` is a scalar or an array of frequencies.  At
+    omega = Omega*m the diverging occupation multiplies a vanishing flux
     factor; the finite product limit is taken by a symmetric two-sided
     average just off the singular point.
     """
-    omega, m = mode.omega, mode.m
-    if omega <= 0:
+    m = mode.m
+    w = np.atleast_1d(np.asarray(mode.omega, dtype=float))
+    if (w <= 0).any():
         raise DomainError("mode flux needs omega > 0")
-    om_p = omega - state.Omega * m
-    F = table.flux(omega, m, mode.extra, mode.pol, state.Omega)
+    om_p = w - state.Omega * m
+    F = table.flux(w, m, mode.extra, mode.pol, state.Omega)
     if state.zero_temperature:
-        return -F if (om_p < 0) else 0.0
-    if om_p == 0.0:
-        h = 1e-7 * max(abs(state.Omega * m), state.T_object, 1e-30)
-        lo, hi = table.omega_domain(m, mode.extra, mode.pol)
-        vals = []
-        for sgn in (+1.0, -1.0):
-            w = omega + sgn * h
-            if lo < w < hi and w > 0:
-                Fh = table.flux(w, m, mode.extra, mode.pol, state.Omega)
-                vals.append(occupation_difference(w, m, state) * Fh)
-        return float(np.mean(vals)) if vals else 0.0
-    return occupation_difference(omega, m, state) * F
+        N = np.where(om_p < 0, -F, 0.0)
+    else:
+        at = om_p == 0.0
+        N = np.empty(w.shape)
+        N[~at] = occupation_difference(w[~at], m, state) * F[~at]
+        if at.any():
+            N[at] = _corotation_limit(table, state, mode, state.Omega * m)
+    return N if np.ndim(mode.omega) else N.item()
+
+
+def _corotation_limit(table, state, mode, omega):
+    """N at omega = Omega*m: the mean of N just above and just below."""
+    m = mode.m
+    h = 1e-7 * max(abs(state.Omega * m), state.T_object, 1e-30)
+    lo, hi = table.omega_domain(m, mode.extra, mode.pol)
+    w = np.array([omega + h, omega - h])
+    w = w[(lo < w) & (w < hi) & (w > 0)]
+    if not w.size:
+        return 0.0
+    F = table.flux(w, m, mode.extra, mode.pol, state.Omega)
+    return np.mean(occupation_difference(w, m, state) * F)
 
 
 def _thermal_cutoff(state, m_max):
@@ -325,19 +332,14 @@ def integrate_power_cylinder(model, R, L, Omega, state=None, policy=None,
     gl_x, gl_w = np.polynomial.legendre.leggauss(8)
 
     def kz_reduced(w, m):
-        """int_{-w}^{w} dk_z sum_{P,P'} (delta - |S|^2)."""
+        """int_{-w}^{w} dk_z sum_{P,P'} (delta - |S|^2), w an array."""
         if exact_block or kz_rule == "numeric":
-            kz = gl_x * w
-            vals = np.array(
-                [
-                    cylinder_flux_block(model, R, Omega, w, k, m=m, exact=exact_block)
-                    for k in kz
-                ]
-            )
-            return float(np.sum(gl_w * vals) * w)
+            vals = cylinder_flux_block(model, R, Omega, w, gl_x[:, None] * w, m=m,
+                                       exact=exact_block)
+            return np.sum(gl_w[:, None] * vals, axis=0) * w
         # truncated flux pi*Im r*(w^2 + kz^2)*R^2: the kz integral is 8 w^3/3
         r_im = _cyl_response(model, w - Omega * m).imag
-        return float(np.pi * r_im * R**2 * (8.0 * w**3 / 3.0))
+        return np.pi * r_im * R**2 * (8.0 * w**3 / 3.0)
 
     zero_T = state.zero_temperature
     m_list = [1] if zero_T else [-1, 1]
@@ -360,17 +362,17 @@ def integrate_power_cylinder(model, R, L, Omega, state=None, policy=None,
             F_bar = kz_reduced(w, m)
             om_p = w - Omega * m
             if zero_T:
-                occ_F = -F_bar if om_p < 0 else 0.0
-            elif om_p == 0.0:
-                h = 1e-7 * max(Omega, state.T_object)
-                occ_F = 0.5 * (
-                    occupation_difference(w + h, m, state) * kz_reduced(w + h, m)
-                    + occupation_difference(w - h, m, state) * kz_reduced(w - h, m)
-                )
+                occ_F = np.where(om_p < 0, -F_bar, 0.0)
             else:
-                occ_F = occupation_difference(w, m, state) * F_bar
-            pref = L / (TWO_PI * TWO_PI)
-            return pref * occ_F * np.array([w, float(m), Omega * m - w])
+                at = om_p == 0.0
+                occ_F = np.empty(w.shape)
+                occ_F[~at] = occupation_difference(w[~at], m, state) * F_bar[~at]
+                if at.any():
+                    h = 1e-7 * max(Omega, state.T_object)
+                    wh = np.array([Omega * m + h, Omega * m - h])
+                    occ_F[at] = np.mean(occupation_difference(wh, m, state) * kz_reduced(wh, m))
+            c = L / (TWO_PI * TWO_PI) * occ_F
+            return np.array([c * w, c * m, c * (Omega * m - w)])
 
         val, err = integrate_segments(integrand, points, epsabs=policy.epsabs, epsrel=policy.epsrel)
         totals += val
@@ -397,11 +399,15 @@ def spindown_timescale(torque, I, omega0, omega_final=None, epsrel=1e-8):
     if not 0 < omega_final < omega0:
         raise DomainError("omega_final must lie in (0, omega0)")
 
-    def integrand(w):
-        M = torque(w)
-        if M <= 0:
-            raise DomainError(f"torque {M:g} <= 0 at Omega={w:g}: infinite spindown time")
-        return I / M
+    def integrand(ws):
+        # torque() is a scalar callable: one call per node
+        out = np.empty(ws.shape)
+        for i, w in enumerate(ws):
+            M = torque(float(w))
+            if M <= 0:
+                raise DomainError(f"torque {M:g} <= 0 at Omega={w:g}: infinite spindown time")
+            out[i] = I / M
+        return out
 
     val, _ = adaptive_integral(integrand, omega_final, omega0, epsrel=epsrel)
     return float(val)
@@ -425,7 +431,8 @@ def spectral_rows(table, state, policy=None, n_points=400):
             if hi <= lo:
                 continue
             grid = np.linspace(lo, hi, n_points + 2)[1:-1]
-            for w in grid:
-                N = mode_flux(table, state, ModeIndex(float(w), m, extra, pol))
-                rows.append((float(w), m, extra, pol, N, float(w) * N / TWO_PI))
+            N = mode_flux(table, state, ModeIndex(grid, m, extra, pol))
+            rows.extend(
+                (w, m, extra, pol, n, w * n / TWO_PI) for w, n in zip(grid.tolist(), N.tolist())
+            )
     return rows

@@ -140,29 +140,44 @@ def torque_law_from_radiation(table, state, omega_range, rtol=1e-6, m_max=5, eps
 def tabulate_torque_law(moments, omega_range, rtol=1e-6):
     """Memoize a (drift, diffusion) moment function on a refining log grid.
 
-    ``moments(W)`` returns the pair (Mbar, Mbar2) at rotation rate W.  The
-    grid doubles until log-log interpolation reproduces geometric-midpoint
-    evaluations to ``rtol`` relative.
+    ``moments(W)`` returns the pair (Mbar, Mbar2) at rotation rate W; it is
+    called at most once per distinct W.  Each refinement interleaves the grid
+    with its geometric midpoints, so the midpoints probed to test the
+    log-log interpolant are nodes of the next grid and are never computed
+    twice.  The grid doubles until the interpolant reproduces the probes to
+    ``rtol`` relative.
     """
     lo, hi = omega_range
     if not 0 <= lo < hi:
         raise DomainError("need 0 <= lo < hi for the tabulation range")
-    n = 17
+    memo = {}
+
+    def evaluate(ws):
+        ws = ws.tolist()
+        for w in ws:
+            if w not in memo:
+                memo[w] = moments(w)
+        return np.array([memo[w] for w in ws], dtype=float)
+
+    grid = np.geomspace(max(lo, hi * 1e-4), hi, 17)
     for _ in range(7):
-        grid = np.geomspace(max(lo, hi * 1e-4), hi, n)
-        vals = np.array([moments(w) for w in grid], dtype=float)
+        vals = evaluate(grid)
         if np.all(vals == 0.0):
             zero = lambda w: np.zeros_like(np.asarray(w, dtype=float))
             return TorqueLaw(zero, zero, "numeric", zero)
         drift_i = _power_law_interpolant(grid, vals[:, 0])
         diff_i = _power_law_interpolant(grid, vals[:, 1])
-        probe = np.sqrt(grid[:-1] * grid[1:])[:: max(1, (n - 1) // 8)]
-        direct = np.array([moments(w) for w in probe], dtype=float)
+        mids = np.sqrt(grid[:-1] * grid[1:])
+        probe = mids[:: max(1, (len(grid) - 1) // 8)]
+        direct = evaluate(probe)
         scale = np.maximum(np.abs(direct), 1e-12 * np.max(np.abs(vals), axis=0))
         err = np.max(np.abs(np.column_stack([drift_i(probe), diff_i(probe)]) - direct) / scale)
         if err < rtol:
             break
-        n = 2 * n - 1
+        finer = np.empty(2 * len(grid) - 1)
+        finer[0::2] = grid
+        finer[1::2] = mids
+        grid = finer
     else:
         raise ConvergenceError(f"torque-law tabulation stalled at rel err {err:g}")
 

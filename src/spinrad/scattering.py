@@ -31,7 +31,7 @@ class SmallVelocityWarning(UserWarning):
 class ModeIndex:
     """Quantum numbers of a radiation channel."""
 
-    omega: float
+    omega: float  # or an array of frequencies, for mode_flux
     m: int
     extra: object = None  # None, k_z (float) or l (int)
     pol: str = "scalar"
@@ -56,25 +56,23 @@ def classify_channel(flux, tol=UNITARITY_TOL):
 # ---------------------------------------------------------------------------
 
 def disk_interior_frequency(model, Omega, omega, m):
-    """Interior wavenumber of the rotating disk.
+    """Interior wavenumber of the rotating disk, scalar or array omega.
 
     wt^2 = (eps(omega') - 1) * omega'^2 + omega^2 with omega' = omega - Omega*m.
     The square-root branch is fixed by sgn(Im wt) = sgn(omega'), which encodes
     gain versus loss in the comoving frame; for Im wt = 0 either branch gives
     the same scattering matrix through the parity of J_m.
     """
-    om_p = omega - Omega * m
-    if om_p == 0.0:
-        # the (eps - 1) * omega'^2 product vanishes for any causal model
-        wt2 = complex(omega**2)
-    else:
-        wt2 = (model.epsilon(om_p) - 1.0) * om_p**2 + omega**2
-    wt = np.sqrt(complex(wt2))
-    if om_p >= 0 and wt.imag < 0:
-        wt = -wt
-    elif om_p < 0 and wt.imag > 0:
-        wt = -wt
-    return wt
+    w = np.atleast_1d(np.asarray(omega, dtype=float))
+    om_p = w - Omega * m
+    # the (eps - 1) * omega'^2 product vanishes at omega' = 0 for any causal model
+    wt2 = (w**2).astype(complex)
+    moving = om_p != 0.0
+    wt2[moving] = (model.epsilon(om_p[moving]) - 1.0) * om_p[moving] ** 2 + w[moving] ** 2
+    wt = np.sqrt(wt2)
+    flip = np.where(om_p >= 0, wt.imag < 0, wt.imag > 0)
+    wt[flip] = -wt[flip]
+    return wt if np.ndim(omega) else wt.item()
 
 
 def disk_smatrix(model, R, Omega, omega, m):
@@ -89,20 +87,32 @@ def disk_smatrix(model, R, Omega, omega, m):
     Unitary for lossless media; sub-unitary for a lossy body at rest;
     super-unitary in the superradiant window of a lossy rotating body.
     """
-    if omega <= 0:
+    w = np.atleast_1d(np.asarray(omega, dtype=float))
+    if (w <= 0).any():
         raise DomainError("disk S-matrix needs omega > 0")
     if R <= 0:
         raise DomainError("radius must be > 0")
-    wt = disk_interior_frequency(model, Omega, omega, m)
+    wt, J, Jp, den = _disk_matching(model, R, Omega, w, m)
+    zh = w * R
+    num = wt * Jp * bessel.hankel(2, m, zh) - J * w * bessel.hankel_deriv(2, m, zh)
+    S = -num / den
+    return S if np.ndim(omega) else S.item()
+
+
+def _disk_matching(model, R, Omega, w, m):
+    """Interior wavenumber, J_m(wt R), J'_m(wt R) and the S-matrix denominator."""
+    wt = disk_interior_frequency(model, Omega, w, m)
     zj = wt * R
-    zh = omega * R
+    zh = w * R
     J = bessel.bessel_j(m, zj)
     Jp = bessel.bessel_j_deriv(m, zj)
-    num = wt * Jp * bessel.hankel(2, m, zh) - J * omega * bessel.hankel_deriv(2, m, zh)
-    den = wt * Jp * bessel.hankel(1, m, zh) - J * omega * bessel.hankel_deriv(1, m, zh)
-    if abs(den) < 1e-300:
-        raise ResonanceError(f"disk S-matrix denominator underflow at omega={omega:g}, m={m}")
-    return -num / den
+    den = wt * Jp * bessel.hankel(1, m, zh) - J * w * bessel.hankel_deriv(1, m, zh)
+    tiny = np.abs(den) < 1e-300
+    if tiny.any():
+        raise ResonanceError(
+            f"disk S-matrix denominator underflow at omega={w[tiny][0]:g}, m={m}"
+        )
+    return wt, J, Jp, den
 
 
 def disk_flux(model, R, Omega, omega, m):
@@ -117,17 +127,12 @@ def disk_flux(model, R, Omega, omega, m):
     which is exactly zero for real wt (lossless media) and keeps full
     relative precision when |S| is within roundoff of 1.
     """
-    if omega <= 0:
+    w = np.atleast_1d(np.asarray(omega, dtype=float))
+    if (w <= 0).any():
         raise DomainError("disk flux needs omega > 0")
-    wt = disk_interior_frequency(model, Omega, omega, m)
-    zj = wt * R
-    zh = omega * R
-    J = bessel.bessel_j(m, zj)
-    Jp = bessel.bessel_j_deriv(m, zj)
-    den = wt * Jp * bessel.hankel(1, m, zh) - J * omega * bessel.hankel_deriv(1, m, zh)
-    if abs(den) < 1e-300:
-        raise ResonanceError(f"disk S-matrix denominator underflow at omega={omega:g}, m={m}")
-    return -(8.0 / (np.pi * R)) * (wt * Jp * np.conj(J)).imag / abs(den) ** 2
+    wt, J, Jp, den = _disk_matching(model, R, Omega, w, m)
+    F = -(8.0 / (np.pi * R)) * (wt * Jp * np.conj(J)).imag / np.abs(den) ** 2
+    return F if np.ndim(omega) else F.item()
 
 
 def disk_smatrix_smallvel(model, R, Omega, omega):
@@ -156,13 +161,16 @@ def disk_smatrix_smallvel(model, R, Omega, omega):
 # ---------------------------------------------------------------------------
 
 def _dipole_alpha(model, R, om_p):
-    # Drude-like responses diverge at omega' = 0 but alpha -> R^3 there
-    if om_p == 0.0:
+    w = np.atleast_1d(np.asarray(om_p, dtype=float))
+    live = np.ones(w.shape, dtype=bool)
+    if (w == 0.0).any():
         try:
-            return sphere_polarizability(model, R, 0.0)
+            sphere_polarizability(model, R, 0.0)
         except DomainError:
-            return complex(R**3)
-    return sphere_polarizability(model, R, om_p)
+            live = w != 0.0  # Drude-like responses diverge at omega' = 0 but alpha -> R^3 there
+    alpha = np.full(w.shape, complex(R**3))
+    alpha[live] = sphere_polarizability(model, R, w[live])
+    return alpha if np.ndim(om_p) else alpha.item()
 
 
 def sphere_smatrix_dipole(model, R, Omega, omega, m):
@@ -183,12 +191,13 @@ def sphere_flux_dipole(model, R, Omega, omega, m, exact=False):
     O(alpha^2) magnitude of the dipole amplitude (computed from the deviation
     X = (4 w^3/3) alpha directly, so no precision is lost near |S| = 1).
     """
-    alpha = _dipole_alpha(model, R, omega - Omega * m)
-    lead = (8.0 * omega**3 / 3.0) * alpha.imag
-    if not exact:
-        return lead
-    X = (4.0 * omega**3 / 3.0) * alpha
-    return lead - abs(X) ** 2  # 1 - |1 + iX|^2 = 2 Im X - |X|^2
+    w = np.atleast_1d(np.asarray(omega, dtype=float))
+    alpha = _dipole_alpha(model, R, w - Omega * m)
+    F = (8.0 * w**3 / 3.0) * alpha.imag
+    if exact:
+        X = (4.0 * w**3 / 3.0) * alpha
+        F = F - np.abs(X) ** 2  # 1 - |1 + iX|^2 = 2 Im X - |X|^2
+    return F if np.ndim(omega) else F.item()
 
 
 # ---------------------------------------------------------------------------
@@ -197,17 +206,20 @@ def sphere_flux_dipole(model, R, Omega, omega, m, exact=False):
 
 def _cyl_response(model, om_p):
     # r = (eps' - 1)/(eps' + 1); -> 1 for diverging (metallic) eps'
-    if om_p == 0.0:
+    w = np.atleast_1d(np.asarray(om_p, dtype=float))
+    live = np.ones(w.shape, dtype=bool)
+    if (w == 0.0).any():
         try:
-            eps = model.epsilon(0.0)
+            model.epsilon(0.0)
         except DomainError:
-            return 1.0 + 0.0j
-    else:
-        eps = model.epsilon(om_p)
+            live = w != 0.0
+    eps = model.epsilon(w[live])
     den = eps + 1.0
-    if abs(den) < 1e-12:
+    if (np.abs(den) < 1e-12).any():
         raise ResonanceError("eps = -1 surface-plasmon pole of the cylinder block")
-    return (eps - 1.0) / den
+    r = np.ones(w.shape, dtype=complex)
+    r[live] = (eps - 1.0) / den
+    return r if np.ndim(om_p) else r.item()
 
 
 def cylinder_smatrix_block(model, R, Omega, omega, kz, m=1):
@@ -248,14 +260,18 @@ def cylinder_flux_block(model, R, Omega, omega, kz, m=1, exact=False):
     evaluated from the deviation g = (i pi/2) r R^2 so that the O(R^4)
     magnitudes never pass through a 1 - |1 + small|^2 cancellation.
     """
-    if abs(kz) > omega:
-        raise DomainError(f"|k_z| = {abs(kz):g} exceeds omega = {omega:g} (evanescent)")
-    r = _cyl_response(model, omega - Omega * m)
-    lead = np.pi * r.imag * (omega**2 + kz**2) * R**2
-    if not exact:
-        return lead
-    g = 0.5j * np.pi * r * R**2
-    return lead - (abs(g * omega**2) ** 2 + abs(g * kz**2) ** 2 + 2 * abs(g * omega * kz) ** 2)
+    scalar = np.ndim(omega) == 0 and np.ndim(kz) == 0
+    w, kz = np.broadcast_arrays(np.atleast_1d(np.asarray(omega, dtype=float)), kz)
+    evanescent = np.abs(kz) > w
+    if evanescent.any():
+        k, wk = kz[evanescent][0], w[evanescent][0]
+        raise DomainError(f"|k_z| = {abs(k):g} exceeds omega = {wk:g} (evanescent)")
+    r = _cyl_response(model, w - Omega * m)
+    F = np.pi * r.imag * (w**2 + kz**2) * R**2
+    if exact:
+        g = 0.5j * np.pi * r * R**2
+        F = F - (np.abs(g * w**2) ** 2 + np.abs(g * kz**2) ** 2 + 2 * np.abs(g * w * kz) ** 2)
+    return F.item() if scalar else F
 
 
 def flux_factor(ch):
@@ -291,8 +307,9 @@ class ChannelTable:
         raise NotImplementedError
 
     def flux(self, omega, m, extra, pol, Omega):
-        S = self.smatrix(omega, m, extra, pol, Omega)
-        return 1.0 - abs(S) ** 2
+        w = np.atleast_1d(np.asarray(omega, dtype=float))
+        F = 1.0 - np.abs(self.smatrix(w, m, extra, pol, Omega)) ** 2
+        return F if np.ndim(omega) else F.item()
 
     def amplitude(self, mode, Omega):
         S = self.smatrix(mode.omega, mode.m, mode.extra, mode.pol, Omega)
@@ -391,9 +408,14 @@ class UserTable(ChannelTable):
             om, S = self._groups[(m, extra, pol)]
         except KeyError:
             raise DomainError(f"no channel (m={m}, extra={extra}, pol={pol}) in table") from None
-        if omega < om[0] or omega > om[-1]:
-            raise DomainError(f"omega={omega:g} outside the tabulated span of the channel")
-        return complex(np.interp(omega, om, S.real), np.interp(omega, om, S.imag))
+        w = np.atleast_1d(np.asarray(omega, dtype=float))
+        outside = (w < om[0]) | (w > om[-1])
+        if outside.any():
+            raise DomainError(
+                f"omega={w[outside][0]:g} outside the tabulated span of the channel"
+            )
+        Sw = np.interp(w, om, S.real) + 1j * np.interp(w, om, S.imag)
+        return Sw if np.ndim(omega) else Sw.item()
 
 
 _POLS = ("scalar", "E", "M")

@@ -103,6 +103,30 @@ class TestSpectrum:
         assert len(lines) - header_at - 1 == 8
 
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "[scenario]\ngeometry = disk\n[material]\nmodel = drude\nsigma = 1.0\n"
+            "[body]\nradius = 0.1\nomega = 1.0\n",
+            SPHERE_CFG + "t_object = 0.5\n",
+            "[scenario]\ngeometry = cylinder\n[material]\nmodel = drude\nsigma = 1000\n"
+            "[body]\nradius = 0.001\nlength = 1.0\nomega = 1.0\nt_object = 0.4\n",
+        ],
+        ids=["disk", "sphere", "cylinder"],
+    )
+    def test_every_numeric_cell_parses_as_float(self, tmp_path, body):
+        cfg = write(tmp_path, body + "\n[numerics]\nomega_points = 12\nm_max = 2\n")
+        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 0
+        lines = [l for l in (tmp_path / "spectrum.csv").read_text().splitlines()
+                 if not l.startswith("#")]
+        columns = lines[0].split(",")
+        assert len(lines) > 12
+        for line in lines[1:]:
+            for name, cell in zip(columns, line.split(",")):
+                if name not in ("extra", "pol"):
+                    float(cell)
+
+
 class TestStats:
     def test_pn_table_on_request(self, tmp_path):
         cfg = write(tmp_path, SPHERE_CFG + "\n[stats]\npn_mean = 1.0\npn_n_max = 6\n")

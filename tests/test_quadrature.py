@@ -1,0 +1,98 @@
+"""Adaptive Gauss-Kronrod engine: exactness, node placement, shared panels, failures."""
+
+import math
+
+import numpy as np
+import pytest
+
+from spinrad import ConvergenceError, DiskTable, Drude, MSumPolicy, ThermalState, integrate_power
+from spinrad.quadrature import adaptive_integral, integrate_segments
+
+
+class Recorder:
+    """Integrand wrapper that keeps every node array it is handed."""
+
+    def __init__(self, f):
+        self.f = f
+        self.calls = []
+
+    def __call__(self, w):
+        self.calls.append(np.array(w))
+        return self.f(w)
+
+    @property
+    def nodes(self):
+        return np.concatenate(self.calls)
+
+
+def test_gk21_exact_on_polynomials():
+    # the 21-point Kronrod rule integrates degree <= 31 exactly on each panel
+    a, b = 0.3, 1.7
+    degrees = np.arange(32)
+    val, err = adaptive_integral(lambda w: w ** degrees[:, None], a, b)
+    exact = (b ** (degrees + 1) - a ** (degrees + 1)) / (degrees + 1)
+    np.testing.assert_allclose(val, exact, rtol=1e-14)
+    assert err < 1e-12 * np.max(exact)  # only the rounding floor is left
+
+
+def test_integrand_never_receives_the_endpoints():
+    # 1/sqrt(w) is infinite at w = 0: an endpoint evaluation would poison the sum
+    f = Recorder(lambda w: 1.0 / np.sqrt(w))
+    val, _ = adaptive_integral(f, 0.0, 1.0, epsrel=1e-10)
+    assert val == pytest.approx(2.0, rel=1e-9)
+    nodes = f.nodes
+    assert nodes.min() > 0.0 and nodes.max() < 1.0
+    assert len(f.calls) > 1  # the singularity forces refinement rounds
+
+
+def test_vector_components_share_panels():
+    # components of very different shape and scale are evaluated on one node set
+    f = Recorder(lambda w: np.array([np.exp(-50 * w), w**2, np.sin(40 * w)]))
+    val, _ = adaptive_integral(f, 0.0, 2.0)
+    assert val.shape == (3,)
+    assert val == pytest.approx(
+        [(1 - math.exp(-100)) / 50, 8 / 3, (1 - math.cos(80)) / 40], rel=1e-9
+    )
+    for w in f.calls:
+        assert w.ndim == 1 and w.size % 21 == 0
+
+
+def test_linear_identity_holds_to_roundoff_on_thermal_disk():
+    state = ThermalState(T_object=0.5, T_env=0.15, Omega=1.0)
+    res = integrate_power(DiskTable(Drude(1.0), 0.1), state, MSumPolicy(m_max=3))
+    scale = max(abs(res.P), abs(state.Omega * res.M), abs(res.Q))
+    assert abs(res.Q - (state.Omega * res.M - res.P)) <= 1e-13 * scale
+
+
+def test_subdivision_limit_raises_naming_the_interval():
+    with pytest.raises(ConvergenceError, match=r"\(0, 10\)"):
+        adaptive_integral(lambda w: np.sin(300 * w) * np.exp(w), 0.0, 10.0, limit=4)
+
+
+def test_non_finite_integrand_raises_instead_of_returning_nan():
+    with pytest.raises(ConvergenceError, match=r"\(0, 1\)"):
+        adaptive_integral(lambda w: np.where(w > 0.5, np.nan, w), 0.0, 1.0)
+
+
+def test_empty_interval_returns_zeros_of_the_component_shape():
+    f = Recorder(lambda w: np.array([w, 2 * w, 3 * w]))
+    val, err = adaptive_integral(f, 1.0, 1.0)
+    assert np.shape(val) == (3,) and not np.any(val) and err == 0.0
+    val, err = adaptive_integral(lambda w: w, 2.0, 1.0)
+    assert np.shape(val) == () and val == 0.0
+    assert all(w.size == 0 for w in f.calls)  # no node was evaluated
+
+
+def test_identical_calls_are_bit_identical():
+    def f(w):
+        N = np.exp(-w / 0.3) / (1.0 + (w - 1.0) ** 2 / 1e-3)
+        return np.array([w * N, N, (1.0 - w) * N])
+
+    v1, e1 = integrate_segments(f, [0.0, 1.0, 12.0])
+    v2, e2 = integrate_segments(f, [0.0, 1.0, 12.0])
+    assert v1.tobytes() == v2.tobytes() and e1 == e2
+
+
+def test_integrand_must_put_nodes_on_the_last_axis():
+    with pytest.raises(ValueError, match="last axis"):
+        adaptive_integral(lambda w: np.ones((w.size, 2)), 0.0, 1.0)
