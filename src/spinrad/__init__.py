@@ -23,6 +23,7 @@ from .material import (
 )
 from .scattering import (
     ChannelAmplitude,
+    CylinderTable,
     DiskTable,
     ModeIndex,
     SphereTable,
@@ -42,7 +43,6 @@ from .radiation import (
     MSumPolicy,
     RadiationResult,
     integrate_power,
-    integrate_power_cylinder,
     kirchhoff_power,
     mode_flux,
     spindown_timescale,

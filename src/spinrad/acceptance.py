@@ -19,9 +19,10 @@ from .photonstats import (
     mode_entropy_rate,
     total_mode_entropy,
 )
-from .radiation import integrate_power, integrate_power_cylinder, kirchhoff_power
+from .radiation import integrate_power, kirchhoff_power
 from .rotor import TorqueLaw, fokker_planck_stationary, simulate_ensemble
 from .scattering import (
+    CylinderTable,
     DiskTable,
     SphereTable,
     cylinder_flux_block,
@@ -79,12 +80,12 @@ def criterion_1_sphere_closed_forms():
 
 
 def criterion_2_cylinder_high_conductivity():
-    """Drude cylinder, Omega << sigma: the full double integral vs the closed forms."""
+    """Drude cylinder, Omega << sigma: the k_z-integrated channel sum vs the closed forms."""
     Omega, R, L = 1.0, 1e-3, 1.0
     sigma = 1e3 * Omega
 
     def run():
-        return integrate_power_cylinder(Drude(sigma), R, L, Omega, kz_rule="numeric")
+        return integrate_power(CylinderTable(Drude(sigma), R, L), ThermalState(Omega=Omega))
 
     res, dt = _timed(run)
     rP = res.P / (L * R**2 * Omega**6 / (90 * math.pi**2 * sigma))
@@ -107,7 +108,7 @@ def criterion_3_cylinder_low_conductivity():
     Omega, R, L = 1.0, 1e-3, 1.0
     sigma = 1e-3 * Omega
     res, dt = _timed(
-        lambda: integrate_power_cylinder(Drude(sigma), R, L, Omega, kz_rule="numeric")
+        lambda: integrate_power(CylinderTable(Drude(sigma), R, L), ThermalState(Omega=Omega))
     )
     target = 8 * L * R**2 * Omega**4 * sigma * math.log(Omega / sigma)
     ratio = res.P / target
@@ -145,7 +146,8 @@ def criterion_5_energy_bookkeeping():
     runs = {
         "sphere": integrate_power(SphereTable(Drude(1e3), 1e-3), ThermalState(Omega=Omega)),
         "disk": integrate_power(DiskTable(Drude(1.0), 0.05), ThermalState(Omega=Omega)),
-        "cylinder": integrate_power_cylinder(Drude(1e3), 1e-3, 1.0, Omega),
+        "cylinder": integrate_power(CylinderTable(Drude(1e3), 1e-3, 1.0),
+                                    ThermalState(Omega=Omega)),
     }
     worst = max(abs(r.Q - (Omega * r.M - r.P)) / r.P for r in runs.values())
     return CriterionResult(

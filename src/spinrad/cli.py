@@ -13,14 +13,20 @@ import argparse
 import configparser
 import hashlib
 import json
-import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, ConvergenceError, DomainError, SpinradError, StepSizeError
+from .errors import (
+    ConfigError,
+    ConvergenceError,
+    DomainError,
+    SpinradError,
+    StepSizeError,
+    TableFormatError,
+)
 from .material import (
     ConstantEpsilon,
     Drude,
@@ -30,22 +36,15 @@ from .material import (
     Vacuum,
 )
 from .photonstats import entropy_generation
-from .radiation import (
-    MSumPolicy,
-    integrate_power,
-    integrate_power_cylinder,
-    occupation_difference,
-    spectral_rows,
-)
+from .radiation import MSumPolicy, integrate_power, spectral_rows
 from .rotor import (
     TorqueLaw,
     fokker_planck_stationary,
     simulate_ensemble,
-    tabulate_torque_law,
     torque_law_from_radiation,
     uncertainty,
 )
-from .scattering import DiskTable, SphereTable, cylinder_flux_block, load_channel_table
+from .scattering import CylinderTable, DiskTable, SphereTable, load_channel_table
 from .testbody import (
     TwoBodyConfig,
     tangential_force_3d,
@@ -148,7 +147,8 @@ def _build_material(parser, units, section="material"):
             _get(parser, section, "eps_re", float, required=True),
             _get(parser, section, "eps_im", float, default=0.0),
         )
-    return TabulatedEpsilon.from_csv(_get(parser, section, "path", str, required=True))
+    path = _get(parser, section, "path", str, required=True)
+    return _load_file(TabulatedEpsilon.from_csv, path, "tabulated epsilon")
 
 
 def _build_scenario(parser):
@@ -232,9 +232,17 @@ def _make_table(geometry, material, body):
         return DiskTable(material, body["radius"])
     if geometry == "sphere":
         return SphereTable(material, body["radius"])
-    if geometry == "user-table":
-        return load_channel_table(body["table"])
-    raise ConfigError(f"geometry {geometry!r} has no channel table")
+    if geometry == "cylinder":
+        return CylinderTable(material, body["radius"], body["length"])
+    return _load_file(load_channel_table, body["table"], "channel table")
+
+
+def _load_file(loader, path, what):
+    """Read an input table; a missing or malformed file is a config error naming it."""
+    try:
+        return loader(path)
+    except (OSError, TableFormatError) as exc:
+        raise ConfigError(f"{what} {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -313,14 +321,8 @@ def _state(body):
 
 def run_power(args, parser):
     geometry, units, material, body, numerics = _build_scenario(parser)
-    state = _state(body)
-    if geometry == "cylinder":
-        result = integrate_power_cylinder(
-            material, body["radius"], body["length"], body["omega"],
-            state=state, policy=_policy(numerics),
-        )
-    else:
-        result = integrate_power(_make_table(geometry, material, body), state, _policy(numerics))
+    table = _make_table(geometry, material, body)
+    result = integrate_power(table, _state(body), _policy(numerics))
     payload = {"meta": _meta(args, result.flags), **result.as_dict()}
     if units is not None:
         payload["si"] = {
@@ -336,12 +338,8 @@ def run_power(args, parser):
 
 def run_spectrum(args, parser):
     geometry, units, material, body, numerics = _build_scenario(parser)
-    state = _state(body)
-    if geometry == "cylinder":
-        rows = _cylinder_spectral_rows(material, body, state, numerics["omega_points"])
-    else:
-        table = _make_table(geometry, material, body)
-        rows = spectral_rows(table, state, _policy(numerics), numerics["omega_points"])
+    table = _make_table(geometry, material, body)
+    rows = spectral_rows(table, _state(body), _policy(numerics), numerics["omega_points"])
     flags = {"omega_R_over_c": (body["omega"] * body["radius"]) if body["radius"] else 0.0}
     out = _write_table(
         args.out, "spectrum", args.format, _meta(args, flags),
@@ -351,26 +349,11 @@ def run_spectrum(args, parser):
     return 0
 
 
-def _cylinder_spectral_rows(material, body, state, n_points):
-    Omega, R, L = body["omega"], body["radius"], body["length"]
-    if state.zero_temperature and Omega <= 0:
-        return []
-    hi = Omega if state.zero_temperature else Omega + 40 * max(state.T_object, state.T_env)
-    gl_x, gl_w = np.polynomial.legendre.leggauss(8)
-    w = np.linspace(0.0, hi, n_points + 2)[1:-1]
-    block = cylinder_flux_block(material, R, Omega, w, gl_x[:, None] * w)
-    flux = np.sum(gl_w[:, None] * block, axis=0) * w
-    if state.zero_temperature:
-        N = np.where(w < Omega, -flux * (L / (2 * math.pi)), 0.0)
-    else:
-        N = occupation_difference(w, 1, state) * flux * (L / (2 * math.pi))
-    return [(w, 1, None, "block", n, w * n / (2 * math.pi))
-            for w, n in zip(w.tolist(), N.tolist())]
-
-
 def run_stats(args, parser):
     geometry, units, material, body, numerics = _build_scenario(parser)
     if geometry == "cylinder":
+        # the cylinder's channels are k_z-integrated, and the entropy of a
+        # k_z-integrated N is not the k_z integral of the per-k_z entropy
         raise ConfigError("stats: per-mode entropy is available for disk, sphere and user-table")
     state = _state(body)
     table = _make_table(geometry, material, body)
@@ -424,21 +407,10 @@ def run_rotor(args, parser):
     elif law_kind == "radiation":
         state0 = ThermalState(T_object=body["t_object"], T_env=body["t_env"])
         hi = _get(parser, "rotor", "omega_hi", float, default=2.0 * Omega0)
-        if geometry == "cylinder":
-            # thin-cylinder channels are weakly coupled (N << 1): Mbar2 ~ Mbar
-            def moments(W):
-                M = integrate_power_cylinder(
-                    material, body["radius"], body["length"], float(W)
-                ).M
-                return (M, M)
-
-            law = tabulate_torque_law(moments, (0.0, hi))
-        else:
-            table = _make_table(geometry, material, body)
-            law = torque_law_from_radiation(
-                table, state0, omega_range=(0.0, hi), rtol=1e-6,
-                m_max=numerics["m_max"], epsrel=numerics["rel_tol"],
-            )
+        law = torque_law_from_radiation(
+            _make_table(geometry, material, body), state0, omega_range=(0.0, hi), rtol=1e-6,
+            m_max=numerics["m_max"], epsrel=numerics["rel_tol"],
+        )
     else:
         raise ConfigError("[rotor] law: must be 'radiation' or 'powerlaw'")
 

@@ -12,16 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .quadrature import integrate_segments
-from .radiation import (
-    MSumPolicy,
-    RadiationResult,
-    TWO_PI,
-    _thermal_cutoff,
-    integrate_power,
-    mode_flux,
-)
-from .scattering import ModeIndex
+from .radiation import MSumPolicy, RadiationResult, integrate_channels, integrate_power
 
 P_MAX = 20
 
@@ -176,36 +167,16 @@ def entropy_generation(table, state, policy=None):
     policy = policy or MSumPolicy()
     if state.T_env > 0:
         raise DomainError("entropy accounting needs a zero-temperature environment")
-    zero_T = state.zero_temperature
     per_mode = []
     total = 0.0
     err_total = 0.0
-    for m in table.m_values(policy.m_max, zero_T):
-        for extra, pol in table.channel_labels(m):
-            lo, hi = table.omega_domain(m, extra, pol)
-            lo = max(lo, 0.0)
-            if zero_T:
-                if m < 1 or state.Omega <= 0:
-                    continue
-                hi = min(hi, state.Omega * m)
-            else:
-                hi = min(hi, _thermal_cutoff(state, policy.m_max))
-            if hi <= lo:
-                continue
-            points = [lo, hi]
-            if not zero_T and m >= 1 and lo < state.Omega * m < hi:
-                points.insert(1, state.Omega * m)
-
-            def integrand(w, m=m, extra=extra, pol=pol):
-                N = mode_flux(table, state, ModeIndex(w, m, extra, pol))
-                return mode_entropy_rate(np.maximum(N, 0.0)) / TWO_PI
-
-            val, err = integrate_segments(
-                integrand, points, epsabs=policy.epsabs, epsrel=max(policy.epsrel, 1e-8)
-            )
-            per_mode.append((m, extra, pol, float(val)))
-            total += float(val)
-            err_total += err
+    for m, extra, pol, val, err in integrate_channels(
+        table, state, lambda w, m, N: mode_entropy_rate(np.maximum(N, 0.0)), policy.m_max,
+        epsabs=policy.epsabs, epsrel=max(policy.epsrel, 1e-8),
+    ):
+        per_mode.append((m, extra, pol, float(val)))
+        total += float(val)
+        err_total += err
 
     object_rate = None
     combined = total

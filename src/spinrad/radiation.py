@@ -18,12 +18,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 from .material import ThermalState, bose_occupation
 from .quadrature import adaptive_integral, integrate_segments
-from .scattering import (
-    SMALLVEL_LIMIT,
-    ModeIndex,
-    _cyl_response,
-    cylinder_flux_block,
-)
+from .scattering import SMALLVEL_LIMIT, ModeIndex
 
 TWO_PI = 2.0 * math.pi
 
@@ -151,34 +146,65 @@ def _thermal_tail_bound(state, omega_cut, n_channels):
     return n_channels * T**2 * math.exp(-x) * (x + 1.0) / TWO_PI
 
 
-def _channel_moments(table, state, m, extra, pol, policy):
-    """Integrate [w, m, Omega*m - w] * N over the channel's support (hbar = 1)."""
-    Omega = state.Omega
+def channel_support(table, state, m, extra, pol, m_max):
+    """Breakpoints of a channel's spectral support; empty when nothing radiates.
+
+    At T = 0 only the superradiant window (0, Omega*m) of m >= 1 carries
+    flux.  Otherwise the support runs to the thermal cutoff and is split at
+    omega = Omega*m, where the diverging occupation meets the vanishing flux
+    factor (a removable singularity, kept on a panel edge).
+    """
     lo, hi = table.omega_domain(m, extra, pol)
     lo = max(lo, 0.0)
+    corotation = state.Omega * m
     if state.zero_temperature:
-        if m < 1 or Omega <= 0:
-            return np.zeros(3), 0.0
-        hi = min(hi, Omega * m)
-        if hi <= lo:
-            return np.zeros(3), 0.0
-        points = [lo, hi]
+        if m < 1 or state.Omega <= 0:
+            return []
+        hi = min(hi, corotation)
     else:
-        hi = min(hi, _thermal_cutoff(state, policy.m_max))
-        if hi <= lo:
-            return np.zeros(3), 0.0
-        points = [lo, hi]
-        if m >= 1 and lo < Omega * m < hi:
-            points.insert(1, Omega * m)  # removable singularity: panel edge
+        hi = min(hi, _thermal_cutoff(state, m_max))
+    if hi <= lo:
+        return []
+    if not state.zero_temperature and m >= 1 and lo < corotation < hi:
+        return [lo, corotation, hi]
+    return [lo, hi]
+
+
+def integrate_channel(table, state, m, extra, pol, weight, m_max, epsabs=1e-300, epsrel=1e-9):
+    """int dw/2pi weight(w, m, N_m(w)) over the channel's support.
+
+    ``weight`` maps the node array, m and the spectral density on the nodes
+    to the integrand components (nodes on the last axis); all components
+    share panels.  Returns (value, error), or None when the support is empty.
+    """
+    points = channel_support(table, state, m, extra, pol, m_max)
+    if not points:
+        return None
 
     def integrand(w):
-        N = mode_flux(table, state, ModeIndex(w, m, extra, pol))
-        return np.array([w * N, m * N, (Omega * m - w) * N]) / TWO_PI
+        return weight(w, m, mode_flux(table, state, ModeIndex(w, m, extra, pol))) / TWO_PI
 
-    val, err = integrate_segments(
-        integrand, points, epsabs=policy.epsabs, epsrel=policy.epsrel
+    return integrate_segments(integrand, points, epsabs=epsabs, epsrel=epsrel)
+
+
+def integrate_channels(table, state, weight, m_max, **kw):
+    """Yield (m, extra, pol, value, error) for every channel that radiates."""
+    for m in table.m_values(m_max, state.zero_temperature):
+        for extra, pol in table.channel_labels(m):
+            res = integrate_channel(table, state, m, extra, pol, weight, m_max, **kw)
+            if res is not None:
+                yield (m, extra, pol, *res)
+
+
+def _channel_moments(table, state, m, extra, pol, policy):
+    """[P, M, Q] of one channel (hbar = 1): weights w, m and Omega*m - w."""
+    Omega = state.Omega
+    res = integrate_channel(
+        table, state, m, extra, pol,
+        lambda w, m, N: np.array([w * N, m * N, (Omega * m - w) * N]),
+        policy.m_max, policy.epsabs, policy.epsrel,
     )
-    return val, err
+    return res or (np.zeros(3), 0.0)
 
 
 def integrate_power(table, state, policy=None):
@@ -305,87 +331,6 @@ def kirchhoff_power(table, T_object, T_env, policy=None):
     return res
 
 
-def integrate_power_cylinder(model, R, L, Omega, state=None, policy=None,
-                             exact_block=False, kz_rule="analytic"):
-    """Radiation of a spinning cylinder: double integral over omega and k_z.
-
-    The |m| = 1 polarization block is integrated over propagating axial
-    wavenumbers k_z in [-w, w] with measure L dk_z / 2pi.  The flux factor
-    keeps only the O(R^2) cross terms of the thin-cylinder block, the order
-    at which those matrices satisfy the optical theorem; its k_z integral
-    is analytic (``kz_rule='analytic'``) or done by a fixed Gauss-Legendre
-    rule (``kz_rule='numeric'``, exact for the polynomial integrand).
-    ``exact_block=True`` is a convergence diagnostic that keeps the full
-    block magnitudes; for good conductors their spurious O(R^4)
-    non-unitarity is relatively enhanced by 1/Im r, so it is not the default.
-    """
-    if R <= 0 or L <= 0:
-        raise DomainError("R and L must be > 0")
-    state = state or ThermalState(Omega=Omega)
-    if state.Omega != Omega:
-        state = ThermalState(state.T_object, state.T_env, Omega)
-    policy = policy or MSumPolicy()
-    if kz_rule not in ("analytic", "numeric"):
-        raise DomainError("kz_rule must be 'analytic' or 'numeric'")
-
-    # 8-point Gauss-Legendre is exact for the degree <= 4 polynomials in k_z
-    gl_x, gl_w = np.polynomial.legendre.leggauss(8)
-
-    def kz_reduced(w, m):
-        """int_{-w}^{w} dk_z sum_{P,P'} (delta - |S|^2), w an array."""
-        if exact_block or kz_rule == "numeric":
-            vals = cylinder_flux_block(model, R, Omega, w, gl_x[:, None] * w, m=m,
-                                       exact=exact_block)
-            return np.sum(gl_w[:, None] * vals, axis=0) * w
-        # truncated flux pi*Im r*(w^2 + kz^2)*R^2: the kz integral is 8 w^3/3
-        r_im = _cyl_response(model, w - Omega * m).imag
-        return np.pi * r_im * R**2 * (8.0 * w**3 / 3.0)
-
-    zero_T = state.zero_temperature
-    m_list = [1] if zero_T else [-1, 1]
-    totals = np.zeros(3)
-    err_total = 0.0
-    per_mode = []
-    for m in m_list:
-        if zero_T:
-            lo, hi = 0.0, Omega * m
-            if hi <= lo:
-                continue
-            points = [lo, hi]
-        else:
-            lo, hi = 0.0, _thermal_cutoff(state, 1)
-            points = [lo, hi]
-            if m >= 1 and lo < Omega * m < hi:
-                points.insert(1, Omega * m)
-
-        def integrand(w, m=m):
-            F_bar = kz_reduced(w, m)
-            om_p = w - Omega * m
-            if zero_T:
-                occ_F = np.where(om_p < 0, -F_bar, 0.0)
-            else:
-                at = om_p == 0.0
-                occ_F = np.empty(w.shape)
-                occ_F[~at] = occupation_difference(w[~at], m, state) * F_bar[~at]
-                if at.any():
-                    h = 1e-7 * max(Omega, state.T_object)
-                    wh = np.array([Omega * m + h, Omega * m - h])
-                    occ_F[at] = np.mean(occupation_difference(wh, m, state) * kz_reduced(wh, m))
-            c = L / (TWO_PI * TWO_PI) * occ_F
-            return np.array([c * w, c * m, c * (Omega * m - w)])
-
-        val, err = integrate_segments(integrand, points, epsabs=policy.epsabs, epsrel=policy.epsrel)
-        totals += val
-        err_total += err
-        per_mode.append(
-            ModeContribution(m, None, "block", float(val[0]), float(val[1]), float(val[2]), err)
-        )
-
-    flags = {"omega_R_over_c": Omega * R, "smallvel_warning": bool(Omega * R >= SMALLVEL_LIMIT)}
-    P, M, Q = (float(v) for v in totals)
-    return RadiationResult(P, M, Q, per_mode, err_total, 0.0, flags)
-
-
 def spindown_timescale(torque, I, omega0, omega_final=None, epsrel=1e-8):
     """Deterministic time to coast from omega0 down to omega_final (default omega0/10).
 
@@ -414,23 +359,18 @@ def spindown_timescale(torque, I, omega0, omega_final=None, epsrel=1e-8):
 
 
 def spectral_rows(table, state, policy=None, n_points=400):
-    """Rows (omega, m, extra, pol, N, dP_domega) for the spectrum emitter."""
+    """Rows (omega, m, extra, pol, N, dP_domega) for the spectrum emitter.
+
+    Each channel is sampled on n_points interior nodes of its support.
+    """
     policy = policy or MSumPolicy()
-    zero_T = state.zero_temperature
     rows = []
-    for m in table.m_values(policy.m_max, zero_T):
+    for m in table.m_values(policy.m_max, state.zero_temperature):
         for extra, pol in table.channel_labels(m):
-            lo, hi = table.omega_domain(m, extra, pol)
-            lo = max(lo, 0.0)
-            if zero_T:
-                if m < 1 or state.Omega <= 0:
-                    continue
-                hi = min(hi, state.Omega * m)
-            else:
-                hi = min(hi, _thermal_cutoff(state, policy.m_max))
-            if hi <= lo:
+            points = channel_support(table, state, m, extra, pol, policy.m_max)
+            if not points:
                 continue
-            grid = np.linspace(lo, hi, n_points + 2)[1:-1]
+            grid = np.linspace(points[0], points[-1], n_points + 2)[1:-1]
             N = mode_flux(table, state, ModeIndex(grid, m, extra, pol))
             rows.extend(
                 (w, m, extra, pol, n, w * n / TWO_PI) for w, n in zip(grid.tolist(), N.tolist())

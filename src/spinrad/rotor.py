@@ -25,10 +25,8 @@ from scipy.integrate import cumulative_simpson, cumulative_trapezoid, simpson
 from scipy.interpolate import PchipInterpolator
 
 from .errors import ConvergenceError, DomainError, StepSizeError
-from .quadrature import integrate_segments
-from .radiation import TWO_PI, mode_flux
+from .radiation import integrate_channels
 from .material import ThermalState
-from .scattering import ModeIndex
 
 FP_DIFFUSION_SCALE = 2.0
 
@@ -106,32 +104,14 @@ def torque_law_from_radiation(table, state, omega_range, rtol=1e-6, m_max=5, eps
     if not 0 <= lo < hi:
         raise DomainError("need 0 <= lo < hi for the tabulation range")
 
+    def weight(w, m, N):
+        return np.array([m * N, m * m * N * (N + 1.0)])
+
     def moments(W):
         st = ThermalState(state.T_object, state.T_env, W)
-        zero_T = st.zero_temperature
         out = np.zeros(2)
-        if W == 0.0 and zero_T:
-            return out
-        cutoff = W * max(m_max, 1) + 40.0 * max(st.T_object, st.T_env)
-        for m in table.m_values(m_max, zero_T):
-            for extra, pol in table.channel_labels(m):
-                a, b = table.omega_domain(m, extra, pol)
-                a = max(a, 0.0)
-                if zero_T:
-                    if m < 1:
-                        continue
-                    b = min(b, W * m)
-                else:
-                    b = min(b, cutoff)
-                if b <= a:
-                    continue
-
-                def f(w, m=m, extra=extra, pol=pol):
-                    N = mode_flux(table, st, ModeIndex(w, m, extra, pol))
-                    return np.array([m * N, m * m * N * (N + 1.0)]) / TWO_PI
-
-                val, _ = integrate_segments(f, [a, b], epsrel=epsrel)
-                out += val
+        for *_, val, _ in integrate_channels(table, st, weight, m_max, epsrel=epsrel):
+            out += val
         return out
 
     return tabulate_torque_law(moments, omega_range, rtol=rtol)

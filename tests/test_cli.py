@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from scipy.constants import c as C_SI, epsilon_0, hbar as HBAR_SI
 
@@ -18,6 +19,21 @@ sigma = 1000.0
 
 [body]
 radius = 0.001
+omega = 1.0
+"""
+
+
+CYLINDER_CFG = """
+[scenario]
+geometry = cylinder
+
+[material]
+model = drude
+sigma = 1000.0
+
+[body]
+radius = 0.001
+length = 1.0
 omega = 1.0
 """
 
@@ -61,6 +77,26 @@ class TestValidation:
     def test_bad_geometry(self, tmp_path, capsys):
         cfg = write(tmp_path, "[scenario]\ngeometry = torus\n[body]\nomega = 1\n")
         assert main(["power", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("malformed", [False, True], ids=["missing", "malformed"])
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "[scenario]\ngeometry = user-table\n[body]\nomega = 1.0\ntable = {path}\n",
+            "[scenario]\ngeometry = sphere\n[material]\nmodel = tabulated\npath = {path}\n"
+            "[body]\nradius = 0.01\nomega = 1.0\n",
+        ],
+        ids=["channel-table", "tabulated-eps"],
+    )
+    def test_table_file_fault_is_config_error_naming_file(self, tmp_path, capsys, body,
+                                                          malformed):
+        table = tmp_path / "table.csv"
+        if malformed:
+            table.write_text("omega,bogus\n0.5,1\n")
+        cfg = write(tmp_path, body.format(path=table))
+        assert main(["power", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and str(table) in err
 
 
 class TestPower:
@@ -127,6 +163,23 @@ class TestSpectrum:
                     float(cell)
 
 
+    def test_thermal_cylinder_spectrum_covers_both_channels(self, tmp_path):
+        cfg = write(tmp_path, CYLINDER_CFG + "t_object = 0.4\n"
+                    "[numerics]\nomega_points = 100\nm_max = 2\n")
+        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert main(["power", "--config", cfg, "--out", str(tmp_path)]) == 0
+        lines = [l for l in (tmp_path / "spectrum.csv").read_text().splitlines()
+                 if not l.startswith("#")][1:]
+        rows = [line.split(",") for line in lines]
+        P_spec = 0.0
+        for m in (-1, 1):
+            w, dP = np.array([(float(r[0]), float(r[5])) for r in rows if int(r[1]) == m]).T
+            assert len(w) == 100
+            P_spec += np.trapezoid(dP, w)
+        P = json.loads((tmp_path / "power.json").read_text())["P"]
+        assert P_spec == pytest.approx(P, rel=1e-3)
+
+
 class TestStats:
     def test_pn_table_on_request(self, tmp_path):
         cfg = write(tmp_path, SPHERE_CFG + "\n[stats]\npn_mean = 1.0\npn_n_max = 6\n")
@@ -191,6 +244,20 @@ class TestRotor:
         assert summary["IDeltaOmega_analytic"] == pytest.approx(
             math.sqrt(1000.0 / 5.0), rel=1e-3
         )
+
+
+    def test_thermal_cylinder_rotor_sees_temperature(self, tmp_path):
+        base = CYLINDER_CFG.replace("omega = 1.0\n", "omega = 1.0\ninertia = 10000.0\n")
+        tail = "[numerics]\nn_traj = 16\nn_record = 3\nm_max = 2\n"
+        summaries = []
+        for t_object in ("", "t_object = 0.4\n"):
+            out = tmp_path / f"T{len(t_object)}"
+            cfg = write(tmp_path, base + t_object + tail)
+            assert main(["rotor", "--config", cfg, "--out", str(out)]) == 0
+            summaries.append(json.loads((out / "rotor.json").read_text()))
+        cold, hot = summaries
+        # thermal torque noise widens the stationary distribution
+        assert hot["IDeltaOmega_analytic"] > 1.2 * cold["IDeltaOmega_analytic"]
 
 
 class TestTwoBody:

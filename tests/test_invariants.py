@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from spinrad import (
     ConstantEpsilon,
+    CylinderTable,
     DiskTable,
     Drude,
     Lorentz,
@@ -26,7 +27,6 @@ from spinrad import (
     Vacuum,
     disk_smatrix,
     integrate_power,
-    integrate_power_cylinder,
     mode_flux,
 )
 
@@ -48,27 +48,22 @@ def _user_table(sigma, R, Omega):
                       for m in (-1, 1, 2)})
 
 
-def _radiate(geometry, sigma, Omega, T_object, T_env=0.0):
-    """P, M, Q and the per-mode breakdown of one geometry in one thermal state."""
-    state = ThermalState(T_object=T_object, T_env=T_env, Omega=Omega)
-    if geometry == "cylinder":
-        return integrate_power_cylinder(Drude(1e3 * sigma), 1e-3, 1.0, Omega, state=state)
-    table = {
-        "disk": lambda: DiskTable(Drude(sigma), 0.1),
-        "sphere": lambda: SphereTable(Drude(10.0 * sigma), 0.01),
-        "user-table": lambda: _user_table(sigma, 0.1, Omega),
-    }[geometry]()
-    # interpolated tables have kinks at every row: the CLI's rel_tol of 1e-6
-    policy = MSumPolicy(m_max=2 if geometry == "disk" else 5, raise_on_tail=False,
-                        epsrel=1e-6 if geometry == "user-table" else 1e-9)
-    return integrate_power(table, state, policy)
-
-
-def _flux_table(geometry, sigma):
+def _table(geometry, sigma, Omega=1.0):
     return {
         "disk": lambda: DiskTable(Drude(sigma), 0.1),
         "sphere": lambda: SphereTable(Drude(10.0 * sigma), 0.01),
+        "user-table": lambda: _user_table(sigma, 0.1, Omega),
+        "cylinder": lambda: CylinderTable(Drude(1e3 * sigma), 1e-3, 1.0),
     }[geometry]()
+
+
+def _radiate(geometry, sigma, Omega, T_object, T_env=0.0):
+    """P, M, Q and the per-mode breakdown of one geometry in one thermal state."""
+    state = ThermalState(T_object=T_object, T_env=T_env, Omega=Omega)
+    # interpolated tables have kinks at every row: the CLI's rel_tol of 1e-6
+    policy = MSumPolicy(m_max=2 if geometry == "disk" else 5, raise_on_tail=False,
+                        epsrel=1e-6 if geometry == "user-table" else 1e-9)
+    return integrate_power(_table(geometry, sigma, Omega), state, policy)
 
 
 class TestHeatBalance:
@@ -88,7 +83,7 @@ class TestHeatBalance:
 
 
 class TestSuperradiantSign:
-    @pytest.mark.parametrize("geometry", ["disk", "sphere"])
+    @pytest.mark.parametrize("geometry", ["disk", "sphere", "cylinder"])
     @SETTINGS
     @given(
         sigma=st.floats(0.5, 2.0),
@@ -96,10 +91,10 @@ class TestSuperradiantSign:
         frac=st.floats(0.02, 0.98),
     )
     def test_n_positive_inside_zero_t_window(self, geometry, sigma, m, frac):
-        if geometry == "sphere":
-            m = 1  # the dipole channel radiates at m = 1 only
+        if geometry != "disk":
+            m = 1  # the dipole and the cylinder block radiate at m = 1 only
         Omega = 1.0
-        table = _flux_table(geometry, sigma)
+        table = _table(geometry, sigma)
         state = ThermalState(Omega=Omega)
         inside = frac * Omega * m
         outside = (1.0 + frac) * Omega * m
@@ -108,7 +103,7 @@ class TestSuperradiantSign:
         assert np.sign(N_in) == np.sign(Omega * m - inside) == 1.0
         assert N_out == 0.0
 
-    @pytest.mark.parametrize("geometry", ["disk", "sphere"])
+    @pytest.mark.parametrize("geometry", ["disk", "sphere", "cylinder"])
     @SETTINGS
     @given(
         sigma=st.floats(0.5, 2.0),
@@ -116,9 +111,9 @@ class TestSuperradiantSign:
         omega=st.floats(0.05, 3.0).filter(lambda w: abs(w - round(w)) > 1e-3),
     )
     def test_flux_factor_sign_follows_comoving_frequency(self, geometry, sigma, m, omega):
-        if geometry == "sphere":
+        if geometry != "disk":
             m = max(-1, min(m, 1))
-        table = _flux_table(geometry, sigma)
+        table = _table(geometry, sigma)
         extra, pol = table.channel_labels(m)[0]
         F = table.flux(omega, m, extra, pol, 1.0)
         assert np.sign(F) == np.sign(omega - 1.0 * m)

@@ -12,6 +12,7 @@ import pytest
 from spinrad import (
     BoseDivergenceError,
     ConstantEpsilon,
+    CylinderTable,
     DiskTable,
     DomainError,
     Drude,
@@ -123,6 +124,13 @@ class TestFlux:
                     [0.2, self.OMEGA, 1.6],
                 )
 
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_cylinder_table(self, exact):
+        table = CylinderTable(Drude(1e3), 1e-3, 1.5, exact=exact)
+        for m in (-1, 1):
+            assert_same(lambda w: table.flux(w, m, None, "block", self.OMEGA),
+                        [0.2, self.OMEGA, 1.6])
+
     def test_cylinder_broadcasts_kz_against_omega(self):
         w = np.array([0.3, 0.8])
         kz = np.array([[-0.2], [0.1]]) * w
@@ -137,6 +145,28 @@ class TestFlux:
         assert_same(lambda w: table.flux(w, 1, None, "scalar", 1.0), [0.1, 0.55, 1.3, 2.0])
         with pytest.raises(DomainError, match="2.5"):
             table.flux(np.array([1.0, 2.5]), 1, None, "scalar", 1.0)
+
+
+class TestCylinderTable:
+    def test_flux_equals_gauss_legendre_kz_sum_of_block(self):
+        # the truncated block is a polynomial of degree 2 in k_z, so the
+        # 8-point rule over [-w, w] integrates it exactly
+        model, R, L, Omega = Drude(1e3), 1e-3, 1.5, 1.0
+        table = CylinderTable(model, R, L)
+        w = np.linspace(0.05, 2.5, 9)
+        x, g = np.polynomial.legendre.leggauss(8)
+        for m in (-1, 1):
+            block = cylinder_flux_block(model, R, Omega, w, x[:, None] * w, m=m)
+            ref = L / (2 * np.pi) * np.sum(g[:, None] * block, axis=0) * w
+            np.testing.assert_allclose(table.flux(w, m, None, "block", Omega), ref, rtol=1e-12)
+
+    def test_channels_mirror_the_sphere(self):
+        table = CylinderTable(Drude(1e3), 1e-3, 1.0)
+        assert table.m_values(5, True) == [1] and table.m_values(0, True) == []
+        assert table.m_values(5, False) == [-1, 1]
+        assert table.channel_labels(1) == [(None, "block")]
+        with pytest.raises(DomainError):
+            CylinderTable(Drude(1e3), 1e-3, 0.0)
 
 
 class TestModeFlux:

@@ -8,6 +8,7 @@ import pytest
 from spinrad import (
     ConstantEpsilon,
     ConvergenceError,
+    CylinderTable,
     DiskTable,
     DomainError,
     Drude,
@@ -17,7 +18,6 @@ from spinrad import (
     ThermalState,
     UserTable,
     integrate_power,
-    integrate_power_cylinder,
     kirchhoff_power,
     mode_flux,
     spindown_timescale,
@@ -98,10 +98,14 @@ class TestSphereClosedForms:
         assert res.P == 0 and res.M == 0 and res.Q == 0
 
 
+def _cylinder(model, R, L, Omega, exact=False):
+    return integrate_power(CylinderTable(model, R, L, exact=exact), ThermalState(Omega=Omega))
+
+
 class TestCylinderClosedForms:
     def test_drude_high_conductivity(self):
         Omega, sigma, R, L = 1.0, 1e3, 1e-3, 1.0
-        res = integrate_power_cylinder(Drude(sigma), R, L, Omega)
+        res = _cylinder(Drude(sigma), R, L, Omega)
         assert res.P / (L * R**2 * Omega**6 / (90 * math.pi**2 * sigma)) == pytest.approx(
             1.0, abs=2e-6
         )
@@ -111,16 +115,9 @@ class TestCylinderClosedForms:
 
     def test_exact_block_close_to_truncated(self):
         Omega, sigma, R, L = 1.0, 1e3, 1e-4, 1.0
-        a = integrate_power_cylinder(Drude(sigma), R, L, Omega)
-        b = integrate_power_cylinder(Drude(sigma), R, L, Omega, exact_block=True)
+        a = _cylinder(Drude(sigma), R, L, Omega)
+        b = _cylinder(Drude(sigma), R, L, Omega, exact=True)
         assert b.P == pytest.approx(a.P, rel=1e-5)
-
-    def test_kz_rules_agree(self):
-        # the truncated flux is polynomial in k_z: the fixed rule is exact
-        a = integrate_power_cylinder(Drude(1e3), 1e-3, 1.0, 1.0, kz_rule="analytic")
-        b = integrate_power_cylinder(Drude(1e3), 1e-3, 1.0, 1.0, kz_rule="numeric")
-        assert b.P == pytest.approx(a.P, rel=1e-12)
-        assert b.M == pytest.approx(a.M, rel=1e-12)
 
     def test_low_conductivity_leading_log(self):
         # derived oracle: the trace formula gives
@@ -128,18 +125,18 @@ class TestCylinderClosedForms:
         # at leading log (verified against direct quadrature to <2% at 1e-4)
         Omega, R, L = 1.0, 1e-4, 1.0
         sigma = 1e-4 * Omega
-        res = integrate_power_cylinder(Drude(sigma), R, L, Omega)
+        res = _cylinder(Drude(sigma), R, L, Omega)
         lead = (4.0 / 3.0) * L * R**2 * Omega**4 * sigma * (
             math.log(Omega / (2 * math.pi * sigma)) - 25.0 / 12.0
         )
         assert res.P == pytest.approx(lead, rel=0.02)
 
     def test_heat_bookkeeping(self):
-        res = integrate_power_cylinder(Drude(1e3), 1e-3, 2.0, 1.0)
+        res = _cylinder(Drude(1e3), 1e-3, 2.0, 1.0)
         assert res.Q == pytest.approx(res.M - res.P, abs=1e-18 + 1e-12 * abs(res.P))
 
     def test_lossless_silent(self):
-        res = integrate_power_cylinder(ConstantEpsilon(4.0), 1e-3, 1.0, 1.0)
+        res = _cylinder(ConstantEpsilon(4.0), 1e-3, 1.0, 1.0)
         assert res.P == 0 and res.M == 0
 
 
@@ -275,7 +272,7 @@ class TestSpindown:
             sigma = 1e-3 * W0  # fixed ratio keeps the log factor constant
 
             def torque(w):
-                return integrate_power_cylinder(Drude(sigma), R, L, w).M
+                return _cylinder(Drude(sigma), R, L, w).M
 
             return spindown_timescale(torque, I, W0, epsrel=1e-6)
 
