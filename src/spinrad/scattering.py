@@ -371,6 +371,10 @@ class SphereTable(ChannelTable):
         return sphere_flux_dipole(self.model, self.R, Omega, omega, m, exact=self.exact)
 
 
+# 8-point Gauss-Legendre is exact for the degree <= 4 polynomials in k_z of the block
+_KZ_RULE = np.polynomial.legendre.leggauss(8)
+
+
 class CylinderTable(ChannelTable):
     """Thin cylinder of radius R and length L: the |m| = 1 block, k_z-integrated.
 
@@ -405,7 +409,7 @@ class CylinderTable(ChannelTable):
     def flux(self, omega, m, extra, pol, Omega):
         w = np.atleast_1d(np.asarray(omega, dtype=float))
         if self.exact:
-            x, g = np.polynomial.legendre.leggauss(8)
+            x, g = _KZ_RULE
             block = cylinder_flux_block(self.model, self.R, Omega, w, x[:, None] * w, m=m,
                                         exact=True)
             F = np.sum(g[:, None] * block, axis=0) * w
