@@ -22,10 +22,8 @@ from .material import (
     sphere_polarizability,
 )
 from .scattering import (
-    ChannelAmplitude,
     CylinderTable,
     DiskTable,
-    ModeIndex,
     SphereTable,
     UserTable,
     classify_channel,
@@ -34,7 +32,6 @@ from .scattering import (
     disk_interior_frequency,
     disk_smatrix,
     disk_smatrix_smallvel,
-    flux_factor,
     load_channel_table,
     sphere_flux_dipole,
     sphere_smatrix_dipole,

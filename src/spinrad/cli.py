@@ -78,15 +78,6 @@ _MATERIAL_KEYS = {
 }
 
 
-class Scenario:
-    """Validated, unit-converted inputs of one run."""
-
-    def __init__(self, parser, path, units):
-        self.raw = parser
-        self.path = path
-        self.units = units  # None for natural units
-
-
 def _get(parser, section, key, cast, default=None, required=False):
     if not parser.has_option(section, key):
         if required:
@@ -415,8 +406,6 @@ def run_rotor(args, parser):
         raise ConfigError("[rotor] law: must be 'radiation' or 'powerlaw'")
 
     slope = law.drift_derivative(Omega0)
-    if np.ndim(slope):
-        slope = float(np.asarray(slope).ravel()[0])
     if slope <= 0:
         raise ConfigError("[rotor]: torque law has no confining slope at omega")
     kappa = slope / I

@@ -172,7 +172,7 @@ def entropy_generation(table, state, policy=None):
     err_total = 0.0
     for m, extra, pol, val, err in integrate_channels(
         table, state, lambda w, m, N: mode_entropy_rate(np.maximum(N, 0.0)), policy.m_max,
-        epsabs=policy.epsabs, epsrel=max(policy.epsrel, 1e-8),
+        epsrel=max(policy.epsrel, 1e-8),
     ):
         per_mode.append((m, extra, pol, float(val)))
         total += float(val)

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 from .material import ThermalState, bose_occupation
 from .quadrature import adaptive_integral, integrate_segments
-from .scattering import SMALLVEL_LIMIT, ModeIndex
+from .scattering import SMALLVEL_LIMIT
 
 TWO_PI = 2.0 * math.pi
 
@@ -37,7 +37,6 @@ class MSumPolicy:
     tail_tol: float = 1e-6
     raise_on_tail: bool = True
     epsrel: float = 1e-9
-    epsabs: float = 1e-300
 
 
 @dataclass(frozen=True)
@@ -93,20 +92,19 @@ def occupation_difference(omega, m, state):
     return dn if np.ndim(omega) else dn.item()
 
 
-def mode_flux(table, state, mode):
-    """Spectral photon flux N of one channel (photons per unit omega and time).
+def mode_flux(table, state, omega, m, extra=None, pol="scalar"):
+    """Spectral photon flux N of channel (m, extra, pol) (photons per unit omega and time).
 
-    ``mode.omega`` is a scalar or an array of frequencies.  At
-    omega = Omega*m the diverging occupation multiplies a vanishing flux
-    factor; the finite product limit is taken by a symmetric two-sided
-    average just off the singular point.
+    ``omega`` is a scalar or an array of frequencies.  At omega = Omega*m
+    the diverging occupation multiplies a vanishing flux factor; the finite
+    product limit is taken by a symmetric two-sided average just off the
+    singular point.
     """
-    m = mode.m
-    w = np.atleast_1d(np.asarray(mode.omega, dtype=float))
+    w = np.atleast_1d(np.asarray(omega, dtype=float))
     if (w <= 0).any():
         raise DomainError("mode flux needs omega > 0")
     om_p = w - state.Omega * m
-    F = table.flux(w, m, mode.extra, mode.pol, state.Omega)
+    F = table.flux(w, m, extra, pol, state.Omega)
     if state.zero_temperature:
         N = np.where(om_p < 0, -F, 0.0)
     else:
@@ -114,20 +112,20 @@ def mode_flux(table, state, mode):
         N = np.empty(w.shape)
         N[~at] = occupation_difference(w[~at], m, state) * F[~at]
         if at.any():
-            N[at] = _corotation_limit(table, state, mode, state.Omega * m)
-    return N if np.ndim(mode.omega) else N.item()
+            N[at] = _corotation_limit(table, state, m, extra, pol)
+    return N if np.ndim(omega) else N.item()
 
 
-def _corotation_limit(table, state, mode, omega):
+def _corotation_limit(table, state, m, extra, pol):
     """N at omega = Omega*m: the mean of N just above and just below."""
-    m = mode.m
-    h = 1e-7 * max(abs(state.Omega * m), state.T_object, 1e-30)
-    lo, hi = table.omega_domain(m, mode.extra, mode.pol)
+    omega = state.Omega * m
+    h = 1e-7 * max(abs(omega), state.T_object, 1e-30)
+    lo, hi = table.omega_domain(m, extra, pol)
     w = np.array([omega + h, omega - h])
     w = w[(lo < w) & (w < hi) & (w > 0)]
     if not w.size:
         return 0.0
-    F = table.flux(w, m, mode.extra, mode.pol, state.Omega)
+    F = table.flux(w, m, extra, pol, state.Omega)
     return np.mean(occupation_difference(w, m, state) * F)
 
 
@@ -170,41 +168,41 @@ def channel_support(table, state, m, extra, pol, m_max):
     return [lo, hi]
 
 
-def integrate_channel(table, state, m, extra, pol, weight, m_max, epsabs=1e-300, epsrel=1e-9):
+def integrate_channel(table, state, m, extra, pol, weight, m_max, epsrel=1e-9):
     """int dw/2pi weight(w, m, N_m(w)) over the channel's support.
 
     ``weight`` maps the node array, m and the spectral density on the nodes
     to the integrand components (nodes on the last axis); all components
     share panels.  Returns (value, error), or None when the support is empty.
+    A stalled quadrature raises :class:`ConvergenceError` naming the channel.
     """
     points = channel_support(table, state, m, extra, pol, m_max)
     if not points:
         return None
 
     def integrand(w):
-        return weight(w, m, mode_flux(table, state, ModeIndex(w, m, extra, pol))) / TWO_PI
+        return weight(w, m, mode_flux(table, state, w, m, extra, pol)) / TWO_PI
 
-    return integrate_segments(integrand, points, epsabs=epsabs, epsrel=epsrel)
+    try:
+        return integrate_segments(integrand, points, epsrel=epsrel)
+    except ConvergenceError as exc:
+        raise ConvergenceError(
+            f"channel m={m}, extra={extra}, pol={pol} on support {points}: {exc}", m=m
+        ) from exc
 
 
-def integrate_channels(table, state, weight, m_max, **kw):
-    """Yield (m, extra, pol, value, error) for every channel that radiates."""
-    for m in table.m_values(m_max, state.zero_temperature):
+def integrate_channels(table, state, weight, m_max, m_min=0, **kw):
+    """Yield (m, extra, pol, value, error) for each radiating channel, m_min <= |m| <= m_max.
+
+    Every channel is cut at the same thermal cutoff, Omega*m_max + 40T.
+    """
+    for m in table.m_values(m_max):
+        if abs(m) < m_min:
+            continue
         for extra, pol in table.channel_labels(m):
             res = integrate_channel(table, state, m, extra, pol, weight, m_max, **kw)
             if res is not None:
                 yield (m, extra, pol, *res)
-
-
-def _channel_moments(table, state, m, extra, pol, policy):
-    """[P, M, Q] of one channel (hbar = 1): weights w, m and Omega*m - w."""
-    Omega = state.Omega
-    res = integrate_channel(
-        table, state, m, extra, pol,
-        lambda w, m, N: np.array([w * N, m * N, (Omega * m - w) * N]),
-        policy.m_max, policy.epsabs, policy.epsrel,
-    )
-    return res or (np.zeros(3), 0.0)
 
 
 def integrate_power(table, state, policy=None):
@@ -213,12 +211,13 @@ def integrate_power(table, state, policy=None):
     Parameters
     ----------
     table : ChannelTable
-        Scattering data (disk, sphere or user provided).
+        Scattering data (disk, sphere, cylinder or user provided).
     state : ThermalState
         Object/environment temperatures and rotation rate.
     policy : MSumPolicy, optional
-        Partial-wave truncation; ``auto_extend`` grows m_max until the last
-        partial wave falls below ``tail_tol`` relative to the total.
+        Partial-wave truncation; ``auto_extend`` adds one shell |m| = k at a
+        time (each cut at its own thermal cutoff Omega*k + 40T) until the
+        last shell falls below ``tail_tol`` relative to the total.
 
     Returns
     -------
@@ -228,78 +227,64 @@ def integrate_power(table, state, policy=None):
         :class:`ConvergenceError` if the tail estimate exceeds the tolerance.
     """
     policy = policy or MSumPolicy()
-    zero_T = state.zero_temperature
-    totals = np.zeros(3)
-    per_mode = []
-    err_total = 0.0
-    contributions = {}  # |m| -> max |P_m| used for the tail estimate
+    Omega = state.Omega
 
-    m_list = list(table.m_values(policy.m_max, zero_T))
-    seen = set(m_list)
+    def weight(w, m, N):
+        return np.array([w * N, m * N, (Omega * m - w) * N])
+
+    def shells(m_max, m_min=0):
+        return [
+            ModeContribution(m, extra, pol, float(val[0]), float(val[1]), float(val[2]), err)
+            for m, extra, pol, val, err in integrate_channels(
+                table, state, weight, m_max, m_min, epsrel=policy.epsrel)
+        ]
+
+    def unconverged():
+        scale = abs(_sum(c.P for c in per_mode))
+        return scale > 0 and _outer_peak(per_mode) > policy.tail_tol * scale
+
+    per_mode = shells(policy.m_max)
     m_used = policy.m_max
-    idx = 0
-    while idx < len(m_list):
-        m = m_list[idx]
-        idx += 1
-        for extra, pol in table.channel_labels(m):
-            val, err = _channel_moments(table, state, m, extra, pol, policy)
-            totals += val
-            err_total += err
-            per_mode.append(
-                ModeContribution(m, extra, pol, float(val[0]), float(val[1]), float(val[2]), err)
-            )
-            key = abs(m)
-            contributions[key] = max(contributions.get(key, 0.0), float(abs(val[0])))
-        if idx == len(m_list) and policy.auto_extend:
-            scale = abs(totals[0])
-            last = contributions[max(contributions)] if contributions else 0.0
-            while m_used < policy.m_cap and scale > 0 and last > policy.tail_tol * scale:
-                m_used += 1
-                new_ms = [mm for mm in table.m_values(m_used, zero_T) if mm not in seen]
-                if new_ms:
-                    m_list.extend(new_ms)
-                    seen.update(new_ms)
-                    break
-                if set(table.m_values(policy.m_cap, zero_T)) <= seen:
-                    m_used = policy.m_cap  # table exhausted
-                    break
+    while policy.auto_extend and m_used < policy.m_cap and unconverged():
+        m_used += 1
+        per_mode += shells(m_used, m_used)
 
-    tail = _tail_estimate(table, state, policy, contributions, seen, m_used, zero_T)
-    if not zero_T:
-        n_ch = max(len(per_mode), 1)
-        err_total += _thermal_tail_bound(state, _thermal_cutoff(state, m_used), n_ch)
+    # probe the first omitted shell and close the geometric series with the
+    # measured decay ratio; a table with no higher partial waves has no tail
+    probe = shells(m_used + 1, m_used + 1) if per_mode else []
+    tail = _geometric_tail(_outer_peak(per_mode), _outer_peak(probe)) if probe else 0.0
 
-    P, M, Q = (float(v) for v in totals)
-    scale = max(abs(P), abs(M) * max(state.Omega, 1.0))
+    P, M, Q = (_sum(getattr(c, k) for c in per_mode) for k in "PMQ")
+    # the lowest cutoff any channel used is that of the block |m| <= m_max
+    err_total = _sum(c.error for c in per_mode) + _thermal_tail_bound(
+        state, _thermal_cutoff(state, policy.m_max), max(len(per_mode), 1))
+
+    scale = max(abs(P), abs(M) * max(Omega, 1.0))
     if policy.raise_on_tail and scale > 0 and tail > policy.tail_tol * scale:
         raise ConvergenceError(
             f"partial-wave tail {tail:g} above tolerance at m_max={m_used}", m=m_used
         )
-
-    flags = _regime_flags(table, state)
-    return RadiationResult(P, M, Q, per_mode, err_total, tail, flags)
+    return RadiationResult(P, M, Q, per_mode, err_total, tail, _regime_flags(table, state))
 
 
-def _tail_estimate(table, state, policy, contributions, seen, m_used, zero_T):
-    """Bound on the partial waves beyond m_used.
+def _sum(values):
+    """Left-to-right float sum, in the order the channels were integrated."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
-    Probes the first omitted |m| explicitly (one extra channel integral) and
-    closes the geometric series with the measured decay ratio.
-    """
-    if not contributions:
-        return 0.0
-    next_ms = [mm for mm in table.m_values(m_used + 1, zero_T) if mm not in seen]
-    if not next_ms:
-        return 0.0  # the table itself carries no higher partial waves
-    probe = 0.0
-    for mm in next_ms:
-        for extra, pol in table.channel_labels(mm):
-            val, _ = _channel_moments(table, state, mm, extra, pol, policy)
-            probe = max(probe, float(abs(val[0])))
-    last = contributions[max(contributions)]
+
+def _outer_peak(modes):
+    """Largest |P| among the channels of the highest |m| in ``modes`` (0 if none)."""
+    top = max((abs(c.m) for c in modes), default=None)
+    return max((abs(c.P) for c in modes if abs(c.m) == top), default=0.0)
+
+
+def _geometric_tail(last, probe):
+    """Bound on the partial waves beyond the last shell from the first omitted one."""
     if last > 0 and probe < last:
-        ratio = probe / last
-        return probe / (1.0 - ratio)
+        return probe / (1.0 - probe / last)
     return probe if probe > 0 else last
 
 
@@ -365,13 +350,13 @@ def spectral_rows(table, state, policy=None, n_points=400):
     """
     policy = policy or MSumPolicy()
     rows = []
-    for m in table.m_values(policy.m_max, state.zero_temperature):
+    for m in table.m_values(policy.m_max):
         for extra, pol in table.channel_labels(m):
             points = channel_support(table, state, m, extra, pol, policy.m_max)
             if not points:
                 continue
             grid = np.linspace(points[0], points[-1], n_points + 2)[1:-1]
-            N = mode_flux(table, state, ModeIndex(grid, m, extra, pol))
+            N = mode_flux(table, state, grid, m, extra, pol)
             rows.extend(
                 (w, m, extra, pol, n, w * n / TWO_PI) for w, n in zip(grid.tolist(), N.tolist())
             )

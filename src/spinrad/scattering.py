@@ -11,8 +11,6 @@ the window 0 < omega < Omega*m.
 
 import csv
 import warnings
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import bessel
@@ -26,23 +24,6 @@ UNITARITY_TOL = 1e-10
 
 class SmallVelocityWarning(UserWarning):
     """Emitted when a leading-order-in-velocity formula is pushed past omega*R/c = 0.3."""
-
-
-@dataclass(frozen=True)
-class ModeIndex:
-    """Quantum numbers of a radiation channel."""
-
-    omega: float  # or an array of frequencies, for mode_flux
-    m: int
-    extra: object = None  # None, k_z (float) or l (int)
-    pol: str = "scalar"
-
-
-@dataclass(frozen=True)
-class ChannelAmplitude:
-    mode: ModeIndex
-    S: object  # complex amplitude, or 2x2 complex block for the cylinder
-    flux: float  # 1 - |S|^2, or its polarization-summed analog
 
 
 def classify_channel(flux, tol=UNITARITY_TOL):
@@ -275,30 +256,25 @@ def cylinder_flux_block(model, R, Omega, omega, kz, m=1, exact=False):
     return F.item() if scalar else F
 
 
-def flux_factor(ch):
-    """Flux factor of a channel amplitude: 1 - |S|^2, block-summed if needed."""
-    S = ch.S
-    if np.ndim(S) == 2:
-        return float(np.shape(S)[0] - np.sum(np.abs(S) ** 2))
-    return 1.0 - abs(S) ** 2
-
-
 # ---------------------------------------------------------------------------
 # channel tables
 # ---------------------------------------------------------------------------
 
 class ChannelTable:
-    """Diagonal-in-(omega, m) scattering data consumed by the radiation layer."""
+    """Diagonal-in-(omega, m) scattering data consumed by the radiation layer.
 
-    geometry = "generic"
-    provenance = "computed"
+    The contract is what the channel engine reads: the angular momenta, the
+    (extra, pol) labels of each, a channel's omega span and its flux factor.
+    Which channels radiate in a given thermal state is decided by
+    ``radiation.channel_support``, not by the table.
+    """
 
     def channel_labels(self, m):
         """(extra, pol) channel descriptors available at angular momentum m."""
         raise NotImplementedError
 
-    def m_values(self, m_max, zero_temperature):
-        """Angular momenta to include in a sum truncated at m_max."""
+    def m_values(self, m_max):
+        """Every angular momentum of the table with |m| <= m_max, ascending."""
         raise NotImplementedError
 
     def omega_domain(self, m, extra, pol):
@@ -308,19 +284,14 @@ class ChannelTable:
         raise NotImplementedError
 
     def flux(self, omega, m, extra, pol, Omega):
+        """1 - |S|^2 from ``smatrix``; computed tables override it with a stable form."""
         w = np.atleast_1d(np.asarray(omega, dtype=float))
         F = 1.0 - np.abs(self.smatrix(w, m, extra, pol, Omega)) ** 2
         return F if np.ndim(omega) else F.item()
 
-    def amplitude(self, mode, Omega):
-        S = self.smatrix(mode.omega, mode.m, mode.extra, mode.pol, Omega)
-        return ChannelAmplitude(mode, S, self.flux(mode.omega, mode.m, mode.extra, mode.pol, Omega))
-
 
 class DiskTable(ChannelTable):
     """Exact scalar partial waves of a uniform disk of radius R."""
-
-    geometry = "disk"
 
     def __init__(self, model, R):
         if R <= 0:
@@ -331,13 +302,8 @@ class DiskTable(ChannelTable):
     def channel_labels(self, m):
         return [(None, "scalar")]
 
-    def m_values(self, m_max, zero_temperature):
-        if zero_temperature:
-            return list(range(1, m_max + 1))
+    def m_values(self, m_max):
         return list(range(-m_max, m_max + 1))
-
-    def smatrix(self, omega, m, extra, pol, Omega):
-        return disk_smatrix(self.model, self.R, Omega, omega, m)
 
     def flux(self, omega, m, extra, pol, Omega):
         return disk_flux(self.model, self.R, Omega, omega, m)
@@ -345,8 +311,6 @@ class DiskTable(ChannelTable):
 
 class SphereTable(ChannelTable):
     """EM dipole channels (l = 1, polarization E) of a sphere of radius R."""
-
-    geometry = "sphere"
 
     def __init__(self, model, R, exact=False):
         if R <= 0:
@@ -358,14 +322,8 @@ class SphereTable(ChannelTable):
     def channel_labels(self, m):
         return [(1, "E")]
 
-    def m_values(self, m_max, zero_temperature):
-        # only m = 1 radiates at T = 0; m = 0, -1 carry the thermal exchange
-        if zero_temperature:
-            return [1] if m_max >= 1 else []
+    def m_values(self, m_max):
         return [m for m in (-1, 0, 1) if abs(m) <= m_max]
-
-    def smatrix(self, omega, m, extra, pol, Omega):
-        return sphere_smatrix_dipole(self.model, self.R, Omega, omega, m)
 
     def flux(self, omega, m, extra, pol, Omega):
         return sphere_flux_dipole(self.model, self.R, Omega, omega, m, exact=self.exact)
@@ -388,8 +346,6 @@ class CylinderTable(ChannelTable):
     O(R^4) non-unitarity is relatively enhanced by 1/Im r.
     """
 
-    geometry = "cylinder"
-
     def __init__(self, model, R, L, exact=False):
         if R <= 0 or L <= 0:
             raise DomainError("R and L must be > 0")
@@ -401,9 +357,7 @@ class CylinderTable(ChannelTable):
     def channel_labels(self, m):
         return [(None, "block")]
 
-    def m_values(self, m_max, zero_temperature):
-        if zero_temperature:
-            return [1] if m_max >= 1 else []
+    def m_values(self, m_max):
         return [m for m in (-1, 1) if abs(m) <= m_max]
 
     def flux(self, omega, m, extra, pol, Omega):
@@ -427,10 +381,12 @@ class UserTable(ChannelTable):
     The stored amplitudes are taken at face value: the rotation rate used by
     flux integrals only enters the Bose factors, so the table must have been
     generated at the same Omega.
-    """
 
-    geometry = "user-table"
-    provenance = "user-file"
+    S is interpolated linearly between rows, so at T > 0 a channel needs a
+    row at each corotation point omega = Omega*m inside its span: only there
+    does the interpolated flux vanish, and elsewhere N carries a
+    non-integrable T/(omega - Omega*m) that stalls the quadrature.
+    """
 
     def __init__(self, groups):
         # groups: {(m, extra, pol): (omega array, S complex array)}
@@ -444,11 +400,8 @@ class UserTable(ChannelTable):
             key=lambda t: (repr(t[0]), t[1]),
         )
 
-    def m_values(self, m_max, zero_temperature):
-        ms = sorted({mm for (mm, _, _) in self._groups if abs(mm) <= m_max})
-        if zero_temperature:
-            ms = [mm for mm in ms if mm >= 1]
-        return ms
+    def m_values(self, m_max):
+        return sorted({mm for (mm, _, _) in self._groups if abs(mm) <= m_max})
 
     def omega_domain(self, m, extra, pol):
         om, _ = self._groups[(m, extra, pol)]

@@ -15,9 +15,9 @@ import numpy as np
 from . import bessel
 from .errors import DomainError
 from .material import ThermalState, sphere_polarizability
-from .quadrature import adaptive_integral, integrate_segments
-from .radiation import mode_flux
-from .scattering import DiskTable, ModeIndex, disk_flux, sphere_flux_dipole
+from .quadrature import adaptive_integral
+from .radiation import integrate_channels
+from .scattering import DiskTable, SphereTable, disk_flux, sphere_flux_dipole
 
 
 class ProximityWarning(UserWarning):
@@ -70,6 +70,12 @@ def translation_3d_dipole(omega, d):
     return h0, (np.sqrt(2.0) * omega * d / 4.0) * h0
 
 
+def _transfer(source, state, weight, epsrel):
+    """sum over the source's |m| = 1 channels of int dw/2pi weight(w, m, N_m(w))."""
+    vals = integrate_channels(source, state, weight, 1, m_min=1, epsrel=epsrel)
+    return float(sum(val for *_, val, _ in vals))
+
+
 def torque_on_test_2d(cfg, Omega, T=0.0, *, far_field=False, epsrel=1e-8):
     """Torque transferred to a static test disk by the rotating disk's radiation.
 
@@ -86,28 +92,19 @@ def torque_on_test_2d(cfg, Omega, T=0.0, *, far_field=False, epsrel=1e-8):
     """
     if cfg.test_model.lossless:
         return 0.0  # a lossless test body absorbs no angular momentum
-    if Omega <= 0 and T == 0.0:
-        return 0.0
-
-    source = DiskTable(cfg.source_model, cfg.source_radius)
-    state = ThermalState(T_object=T, T_env=0.0, Omega=Omega)
 
     def kernel(w):
         if far_field:
             return 2.0 / (np.pi * w * cfg.d)
         return abs(bessel.hankel(1, 0, w * cfg.d)) ** 2
 
-    def integrand(w):
-        net = mode_flux(source, state, ModeIndex(w, 1))
-        if T > 0.0:
-            net -= mode_flux(source, state, ModeIndex(w, -1))
-        loss = disk_flux(cfg.test_model, cfg.test_radius, 0.0, w, 1)
-        return net * kernel(w) * loss
+    def weight(w, m, N):
+        return m * N * kernel(w) * disk_flux(cfg.test_model, cfg.test_radius, 0.0, w, 1)
 
-    hi = Omega if T == 0.0 else Omega + 40.0 * T
-    points = [0.0, hi] if not (T > 0 and 0.0 < Omega < hi) else [0.0, Omega, hi]
-    val, _ = integrate_segments(integrand, points, epsrel=epsrel)
-    return float(val) / (8.0 * np.pi)
+    source = DiskTable(cfg.source_model, cfg.source_radius)
+    state = ThermalState(T_object=T, T_env=0.0, Omega=Omega)
+    # (1/8pi) int dw = (2pi/8pi) int dw/2pi
+    return _transfer(source, state, weight, epsrel) / 4.0
 
 
 def torque_on_test_3d(cfg, Omega, *, small_particle=False, far_field=True, epsrel=1e-10):
@@ -141,13 +138,13 @@ def torque_on_test_3d(cfg, Omega, *, small_particle=False, far_field=True, epsre
             return 1.0 / (w * cfg.d) ** 2
         return abs(bessel.sph_bessel("h1", 0, w * cfg.d)) ** 2
 
-    def integrand(w):
-        gain = -sphere_flux_dipole(cfg.source_model, cfg.source_radius, Omega, w, 1)
+    def weight(w, m, N):
         loss = sphere_flux_dipole(cfg.test_model, cfg.test_radius, 0.0, w, 1)
-        return gain * kernel(w) * loss * w**2
+        return N * kernel(w) * loss * w**2
 
-    val, _ = adaptive_integral(integrand, 0.0, Omega, epsrel=epsrel)
-    return float(val) / (8.0 * np.pi)
+    # N_1 = |S_11E|^2 - 1 on (0, Omega) at T = 0; (1/8pi) int dw = (1/4) int dw/2pi
+    source = SphereTable(cfg.source_model, cfg.source_radius)
+    return _transfer(source, ThermalState(Omega=Omega), weight, epsrel) / 4.0
 
 
 def tangential_force_3d(cfg, Omega, *, small_particle=False, epsrel=1e-10):
@@ -170,17 +167,16 @@ def tangential_force_3d(cfg, Omega, *, small_particle=False, epsrel=1e-10):
         val, _ = adaptive_integral(integrand, 0.0, Omega, epsrel=epsrel)
         return float(val) / (9.0 * np.pi * cfg.d)
 
-    def integrand(w):
-        gain = -sphere_flux_dipole(cfg.source_model, cfg.source_radius, Omega, w, 1)
+    def weight(w, m, N):
         # 1 - Re S' = Im X for S' = 1 + iX: evaluated from the polarizability
         # directly, since subtracting from an S' within roundoff of 1 would
         # lose every digit
         alpha2 = sphere_polarizability(cfg.test_model, cfg.test_radius, w)
-        one_minus_re = (4.0 * w**3 / 3.0) * alpha2.imag
-        return gain * one_minus_re
+        return N * (4.0 * w**3 / 3.0) * alpha2.imag
 
-    val, _ = adaptive_integral(integrand, 0.0, Omega, epsrel=epsrel)
-    return float(val) / (32.0 * np.pi * cfg.d)
+    # (1/32pi d) int dw = (1/16 d) int dw/2pi
+    source = SphereTable(cfg.source_model, cfg.source_radius)
+    return _transfer(source, ThermalState(Omega=Omega), weight, epsrel) / (16.0 * cfg.d)
 
 
 def torque_vs_distance(cfg, Omega, distances, *, mode="3d", **kw):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.constants import c as C_SI, epsilon_0, hbar as HBAR_SI
 
+from spinrad import Drude, disk_smatrix
 from spinrad.cli import main
 
 SPHERE_CFG = """
@@ -125,6 +126,23 @@ class TestPower:
         assert main(["power", "--config", cfg, "--out", str(tmp_path)]) == 0
         payload = json.loads((tmp_path / "power.json").read_text())
         assert payload["P"] == pytest.approx(1e-6 / (90 * math.pi**2 * 1000.0), rel=1e-5)
+
+    def test_stalled_channel_is_named(self, tmp_path, capsys):
+        # a thermal user table without a row at omega = Omega*m: the
+        # interpolated flux does not vanish there and the m = 1 integral stalls
+        om = np.linspace(0.05, 3.0, 24).tolist()
+        rows = ["omega,m,extra,pol,ReS,ImS"]
+        for m in (-1, 1, 2):
+            S = disk_smatrix(Drude(1.0), 0.1, 1.0, np.array(om), m)
+            rows += [f"{w!r},{m},,scalar,{float(s.real)!r},{float(s.imag)!r}"
+                     for w, s in zip(om, S)]
+        table = tmp_path / "table.csv"
+        table.write_text("\n".join(rows) + "\n")
+        cfg = write(tmp_path, "[scenario]\ngeometry = user-table\n"
+                    f"[body]\nomega = 1.0\nt_object = 0.3\ntable = {table}\n")
+        assert main(["power", "--config", cfg, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric non-convergence") and "m=1," in err
 
 
 class TestSpectrum:

@@ -19,7 +19,6 @@ from spinrad import (
     Drude,
     Lorentz,
     MSumPolicy,
-    ModeIndex,
     SphereTable,
     TabulatedEpsilon,
     ThermalState,
@@ -29,6 +28,7 @@ from spinrad import (
     integrate_power,
     mode_flux,
 )
+from spinrad.radiation import channel_support
 
 SETTINGS = settings(derandomize=True, max_examples=6, deadline=None, database=None)
 
@@ -82,6 +82,21 @@ class TestHeatBalance:
         assert abs(res.Q - (Omega * res.M - res.P)) <= 1e-13 * scale
 
 
+class TestZeroTemperatureRule:
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
+    def test_only_positive_m_radiates_at_zero_temperature(self, geometry):
+        # the table lists every m; channel_support alone drops m <= 0 at T = 0
+        table = _table(geometry, 1.0)
+        state = ThermalState(Omega=1.0)
+        for m in table.m_values(5):
+            if m <= 0:
+                for extra, pol in table.channel_labels(m):
+                    assert channel_support(table, state, m, extra, pol, 5) == []
+        assert any(m <= 0 for m in table.m_values(5))
+        res = _radiate(geometry, 1.0, 1.0, 0.0)
+        assert res.per_mode and all(c.m >= 1 for c in res.per_mode)
+
+
 class TestSuperradiantSign:
     @pytest.mark.parametrize("geometry", ["disk", "sphere", "cylinder"])
     @SETTINGS
@@ -98,8 +113,8 @@ class TestSuperradiantSign:
         state = ThermalState(Omega=Omega)
         inside = frac * Omega * m
         outside = (1.0 + frac) * Omega * m
-        N_in = mode_flux(table, state, ModeIndex(inside, m, *table.channel_labels(m)[0]))
-        N_out = mode_flux(table, state, ModeIndex(outside, m, *table.channel_labels(m)[0]))
+        N_in = mode_flux(table, state, inside, m, *table.channel_labels(m)[0])
+        N_out = mode_flux(table, state, outside, m, *table.channel_labels(m)[0])
         assert np.sign(N_in) == np.sign(Omega * m - inside) == 1.0
         assert N_out == 0.0
 

@@ -13,7 +13,6 @@ from spinrad import (
     DomainError,
     Drude,
     MSumPolicy,
-    ModeIndex,
     SphereTable,
     ThermalState,
     UserTable,
@@ -38,24 +37,24 @@ class TestModeFlux:
         t = DiskTable(Drude(1.0), 0.2)
         st = ThermalState(T_object=0.7, T_env=0.7, Omega=0.0)
         for w in (0.3, 1.0, 2.5):
-            assert mode_flux(t, st, ModeIndex(w, 1)) == pytest.approx(0.0, abs=1e-14)
+            assert mode_flux(t, st, w, 1) == pytest.approx(0.0, abs=1e-14)
 
     def test_zero_T_outside_window(self):
         t = DiskTable(Drude(1.0), 0.2)
         st = ThermalState(Omega=1.0)
-        assert mode_flux(t, st, ModeIndex(1.7, 1)) == 0.0
+        assert mode_flux(t, st, 1.7, 1) == 0.0
 
     def test_arithmetic_in_window(self):
         t = _const_flux_table(0.2, 2.0)
         st = ThermalState(Omega=1.0)
-        assert mode_flux(t, st, ModeIndex(0.5, 1)) == pytest.approx(0.2, rel=1e-12)
+        assert mode_flux(t, st, 0.5, 1) == pytest.approx(0.2, rel=1e-12)
 
     def test_zero_T_flux_nonnegative_grid(self):
         t = DiskTable(Drude(1.0), 0.1)
         st = ThermalState(Omega=1.0)
         for m in (1, 2, 3):
             for w in np.linspace(0.01, 3.5, 40):
-                N = mode_flux(t, st, ModeIndex(float(w), m))
+                N = mode_flux(t, st, float(w), m)
                 assert N >= 0.0
                 if w >= st.Omega * m:
                     assert N == 0.0
@@ -66,8 +65,8 @@ class TestModeFlux:
         model, R, Omega, T = Drude(1.0), 0.01, 1.0, 0.5
         t = DiskTable(model, R)
         st = ThermalState(T_object=T, T_env=0.0, Omega=Omega)
-        at = mode_flux(t, st, ModeIndex(Omega, 1))
-        near = mode_flux(t, st, ModeIndex(Omega * (1 + 1e-7), 1))
+        at = mode_flux(t, st, Omega, 1)
+        near = mode_flux(t, st, Omega * (1 + 1e-7), 1)
         assert math.isfinite(at)
         assert at == pytest.approx(near, rel=1e-4)
 
@@ -186,6 +185,20 @@ class TestDiskRadiation:
         )
         assert res.truncation_tail <= 1e-9 * res.P
         assert max(c.m for c in res.per_mode) > 1
+
+    def test_auto_extend_shells_keep_their_corotation_point(self):
+        # each added shell |m| = k is cut at Omega*k + 40T, past its breakpoint
+        # at omega = Omega*k; cut at the block's Omega*1 + 40T instead, the
+        # grown sum fell 5.8% short of the fixed sum here
+        table = DiskTable(Drude(1.0), 0.3)
+        st = ThermalState(T_object=0.02, Omega=1.0)
+        grown = integrate_power(
+            table, st, MSumPolicy(m_max=1, auto_extend=True, tail_tol=1e-6, raise_on_tail=False)
+        )
+        m_used = max(abs(c.m) for c in grown.per_mode)
+        fixed = integrate_power(table, st, MSumPolicy(m_max=m_used, raise_on_tail=False))
+        assert m_used > 1
+        assert grown.P == pytest.approx(fixed.P, rel=1e-8)
 
     def test_finite_temperature_runs_and_balances(self):
         st = ThermalState(T_object=0.8, T_env=0.2, Omega=1.0)

@@ -22,7 +22,7 @@ from spinrad import (
     sphere_flux_dipole,
     sphere_smatrix_dipole,
 )
-from spinrad.scattering import ChannelAmplitude, ModeIndex, SmallVelocityWarning, flux_factor
+from spinrad.scattering import SmallVelocityWarning
 
 LOSSLESS = [Vacuum(), ConstantEpsilon(4.0), Lorentz(1.0, 2.0, 5.0, 0.0)]
 LOSSY = [Drude(1.0), ConstantEpsilon(4.0, 0.8), Lorentz(1.0, 2.0, 5.0, 0.3)]
@@ -184,20 +184,6 @@ class TestCylinderBlock:
 
 
 class TestFluxFactor:
-    def test_unit_amplitude(self):
-        ch = ChannelAmplitude(ModeIndex(1.0, 1), 1.0 + 0j, 0.0)
-        assert flux_factor(ch) == 0.0
-
-    def test_superunitary_arithmetic(self):
-        S = complex(math.sqrt(1.5), 0.0)
-        ch = ChannelAmplitude(ModeIndex(1.0, 1), S, 1 - 1.5)
-        assert flux_factor(ch) == pytest.approx(-0.5)
-
-    def test_block_row_sums(self):
-        blk = np.array([[1.0, 0.1j], [0.1j, 0.9]], dtype=complex)
-        ch = ChannelAmplitude(ModeIndex(1.0, 1, 0.1, "M"), blk, 0.0)
-        assert flux_factor(ch) == pytest.approx(2 - (1 + 0.01 + 0.01 + 0.81))
-
     def test_classification(self):
         assert classify_channel(0.0) == "unitary"
         assert classify_channel(0.3) == "sub-unitary"
@@ -218,7 +204,7 @@ class TestUserTable:
         p = tmp_path / "table.csv"
         p.write_text(GOOD_CSV)
         t = load_channel_table(p)
-        assert t.m_values(5, True) == [1, 2]
+        assert t.m_values(5) == [1, 2]
         S = t.smatrix(0.75, 1, None, "scalar", 0.0)
         assert S == pytest.approx(complex(0.85, 0.15))
         assert t.omega_domain(1, None, "scalar") == (0.5, 1.5)
