@@ -11,13 +11,22 @@ Every function takes a scalar or an array argument and returns the same
 kind; arrays are evaluated element by element with the scalar arithmetic.
 """
 
+import functools
+
 import numpy as np
-import scipy.special as sc
 
 from .errors import DomainError
 
 ORDER_MAX = 200
 ARG_MAX = 1.0e4
+
+
+@functools.cache
+def _sc():
+    """scipy.special, imported on the first Bessel call rather than with the package."""
+    import scipy.special
+
+    return scipy.special
 
 
 def _first(z, mask):
@@ -62,8 +71,8 @@ def bessel_j(m, z):
     J = np.empty(za.shape, dtype=complex)
     # the complex AMOS path leaves ~1e-18 imaginary crumbs on real input,
     # which would break exact identities (e.g. zero flux at corotation)
-    J[real] = sc.jv(abs(m), za.real[real])
-    J[~real] = sc.jv(abs(m), za[~real])
+    J[real] = _sc().jv(abs(m), za.real[real])
+    J[~real] = _sc().jv(abs(m), za[~real])
     J[za == 0] = 1.0 if m == 0 else 0.0
     J = _guard(J, "J", m, za)
     if m < 0:
@@ -91,7 +100,7 @@ def hankel(kind, m, z):
     if kind not in (1, 2):
         raise DomainError(f"kind must be 1 or 2, got {kind!r}")
     _check(m, z, nonzero=True)
-    fn = sc.hankel1 if kind == 1 else sc.hankel2
+    fn = getattr(_sc(), f"hankel{kind}")
     za = _array(z)
     H = _guard(fn(abs(m), za), f"H{kind}", m, za)
     if m < 0:
@@ -118,7 +127,7 @@ def bessel_y(m, x):
     xa = _array(x, float)
     if (xa < 0).any():
         raise DomainError("Y_m is real only for x > 0")
-    Y = _guard(sc.yv(abs(m), xa), "Y", m, xa)
+    Y = _guard(_sc().yv(abs(m), xa), "Y", m, xa)
     if m < 0:
         Y = (-1) ** (-m) * Y
     return _out(Y, x)
@@ -171,7 +180,7 @@ def sph_bessel(kind, l, z):
         if l == 0:
             val = np.sin(zs) / zs
         else:
-            val = _guard(sc.jv(l + 0.5, zs) * np.sqrt(np.pi / (2 * zs)), "j", l, zs)
+            val = _guard(_sc().jv(l + 0.5, zs) * np.sqrt(np.pi / (2 * zs)), "j", l, zs)
         val[zero] = 1.0 if l == 0 else 0.0
         return _out(val, z)
     if kind == "h1":
@@ -179,6 +188,6 @@ def sph_bessel(kind, l, z):
             raise DomainError("h^(1)_l is singular at z = 0")
         if l == 0:
             return _out(-1j * np.exp(1j * za) / za, z)
-        val = sc.hankel1(l + 0.5, za) * np.sqrt(np.pi / (2 * za))
+        val = _sc().hankel1(l + 0.5, za) * np.sqrt(np.pi / (2 * za))
         return _out(_guard(val, "h1", l, za), z)
     raise DomainError(f"kind must be 'j' or 'h1', got {kind!r}")

@@ -351,7 +351,7 @@ def run_stats(args, parser):
     policy = _policy(numerics)
     report = entropy_generation(table, state, policy)
     radiation = report.radiation
-    if radiation is None:  # entropy_generation integrates P, M, Q only for T_object > 0
+    if radiation is None:  # computed there only at T_object > 0 or with auto_extend
         radiation = integrate_power(table, state, policy)
     payload = {
         "meta": _meta(args, radiation.flags),

@@ -6,6 +6,7 @@ generating function is F(eta) = -log(1 - eta*N), the factorial cumulants are
 kappa_p = (p-1)! N^p, and P(n) = N^n / (N+1)^{n+1}.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -148,17 +149,20 @@ class EntropyReport:
     object_rate: float | None
     combined_rate: float
     quadrature_error: float
-    radiation: RadiationResult | None = None  # the P, M, Q behind object_rate
+    radiation: RadiationResult | None = None  # P, M, Q (at T_object > 0 or auto_extend)
 
 
 def entropy_generation(table, state, policy=None):
     """Entropy generation rate of the radiated field, plus the object's term.
 
     Integrates mode_entropy_rate over every channel with the shared
-    quadrature engine.  For a static thermal emitter the object contributes
-    -P/T; for a rotating body at finite temperature the comoving heat gain
-    contributes +Q/T; at T = 0 the object term is left unset and the
-    combined rate equals the field rate.
+    quadrature engine, over the same partial waves as :func:`integrate_power`:
+    the block |m| <= ``policy.m_max`` and, with ``auto_extend``, each shell
+    |m| = k that the P, M, Q sum added (cut at its own thermal cutoff).  For
+    a static thermal emitter the object contributes -P/T; for a rotating
+    body at finite temperature the comoving heat gain contributes +Q/T; at
+    T = 0 the object term is left unset and the combined rate equals the
+    field rate.
 
     The accounting assumes emission into a zero-temperature environment
     (every channel then carries a nonnegative occupation); a thermal
@@ -167,22 +171,31 @@ def entropy_generation(table, state, policy=None):
     policy = policy or MSumPolicy()
     if state.T_env > 0:
         raise DomainError("entropy accounting needs a zero-temperature environment")
+    rad = None
+    m_used = policy.m_max
+    if state.T_object > 0 or policy.auto_extend:
+        rad = integrate_power(table, state, policy)
+        if policy.auto_extend:
+            m_used = max([m_used] + [abs(c.m) for c in rad.per_mode])
+
+    def shell(m_max, m_min=0):
+        return integrate_channels(
+            table, state, lambda w, m, N: mode_entropy_rate(np.maximum(N, 0.0)), m_max, m_min,
+            epsrel=max(policy.epsrel, 1e-8),
+        )
+
     per_mode = []
     total = 0.0
     err_total = 0.0
-    for m, extra, pol, val, err in integrate_channels(
-        table, state, lambda w, m, N: mode_entropy_rate(np.maximum(N, 0.0)), policy.m_max,
-        epsrel=max(policy.epsrel, 1e-8),
-    ):
+    shells = [shell(policy.m_max)] + [shell(k, k) for k in range(policy.m_max + 1, m_used + 1)]
+    for m, extra, pol, val, err in itertools.chain(*shells):
         per_mode.append((m, extra, pol, float(val)))
         total += float(val)
         err_total += err
 
     object_rate = None
     combined = total
-    rad = None
     if state.T_object > 0:
-        rad = integrate_power(table, state, policy)
         if state.Omega == 0:
             object_rate = -rad.P / state.T_object
         else:

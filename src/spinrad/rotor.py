@@ -21,8 +21,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, cumulative_trapezoid, simpson
-from scipy.interpolate import PchipInterpolator
 
 from .errors import ConvergenceError, DomainError, StepSizeError
 from .radiation import integrate_channels
@@ -34,15 +32,27 @@ STIFFNESS_LIMIT = 0.1
 
 ADIABATIC_LIMIT = 0.1
 
+# Langevin noise is drawn NOISE_CHUNK steps at a time, so an ensemble block
+# holds 2 * block_size * NOISE_CHUNK doubles of noise whatever its length
+NOISE_CHUNK = 256
+
+# edge of the square tiles in which a noise chunk is transposed
+_TILE = 64
+
 
 @dataclass(frozen=True)
 class TorqueLaw:
-    """Drift Mbar(W) and diffusion Mbar2(W), both vectorized over W."""
+    """Drift Mbar(W) and diffusion Mbar2(W), both vectorized over W.
+
+    ``moments_fn(W)``, when given, returns the pair (Mbar, Mbar2) from one
+    pass over W, bit-identical to the two separate calls.
+    """
 
     drift: object
     diffusion: object
     provenance: str = "closed-form"
     drift_derivative_fn: object = None
+    moments_fn: object = None
 
     @classmethod
     def power_law(cls, coeff, exponent, coeff2=None, exponent2=None):
@@ -61,7 +71,17 @@ class TorqueLaw:
         def ddrift(w):
             return coeff * exponent * np.power(w, exponent - 1)
 
-        return cls(drift, diffusion, "closed-form", ddrift)
+        def moments(w):  # one power of W serves both when the exponents agree
+            p = np.power(w, exponent)
+            return coeff * p, c2 * p
+
+        return cls(drift, diffusion, "closed-form", ddrift, moments if k2 == exponent else None)
+
+    def moments(self, w):
+        """(Mbar(W), Mbar2(W)) in one evaluation where the law allows it."""
+        if self.moments_fn is not None:
+            return self.moments_fn(w)
+        return self.drift(w), self.diffusion(w)
 
     def drift_derivative(self, w):
         if self.drift_derivative_fn is not None:
@@ -145,13 +165,12 @@ def tabulate_torque_law(moments, omega_range, rtol=1e-6):
         if np.all(vals == 0.0):
             zero = lambda w: np.zeros_like(np.asarray(w, dtype=float))
             return TorqueLaw(zero, zero, "numeric", zero)
-        drift_i = _power_law_interpolant(grid, vals[:, 0])
-        diff_i = _power_law_interpolant(grid, vals[:, 1])
+        drift_i, diff_i, moments_i = _moment_interpolants(grid, vals)
         mids = np.sqrt(grid[:-1] * grid[1:])
         probe = mids[:: max(1, (len(grid) - 1) // 8)]
         direct = evaluate(probe)
         scale = np.maximum(np.abs(direct), 1e-12 * np.max(np.abs(vals), axis=0))
-        err = np.max(np.abs(np.column_stack([drift_i(probe), diff_i(probe)]) - direct) / scale)
+        err = np.max(np.abs(np.column_stack(moments_i(probe)) - direct) / scale)
         if err < rtol:
             break
         finer = np.empty(2 * len(grid) - 1)
@@ -165,41 +184,83 @@ def tabulate_torque_law(moments, omega_range, rtol=1e-6):
         h = 1e-6 * (np.abs(w) + 1e-6 * hi)
         return (drift_i(w + h) - drift_i(np.maximum(w - h, 0.0))) / (2.0 * h)
 
-    return TorqueLaw(drift_i, diff_i, "numeric", slope)
+    return TorqueLaw(drift_i, diff_i, "numeric", slope, moments_i)
 
 
-def _power_law_interpolant(grid, vals):
-    """Monotone interpolation in log-log space; exact zero below the grid foot.
+def _moment_interpolants(grid, vals):
+    """Interpolants (drift, diffusion, moments) of the tabulated pairs vals (n, 2).
 
     The radiation moments behave as steep power laws in the rotation rate, so
     log-log PCHIP holds a uniform relative accuracy across decades where a
-    linear-space interpolant cannot.
+    linear-space interpolant cannot.  Both columns share one two-column
+    spline, so ``moments`` takes log W, the interval search and exp once;
+    drift and diffusion alone read single columns of the same coefficients.
+    A column with negative values (the finite-T drift can change sign) keeps
+    a linear-space interpolant of its own.
     """
-    if np.any(vals < 0.0):  # finite-T drift can change sign: stay in linear space
+    if np.any(vals < 0.0):
+        drift, diffusion = (_column_interpolant(grid, vals[:, j]) for j in range(2))
+        return drift, diffusion, lambda w: (drift(w), diffusion(w))
+    from scipy.interpolate import PPoly
+
+    both = _log_log_pchip(grid, vals)
+    drift, diffusion = (
+        _exp_log_log(PPoly.construct_fast(np.ascontiguousarray(both.c[..., j]), both.x))
+        for j in range(2)
+    )
+    pair = _exp_log_log(both)
+
+    def moments(w):
+        out = pair(w)
+        return out if np.ndim(w) == 0 else out.T
+
+    return drift, diffusion, moments
+
+
+def _column_interpolant(grid, vals):
+    """Monotone interpolant of one column: log-log unless it holds negative values."""
+    if np.any(vals < 0.0):  # stay in linear space
+        from scipy.interpolate import PchipInterpolator
+
         lin = PchipInterpolator(grid, vals)
         return lambda w: lin(np.clip(w, grid[0], grid[-1]))
-    tiny = np.max(vals) * 1e-290 + 1e-300
-    logv = np.log(np.maximum(vals, tiny))
-    li = PchipInterpolator(np.log(grid), logv)
-    lo = grid[0]
+    return _exp_log_log(_log_log_pchip(grid, vals))
+
+
+def _log_log_pchip(grid, vals):
+    """PCHIP of log(vals) against log(W), one column per trailing index of vals."""
+    from scipy.interpolate import PchipInterpolator
+
+    tiny = np.max(vals, axis=0) * 1e-290 + 1e-300
+    return PchipInterpolator(np.log(grid), np.log(np.maximum(vals, tiny)))
+
+
+def _exp_log_log(spline):
+    """W -> exp(spline(log W)), exactly 0 at W <= 0; scalar W gives Python floats.
+
+    Below the tabulated foot this extends the first power-law segment.
+    """
 
     def f(w):
         arr = np.atleast_1d(np.asarray(w, dtype=float))
-        out = np.zeros_like(arr)
+        out = np.zeros(arr.shape + spline.c.shape[2:])
         mask = arr > 0
         if np.any(mask):
-            # below the tabulated foot this extends the first power-law segment
-            out[mask] = np.exp(li(np.log(arr[mask])))
-        return float(out[0]) if np.ndim(w) == 0 else out
+            out[mask] = np.exp(spline(np.log(arr[mask])))
+        return out if np.ndim(w) else out[0].tolist()
 
     return f
 
 
 def langevin_step(omega, law, I, dt, xi, *, hbar=1.0, drive=0.0,
                   diffusion_scale=FP_DIFFUSION_SCALE):
-    """One Euler-Maruyama update; `xi` are standard normals shaped like omega."""
-    drift = -(hbar / I) * (law.drift(omega) - drive)
-    noise = (hbar / I) * np.sqrt(diffusion_scale * law.diffusion(omega) * dt) * xi
+    """One Euler-Maruyama update; `xi` are standard normals shaped like omega.
+
+    The law is evaluated once per step, for drift and diffusion together.
+    """
+    mbar, mbar2 = law.moments(omega)
+    drift = -(hbar / I) * (mbar - drive)
+    noise = (hbar / I) * np.sqrt(diffusion_scale * mbar2 * dt) * xi
     return omega + drift * dt + noise
 
 
@@ -236,11 +297,17 @@ def simulate_ensemble(law, I, omega0, *, t_total, dt, n_traj, seed=0, drive_at=N
     """Evolve an ensemble of rotors by Euler-Maruyama.
 
     Counter-based RNG: trajectory i draws from Philox(key=(seed, i)), so the
-    ensemble is reproducible under any blocking or scheduling.  A reflecting
-    boundary keeps W >= 0.  ``drive_at=W0`` applies the constant torque
-    hbar*Mbar(W0) that holds the rotor near the set point; ``None`` lets it
-    decay freely.  dt must satisfy dt*(hbar/I)*dMbar/dW < 0.1 everywhere the
-    ensemble goes (checked every ``guard_every`` steps).
+    ensemble is reproducible under any blocking or scheduling.  Trajectories
+    run in blocks of ``block_size``; each block draws its noise
+    ``NOISE_CHUNK`` steps at a time, so memory scales with
+    block_size * NOISE_CHUNK and not with the number of steps, and the
+    recorded trajectories do not depend on the block or chunk size.  The
+    torque law is evaluated once per step (``TorqueLaw.moments``).  A
+    reflecting boundary keeps W >= 0.  ``drive_at=W0`` applies the constant
+    torque hbar*Mbar(W0) that holds the rotor near the set point; ``None``
+    lets it decay freely.  dt must satisfy dt*(hbar/I)*dMbar/dW < 0.1
+    everywhere the ensemble goes, and W must stay finite (both checked every
+    ``guard_every`` steps, and finiteness again at the end).
     """
     if dt <= 0 or t_total <= 0:
         raise DomainError("need positive dt and t_total")
@@ -256,19 +323,26 @@ def simulate_ensemble(law, I, omega0, *, t_total, dt, n_traj, seed=0, drive_at=N
     for start in range(0, n_traj, block_size):
         stop = min(start + block_size, n_traj)
         nb = stop - start
-        noise = np.empty((nb, n_steps))
-        for j in range(nb):
-            gen = np.random.Generator(
-                np.random.Philox(key=np.array([seed, start + j], dtype=np.uint64))
-            )
-            noise[j] = gen.standard_normal(n_steps)
+        gens = [
+            np.random.Generator(np.random.Philox(key=np.array([seed, j], dtype=np.uint64)))
+            for j in range(start, stop)
+        ]
+        draws = np.empty((nb, NOISE_CHUNK))  # row j: the next steps of trajectory start + j
+        noise = np.empty((NOISE_CHUNK, nb))  # row s: step s of the chunk, every trajectory
         W = np.full(nb, float(omega0))
         rec_pos = 0
         if rec_idx[0] == 0:
             omegas[start:stop, 0] = W
             rec_pos = 1
         for step in range(n_steps):
+            s = step % NOISE_CHUNK
+            if s == 0:
+                k = min(NOISE_CHUNK, n_steps - step)
+                for j, gen in enumerate(gens):
+                    gen.standard_normal(out=draws[j, :k])
+                _transpose_into(noise, draws, k)
             if step % guard_every == 0:
+                _check_finite(W, step, start)
                 stiff = dt * (hbar / I) * np.max(np.abs(law.drift_derivative(W)))
                 if stiff >= STIFFNESS_LIMIT:
                     raise StepSizeError(
@@ -278,13 +352,14 @@ def simulate_ensemble(law, I, omega0, *, t_total, dt, n_traj, seed=0, drive_at=N
                 wsafe = np.maximum(W, 1e-300)
                 adiab_max = max(adiab_max, float(np.max(det / wsafe**2)))
             W = langevin_step(
-                W, law, I, dt, noise[:, step], hbar=hbar, drive=drive,
+                W, law, I, dt, noise[s], hbar=hbar, drive=drive,
                 diffusion_scale=diffusion_scale,
             )
             np.abs(W, out=W)  # reflecting boundary at W = 0
             if rec_pos < len(rec_idx) and step + 1 == rec_idx[rec_pos]:
                 omegas[start:stop, rec_pos] = W
                 rec_pos += 1
+        _check_finite(W, n_steps, start)
 
     if adiab_max > ADIABATIC_LIMIT:
         warnings.warn(
@@ -297,6 +372,24 @@ def simulate_ensemble(law, I, omega0, *, t_total, dt, n_traj, seed=0, drive_at=N
     )
 
 
+def _transpose_into(dst, src, k):
+    """dst[:k] = src[:, :k].T, copied in square tiles that stay in cache."""
+    for i in range(0, src.shape[0], _TILE):
+        for j in range(0, k, _TILE):
+            jj = min(j + _TILE, k)
+            dst[j:jj, i:i + _TILE] = src[i:i + _TILE, j:jj].T
+
+
+def _check_finite(W, step, start):
+    """Raise :class:`StepSizeError` naming the first trajectory whose W is NaN or inf."""
+    bad = ~np.isfinite(W)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise StepSizeError(
+            f"W = {W[i]} is not finite after step {step} in trajectory {start + i}"
+        )
+
+
 @dataclass
 class StationaryDistribution:
     """Normalized stationary density of the driven rotor on a grid."""
@@ -306,13 +399,19 @@ class StationaryDistribution:
     cdf: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        from scipy.integrate import cumulative_trapezoid
+
         c = cumulative_trapezoid(self.pdf, self.omega, initial=0.0)
         self.cdf = c / c[-1]
 
     def mean(self):
+        from scipy.integrate import simpson
+
         return float(simpson(self.omega * self.pdf, x=self.omega))
 
     def var(self):
+        from scipy.integrate import simpson
+
         mu = self.mean()
         return float(simpson((self.omega - mu) ** 2 * self.pdf, x=self.omega))
 
@@ -357,6 +456,8 @@ def fokker_planck_stationary(law, omega0, I, *, hbar=1.0, n_grid=4001, span=16.0
         if grid[0] <= 0:
             raise DomainError("grid must be strictly positive")
 
+    from scipy.integrate import simpson
+
     floor = 1e-12 * omega0
     n = len(grid) | 1  # odd count so the half-resolution subsample is Simpson-clean
     grid = np.linspace(grid[0], grid[-1], n)
@@ -398,6 +499,8 @@ def fokker_planck_stationary(law, omega0, I, *, hbar=1.0, n_grid=4001, span=16.0
 
 def _fp_density_on(law, omega0, I, hbar, drive, grid):
     """Unnormalized stationary density (peak scaled to 1) on a given grid."""
+    from scipy.integrate import cumulative_simpson
+
     M2 = np.asarray(law.diffusion(grid), dtype=float)
     if np.any(M2 <= 0):
         raise DomainError("Mbar2 must be > 0 on the integration domain")

@@ -7,10 +7,14 @@ never touches this module; only the CLI converts at the boundary.
 
 from dataclasses import dataclass
 
-from scipy.constants import c as C_SI
-from scipy.constants import epsilon_0, hbar as HBAR_SI, k as KB_SI
-
 from .errors import DomainError
+
+# CODATA 2022 values, equal to scipy.constants (c, hbar, k, epsilon_0); written
+# out so that importing the package does not load scipy
+C_SI = 299792458.0  # m/s
+HBAR_SI = 1.0545718176461565e-34  # J s
+KB_SI = 1.380649e-23  # J/K
+epsilon_0 = 8.8541878188e-12  # F/m
 
 
 def si_conductivity_to_gaussian(sigma_si):

@@ -226,3 +226,17 @@ class TestEntropyGeneration:
             entropy_generation(
                 DiskTable(Drude(1.0), 0.1), ThermalState(T_object=1.0, T_env=0.2)
             )
+
+    def test_auto_extend_sums_the_shells_power_reached(self):
+        # the entropy rate follows the partial waves that P, M, Q grew to
+        table = DiskTable(Drude(1.0), 0.3)
+        state = ThermalState(Omega=1.0)
+        grown = entropy_generation(
+            table, state,
+            MSumPolicy(m_max=1, auto_extend=True, tail_tol=1e-6, raise_on_tail=False),
+        )
+        fixed = entropy_generation(table, state, MSumPolicy(m_max=9))
+        assert [m for m, *_ in grown.per_mode] == list(range(1, 10))
+        assert grown.total_rate == pytest.approx(fixed.total_rate, rel=1e-8)
+        assert grown.total_rate == pytest.approx(3.9252e-3, rel=1e-4)
+        assert max(abs(c.m) for c in grown.radiation.per_mode) == 9

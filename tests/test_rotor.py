@@ -1,10 +1,14 @@
 """Rotor dynamics: drift ODE limit, fluctuation statistics, stationary law."""
 
+import dataclasses
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from spinrad import rotor
 from spinrad import (
     DomainError,
     Drude,
@@ -13,8 +17,10 @@ from spinrad import (
     ThermalState,
     TorqueLaw,
     fokker_planck_stationary,
+    langevin_step,
     simulate_ensemble,
     spindown_timescale,
+    tabulate_torque_law,
     torque_law_from_radiation,
     uncertainty,
 )
@@ -99,7 +105,55 @@ class TestDeterministicLimit:
         assert abs(drop - expect) < 5 * se + 0.03 * expect
 
 
+def quintic(w):
+    return w * w * w * w * w
+
+
+# W^5 law from IEEE-exact arithmetic only (no pow), so the digests below do
+# not depend on the platform's math library; moments_fn shares one power
+QUINTIC = TorqueLaw(quintic, quintic, "closed-form", lambda w: 5.0 * w * w * w * w,
+                    lambda w: (quintic(w),) * 2)
+
+# SHA-256 of ens.omegas for the ledger runs below, recorded before the noise
+# was streamed in chunks (the whole (block, n_steps) array was drawn at once)
+LEDGER_DIGESTS = {
+    805: "80fe5b7363ef1d74ea3230913f89782e5e5c5b89784a0101380f1d8146d6f52e",
+    50: "3587a3ad950707670a48b9fc692bbf704ed6407b5d085b608fab67aac727ef77",
+}
+
+
 class TestRNGLedger:
+    # 805 steps span three default chunks plus a remainder; 50 is shorter than one
+    @pytest.mark.parametrize("n_steps", [805, 50])
+    @pytest.mark.parametrize("chunk", [1, 7, rotor.NOISE_CHUNK])
+    @pytest.mark.parametrize("block_size", [7, 64, 4096])
+    def test_independent_of_chunk_and_block(self, monkeypatch, n_steps, chunk, block_size):
+        monkeypatch.setattr(rotor, "NOISE_CHUNK", chunk)
+        ens = simulate_ensemble(QUINTIC, I=100.0, omega0=1.0, t_total=n_steps * 1e-2,
+                                dt=1e-2, n_traj=64, seed=42, drive_at=1.0,
+                                block_size=block_size)
+        assert hashlib.sha256(ens.omegas.tobytes()).hexdigest() == LEDGER_DIGESTS[n_steps]
+
+    def test_one_pass_law_matches_two_calls(self):
+        two_pass = dataclasses.replace(QUINTIC, moments_fn=None)
+        kw = dict(I=100.0, omega0=1.0, t_total=8.05, dt=1e-2, n_traj=64, seed=42,
+                  drive_at=1.0)
+        a = simulate_ensemble(QUINTIC, **kw)
+        b = simulate_ensemble(two_pass, **kw)
+        assert np.array_equal(a.omegas, b.omegas)
+
+    def test_noise_memory_does_not_grow_with_steps(self):
+        # drawn whole, the 64 x 20000 noise array alone would take 10 MB
+        kw = dict(I=1e4, omega0=1.0, dt=20.0, n_traj=64, seed=3, drive_at=1.0)
+        simulate_ensemble(power5(), t_total=20.0, **kw)  # first-call set-up off the books
+        tracemalloc.start()
+        try:
+            simulate_ensemble(power5(), t_total=20_000 * 20.0, **kw)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
     def test_reproducible_and_blocking_independent(self):
         law = power5()
         kw = dict(I=100.0, omega0=1.0, t_total=0.5, dt=1e-2, n_traj=64, seed=42,
@@ -132,6 +186,49 @@ class TestStiffnessGuard:
         with pytest.warns(UserWarning, match="adiabaticity"):
             simulate_ensemble(law, I=2.0, omega0=1.0, t_total=1.0, dt=1e-3,
                               n_traj=1, seed=0)
+
+
+class TestNonFiniteGuard:
+    def test_nan_drift_raises_naming_step_and_trajectory(self):
+        # the drift turns NaN above W = 1.5; trajectory 0 starts there
+        law = TorqueLaw(lambda w: np.where(w > 1.5, np.nan, np.power(w, 5)),
+                        lambda w: np.power(w, 5),
+                        drift_derivative_fn=lambda w: 5.0 * np.power(w, 4))
+        with pytest.raises(StepSizeError, match=r"step 25 in trajectory 0\b"):
+            simulate_ensemble(law, I=1e4, omega0=2.0, t_total=100.0, dt=1.0, n_traj=3,
+                              seed=0)
+
+    def test_nan_within_the_last_guard_interval_is_caught(self):
+        law = TorqueLaw(lambda w: np.where(w > 1.5, np.nan, np.power(w, 5)),
+                        lambda w: np.power(w, 5),
+                        drift_derivative_fn=lambda w: 5.0 * np.power(w, 4))
+        with pytest.raises(StepSizeError, match="after step 3 "):
+            simulate_ensemble(law, I=1e4, omega0=2.0, t_total=3.0, dt=1.0, n_traj=2,
+                              seed=0)
+
+
+class TestOnePassLaw:
+    def test_power_law_pair_equals_separate_calls(self):
+        w = np.linspace(0.0, 3.0, 101)
+        for law in (TorqueLaw.power_law(0.7, 5), TorqueLaw.power_law(0.7, 5, 2.0, 3)):
+            m1, m2 = law.moments(w)
+            assert np.array_equal(m1, law.drift(w))
+            assert np.array_equal(m2, law.diffusion(w))
+        assert TorqueLaw.power_law(0.7, 5, 2.0, 3).moments_fn is None
+
+    def test_langevin_step_evaluates_the_law_once(self):
+        calls = []
+
+        def refuse(w):
+            raise AssertionError("separate drift/diffusion call in the step")
+
+        def moments(w):
+            calls.append(1)
+            return np.power(w, 5), np.power(w, 5)
+
+        law = TorqueLaw(refuse, refuse, moments_fn=moments)
+        langevin_step(np.ones(4), law, 100.0, 1e-2, np.zeros(4))
+        assert len(calls) == 1
 
 
 class TestVarianceGrowth:
@@ -233,3 +330,21 @@ class TestTorqueLawFromRadiation:
         for W in (0.2, 0.8):
             assert float(law.drift(W)) == 0.0
             assert float(law.diffusion(W)) == 0.0
+
+    def test_one_pass_moments_equal_the_single_moments(self):
+        table = SphereTable(Drude(1e3), 1e-3)
+        law = torque_law_from_radiation(table, ThermalState(), omega_range=(0.0, 1.5))
+        w = np.concatenate([[0.0, 1e-7], np.linspace(0.01, 1.6, 97)])
+        m1, m2 = law.moments(w)
+        assert np.array_equal(m1, law.drift(w))
+        assert np.array_equal(m2, law.diffusion(w))
+        assert list(law.moments(0.9)) == [law.drift(0.9), law.diffusion(0.9)]
+
+    def test_sign_changing_drift_keeps_a_linear_column(self):
+        # a finite-T drift may change sign: that column stays in linear space
+        law = tabulate_torque_law(lambda W: (W**3 - 0.25 * W, W**2 + 0.1), (0.0, 1.0))
+        w = np.linspace(0.05, 1.0, 40)
+        m1, m2 = law.moments(w)
+        assert np.array_equal(m1, law.drift(w))
+        assert np.array_equal(m2, law.diffusion(w))
+        assert np.allclose(m1, w**3 - 0.25 * w, rtol=1e-4, atol=1e-6)

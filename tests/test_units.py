@@ -62,3 +62,13 @@ def test_gaussian_conductivity():
     sigma_g = si_conductivity_to_gaussian(sigma_si)
     assert sigma_g == pytest.approx(sigma_si / (4 * 3.141592653589793 * epsilon_0), rel=1e-12)
     assert 1e17 < sigma_g < 1e19  # ~5e17 1/s
+
+
+def test_constants_equal_scipy():
+    # the literals in units.py stand in for scipy.constants, bit for bit
+    from spinrad import units
+
+    assert units.C_SI == c
+    assert units.HBAR_SI == hbar
+    assert units.KB_SI == k_B
+    assert units.epsilon_0 == epsilon_0
