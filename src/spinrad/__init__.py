@@ -5,6 +5,7 @@ from .errors import (
     ConfigError,
     ConvergenceError,
     DomainError,
+    NumericDomainError,
     ResonanceError,
     SpinradError,
     StepSizeError,

@@ -9,13 +9,22 @@ argument is raised instead of returning NaN.
 
 Every function takes a scalar or an array argument and returns the same
 kind; arrays are evaluated element by element with the scalar arithmetic.
+An overflow, or an argument past the cap, raises
+:class:`NumericDomainError`, the fault of a computation rather than of its
+input.
+
+Bit-identity rules: the AMOS calls stay numpy ufunc calls on arrays; the
+derivative recurrences divide by the complex argument even when it is real
+(``k / z`` as a complex division rounds differently from a real one); and
+the fast path of ``bessel_j`` (no real argument: one AMOS call on the
+whole array) takes empty input and gives the same bits as the masked path.
 """
 
 import functools
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericDomainError
 
 ORDER_MAX = 200
 ARG_MAX = 1.0e4
@@ -51,7 +60,7 @@ def _check(m, z, *, nonzero=False):
     az = np.abs(z)
     big = az > ARG_MAX
     if big.any():
-        raise DomainError(f"|z|={_first(az, big):g} exceeds cap {ARG_MAX:g}")
+        raise NumericDomainError(f"|z|={_first(az, big):g} exceeds cap {ARG_MAX:g}")
     if nonzero and (az == 0).any():
         raise DomainError("argument z = 0 is singular here")
 
@@ -59,66 +68,95 @@ def _check(m, z, *, nonzero=False):
 def _guard(value, what, m, z):
     bad = ~np.isfinite(value)
     if bad.any():
-        raise DomainError(f"{what} overflowed at order {m}, argument {_first(z, bad)!r}")
+        raise NumericDomainError(f"{what} overflowed at order {m}, argument {_first(z, bad)!r}")
     return value
+
+
+def _j(m, za):
+    """J_m on a checked complex array."""
+    real = za.imag == 0.0
+    if real.any():
+        J = np.empty(za.shape, dtype=complex)
+        # the complex AMOS path leaves ~1e-18 imaginary crumbs on real input,
+        # which would break exact identities (e.g. zero flux at corotation)
+        J[real] = _sc().jv(abs(m), za.real[real])
+        J[~real] = _sc().jv(abs(m), za[~real])
+        J[za == 0] = 1.0 if m == 0 else 0.0
+    else:  # no real argument: one AMOS call on the whole array
+        J = _sc().jv(abs(m), za)
+    J = _guard(J, "J", m, za)
+    return (-1) ** (-m) * J if m < 0 else J
+
+
+def _h(kind, m, za):
+    """H^(kind)_m on a checked complex array."""
+    H = _guard(getattr(_sc(), f"hankel{kind}")(abs(m), za), f"H{kind}", m, za)
+    return (-1) ** (-m) * H if m < 0 else H
 
 
 def bessel_j(m, z):
     """Bessel function of the first kind J_m(z), integer m, complex z."""
     _check(m, z)
+    return _out(_j(m, _array(z)), z)
+
+
+def bessel_j_and_deriv(m, z):
+    """(J_m(z), dJ_m/dz): J is evaluated once at each of the orders |m| and |m| - 1.
+
+    The derivative follows the recurrence J'_m = J_{m-1} - (m/z) J_m on the
+    complex argument.
+    """
+    _check(m, z)
     za = _array(z)
-    real = za.imag == 0.0
-    J = np.empty(za.shape, dtype=complex)
-    # the complex AMOS path leaves ~1e-18 imaginary crumbs on real input,
-    # which would break exact identities (e.g. zero flux at corotation)
-    J[real] = _sc().jv(abs(m), za.real[real])
-    J[~real] = _sc().jv(abs(m), za[~real])
-    J[za == 0] = 1.0 if m == 0 else 0.0
-    J = _guard(J, "J", m, za)
+    k = abs(m)
+    J = _j(k, za)
+    zero = za == 0
+    d = _j(k - 1, za) - (k / np.where(zero, 1.0, za)) * J
+    # J_m ~ (z/2)^m / m!: derivative at the origin
+    d[zero] = 0.5 if k == 1 else 0.0
     if m < 0:
-        J = (-1) ** (-m) * J
-    return _out(J, z)
+        J, d = (-1) ** (-m) * J, (-1) ** (-m) * d
+    return _out(J, z), _out(d, z)
 
 
 def bessel_j_deriv(m, z):
     """dJ_m/dz via the recurrence J'_m = J_{m-1} - (m/z) J_m."""
-    _check(m, z)
-    za = _array(z)
-    k = abs(m)
-    zero = za == 0
-    zs = np.where(zero, 1.0, za)
-    d = bessel_j(k - 1, zs) - (k / zs) * bessel_j(k, zs)
-    # J_m ~ (z/2)^m / m!: derivative at the origin
-    d[zero] = 0.5 if k == 1 else 0.0
-    if m < 0:
-        d = (-1) ** (-m) * d
-    return _out(d, z)
+    return bessel_j_and_deriv(m, z)[1]
+
+
+def _kind(kind):
+    if kind not in (1, 2):
+        raise DomainError(f"kind must be 1 or 2, got {kind!r}")
 
 
 def hankel(kind, m, z):
     """Hankel function H^(kind)_m(z) of the first (1) or second (2) kind."""
-    if kind not in (1, 2):
-        raise DomainError(f"kind must be 1 or 2, got {kind!r}")
+    _kind(kind)
     _check(m, z, nonzero=True)
-    fn = getattr(_sc(), f"hankel{kind}")
+    return _out(_h(kind, m, _array(z)), z)
+
+
+def hankel_and_deriv(kind, m, z):
+    """(H^(kind)_m(z), dH^(kind)_m/dz), evaluating H once at each of |m| and |m| - 1.
+
+    The derivative follows the recurrence C'_m = C_{m-1} - (m/z) C_m with z
+    complex even when the argument is real: the complex division k/z is
+    what the outputs are pinned to.
+    """
+    _kind(kind)
+    _check(m, z, nonzero=True)
     za = _array(z)
-    H = _guard(fn(abs(m), za), f"H{kind}", m, za)
+    k = abs(m)
+    H = _h(kind, k, za)
+    d = _h(kind, k - 1, za) - (k / za) * H
     if m < 0:
-        H = (-1) ** (-m) * H
-    return _out(H, z)
+        H, d = (-1) ** (-m) * H, (-1) ** (-m) * d
+    return _out(H, z), _out(d, z)
 
 
 def hankel_deriv(kind, m, z):
     """dH^(kind)_m/dz via the recurrence C'_m = C_{m-1} - (m/z) C_m."""
-    if kind not in (1, 2):
-        raise DomainError(f"kind must be 1 or 2, got {kind!r}")
-    _check(m, z, nonzero=True)
-    za = _array(z)
-    k = abs(m)
-    d = hankel(kind, k - 1, za) - (k / za) * hankel(kind, k, za)
-    if m < 0:
-        d = (-1) ** (-m) * d
-    return _out(d, z)
+    return hankel_and_deriv(kind, m, z)[1]
 
 
 def bessel_y(m, x):
@@ -155,9 +193,8 @@ def wronskian_h1h2(m, x):
     xa = _array(x, float)
     if (xa <= 0).any():
         raise DomainError(f"Wronskian needs x > 0, got {_first(xa, xa <= 0)!r}")
-    j = bessel_j(m, xa).real
+    j, jp = (v.real for v in bessel_j_and_deriv(m, xa))
     y = bessel_y(m, xa)
-    jp = bessel_j_deriv(m, xa).real
     yp = bessel_y_deriv(m, xa)
     return _out(-2j * (j * yp - jp * y), x)
 
@@ -173,7 +210,7 @@ def sph_bessel(kind, l, z):
     za = _array(z)
     big = np.abs(za) > ARG_MAX
     if big.any():
-        raise DomainError(f"|z|={abs(_first(za, big)):g} exceeds cap {ARG_MAX:g}")
+        raise NumericDomainError(f"|z|={abs(_first(za, big)):g} exceeds cap {ARG_MAX:g}")
     zero = za == 0
     if kind == "j":
         zs = np.where(zero, 1.0, za)

@@ -6,7 +6,8 @@ rejection (a typo in a physics parameter must never be silently ignored).
 rad/s, temperatures in K, conductivity in S/m (converted to the Gaussian
 convention used by eps = 1 + 4 pi i sigma/omega), inertia in kg m^2; outputs
 come back in W, N m, W/K and s.  Exit codes: 0 ok, 2 config error, 3 numeric
-non-convergence.
+non-convergence, 4 numeric domain fault (a resonance or a special-function
+overflow met while computing).
 """
 
 import argparse
@@ -23,6 +24,7 @@ from .errors import (
     ConfigError,
     ConvergenceError,
     DomainError,
+    NumericDomainError,
     SpinradError,
     StepSizeError,
     TableFormatError,
@@ -265,9 +267,16 @@ def _write_json(path, payload):
 def _write_csv(path, meta, columns, rows):
     lines = [f"# {k}: {v}" for k, v in _flatten_meta(meta)]
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines.extend(map(",".join, zip(*map(_fmt_column, zip(*rows)))))
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _fmt_column(values):
+    """The cells of one column as _fmt writes them; all-float columns in one pass."""
+    try:
+        return list(map(float.__repr__, values))  # equals _fmt on floats, numpy's too
+    except TypeError:  # None, an int, a bool or a string somewhere in the column
+        return list(map(_fmt, values))
 
 
 def _write_table(out_dir, stem, fmt, meta, columns, rows):
@@ -419,10 +428,11 @@ def run_rotor(args, parser):
         drive_at=Omega0 if drive else None, n_record=numerics["n_record"],
     )
     meta = _meta(args, {"adiabaticity_max": ens.adiabaticity_max})
+    times = ens.times.tolist()
     rows = [
-        (float(t), j, float(w))
-        for j, wrow in enumerate(ens.omegas)
-        for t, w in zip(ens.times, wrow)
+        (t, j, w)
+        for j, wrow in enumerate(ens.omegas.tolist())
+        for t, w in zip(times, wrow)
     ]
     _write_table(args.out, "trajectories", args.format, meta, ["t", "traj_id", "omega"], rows)
 
@@ -436,7 +446,7 @@ def run_rotor(args, parser):
         dist = fokker_planck_stationary(law, Omega0, I)
         _write_table(
             args.out, "stationary", args.format, meta, ["omega", "pdf"],
-            list(zip(map(float, dist.omega), map(float, dist.pdf))),
+            list(zip(dist.omega.tolist(), dist.pdf.tolist())),
         )
         summary["IDeltaOmega_analytic"] = uncertainty(law, Omega0, I)
         summary["KS_mc_vs_analytic"] = dist.ks_statistic(ens.final)
@@ -551,6 +561,9 @@ def main(argv=None):
         parser = load_config(args.config)
         Path(args.out).mkdir(parents=True, exist_ok=True)
         return COMMANDS[args.command](args, parser)
+    except NumericDomainError as exc:
+        print(f"numeric domain fault: {exc}", file=sys.stderr)
+        return 4
     except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -17,7 +17,15 @@ class BoseDivergenceError(DomainError):
     """
 
 
-class ResonanceError(DomainError):
+class NumericDomainError(DomainError):
+    """A computation left the domain where its numbers are finite.
+
+    Raised while evaluating, not while validating input: a special function
+    that overflows or an argument past its cap, met at a node of an integral.
+    """
+
+
+class ResonanceError(NumericDomainError):
     """Scattering denominator or polarizability hit a material resonance."""
 
 

@@ -27,12 +27,13 @@ class DielectricModel:
         """Causal response eps(omega) on the full real axis, scalar or array omega."""
         w = np.atleast_1d(np.asarray(omega, dtype=float))
         eps = np.empty(w.shape, dtype=complex)
-        nonzero = w != 0.0
-        eps[nonzero] = self._positive(np.abs(w[nonzero]))
-        if not nonzero.all():
+        if w.all():  # common case: no node at omega = 0, so no mask
+            eps[...] = self._positive(np.abs(w))
+        else:
+            nonzero = w != 0.0
+            eps[nonzero] = self._positive(np.abs(w[nonzero]))
             eps[~nonzero] = self._at_zero()
-        neg = w < 0.0
-        eps[neg] = eps[neg].conj()
+        np.conjugate(eps, out=eps, where=w < 0.0)
         return eps if np.ndim(omega) else eps.item()
 
     def _at_zero(self):
@@ -200,7 +201,7 @@ def bose_occupation(omega, T):
     if T < 0:
         raise DomainError("temperature must be >= 0")
     w = np.atleast_1d(np.asarray(omega, dtype=float))
-    if (w == 0.0).any():
+    if not w.all():
         if T == 0.0:
             raise DomainError("n(0, T=0) is ill-defined")
         raise BoseDivergenceError("n(omega -> 0, T > 0) diverges like T/omega")
@@ -208,8 +209,11 @@ def bose_occupation(omega, T):
         n = np.where(w > 0, 0.0, -1.0)
     else:
         x = np.abs(w) / T
-        # past x = 700 expm1 overflows; exp(-x) is the same number there
-        n_pos = np.where(x > 700.0, np.exp(-x), 1.0 / np.expm1(np.minimum(x, 700.0)))
+        if x.size and x.max() <= 700.0:  # common case: no node past x = 700, no NaN
+            n_pos = 1.0 / np.expm1(x)
+        else:
+            # past x = 700 expm1 overflows; exp(-x) is the same number there
+            n_pos = np.where(x > 700.0, np.exp(-x), 1.0 / np.expm1(np.minimum(x, 700.0)))
         n = np.where(w > 0, n_pos, -1.0 - n_pos)
     return n if np.ndim(omega) else n.item()
 

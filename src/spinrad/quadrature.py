@@ -14,6 +14,12 @@ strictly interior to (a, b), so integrable endpoint singularities (the
 removable n(omega - Omega*m) divergence) are never evaluated.  Vector
 components share panels, which keeps linear identities such as
 Q = Omega*M - P exact to roundoff.
+
+Bit-identity rules: the rule's arithmetic keeps its order and stays in
+numpy array operations (the ``** 1.5`` of the error estimate included:
+numpy's float64 ``power`` and Python's ``**`` differ in the last bit on
+some inputs), reductions are ndarray methods over the same contiguous
+axes, and temporaries are reused in place, never reassociated.
 """
 
 import heapq
@@ -70,19 +76,25 @@ def _gk21(f, lo, hi):
             "the nodes must be on the last axis"
         )
     fv = fv.reshape(fv.shape[:-1] + (len(lo), _XK.size))
-    # weighted sums by reduction, not BLAS, so the bits never depend on alignment
-    s_k = np.sum(fv * _WK, axis=-1)
-    s_g = np.sum(fv[..., 1::2] * _WG, axis=-1)
-    s_k_abs = np.sum(np.abs(fv) * _WK, axis=-1)
-    s_k_dabs = np.sum(np.abs(fv - 0.5 * s_k[..., None]) * _WK, axis=-1)
+    # weighted sums by reduction, not BLAS, so the bits never depend on alignment;
+    # reductions are ndarray methods, which skip the np.sum/np.amax dispatch
+    s_k = (fv * _WK).sum(axis=-1)
+    s_g = (fv[..., 1::2] * _WG).sum(axis=-1)
+    t = np.abs(fv)
+    t *= _WK
+    s_k_abs = t.sum(axis=-1)
+    t = fv - 0.5 * s_k[..., None]
+    np.abs(t, out=t)
+    t *= _WK
+    s_k_dabs = t.sum(axis=-1)
     axes = tuple(range(fv.ndim - 2))  # component axes, reduced by the max norm
-    err = np.amax(np.abs((s_k - s_g) * h), axis=axes, initial=0.0)
-    dabs = np.amax(np.abs(s_k_dabs * h), axis=axes, initial=0.0)
+    err = np.abs((s_k - s_g) * h).max(axis=axes, initial=0.0)
+    dabs = np.abs(s_k_dabs * h).max(axis=axes, initial=0.0)
     scaled = (dabs != 0) & (err != 0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        err = np.where(scaled, dabs * np.minimum(1.0, (200.0 * err / dabs) ** 1.5), err)
-    round_err = np.amax(50.0 * _EPS * h * s_k_abs, axis=axes, initial=0.0)
-    err = np.where(round_err > _TINY, np.maximum(err, round_err), err)
+        np.multiply(dabs, np.minimum(1.0, (200.0 * err / dabs) ** 1.5), out=err, where=scaled)
+    round_err = (50.0 * _EPS * h * s_k_abs).max(axis=axes, initial=0.0)
+    np.maximum(err, round_err, out=err, where=round_err > _TINY)
     return h * s_k, err, round_err
 
 
@@ -113,7 +125,7 @@ def adaptive_integral(f, a, b, *, epsabs=1e-300, epsrel=1e-9, limit=300):
 
     success = False
     while True:
-        tol = max(epsabs, epsrel * np.max(np.abs(total)))
+        tol = max(epsabs, epsrel * np.abs(total).max())
         if error < tol / 8:
             success = True
             break
@@ -136,9 +148,9 @@ def adaptive_integral(f, a, b, *, epsabs=1e-300, epsrel=1e-9, limit=300):
         vals, errs, rnds = _gk21(f, np.concatenate([lo, mid]), np.concatenate([mid, hi]))
         k = len(popped)
         old = np.stack([cache.pop(p) for p in popped], axis=-1)
-        total = total + np.sum(vals[..., :k] + vals[..., k:] - old, axis=-1)
-        error += float(np.sum(errs[:k] + errs[k:])) - err_sum
-        rounding += float(np.sum(rnds))
+        total = total + (vals[..., :k] + vals[..., k:] - old).sum(axis=-1)
+        error += float((errs[:k] + errs[k:]).sum()) - err_sum
+        rounding += float(rnds.sum())
         for i, (p_lo, p_hi) in enumerate(popped):
             m = float(mid[i])
             for j, (x1, x2) in ((i, (p_lo, m)), (k + i, (m, p_hi))):
@@ -146,7 +158,7 @@ def adaptive_integral(f, a, b, *, epsabs=1e-300, epsrel=1e-9, limit=300):
                 heapq.heappush(panels, (-float(errs[j]), x1, x2))
 
     err = float(error + rounding)
-    scale = float(np.max(np.abs(total)))
+    scale = float(np.abs(total).max())
     if not success and not err <= max(epsabs, epsrel * scale) * 50:  # NaN fails too
         raise ConvergenceError(
             f"quadrature on ({a:g}, {b:g}) stalled: err={err:g} after {len(panels)} panels"

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, NumericDomainError
 from .material import ThermalState, bose_occupation
 from .quadrature import adaptive_integral, integrate_segments
 from .scattering import SMALLVEL_LIMIT
@@ -98,21 +98,30 @@ def mode_flux(table, state, omega, m, extra=None, pol="scalar"):
     ``omega`` is a scalar or an array of frequencies.  At omega = Omega*m
     the diverging occupation multiplies a vanishing flux factor; the finite
     product limit is taken by a symmetric two-sided average just off the
-    singular point.
+    singular point.  A :class:`NumericDomainError` of the table (a resonance,
+    a Bessel overflow) is raised again naming the channel and the span of
+    the nodes.
     """
     w = np.atleast_1d(np.asarray(omega, dtype=float))
     if (w <= 0).any():
         raise DomainError("mode flux needs omega > 0")
     om_p = w - state.Omega * m
-    F = table.flux(w, m, extra, pol, state.Omega)
-    if state.zero_temperature:
-        N = np.where(om_p < 0, -F, 0.0)
-    else:
-        at = om_p == 0.0
-        N = np.empty(w.shape)
-        N[~at] = occupation_difference(w[~at], m, state) * F[~at]
-        if at.any():
+    try:
+        F = table.flux(w, m, extra, pol, state.Omega)
+        if state.zero_temperature:
+            N = np.where(om_p < 0, -F, 0.0)
+        elif om_p.all():  # common case: no node at corotation, so no mask
+            N = occupation_difference(w, m, state) * F
+        else:
+            at = om_p == 0.0
+            N = np.empty(w.shape)
+            N[~at] = occupation_difference(w[~at], m, state) * F[~at]
             N[at] = _corotation_limit(table, state, m, extra, pol)
+    except NumericDomainError as exc:
+        raise type(exc)(
+            f"channel m={m}, extra={extra}, pol={pol} at omega in "
+            f"[{w.min():g}, {w.max():g}]: {exc}"
+        ) from exc
     return N if np.ndim(omega) else N.item()
 
 

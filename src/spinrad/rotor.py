@@ -243,10 +243,13 @@ def _exp_log_log(spline):
 
     def f(w):
         arr = np.atleast_1d(np.asarray(w, dtype=float))
-        out = np.zeros(arr.shape + spline.c.shape[2:])
-        mask = arr > 0
-        if np.any(mask):
-            out[mask] = np.exp(spline(np.log(arr[mask])))
+        if arr.size and arr.min() > 0:  # common case: no W <= 0 and no NaN, so no mask
+            out = np.exp(spline(np.log(arr)))
+        else:
+            out = np.zeros(arr.shape + spline.c.shape[2:])
+            mask = arr > 0
+            if np.any(mask):
+                out[mask] = np.exp(spline(np.log(arr[mask])))
         return out if np.ndim(w) else out[0].tolist()
 
     return f
@@ -257,11 +260,23 @@ def langevin_step(omega, law, I, dt, xi, *, hbar=1.0, drive=0.0,
     """One Euler-Maruyama update; `xi` are standard normals shaped like omega.
 
     The law is evaluated once per step, for drift and diffusion together.
+    The update is omega + drift*dt + noise with drift = -(hbar/I)(Mbar - drive)
+    and noise = (hbar/I) sqrt(diffusion_scale*Mbar2*dt) xi, each product taken
+    in that order; the temporaries are reused in place.
     """
     mbar, mbar2 = law.moments(omega)
-    drift = -(hbar / I) * (mbar - drive)
-    noise = (hbar / I) * np.sqrt(diffusion_scale * mbar2 * dt) * xi
-    return omega + drift * dt + noise
+    k = hbar / I
+    out = np.subtract(mbar, drive)
+    out *= -k
+    out *= dt
+    out += omega
+    noise = np.multiply(diffusion_scale, mbar2)
+    noise *= dt
+    noise = np.sqrt(noise)
+    noise *= k
+    noise *= xi
+    out += noise
+    return out
 
 
 @dataclass

@@ -49,11 +49,11 @@ def disk_interior_frequency(model, Omega, omega, m):
     om_p = w - Omega * m
     # the (eps - 1) * omega'^2 product vanishes at omega' = 0 for any causal model
     wt2 = (w**2).astype(complex)
-    moving = om_p != 0.0
+    moving = slice(None) if om_p.all() else om_p != 0.0  # a mask only when one is needed
     wt2[moving] = (model.epsilon(om_p[moving]) - 1.0) * om_p[moving] ** 2 + w[moving] ** 2
     wt = np.sqrt(wt2)
     flip = np.where(om_p >= 0, wt.imag < 0, wt.imag > 0)
-    wt[flip] = -wt[flip]
+    np.negative(wt, out=wt, where=flip)
     return wt if np.ndim(omega) else wt.item()
 
 
@@ -76,19 +76,24 @@ def disk_smatrix(model, R, Omega, omega, m):
         raise DomainError("radius must be > 0")
     wt, J, Jp, den = _disk_matching(model, R, Omega, w, m)
     zh = w * R
-    num = wt * Jp * bessel.hankel(2, m, zh) - J * w * bessel.hankel_deriv(2, m, zh)
+    H2, H2p = bessel.hankel_and_deriv(2, m, zh)
+    num = wt * Jp * H2 - J * w * H2p
     S = -num / den
     return S if np.ndim(omega) else S.item()
 
 
 def _disk_matching(model, R, Omega, w, m):
-    """Interior wavenumber, J_m(wt R), J'_m(wt R) and the S-matrix denominator."""
+    """Interior wavenumber, J_m(wt R), J'_m(wt R) and the S-matrix denominator.
+
+    J and H^(1) are evaluated once at each of the orders |m| and |m| - 1
+    (four AMOS calls); the derivatives follow from the recurrence.
+    """
     wt = disk_interior_frequency(model, Omega, w, m)
     zj = wt * R
     zh = w * R
-    J = bessel.bessel_j(m, zj)
-    Jp = bessel.bessel_j_deriv(m, zj)
-    den = wt * Jp * bessel.hankel(1, m, zh) - J * w * bessel.hankel_deriv(1, m, zh)
+    J, Jp = bessel.bessel_j_and_deriv(m, zj)
+    H, Hp = bessel.hankel_and_deriv(1, m, zh)
+    den = wt * Jp * H - J * w * Hp
     tiny = np.abs(den) < 1e-300
     if tiny.any():
         raise ResonanceError(
@@ -144,8 +149,8 @@ def disk_smatrix_smallvel(model, R, Omega, omega):
 
 def _dipole_alpha(model, R, om_p):
     w = np.atleast_1d(np.asarray(om_p, dtype=float))
-    live = np.ones(w.shape, dtype=bool)
-    if (w == 0.0).any():
+    live = slice(None)  # every node: a mask only when one sits at omega' = 0
+    if not w.all():
         try:
             sphere_polarizability(model, R, 0.0)
         except DomainError:
@@ -189,8 +194,8 @@ def sphere_flux_dipole(model, R, Omega, omega, m, exact=False):
 def _cyl_response(model, om_p):
     # r = (eps' - 1)/(eps' + 1); -> 1 for diverging (metallic) eps'
     w = np.atleast_1d(np.asarray(om_p, dtype=float))
-    live = np.ones(w.shape, dtype=bool)
-    if (w == 0.0).any():
+    live = slice(None)  # every node: a mask only when one sits at omega' = 0
+    if not w.all():
         try:
             model.epsilon(0.0)
         except DomainError:

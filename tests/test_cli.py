@@ -145,6 +145,46 @@ class TestPower:
         assert err.startswith("numeric non-convergence") and "m=1," in err
 
 
+class TestNumericDomainFault:
+    """A fault met while computing exits 4 and names the channel and omega."""
+
+    DISK_CFG = SPHERE_CFG.replace("sphere", "disk").replace("1000.0", "1.0").replace(
+        "0.001", "0.1")
+
+    def test_resonance_exits_4(self, tmp_path, capsys, monkeypatch):
+        from spinrad.errors import ResonanceError
+        from spinrad.scattering import SphereTable
+
+        def resonant(self, omega, m, extra, pol, Omega):
+            raise ResonanceError(f"eps(omega={float(omega[0]):g}) at the eps = -2 plasmon pole")
+
+        monkeypatch.setattr(SphereTable, "flux", resonant)
+        cfg = write(tmp_path, SPHERE_CFG)
+        assert main(["power", "--config", cfg, "--out", str(tmp_path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numeric domain fault: channel m=1,")
+        assert "omega in [" in err and "plasmon pole" in err
+
+    def test_bessel_overflow_exits_4(self, tmp_path, capsys, monkeypatch):
+        from spinrad import bessel
+        from spinrad.scattering import DiskTable
+
+        def overflowing(self, omega, m, extra, pol, Omega):
+            return bessel.hankel(1, 150, 1e-3 * omega).real  # |H_150| overflows there
+
+        monkeypatch.setattr(DiskTable, "flux", overflowing)
+        cfg = write(tmp_path, self.DISK_CFG)
+        assert main(["power", "--config", cfg, "--out", str(tmp_path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numeric domain fault: channel m=1,")
+        assert "omega in [" in err and "H1 overflowed at order 150" in err
+
+    def test_config_domain_error_still_exits_2(self, tmp_path, capsys):
+        cfg = write(tmp_path, SPHERE_CFG.replace("1000.0", "-1.0"))
+        assert main(["power", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error")
+
+
 class TestSpectrum:
     def test_csv_with_header_block(self, tmp_path):
         cfg = write(tmp_path, SPHERE_CFG + "\n[numerics]\nomega_points = 8\n")
