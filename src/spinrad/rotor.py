@@ -14,6 +14,11 @@ so that ensembles, the stationary closed form and the width formula
 I*dW = sqrt(hbar*I*Mbar2/Mbar') are mutually consistent.  Pass
 ``diffusion_scale=1.0`` for the bare covariance <eta eta'> = hbar^2 Mbar2
 delta(t-t') instead; early-time variance growth then follows hbar^2*Mbar2*t.
+
+The layer imports no scipy: the monotone cubic (PCHIP) of tabulated torque
+laws and the Simpson and trapezoid rules of the stationary density are
+private numpy code here, written op for op after scipy 1.17 so that their
+values equal scipy's bit for bit.
 """
 
 import math
@@ -118,7 +123,8 @@ def torque_law_from_radiation(table, state, omega_range, rtol=1e-6, m_max=5, eps
 
     evaluated at rotation rate W, interpolated monotonically (PCHIP) and
     refined by grid doubling until the interpolant reproduces midpoint
-    evaluations to ``rtol`` relative.
+    evaluations to ``rtol`` relative.  Both weights vanish at m = 0, so that
+    channel is never integrated.
     """
     lo, hi = omega_range
     if not 0 <= lo < hi:
@@ -130,7 +136,7 @@ def torque_law_from_radiation(table, state, omega_range, rtol=1e-6, m_max=5, eps
     def moments(W):
         st = ThermalState(state.T_object, state.T_env, W)
         out = np.zeros(2)
-        for *_, val, _ in integrate_channels(table, st, weight, m_max, epsrel=epsrel):
+        for *_, val, _ in integrate_channels(table, st, weight, m_max, m_min=1, epsrel=epsrel):
             out += val
         return out
 
@@ -193,46 +199,32 @@ def _moment_interpolants(grid, vals):
     The radiation moments behave as steep power laws in the rotation rate, so
     log-log PCHIP holds a uniform relative accuracy across decades where a
     linear-space interpolant cannot.  Both columns share one two-column
-    spline, so ``moments`` takes log W, the interval search and exp once;
-    drift and diffusion alone read single columns of the same coefficients.
-    A column with negative values (the finite-T drift can change sign) keeps
-    a linear-space interpolant of its own.
+    spline, so ``moments`` takes log W, the interval search and exp once and
+    returns two contiguous rows; drift and diffusion alone read single
+    columns of the same coefficients.  A column with negative values (the
+    finite-T drift can change sign) keeps a linear-space interpolant of its
+    own.
     """
     if np.any(vals < 0.0):
         drift, diffusion = (_column_interpolant(grid, vals[:, j]) for j in range(2))
         return drift, diffusion, lambda w: (drift(w), diffusion(w))
-    from scipy.interpolate import PPoly
-
     both = _log_log_pchip(grid, vals)
-    drift, diffusion = (
-        _exp_log_log(PPoly.construct_fast(np.ascontiguousarray(both.c[..., j]), both.x))
-        for j in range(2)
-    )
-    pair = _exp_log_log(both)
-
-    def moments(w):
-        out = pair(w)
-        return out if np.ndim(w) == 0 else out.T
-
-    return drift, diffusion, moments
+    drift, diffusion = (_exp_log_log(both.column(j)) for j in range(2))
+    return drift, diffusion, _exp_log_log(both)
 
 
 def _column_interpolant(grid, vals):
     """Monotone interpolant of one column: log-log unless it holds negative values."""
     if np.any(vals < 0.0):  # stay in linear space
-        from scipy.interpolate import PchipInterpolator
-
-        lin = PchipInterpolator(grid, vals)
+        lin = _pchip(grid, vals)
         return lambda w: lin(np.clip(w, grid[0], grid[-1]))
     return _exp_log_log(_log_log_pchip(grid, vals))
 
 
 def _log_log_pchip(grid, vals):
     """PCHIP of log(vals) against log(W), one column per trailing index of vals."""
-    from scipy.interpolate import PchipInterpolator
-
     tiny = np.max(vals, axis=0) * 1e-290 + 1e-300
-    return PchipInterpolator(np.log(grid), np.log(np.maximum(vals, tiny)))
+    return _pchip(np.log(grid), np.log(np.maximum(vals, tiny)).T)
 
 
 def _exp_log_log(spline):
@@ -246,13 +238,154 @@ def _exp_log_log(spline):
         if arr.size and arr.min() > 0:  # common case: no W <= 0 and no NaN, so no mask
             out = np.exp(spline(np.log(arr)))
         else:
-            out = np.zeros(arr.shape + spline.c.shape[2:])
+            out = np.zeros(spline.c.shape[1:-1] + arr.shape)
             mask = arr > 0
             if np.any(mask):
-                out[mask] = np.exp(spline(np.log(arr[mask])))
-        return out if np.ndim(w) else out[0].tolist()
+                out[..., mask] = np.exp(spline(np.log(arr[mask])))
+        return out if np.ndim(w) else out[..., 0].tolist()
 
     return f
+
+
+# The PCHIP and Simpson rules below follow scipy 1.17's PchipInterpolator (with
+# PPoly evaluation), simpson, cumulative_simpson and cumulative_trapezoid op for
+# op, so their values match those bit for bit; they live here so that no
+# operation of the rotor layer imports scipy.
+
+
+class _PiecewiseCubic:
+    """Cubic pieces on breakpoints x; ``c[p, ..., i]`` multiplies (t - x[i])**p.
+
+    The axes of c between the power and the piece are columns, evaluated
+    together: ``self(t)`` has shape columns + t.shape.  As in scipy's PPoly,
+    t takes the piece i with x[i] <= t < x[i+1], the last piece also holds
+    t = x[-1], and the end pieces extrapolate; each value is the power sum
+    0.0 + c0 + c1*s + c2*(s*s) + c3*((s*s)*s), added in that order.
+    """
+
+    __slots__ = ("x", "c", "_inner")
+
+    def __init__(self, x, c):
+        self.x = x
+        self.c = c
+        self._inner = x[1:-1]  # searched on the right: a node takes the piece it starts
+
+    def column(self, j):
+        """The pieces of column j alone."""
+        return _PiecewiseCubic(self.x, np.ascontiguousarray(self.c[:, j]))
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        flat = t.ravel()
+        i = np.searchsorted(self._inner, flat, "right")  # NaN takes the last piece, stays NaN
+        powers = np.empty((3,) + (1,) * (self.c.ndim - 2) + flat.shape)  # s, s*s, (s*s)*s
+        s = np.subtract(flat, self.x.take(i), out=powers[0])
+        np.multiply(s, s, out=powers[1])
+        np.multiply(powers[1], s, out=powers[2])
+        terms = self.c.take(i, axis=-1)
+        terms[1:] *= powers
+        out = terms.sum(axis=0, initial=0.0)  # numpy adds four terms in order, from 0.0
+        return out.reshape(self.c.shape[1:-1] + t.shape)
+
+
+def _pchip(x, y):
+    """PCHIP through y (nodes on the last axis) at increasing nodes x, at least 3.
+
+    Interior slopes are the Fritsch-Butland weighted harmonic mean of the
+    adjacent secants (0 where they differ in sign or one is 0), end slopes
+    Moler's shape-preserving one-sided three-point estimate.
+    """
+    n = len(x)
+    if n < 3 or y.shape[-1] != n:
+        raise DomainError(f"PCHIP needs >= 3 nodes matching the values, got {n}")
+    if not np.isfinite(y).all():
+        raise DomainError("PCHIP values must be finite")
+    h = np.diff(x)
+    mk = (y[..., 1:] - y[..., :-1]) / h  # secants
+    smk = np.sign(mk)
+    flat = (smk[..., 1:] != smk[..., :-1]) | (mk[..., 1:] == 0) | (mk[..., :-1] == 0)
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):  # the flat nodes are dropped
+        whmean = (w1 / mk[..., :-1] + w2 / mk[..., 1:]) / (w1 + w2)
+        inner = np.where(flat, 0.0, 1.0 / whmean)
+    dk = np.concatenate([
+        _pchip_end_slope(h[0], h[1], mk[..., 0], mk[..., 1])[..., None],
+        inner,
+        _pchip_end_slope(h[-1], h[-2], mk[..., -1], mk[..., -2])[..., None],
+    ], axis=-1)
+    # Hermite coefficients of each piece
+    d0 = dk[..., :-1]
+    t = (d0 + dk[..., 1:] - 2 * mk) / h
+    return _PiecewiseCubic(x, np.stack([y[..., :-1], d0, (mk - d0) / h - t, t / h]))
+
+
+def _pchip_end_slope(h0, h1, m0, m1):
+    """One-sided three-point slope at an end node, clipped to keep the shape."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    wrong_sign = np.sign(d) != np.sign(m0)
+    overshoot = (np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3. * np.abs(m0))
+    return np.where(wrong_sign, 0.0, np.where(overshoot, 3. * m0, d))
+
+
+def _spacings(x, what):
+    """Node spacings of a strictly increasing grid of at least 3 nodes."""
+    h = np.diff(x)
+    if len(x) < 3 or not (h > 0).all():
+        raise DomainError(f"{what} needs >= 3 strictly increasing nodes, got {len(x)}")
+    return h
+
+
+def _simpson(y, x):
+    """Composite Simpson rule for int y dx over an odd number (>= 3) of nodes x."""
+    if len(x) % 2 == 0:
+        raise DomainError(f"Simpson's rule needs an odd number of nodes, got {len(x)}")
+    h = _spacings(x, "Simpson's rule")
+    h0, h1 = h[0:-1:2], h[1::2]
+    hsum = h0 + h1
+    hprod = h0 * h1
+    h0divh1 = h0 / h1
+    tmp = hsum / 6.0 * (y[0:-2:2] * (2.0 - 1.0 / h0divh1)
+                        + y[1:-1:2] * (hsum * (hsum / hprod))
+                        + y[2::2] * (2.0 - h0divh1))
+    return tmp.sum()
+
+
+def _cumulative_simpson(y, x):
+    """Running Simpson integral of y from x[0] at every node (0 at the first).
+
+    Interval k is integrated under the quadratic through its own two nodes
+    and the next node when k is even, the previous node when k is odd or
+    the interval is the last one.
+    """
+    h = _spacings(x, "cumulative Simpson")
+    ahead = _simpson_first_intervals(y, h)
+    behind = _simpson_first_intervals(y[::-1], h[::-1])[::-1]
+    parts = np.empty(len(h))
+    parts[:-1:2] = ahead[::2]
+    parts[1::2] = behind[::2]
+    parts[-1] = behind[-1]
+    run = np.cumsum(parts)
+    run += 0.0  # adds the initial value, as scipy does (-0.0 becomes 0.0)
+    return np.concatenate(([0.0], run))
+
+
+def _simpson_first_intervals(y, h):
+    """int over [x_k, x_k+1] of the quadratic through nodes k, k+1, k+2, for each k."""
+    x21, x32 = h[:-1], h[1:]
+    x31 = x21 + x32
+    x21_x31 = x21 / x31
+    x21_x32 = x21 / x32
+    x21x21_x31x32 = x21_x31 * x21_x32
+    coeff1 = 3 - x21_x31
+    coeff2 = 3 + x21x21_x31x32 + x21_x31
+    coeff3 = -x21x21_x31x32
+    return x21 / 6 * (coeff1 * y[:-2] + coeff2 * y[1:-1] + coeff3 * y[2:])
+
+
+def _cumulative_trapezoid(y, x):
+    """Running trapezoid integral of y from x[0] at every node (0 at the first)."""
+    return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
 
 
 def langevin_step(omega, law, I, dt, xi, *, hbar=1.0, drive=0.0,
@@ -414,21 +547,15 @@ class StationaryDistribution:
     cdf: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        from scipy.integrate import cumulative_trapezoid
-
-        c = cumulative_trapezoid(self.pdf, self.omega, initial=0.0)
+        c = _cumulative_trapezoid(self.pdf, self.omega)
         self.cdf = c / c[-1]
 
     def mean(self):
-        from scipy.integrate import simpson
-
-        return float(simpson(self.omega * self.pdf, x=self.omega))
+        return float(_simpson(self.omega * self.pdf, self.omega))
 
     def var(self):
-        from scipy.integrate import simpson
-
         mu = self.mean()
-        return float(simpson((self.omega - mu) ** 2 * self.pdf, x=self.omega))
+        return float(_simpson((self.omega - mu) ** 2 * self.pdf, self.omega))
 
     def std(self):
         return math.sqrt(self.var())
@@ -471,8 +598,6 @@ def fokker_planck_stationary(law, omega0, I, *, hbar=1.0, n_grid=4001, span=16.0
         if grid[0] <= 0:
             raise DomainError("grid must be strictly positive")
 
-    from scipy.integrate import simpson
-
     floor = 1e-12 * omega0
     n = len(grid) | 1  # odd count so the half-resolution subsample is Simpson-clean
     grid = np.linspace(grid[0], grid[-1], n)
@@ -500,10 +625,10 @@ def fokker_planck_stationary(law, omega0, I, *, hbar=1.0, n_grid=4001, span=16.0
 
     # refine until the Simpson norm is resolution-independent to ~1e-8
     for _ in range(4):
-        norm = simpson(pdf, x=grid)
+        norm = _simpson(pdf, grid)
         if not np.isfinite(norm) or norm <= 0:
             raise DomainError("stationary density is not normalizable on the grid")
-        coarse = simpson(pdf[::2], x=grid[::2])
+        coarse = _simpson(pdf[::2], grid[::2])
         if abs(coarse / norm - 1.0) < 1.5e-7:  # ~15x the fine-grid error
             return StationaryDistribution(grid, pdf / norm)
         n = 2 * n - 1
@@ -514,15 +639,13 @@ def fokker_planck_stationary(law, omega0, I, *, hbar=1.0, n_grid=4001, span=16.0
 
 def _fp_density_on(law, omega0, I, hbar, drive, grid):
     """Unnormalized stationary density (peak scaled to 1) on a given grid."""
-    from scipy.integrate import cumulative_simpson
-
     M2 = np.asarray(law.diffusion(grid), dtype=float)
     if np.any(M2 <= 0):
         raise DomainError("Mbar2 must be > 0 on the integration domain")
     h = (np.asarray(law.drift(grid), dtype=float) - drive) / M2
     # O(h^4) cumulative rule: the exponent is multiplied by I/hbar, so the
     # 1e-8 normalization target needs better than trapezoid accuracy
-    G = cumulative_simpson(h, x=grid, initial=0.0)
+    G = _cumulative_simpson(h, grid)
     G -= np.interp(omega0, grid, G)  # anchor the path integral at omega0
     logp = -np.log(M2) - (I / hbar) * G
     logp -= np.max(logp)

@@ -309,6 +309,35 @@ class TestTorqueLawFromRadiation:
             # weak coupling: Mbar2 ~ Mbar when the m=1 flux is tiny
             assert float(law.diffusion(W)) == pytest.approx(float(law.drift(W)), rel=1e-6)
 
+    def test_m0_channel_is_never_integrated(self):
+        # its weights m*N and m^2*N(N+1) vanish, yet at T > 0 it has support
+        class Recording(SphereTable):
+            def flux(self, omega, m, extra, pol, Omega):
+                seen.add(m)
+                return super().flux(omega, m, extra, pol, Omega)
+
+        seen = set()
+        torque_law_from_radiation(Recording(Drude(10.0), 0.01), ThermalState(T_object=0.5),
+                                  omega_range=(0.0, 2.0), rtol=1e-3, m_max=1)
+        assert seen == {-1, 1}
+
+    def test_m0_channel_adds_exactly_nothing(self):
+        from spinrad.radiation import integrate_channels
+
+        table = SphereTable(Drude(10.0), 0.01)
+        st = ThermalState(T_object=0.5, Omega=1.3)
+
+        def weight(w, m, N):
+            return np.array([m * N, m * m * N * (N + 1.0)])
+
+        sums = []
+        for m_min in (0, 1):
+            out = np.zeros(2)
+            for *_, val, _ in integrate_channels(table, st, weight, 1, m_min=m_min):
+                out += val
+            sums.append(out.tobytes())
+        assert sums[0] == sums[1]
+
     def test_vanishes_at_rest(self):
         table = SphereTable(Drude(1e3), 1e-3)
         law = torque_law_from_radiation(table, ThermalState(), omega_range=(0.0, 1.0))
