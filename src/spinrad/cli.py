@@ -355,13 +355,9 @@ def run_stats(args, parser):
         # the cylinder's channels are k_z-integrated, and the entropy of a
         # k_z-integrated N is not the k_z integral of the per-k_z entropy
         raise ConfigError("stats: per-mode entropy is available for disk, sphere and user-table")
-    state = _state(body)
     table = _make_table(geometry, material, body)
-    policy = _policy(numerics)
-    report = entropy_generation(table, state, policy)
+    report = entropy_generation(table, _state(body), _policy(numerics))
     radiation = report.radiation
-    if radiation is None:  # computed there only at T_object > 0 or with auto_extend
-        radiation = integrate_power(table, state, policy)
     payload = {
         "meta": _meta(args, radiation.flags),
         "perMode": [
@@ -409,7 +405,7 @@ def run_rotor(args, parser):
         hi = _get(parser, "rotor", "omega_hi", float, default=2.0 * Omega0)
         law = torque_law_from_radiation(
             _make_table(geometry, material, body), state0, omega_range=(0.0, hi), rtol=1e-6,
-            m_max=numerics["m_max"], epsrel=numerics["rel_tol"],
+            policy=_policy(numerics),
         )
     else:
         raise ConfigError("[rotor] law: must be 'radiation' or 'powerlaw'")

@@ -6,14 +6,13 @@ generating function is F(eta) = -log(1 - eta*N), the factorial cumulants are
 kappa_p = (p-1)! N^p, and P(n) = N^n / (N+1)^{n+1}.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .radiation import MSumPolicy, RadiationResult, integrate_channels, integrate_power
+from .radiation import MSumPolicy, RadiationResult, integrate_channel, integrate_power
 
 P_MAX = 20
 
@@ -149,20 +148,19 @@ class EntropyReport:
     object_rate: float | None
     combined_rate: float
     quadrature_error: float
-    radiation: RadiationResult | None = None  # P, M, Q (at T_object > 0 or auto_extend)
+    radiation: RadiationResult  # P, M, Q over the same channels
 
 
 def entropy_generation(table, state, policy=None):
     """Entropy generation rate of the radiated field, plus the object's term.
 
-    Integrates mode_entropy_rate over every channel with the shared
-    quadrature engine, over the same partial waves as :func:`integrate_power`:
-    the block |m| <= ``policy.m_max`` and, with ``auto_extend``, each shell
-    |m| = k that the P, M, Q sum added (cut at its own thermal cutoff).  For
-    a static thermal emitter the object contributes -P/T; for a rotating
-    body at finite temperature the comoving heat gain contributes +Q/T; at
-    T = 0 the object term is left unset and the combined rate equals the
-    field rate.
+    Runs :func:`integrate_power`, then integrates mode_entropy_rate over
+    exactly the channels its P, M, Q sum used (the block |m| <= m_max and,
+    with ``auto_extend``, the shells it grew), each at the thermal cutoff
+    its P, M, Q integral used, Omega*max(|m|, m_max) + 40T.  For a static
+    thermal emitter the object contributes -P/T; for a rotating body at
+    finite temperature the comoving heat gain contributes +Q/T; at T = 0 the
+    object term is left unset and the combined rate equals the field rate.
 
     The accounting assumes emission into a zero-temperature environment
     (every channel then carries a nonnegative occupation); a thermal
@@ -171,25 +169,19 @@ def entropy_generation(table, state, policy=None):
     policy = policy or MSumPolicy()
     if state.T_env > 0:
         raise DomainError("entropy accounting needs a zero-temperature environment")
-    rad = None
-    m_used = policy.m_max
-    if state.T_object > 0 or policy.auto_extend:
-        rad = integrate_power(table, state, policy)
-        if policy.auto_extend:
-            m_used = max([m_used] + [abs(c.m) for c in rad.per_mode])
+    rad = integrate_power(table, state, policy)
 
-    def shell(m_max, m_min=0):
-        return integrate_channels(
-            table, state, lambda w, m, N: mode_entropy_rate(np.maximum(N, 0.0)), m_max, m_min,
-            epsrel=max(policy.epsrel, 1e-8),
-        )
+    def weight(w, m, N):
+        return mode_entropy_rate(np.maximum(N, 0.0))
 
     per_mode = []
     total = 0.0
     err_total = 0.0
-    shells = [shell(policy.m_max)] + [shell(k, k) for k in range(policy.m_max + 1, m_used + 1)]
-    for m, extra, pol, val, err in itertools.chain(*shells):
-        per_mode.append((m, extra, pol, float(val)))
+    for c in rad.per_mode:
+        val, err = integrate_channel(table, state, c.m, c.extra, c.pol, weight,
+                                     max(abs(c.m), policy.m_max),
+                                     epsrel=max(policy.epsrel, 1e-8))
+        per_mode.append((c.m, c.extra, c.pol, float(val)))
         total += float(val)
         err_total += err
 

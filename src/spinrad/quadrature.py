@@ -56,6 +56,7 @@ _WG = np.array([
 _WG = np.concatenate([_WG, _WG[::-1]])
 
 BATCH_PANELS = 128  # panels bisected per refinement round
+EPSABS = 1e-300  # absolute tolerance: in effect, the relative tolerance alone decides
 _EPS = sys.float_info.epsilon
 _TINY = sys.float_info.min
 
@@ -98,7 +99,7 @@ def _gk21(f, lo, hi):
     return h * s_k, err, round_err
 
 
-def adaptive_integral(f, a, b, *, epsabs=1e-300, epsrel=1e-9, limit=300):
+def adaptive_integral(f, a, b, *, epsrel=1e-9, limit=300):
     """Integrate a scalar or vector integrand over (a, b).
 
     ``f`` takes a 1-D array of nodes and returns values with the nodes on the
@@ -125,7 +126,7 @@ def adaptive_integral(f, a, b, *, epsabs=1e-300, epsrel=1e-9, limit=300):
 
     success = False
     while True:
-        tol = max(epsabs, epsrel * np.abs(total).max())
+        tol = max(EPSABS, epsrel * np.abs(total).max())
         if error < tol / 8:
             success = True
             break
@@ -159,7 +160,7 @@ def adaptive_integral(f, a, b, *, epsabs=1e-300, epsrel=1e-9, limit=300):
 
     err = float(error + rounding)
     scale = float(np.abs(total).max())
-    if not success and not err <= max(epsabs, epsrel * scale) * 50:  # NaN fails too
+    if not success and not err <= max(EPSABS, epsrel * scale) * 50:  # NaN fails too
         raise ConvergenceError(
             f"quadrature on ({a:g}, {b:g}) stalled: err={err:g} after {len(panels)} panels"
         )

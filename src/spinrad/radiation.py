@@ -11,7 +11,7 @@ support collapses to the superradiant windows (0, Omega*m), m >= 1.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -38,6 +38,10 @@ class MSumPolicy:
     raise_on_tail: bool = True
     epsrel: float = 1e-9
 
+    def __post_init__(self):
+        if self.m_max < 0:
+            raise DomainError(f"m_max must be >= 0, got {self.m_max}")
+
 
 @dataclass(frozen=True)
 class ModeContribution:
@@ -61,26 +65,7 @@ class RadiationResult:
     flags: dict = field(default_factory=dict)
 
     def as_dict(self):
-        return {
-            "P": self.P,
-            "M": self.M,
-            "Q": self.Q,
-            "per_mode": [
-                {
-                    "m": c.m,
-                    "extra": c.extra,
-                    "pol": c.pol,
-                    "P": c.P,
-                    "M": c.M,
-                    "Q": c.Q,
-                    "error": c.error,
-                }
-                for c in self.per_mode
-            ],
-            "quadrature_error": self.quadrature_error,
-            "truncation_tail": self.truncation_tail,
-            "flags": self.flags,
-        }
+        return asdict(self)
 
 
 def occupation_difference(omega, m, state):
@@ -214,6 +199,28 @@ def integrate_channels(table, state, weight, m_max, m_min=0, **kw):
                 yield (m, extra, pol, *res)
 
 
+def partial_wave_sum(table, state, weight, policy, m_min=0):
+    """(channels, m_used): each radiating channel's (m, extra, pol, value, error) and the last |m|.
+
+    First the block m_min <= |m| <= m_max at the shared cutoff Omega*m_max +
+    40T; then, with ``auto_extend``, one shell |m| = k at a time at its own
+    cutoff Omega*k + 40T, while the outer shell's largest |first component|
+    exceeds ``tail_tol`` times the summed first component and k < ``m_cap``.
+    """
+    def unconverged():
+        scale = abs(_sum(val[0] for *_, val, _ in channels))
+        return scale > 0 and _outer_peak(channels) > policy.tail_tol * scale
+
+    channels = list(integrate_channels(table, state, weight, policy.m_max, m_min,
+                                       epsrel=policy.epsrel))
+    m_used = policy.m_max
+    while policy.auto_extend and m_used < policy.m_cap and unconverged():
+        m_used += 1
+        channels += integrate_channels(table, state, weight, m_used, m_used,
+                                       epsrel=policy.epsrel)
+    return channels, m_used
+
+
 def integrate_power(table, state, policy=None):
     """Radiated power, torque and heat of a channel table in a thermal state.
 
@@ -224,9 +231,8 @@ def integrate_power(table, state, policy=None):
     state : ThermalState
         Object/environment temperatures and rotation rate.
     policy : MSumPolicy, optional
-        Partial-wave truncation; ``auto_extend`` adds one shell |m| = k at a
-        time (each cut at its own thermal cutoff Omega*k + 40T) until the
-        last shell falls below ``tail_tol`` relative to the total.
+        Partial-wave truncation, applied by :func:`partial_wave_sum` with
+        |P| as the growth measure of ``auto_extend``.
 
     Returns
     -------
@@ -241,27 +247,17 @@ def integrate_power(table, state, policy=None):
     def weight(w, m, N):
         return np.array([w * N, m * N, (Omega * m - w) * N])
 
-    def shells(m_max, m_min=0):
-        return [
-            ModeContribution(m, extra, pol, float(val[0]), float(val[1]), float(val[2]), err)
-            for m, extra, pol, val, err in integrate_channels(
-                table, state, weight, m_max, m_min, epsrel=policy.epsrel)
-        ]
-
-    def unconverged():
-        scale = abs(_sum(c.P for c in per_mode))
-        return scale > 0 and _outer_peak(per_mode) > policy.tail_tol * scale
-
-    per_mode = shells(policy.m_max)
-    m_used = policy.m_max
-    while policy.auto_extend and m_used < policy.m_cap and unconverged():
-        m_used += 1
-        per_mode += shells(m_used, m_used)
+    channels, m_used = partial_wave_sum(table, state, weight, policy)
+    per_mode = [
+        ModeContribution(m, extra, pol, float(val[0]), float(val[1]), float(val[2]), err)
+        for m, extra, pol, val, err in channels
+    ]
 
     # probe the first omitted shell and close the geometric series with the
     # measured decay ratio; a table with no higher partial waves has no tail
-    probe = shells(m_used + 1, m_used + 1) if per_mode else []
-    tail = _geometric_tail(_outer_peak(per_mode), _outer_peak(probe)) if probe else 0.0
+    probe = list(integrate_channels(table, state, weight, m_used + 1, m_used + 1,
+                                    epsrel=policy.epsrel)) if channels else []
+    tail = _geometric_tail(_outer_peak(channels), _outer_peak(probe)) if probe else 0.0
 
     P, M, Q = (_sum(getattr(c, k) for c in per_mode) for k in "PMQ")
     # the lowest cutoff any channel used is that of the block |m| <= m_max
@@ -284,10 +280,10 @@ def _sum(values):
     return total
 
 
-def _outer_peak(modes):
-    """Largest |P| among the channels of the highest |m| in ``modes`` (0 if none)."""
-    top = max((abs(c.m) for c in modes), default=None)
-    return max((abs(c.P) for c in modes if abs(c.m) == top), default=0.0)
+def _outer_peak(channels):
+    """Largest |first component| among the channels of the highest |m| (0 if none)."""
+    top = max((abs(m) for m, *_ in channels), default=None)
+    return max((abs(val[0]) for m, *_, val, _ in channels if abs(m) == top), default=0.0)
 
 
 def _geometric_tail(last, probe):
@@ -355,8 +351,10 @@ def spindown_timescale(torque, I, omega0, omega_final=None, epsrel=1e-8):
 def spectral_rows(table, state, policy=None, n_points=400):
     """Rows (omega, m, extra, pol, N, dP_domega) for the spectrum emitter.
 
-    Each channel is sampled on n_points interior nodes of its support.
+    Each channel |m| <= m_max is sampled on n_points interior nodes of its support.
     """
+    if n_points < 1:
+        raise DomainError(f"n_points must be >= 1, got {n_points}")
     policy = policy or MSumPolicy()
     rows = []
     for m in table.m_values(policy.m_max):

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, StepSizeError
-from .radiation import integrate_channels
+from .radiation import MSumPolicy, partial_wave_sum
 from .material import ThermalState
 
 FP_DIFFUSION_SCALE = 2.0
@@ -44,6 +44,9 @@ NOISE_CHUNK = 256
 # edge of the square tiles in which a noise chunk is transposed
 _TILE = 64
 
+# steps between the ensemble's finiteness, stiffness and adiabaticity checks
+GUARD_EVERY = 25
+
 
 @dataclass(frozen=True)
 class TorqueLaw:
@@ -55,7 +58,6 @@ class TorqueLaw:
 
     drift: object
     diffusion: object
-    provenance: str = "closed-form"
     drift_derivative_fn: object = None
     moments_fn: object = None
 
@@ -80,7 +82,7 @@ class TorqueLaw:
             p = np.power(w, exponent)
             return coeff * p, c2 * p
 
-        return cls(drift, diffusion, "closed-form", ddrift, moments if k2 == exponent else None)
+        return cls(drift, diffusion, ddrift, moments if k2 == exponent else None)
 
     def moments(self, w):
         """(Mbar(W), Mbar2(W)) in one evaluation where the law allows it."""
@@ -115,20 +117,19 @@ def _centered_derivative(f, w0, rtol=1e-7):
     return prev if prev is not None else d
 
 
-def torque_law_from_radiation(table, state, omega_range, rtol=1e-6, m_max=5, epsrel=1e-9):
+def torque_law_from_radiation(table, state, omega_range, rtol=1e-6, policy=None):
     """Numeric torque law: Mbar, Mbar2 memoized on a refining grid.
 
     Mbar(W)  = sum_m int dw/2pi m   N_m(w)
     Mbar2(W) = sum_m int dw/2pi m^2 N_m(w) (N_m(w) + 1)
 
-    evaluated at rotation rate W, interpolated monotonically (PCHIP) and
-    refined by grid doubling until the interpolant reproduces midpoint
-    evaluations to ``rtol`` relative.  Both weights vanish at m = 0, so that
-    channel is never integrated.
+    evaluated at rotation rate W over the partial waves of ``policy`` (an
+    :class:`MSumPolicy`; ``auto_extend`` grows the sum by |Mbar|),
+    interpolated monotonically (PCHIP) and refined by grid doubling until
+    the interpolant reproduces midpoint evaluations to ``rtol`` relative.
+    Both weights vanish at m = 0, so that channel is never integrated.
     """
-    lo, hi = omega_range
-    if not 0 <= lo < hi:
-        raise DomainError("need 0 <= lo < hi for the tabulation range")
+    policy = policy or MSumPolicy()
 
     def weight(w, m, N):
         return np.array([m * N, m * m * N * (N + 1.0)])
@@ -136,7 +137,7 @@ def torque_law_from_radiation(table, state, omega_range, rtol=1e-6, m_max=5, eps
     def moments(W):
         st = ThermalState(state.T_object, state.T_env, W)
         out = np.zeros(2)
-        for *_, val, _ in integrate_channels(table, st, weight, m_max, m_min=1, epsrel=epsrel):
+        for *_, val, _ in partial_wave_sum(table, st, weight, policy, m_min=1)[0]:
             out += val
         return out
 
@@ -170,7 +171,7 @@ def tabulate_torque_law(moments, omega_range, rtol=1e-6):
         vals = evaluate(grid)
         if np.all(vals == 0.0):
             zero = lambda w: np.zeros_like(np.asarray(w, dtype=float))
-            return TorqueLaw(zero, zero, "numeric", zero)
+            return TorqueLaw(zero, zero, zero)
         drift_i, diff_i, moments_i = _moment_interpolants(grid, vals)
         mids = np.sqrt(grid[:-1] * grid[1:])
         probe = mids[:: max(1, (len(grid) - 1) // 8)]
@@ -190,7 +191,7 @@ def tabulate_torque_law(moments, omega_range, rtol=1e-6):
         h = 1e-6 * (np.abs(w) + 1e-6 * hi)
         return (drift_i(w + h) - drift_i(np.maximum(w - h, 0.0))) / (2.0 * h)
 
-    return TorqueLaw(drift_i, diff_i, "numeric", slope, moments_i)
+    return TorqueLaw(drift_i, diff_i, slope, moments_i)
 
 
 def _moment_interpolants(grid, vals):
@@ -441,7 +442,7 @@ class RotorEnsemble:
 
 def simulate_ensemble(law, I, omega0, *, t_total, dt, n_traj, seed=0, drive_at=None,
                       hbar=1.0, diffusion_scale=FP_DIFFUSION_SCALE, n_record=33,
-                      block_size=4096, guard_every=25):
+                      block_size=4096):
     """Evolve an ensemble of rotors by Euler-Maruyama.
 
     Counter-based RNG: trajectory i draws from Philox(key=(seed, i)), so the
@@ -455,8 +456,13 @@ def simulate_ensemble(law, I, omega0, *, t_total, dt, n_traj, seed=0, drive_at=N
     torque hbar*Mbar(W0) that holds the rotor near the set point; ``None``
     lets it decay freely.  dt must satisfy dt*(hbar/I)*dMbar/dW < 0.1
     everywhere the ensemble goes, and W must stay finite (both checked every
-    ``guard_every`` steps, and finiteness again at the end).
+    ``GUARD_EVERY`` steps, and finiteness again at the end).  ``n_record``
+    (>= 2) counts the recorded times, the start and the end included.
     """
+    if n_traj < 1:
+        raise DomainError(f"n_traj must be >= 1, got {n_traj}")
+    if n_record < 2:
+        raise DomainError(f"n_record must be >= 2, got {n_record}")
     if dt <= 0 or t_total <= 0:
         raise DomainError("need positive dt and t_total")
     n_steps = int(round(t_total / dt))
@@ -489,7 +495,7 @@ def simulate_ensemble(law, I, omega0, *, t_total, dt, n_traj, seed=0, drive_at=N
                 for j, gen in enumerate(gens):
                     gen.standard_normal(out=draws[j, :k])
                 _transpose_into(noise, draws, k)
-            if step % guard_every == 0:
+            if step % GUARD_EVERY == 0:
                 _check_finite(W, step, start)
                 stiff = dt * (hbar / I) * np.max(np.abs(law.drift_derivative(W)))
                 if stiff >= STIFFNESS_LIMIT:

@@ -10,6 +10,20 @@ from scipy.constants import c as C_SI, epsilon_0, hbar as HBAR_SI
 from spinrad import Drude, disk_smatrix
 from spinrad.cli import main
 
+DISK_CFG = """
+[scenario]
+geometry = disk
+
+[material]
+model = drude
+sigma = 1.0
+
+[body]
+radius = 0.3
+omega = 1.0
+"""
+
+
 SPHERE_CFG = """
 [scenario]
 geometry = sphere
@@ -98,6 +112,22 @@ class TestValidation:
         assert main(["power", "--config", cfg, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error") and str(table) in err
+
+    @pytest.mark.parametrize("command, numerics, key", [
+        ("power", "m_max = -1", "m_max"),
+        ("spectrum", "omega_points = -3", "n_points"),
+        ("rotor", "n_traj = 0", "n_traj"),
+        ("rotor", "n_record = 0", "n_record"),
+        ("rotor", "n_record = 1", "n_record"),
+    ], ids=["m_max", "omega_points", "n_traj", "n_record=0", "n_record=1"])
+    def test_out_of_range_numerics_exit_2(self, tmp_path, capsys, command, numerics, key):
+        cfg = write(tmp_path, SPHERE_CFG + "inertia = 400.0\n[numerics]\n" + numerics
+                    + "\n[rotor]\nlaw = powerlaw\ncoeff = 1.0\nexponent = 5\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and key in err
+        assert not any(out.iterdir())  # rejected before any output is written
 
 
 class TestPower:
@@ -265,6 +295,17 @@ class TestStats:
         assert payload["combinedRate"] == payload["totalEntropyRate"]
         assert payload["perMode"][0]["m"] == 1
 
+    @pytest.mark.parametrize("body", [DISK_CFG.replace("0.3", "0.1"),
+                                      SPHERE_CFG + "t_object = 0.5\n"],
+                             ids=["disk-T0", "sphere-thermal"])
+    def test_pmq_equal_power_bit_for_bit(self, tmp_path, body):
+        cfg = write(tmp_path, body)
+        assert main(["stats", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert main(["power", "--config", cfg, "--out", str(tmp_path)]) == 0
+        stats = json.loads((tmp_path / "stats.json").read_text())
+        power = json.loads((tmp_path / "power.json").read_text())
+        assert [stats[k] for k in "PMQ"] == [power[k] for k in "PMQ"]
+
 
 class TestRotor:
     def test_powerlaw_rotor_outputs(self, tmp_path):
@@ -316,6 +357,18 @@ class TestRotor:
         cold, hot = summaries
         # thermal torque noise widens the stationary distribution
         assert hot["IDeltaOmega_analytic"] > 1.2 * cold["IDeltaOmega_analytic"]
+
+    def test_radiation_law_follows_auto_extend(self, tmp_path):
+        # the m_max = 1 sum of this disk's torque is about 20% low at W = 1
+        base = DISK_CFG.replace("omega = 1.0\n", "omega = 1.0\ninertia = 10000.0\n")
+        tail = "[numerics]\nn_traj = 16\nn_record = 3\nm_max = 1\n"
+        widths = []
+        for extend in ("", "auto_extend = true\n"):
+            out = tmp_path / f"extend{len(extend)}"
+            cfg = write(tmp_path, base + tail + extend)
+            assert main(["rotor", "--config", cfg, "--out", str(out)]) == 0
+            widths.append(json.loads((out / "rotor.json").read_text())["IDeltaOmega_analytic"])
+        assert widths[0] != widths[1]
 
 
 class TestTwoBody:

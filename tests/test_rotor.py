@@ -10,8 +10,10 @@ import pytest
 
 from spinrad import rotor
 from spinrad import (
+    DiskTable,
     DomainError,
     Drude,
+    MSumPolicy,
     SphereTable,
     StepSizeError,
     ThermalState,
@@ -111,7 +113,7 @@ def quintic(w):
 
 # W^5 law from IEEE-exact arithmetic only (no pow), so the digests below do
 # not depend on the platform's math library; moments_fn shares one power
-QUINTIC = TorqueLaw(quintic, quintic, "closed-form", lambda w: 5.0 * w * w * w * w,
+QUINTIC = TorqueLaw(quintic, quintic, lambda w: 5.0 * w * w * w * w,
                     lambda w: (quintic(w),) * 2)
 
 # SHA-256 of ens.omegas for the ledger runs below, recorded before the noise
@@ -318,8 +320,20 @@ class TestTorqueLawFromRadiation:
 
         seen = set()
         torque_law_from_radiation(Recording(Drude(10.0), 0.01), ThermalState(T_object=0.5),
-                                  omega_range=(0.0, 2.0), rtol=1e-3, m_max=1)
+                                  omega_range=(0.0, 2.0), rtol=1e-3,
+                                  policy=MSumPolicy(m_max=1))
         assert seen == {-1, 1}
+
+    def test_auto_extend_matches_the_larger_fixed_sum(self):
+        # the m_max = 1 sum of this disk's drift is about 20% low at W = 1
+        table = DiskTable(Drude(1.0), 0.3)
+        grown = torque_law_from_radiation(
+            table, ThermalState(), (0.0, 1.0),
+            policy=MSumPolicy(m_max=1, auto_extend=True, tail_tol=1e-6))
+        fixed = torque_law_from_radiation(table, ThermalState(), (0.0, 1.0),
+                                          policy=MSumPolicy(m_max=9))
+        for W in (0.5, 1.0):
+            assert grown.moments(W) == pytest.approx(fixed.moments(W), rel=1e-6)
 
     def test_m0_channel_adds_exactly_nothing(self):
         from spinrad.radiation import integrate_channels
