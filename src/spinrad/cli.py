@@ -1,7 +1,8 @@
 """Batch front-end: config-driven scenarios with deterministic emitters.
 
 Config files are INI-style, one section per concern, with strict unknown-key
-rejection (a typo in a physics parameter must never be silently ignored).
+rejection (a typo in a physics parameter must never be silently ignored); a
+material key that the chosen model does not read is rejected too.
 ``units = si`` converts at the boundary only: radius/length/d in m, omega in
 rad/s, temperatures in K, conductivity in S/m (converted to the Gaussian
 convention used by eps = 1 + 4 pi i sigma/omega), inertia in kg m^2; outputs
@@ -79,6 +80,9 @@ _MATERIAL_KEYS = {
     "tabulated": {"path"},
 }
 
+# the [twobody] keys that describe the test body's material
+_TEST_MATERIAL_KEYS = {"test_sigma", "test_eps_re", "test_eps_im"}
+
 
 def _get(parser, section, key, cast, default=None, required=False):
     if not parser.has_option(section, key):
@@ -120,6 +124,8 @@ def _build_material(parser, units, section="material"):
     model = _get(parser, section, "model", str, required=True).lower()
     if model not in _MATERIAL_KEYS:
         raise ConfigError(f"[{section}] model: unknown model {model!r}")
+    _reject_unread(section, set(parser.options(section)) - {"model"}, _MATERIAL_KEYS[model],
+                   model)
     if model == "vacuum":
         return Vacuum()
     if model == "drude":
@@ -142,6 +148,13 @@ def _build_material(parser, units, section="material"):
         )
     path = _get(parser, section, "path", str, required=True)
     return _load_file(TabulatedEpsilon.from_csv, path, "tabulated epsilon")
+
+
+def _reject_unread(section, given, read, model):
+    """Raise ConfigError naming any key of ``given`` that ``model`` does not read."""
+    unread = sorted(given - read)
+    if unread:
+        raise ConfigError(f"[{section}] {', '.join(unread)}: not read by model {model!r}")
 
 
 def _build_scenario(parser):
@@ -188,8 +201,6 @@ def _build_scenario(parser):
             raise ConfigError(f"[body] {key}: must be > 0")
 
     numerics = {
-        "m_max": _get(parser, "numerics", "m_max", int, default=5),
-        "auto_extend": _get(parser, "numerics", "auto_extend", bool, default=False),
         "tail_tol": _get(parser, "numerics", "tail_tol", float, default=1e-6),
         "rel_tol": _get(parser, "numerics", "rel_tol", float, default=1e-9),
         "omega_points": _get(parser, "numerics", "omega_points", int, default=200),
@@ -201,6 +212,13 @@ def _build_scenario(parser):
     for key in ("tail_tol", "rel_tol"):
         if not 0.0 < numerics[key] < 1.0:
             raise ConfigError(f"[numerics] {key}: must lie in (0, 1)")
+    # built here so that every command checks m_max, whether it sums partial waves or not
+    numerics["policy"] = MSumPolicy(
+        m_max=_get(parser, "numerics", "m_max", int, default=5),
+        auto_extend=_get(parser, "numerics", "auto_extend", bool, default=False),
+        tail_tol=numerics["tail_tol"],
+        epsrel=numerics["rel_tol"],
+    )
 
     material = None
     if parser.has_section("material"):
@@ -209,15 +227,6 @@ def _build_scenario(parser):
         raise ConfigError("[material] section required for computed geometries")
 
     return geometry, units, material, body, numerics
-
-
-def _policy(numerics):
-    return MSumPolicy(
-        m_max=numerics["m_max"],
-        auto_extend=numerics["auto_extend"],
-        tail_tol=numerics["tail_tol"],
-        epsrel=numerics["rel_tol"],
-    )
 
 
 def _make_table(geometry, material, body):
@@ -322,7 +331,7 @@ def _state(body):
 def run_power(args, parser):
     geometry, units, material, body, numerics = _build_scenario(parser)
     table = _make_table(geometry, material, body)
-    result = integrate_power(table, _state(body), _policy(numerics))
+    result = integrate_power(table, _state(body), numerics["policy"])
     payload = {"meta": _meta(args, result.flags), **result.as_dict()}
     if units is not None:
         payload["si"] = {
@@ -339,7 +348,7 @@ def run_power(args, parser):
 def run_spectrum(args, parser):
     geometry, units, material, body, numerics = _build_scenario(parser)
     table = _make_table(geometry, material, body)
-    rows = spectral_rows(table, _state(body), _policy(numerics), numerics["omega_points"])
+    rows = spectral_rows(table, _state(body), numerics["policy"], numerics["omega_points"])
     flags = {"omega_R_over_c": (body["omega"] * body["radius"]) if body["radius"] else 0.0}
     out = _write_table(
         args.out, "spectrum", args.format, _meta(args, flags),
@@ -356,7 +365,7 @@ def run_stats(args, parser):
         # k_z-integrated N is not the k_z integral of the per-k_z entropy
         raise ConfigError("stats: per-mode entropy is available for disk, sphere and user-table")
     table = _make_table(geometry, material, body)
-    report = entropy_generation(table, _state(body), _policy(numerics))
+    report = entropy_generation(table, _state(body), numerics["policy"])
     radiation = report.radiation
     payload = {
         "meta": _meta(args, radiation.flags),
@@ -405,7 +414,7 @@ def run_rotor(args, parser):
         hi = _get(parser, "rotor", "omega_hi", float, default=2.0 * Omega0)
         law = torque_law_from_radiation(
             _make_table(geometry, material, body), state0, omega_range=(0.0, hi), rtol=1e-6,
-            policy=_policy(numerics),
+            policy=numerics["policy"],
         )
     else:
         raise ConfigError("[rotor] law: must be 'radiation' or 'powerlaw'")
@@ -466,6 +475,10 @@ def run_twobody(args, parser):
         d = units.length(d)
         test_radius = units.length(test_radius)
     test_model_name = _get(parser, "twobody", "test_model", str, required=True).lower()
+    if test_model_name not in ("drude", "constant", "vacuum"):
+        raise ConfigError("[twobody] test_model: must be drude, constant or vacuum")
+    _reject_unread("twobody", set(parser.options("twobody")) & _TEST_MATERIAL_KEYS,
+                   {"test_" + k for k in _MATERIAL_KEYS[test_model_name]}, test_model_name)
     if test_model_name == "drude":
         ts = _get(parser, "twobody", "test_sigma", float, required=True)
         if units is not None:
@@ -476,10 +489,8 @@ def run_twobody(args, parser):
             _get(parser, "twobody", "test_eps_re", float, required=True),
             _get(parser, "twobody", "test_eps_im", float, default=0.0),
         )
-    elif test_model_name == "vacuum":
-        test_model = Vacuum()
     else:
-        raise ConfigError("[twobody] test_model: must be drude, constant or vacuum")
+        test_model = Vacuum()
 
     cfg = TwoBodyConfig(d, material, body["radius"], test_model, test_radius)
     Omega = body["omega"]

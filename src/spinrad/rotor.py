@@ -1,19 +1,22 @@
 """Stochastic rotational dynamics driven by radiation back-reaction.
 
-The angular-momentum flux defines a drift Mbar(W) (mean torque / hbar) and a
-diffusion strength Mbar2(W) (torque variance / hbar^2).  The probability
+Natural units throughout (hbar = c = k_B = 1), so no function here takes
+hbar.  The angular-momentum flux defines a drift Mbar(W) (the mean torque)
+and a diffusion strength Mbar2(W) (the torque variance).  The probability
 density of the angular velocity obeys the master equation whose stationary
 driven solution is
 
-    P(W) = C / Mbar2(W) * exp[-(I/hbar) int_0^W (Mbar - Mbar(W0)) / Mbar2 dW'].
+    P(W) = C / Mbar2(W) * exp[-I int_0^W (Mbar - Mbar(W0)) / Mbar2 dW'].
 
 The equivalent Ito SDE for that equation carries noise variance
-2 * hbar^2 * Mbar2 * dt per step (the master equation's diffusion term reads
+2 * Mbar2 * dt per step (the master equation's diffusion term reads
 d^2/dW^2 (Mbar2 P) with no 1/2), which is what the simulator uses by default
 so that ensembles, the stationary closed form and the width formula
-I*dW = sqrt(hbar*I*Mbar2/Mbar') are mutually consistent.  Pass
-``diffusion_scale=1.0`` for the bare covariance <eta eta'> = hbar^2 Mbar2
-delta(t-t') instead; early-time variance growth then follows hbar^2*Mbar2*t.
+I*dW = sqrt(I*Mbar2/Mbar') are mutually consistent.  Every drift slope Mbar'
+(the width, the stiffness guard, the CLI's time step) is the law's own
+:meth:`TorqueLaw.drift_derivative`.  Pass ``diffusion_scale=1.0`` for the
+bare covariance <eta eta'> = Mbar2 delta(t-t') instead; early-time variance
+growth then follows Mbar2*t.
 
 The layer imports no scipy: the monotone cubic (PCHIP) of tabulated torque
 laws and the Simpson and trapezoid rules of the stationary density are
@@ -37,8 +40,10 @@ STIFFNESS_LIMIT = 0.1
 
 ADIABATIC_LIMIT = 0.1
 
-# Langevin noise is drawn NOISE_CHUNK steps at a time, so an ensemble block
-# holds 2 * block_size * NOISE_CHUNK doubles of noise whatever its length
+# Langevin trajectories run BLOCK_SIZE at a time and draw their noise
+# NOISE_CHUNK steps at a time, so an ensemble holds 2 * BLOCK_SIZE *
+# NOISE_CHUNK doubles of noise whatever its length
+BLOCK_SIZE = 4096
 NOISE_CHUNK = 256
 
 # edge of the square tiles in which a noise chunk is transposed
@@ -46,6 +51,11 @@ _TILE = 64
 
 # steps between the ensemble's finiteness, stiffness and adiabaticity checks
 GUARD_EVERY = 25
+
+# the stationary density's first grid: FP_GRID_POINTS nodes (an odd count, so
+# the half-resolution subsample is Simpson-clean) over omega0 +- FP_SPAN widths
+FP_GRID_POINTS = 4001
+FP_SPAN = 16.0
 
 
 @dataclass(frozen=True)
@@ -91,30 +101,16 @@ class TorqueLaw:
         return self.drift(w), self.diffusion(w)
 
     def drift_derivative(self, w):
+        """dMbar/dW: ``drift_derivative_fn`` when the law carries one.
+
+        Otherwise a centered difference with the fixed step 1e-5 (|W| + 1),
+        for scalar and array W alike.
+        """
         if self.drift_derivative_fn is not None:
             return self.drift_derivative_fn(w)
-        if np.ndim(w) == 0:
-            return _centered_derivative(self.drift, w)
-        # vectorized slope estimate (stiffness guard): fixed relative step
         w = np.asarray(w, dtype=float)
         h = 1e-5 * (np.abs(w) + 1.0)
         return (self.drift(w + h) - self.drift(np.maximum(w - h, 0.0))) / (2.0 * h)
-
-
-def _centered_derivative(f, w0, rtol=1e-7):
-    """Centered difference with step halving until successive values agree."""
-    w0 = float(w0)
-    h = max(abs(w0), 1.0) * 1e-2
-    prev = None
-    for _ in range(24):
-        d = (f(w0 + h) - f(w0 - h)) / (2.0 * h)
-        if prev is not None and abs(d - prev) <= rtol * max(abs(d), 1e-300):
-            return d
-        prev = d
-        h *= 0.5
-        if h < max(abs(w0), 1.0) * 1e-7:
-            break
-    return prev if prev is not None else d
 
 
 def torque_law_from_radiation(table, state, omega_range, rtol=1e-6, policy=None):
@@ -124,22 +120,23 @@ def torque_law_from_radiation(table, state, omega_range, rtol=1e-6, policy=None)
     Mbar2(W) = sum_m int dw/2pi m^2 N_m(w) (N_m(w) + 1)
 
     evaluated at rotation rate W over the partial waves of ``policy`` (an
-    :class:`MSumPolicy`; ``auto_extend`` grows the sum by |Mbar|),
+    :class:`MSumPolicy`; ``auto_extend`` grows the sum by |Mbar2|, the more
+    slowly converging of the two),
     interpolated monotonically (PCHIP) and refined by grid doubling until
     the interpolant reproduces midpoint evaluations to ``rtol`` relative.
     Both weights vanish at m = 0, so that channel is never integrated.
     """
     policy = policy or MSumPolicy()
 
-    def weight(w, m, N):
-        return np.array([m * N, m * m * N * (N + 1.0)])
+    def weight(w, m, N):  # Mbar2 first: partial_wave_sum grows by the first component
+        return np.array([m * m * N * (N + 1.0), m * N])
 
     def moments(W):
         st = ThermalState(state.T_object, state.T_env, W)
         out = np.zeros(2)
         for *_, val, _ in partial_wave_sum(table, st, weight, policy, m_min=1)[0]:
             out += val
-        return out
+        return out[::-1]
 
     return tabulate_torque_law(moments, omega_range, rtol=rtol)
 
@@ -389,17 +386,16 @@ def _cumulative_trapezoid(y, x):
     return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
 
 
-def langevin_step(omega, law, I, dt, xi, *, hbar=1.0, drive=0.0,
-                  diffusion_scale=FP_DIFFUSION_SCALE):
+def langevin_step(omega, law, I, dt, xi, *, drive=0.0, diffusion_scale=FP_DIFFUSION_SCALE):
     """One Euler-Maruyama update; `xi` are standard normals shaped like omega.
 
     The law is evaluated once per step, for drift and diffusion together.
-    The update is omega + drift*dt + noise with drift = -(hbar/I)(Mbar - drive)
-    and noise = (hbar/I) sqrt(diffusion_scale*Mbar2*dt) xi, each product taken
+    The update is omega + drift*dt + noise with drift = -(1/I)(Mbar - drive)
+    and noise = (1/I) sqrt(diffusion_scale*Mbar2*dt) xi, each product taken
     in that order; the temporaries are reused in place.
     """
     mbar, mbar2 = law.moments(omega)
-    k = hbar / I
+    k = 1.0 / I
     out = np.subtract(mbar, drive)
     out *= -k
     out *= dt
@@ -418,7 +414,6 @@ class RotorEnsemble:
     """Recorded angular-velocity trajectories and their seed ledger."""
 
     I: float
-    hbar: float
     dt: float
     seed: int
     diffusion_scale: float
@@ -441,23 +436,23 @@ class RotorEnsemble:
 
 
 def simulate_ensemble(law, I, omega0, *, t_total, dt, n_traj, seed=0, drive_at=None,
-                      hbar=1.0, diffusion_scale=FP_DIFFUSION_SCALE, n_record=33,
-                      block_size=4096):
+                      diffusion_scale=FP_DIFFUSION_SCALE, n_record=33):
     """Evolve an ensemble of rotors by Euler-Maruyama.
 
     Counter-based RNG: trajectory i draws from Philox(key=(seed, i)), so the
     ensemble is reproducible under any blocking or scheduling.  Trajectories
-    run in blocks of ``block_size``; each block draws its noise
+    run in blocks of ``BLOCK_SIZE``; each block draws its noise
     ``NOISE_CHUNK`` steps at a time, so memory scales with
-    block_size * NOISE_CHUNK and not with the number of steps, and the
+    BLOCK_SIZE * NOISE_CHUNK and not with the number of steps, and the
     recorded trajectories do not depend on the block or chunk size.  The
     torque law is evaluated once per step (``TorqueLaw.moments``).  A
     reflecting boundary keeps W >= 0.  ``drive_at=W0`` applies the constant
-    torque hbar*Mbar(W0) that holds the rotor near the set point; ``None``
-    lets it decay freely.  dt must satisfy dt*(hbar/I)*dMbar/dW < 0.1
-    everywhere the ensemble goes, and W must stay finite (both checked every
-    ``GUARD_EVERY`` steps, and finiteness again at the end).  ``n_record``
-    (>= 2) counts the recorded times, the start and the end included.
+    torque Mbar(W0) that holds the rotor near the set point; ``None`` lets it
+    decay freely.  dt must satisfy dt*(1/I)*dMbar/dW < 0.1 everywhere the
+    ensemble goes, with the slope from ``TorqueLaw.drift_derivative``, and W
+    must stay finite (both checked every ``GUARD_EVERY`` steps, and
+    finiteness again at the end).  ``n_record`` (>= 2) counts the recorded
+    times, the start and the end included.
     """
     if n_traj < 1:
         raise DomainError(f"n_traj must be >= 1, got {n_traj}")
@@ -471,11 +466,12 @@ def simulate_ensemble(law, I, omega0, *, t_total, dt, n_traj, seed=0, drive_at=N
     rec_idx = np.unique(np.linspace(0, n_steps, min(n_record, n_steps + 1)).astype(int))
     times = rec_idx * dt
     drive = float(law.drift(drive_at)) if drive_at is not None else 0.0
+    inv_I = 1.0 / I
 
     omegas = np.empty((n_traj, len(rec_idx)))
     adiab_max = 0.0
-    for start in range(0, n_traj, block_size):
-        stop = min(start + block_size, n_traj)
+    for start in range(0, n_traj, BLOCK_SIZE):
+        stop = min(start + BLOCK_SIZE, n_traj)
         nb = stop - start
         gens = [
             np.random.Generator(np.random.Philox(key=np.array([seed, j], dtype=np.uint64)))
@@ -497,18 +493,14 @@ def simulate_ensemble(law, I, omega0, *, t_total, dt, n_traj, seed=0, drive_at=N
                 _transpose_into(noise, draws, k)
             if step % GUARD_EVERY == 0:
                 _check_finite(W, step, start)
-                stiff = dt * (hbar / I) * np.max(np.abs(law.drift_derivative(W)))
+                stiff = dt * inv_I * np.max(np.abs(law.drift_derivative(W)))
                 if stiff >= STIFFNESS_LIMIT:
-                    raise StepSizeError(
-                        f"dt*(hbar/I)*dMbar/dW = {stiff:.3g} >= {STIFFNESS_LIMIT}"
-                    )
-                det = (hbar / I) * np.abs(law.drift(W) - drive)
+                    raise StepSizeError(f"dt*(1/I)*dMbar/dW = {stiff:.3g} >= {STIFFNESS_LIMIT}")
+                det = inv_I * np.abs(law.drift(W) - drive)
                 wsafe = np.maximum(W, 1e-300)
                 adiab_max = max(adiab_max, float(np.max(det / wsafe**2)))
-            W = langevin_step(
-                W, law, I, dt, noise[s], hbar=hbar, drive=drive,
-                diffusion_scale=diffusion_scale,
-            )
+            W = langevin_step(W, law, I, dt, noise[s], drive=drive,
+                              diffusion_scale=diffusion_scale)
             np.abs(W, out=W)  # reflecting boundary at W = 0
             if rec_pos < len(rec_idx) and step + 1 == rec_idx[rec_pos]:
                 omegas[start:stop, rec_pos] = W
@@ -521,9 +513,7 @@ def simulate_ensemble(law, I, omega0, *, t_total, dt, n_traj, seed=0, drive_at=N
             UserWarning,
             stacklevel=2,
         )
-    return RotorEnsemble(
-        I, hbar, dt, seed, diffusion_scale, drive_at, times, omegas, adiab_max
-    )
+    return RotorEnsemble(I, dt, seed, diffusion_scale, drive_at, times, omegas, adiab_max)
 
 
 def _transpose_into(dst, src, k):
@@ -578,37 +568,30 @@ class StationaryDistribution:
         return float(max(np.max(i / n - F), np.max(F - (i - 1) / n)))
 
 
-def fokker_planck_stationary(law, omega0, I, *, hbar=1.0, n_grid=4001, span=16.0,
-                             grid=None):
+def fokker_planck_stationary(law, omega0, I):
     """Exact stationary density of the rotor driven at the set point omega0.
 
-    P(W) = C/Mbar2(W) exp[-(I/hbar) int (Mbar - Mbar(omega0))/Mbar2], with the
-    path integral anchored at omega0 (the divergent constant from the lower
-    limit cancels against the normalization).  Raises :class:`DomainError`
-    when the density is not normalizable (e.g. free decay, Mbar(omega0) = 0,
-    against a diffusion vanishing at W = 0 with exponent >= 1).
+    P(W) = C/Mbar2(W) exp[-I int (Mbar - Mbar(omega0))/Mbar2], with the path
+    integral anchored at omega0 (the divergent constant from the lower limit
+    cancels against the normalization).  The first grid spans omega0 +-
+    ``FP_SPAN`` widths (:func:`uncertainty`) and is widened until the density
+    has decayed at both ends.  Raises :class:`DomainError` when the density
+    is not normalizable (e.g. free decay, Mbar(omega0) = 0, against a
+    diffusion vanishing at W = 0 with exponent >= 1).
     """
-    if I <= 0 or hbar <= 0:
-        raise DomainError("need I > 0 and hbar > 0")
+    if I <= 0:
+        raise DomainError("need I > 0")
     drive = float(law.drift(omega0))
-    if grid is None:
-        try:
-            sig = uncertainty(law, omega0, I, hbar=hbar) / I
-        except DomainError:
-            sig = 0.25 * omega0
-        lo = max(omega0 - span * sig, 1e-9 * omega0)
-        hi = omega0 + span * sig
-        grid = np.linspace(lo, hi, n_grid)
-    else:
-        grid = np.asarray(grid, dtype=float)
-        if grid[0] <= 0:
-            raise DomainError("grid must be strictly positive")
+    try:
+        sig = uncertainty(law, omega0, I) / I
+    except DomainError:
+        sig = 0.25 * omega0
+    n = FP_GRID_POINTS
+    grid = np.linspace(max(omega0 - FP_SPAN * sig, 1e-9 * omega0), omega0 + FP_SPAN * sig, n)
 
     floor = 1e-12 * omega0
-    n = len(grid) | 1  # odd count so the half-resolution subsample is Simpson-clean
-    grid = np.linspace(grid[0], grid[-1], n)
     for _ in range(60):
-        pdf = _fp_density_on(law, omega0, I, hbar, drive, grid)
+        pdf = _fp_density_on(law, omega0, I, drive, grid)
         ok_left = pdf[0] < 1e-12 or grid[0] <= floor
         ok_right = pdf[-1] < 1e-12
         if ok_left and ok_right:
@@ -639,21 +622,21 @@ def fokker_planck_stationary(law, omega0, I, *, hbar=1.0, n_grid=4001, span=16.0
             return StationaryDistribution(grid, pdf / norm)
         n = 2 * n - 1
         grid = np.linspace(grid[0], grid[-1], n)
-        pdf = _fp_density_on(law, omega0, I, hbar, drive, grid)
+        pdf = _fp_density_on(law, omega0, I, drive, grid)
     raise ConvergenceError("stationary-density quadrature did not reach 1e-8")
 
 
-def _fp_density_on(law, omega0, I, hbar, drive, grid):
+def _fp_density_on(law, omega0, I, drive, grid):
     """Unnormalized stationary density (peak scaled to 1) on a given grid."""
     M2 = np.asarray(law.diffusion(grid), dtype=float)
     if np.any(M2 <= 0):
         raise DomainError("Mbar2 must be > 0 on the integration domain")
     h = (np.asarray(law.drift(grid), dtype=float) - drive) / M2
-    # O(h^4) cumulative rule: the exponent is multiplied by I/hbar, so the
+    # O(h^4) cumulative rule: the exponent is multiplied by I, so the
     # 1e-8 normalization target needs better than trapezoid accuracy
     G = _cumulative_simpson(h, grid)
     G -= np.interp(omega0, grid, G)  # anchor the path integral at omega0
-    logp = -np.log(M2) - (I / hbar) * G
+    logp = -np.log(M2) - I * G
     logp -= np.max(logp)
     return np.exp(logp)
 
@@ -666,17 +649,16 @@ def _low_end_exponent(law, grid):
     return math.log(d2 / d1) / math.log(w2 / w1)
 
 
-def uncertainty(law, omega0, I, *, hbar=1.0):
-    """Quantum width of the driven steady state: sqrt(hbar I Mbar2 / Mbar').
+def uncertainty(law, omega0, I):
+    """Quantum width of the driven steady state: I*dW = sqrt(I Mbar2 / Mbar').
 
-    The drift slope is taken by adaptive centered differences on the
-    (possibly memoized) law; a flat or decreasing torque has no confining
-    steady state and raises :class:`DomainError`.
+    Mbar' is the law's own :meth:`TorqueLaw.drift_derivative` at omega0; a
+    flat or decreasing torque has no confining steady state and raises
+    :class:`DomainError`.
     """
     if I <= 0:
         raise DomainError("need I > 0")
-    slope = _centered_derivative(law.drift, omega0)
-    if slope is None or slope <= 0:
+    slope = law.drift_derivative(omega0)
+    if slope <= 0:
         raise DomainError(f"dMbar/dW = {slope} at W0={omega0:g}: no confinement")
-    M2 = float(law.diffusion(omega0))
-    return math.sqrt(hbar * I * M2 / slope)
+    return math.sqrt(I * float(law.diffusion(omega0)) / slope)

@@ -107,7 +107,7 @@ def torque_on_test_2d(cfg, Omega, T=0.0, *, far_field=False, epsrel=1e-8):
     return _transfer(source, state, weight, epsrel) / 4.0
 
 
-def torque_on_test_3d(cfg, Omega, *, small_particle=False, far_field=True, epsrel=1e-10):
+def torque_on_test_3d(cfg, Omega, *, small_particle=False, epsrel=1e-10):
     """Torque on a static test sphere from the rotating sphere's dipole radiation.
 
     General form (falls off as 1/d^2):
@@ -116,8 +116,8 @@ def torque_on_test_3d(cfg, Omega, *, small_particle=False, far_field=True, epsre
 
     ``small_particle=True`` uses the polarizability form
     (8 hbar c^2 / 9 pi d^2) int w^4 |Im a1(w - Omega)| Im a2(w) dw instead.
-    For real arguments |h^(1)_0(wd)|^2 equals (c/wd)^2 exactly, so the exact
-    and far-field kernels coincide; the flag selects the evaluation route.
+    The kernel |h^(1)_0(wd)|^2 is written as (c/wd)^2, which it equals
+    exactly for real arguments.
     """
     if Omega <= 0:
         return 0.0
@@ -133,14 +133,9 @@ def torque_on_test_3d(cfg, Omega, *, small_particle=False, far_field=True, epsre
         val, _ = adaptive_integral(integrand, 0.0, Omega, epsrel=epsrel)
         return 8.0 * float(val) / (9.0 * np.pi * cfg.d**2)
 
-    def kernel(w):
-        if far_field:
-            return 1.0 / (w * cfg.d) ** 2
-        return abs(bessel.sph_bessel("h1", 0, w * cfg.d)) ** 2
-
     def weight(w, m, N):
         loss = sphere_flux_dipole(cfg.test_model, cfg.test_radius, 0.0, w, 1)
-        return N * kernel(w) * loss * w**2
+        return N * (1.0 / (w * cfg.d) ** 2) * loss * w**2
 
     # N_1 = |S_11E|^2 - 1 on (0, Omega) at T = 0; (1/8pi) int dw = (1/4) int dw/2pi
     source = SphereTable(cfg.source_model, cfg.source_radius)

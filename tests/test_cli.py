@@ -119,7 +119,8 @@ class TestValidation:
         ("rotor", "n_traj = 0", "n_traj"),
         ("rotor", "n_record = 0", "n_record"),
         ("rotor", "n_record = 1", "n_record"),
-    ], ids=["m_max", "omega_points", "n_traj", "n_record=0", "n_record=1"])
+        ("rotor", "m_max = -1", "m_max"),
+    ], ids=["m_max", "omega_points", "n_traj", "n_record=0", "n_record=1", "m_max-powerlaw-rotor"])
     def test_out_of_range_numerics_exit_2(self, tmp_path, capsys, command, numerics, key):
         cfg = write(tmp_path, SPHERE_CFG + "inertia = 400.0\n[numerics]\n" + numerics
                     + "\n[rotor]\nlaw = powerlaw\ncoeff = 1.0\nexponent = 5\n")
@@ -128,6 +129,24 @@ class TestValidation:
         err = capsys.readouterr().err
         assert err.startswith("config error") and key in err
         assert not any(out.iterdir())  # rejected before any output is written
+
+    @pytest.mark.parametrize("command, text, key", [
+        ("power", "[scenario]\ngeometry = sphere\n[material]\nmodel = constant\n"
+         "eps_re = 2.0\nsigma = 1000\n[body]\nradius = 0.001\nomega = 1.0\n", "sigma"),
+        ("power", "[scenario]\ngeometry = sphere\n[material]\nmodel = drude\n"
+         "sigma = 1000\neps_im = 0.5\n[body]\nradius = 0.001\nomega = 1.0\n", "eps_im"),
+        ("twobody", SPHERE_CFG + "[twobody]\nd = 2.0\ntest_model = constant\n"
+         "test_eps_re = 2.0\ntest_sigma = 1000\ntest_radius = 0.001\n", "test_sigma"),
+        ("twobody", SPHERE_CFG + "[twobody]\nd = 2.0\ntest_model = vacuum\n"
+         "test_eps_re = 2.0\ntest_radius = 0.001\n", "test_eps_re"),
+    ], ids=["constant-sigma", "drude-eps_im", "test-constant-sigma", "test-vacuum-eps_re"])
+    def test_material_key_the_model_does_not_read_exits_2(self, tmp_path, capsys, command,
+                                                           text, key):
+        out = tmp_path / "out"
+        assert main([command, "--config", write(tmp_path, text), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and key in err
+        assert not any(out.iterdir())
 
 
 class TestPower:

@@ -36,20 +36,20 @@ class TestUncertainty:
     def test_power_law_closed_form(self):
         for c in (0.1, 1.0, 40.0):
             got = uncertainty(power5(c), 2.0, 3.0)
-            assert got == pytest.approx(math.sqrt(3.0 * 2.0 / 5.0), rel=1e-8)
+            assert got == pytest.approx(math.sqrt(3.0 * 2.0 / 5.0), rel=1e-14)
 
     @pytest.mark.parametrize("k", [1, 3, 5, 8])
     def test_general_exponent(self, k):
         law = TorqueLaw.power_law(2.0, k)
         assert uncertainty(law, 1.5, 4.0) == pytest.approx(
-            math.sqrt(4.0 * 1.5 / k), rel=1e-7
+            math.sqrt(4.0 * 1.5 / k), rel=1e-14
         )
 
-    def test_hbar_scaling(self):
-        law = power5()
-        one = uncertainty(law, 1.0, 1.0, hbar=1.0)
-        two = uncertainty(law, 1.0, 1.0, hbar=2.0)
-        assert two == pytest.approx(math.sqrt(2.0) * one, rel=1e-12)
+    def test_tabulated_law_uses_its_own_slope(self):
+        law = tabulate_torque_law(lambda w: (w**5 + 0.3 * w**3, w**5), (0.0, 2.0))
+        W0, I = 1.1, 7.0
+        assert uncertainty(law, W0, I) == math.sqrt(
+            I * law.diffusion(W0) / law.drift_derivative(W0))
 
     def test_flat_law_raises(self):
         flat = TorqueLaw(lambda w: 0.0 * w + 1.0, lambda w: 0.0 * w + 1.0)
@@ -95,7 +95,7 @@ class TestDeterministicLimit:
         assert 2 * finals[1] - finals[0] == pytest.approx(W0 / 2, rel=1e-6)
 
     def test_ensemble_mean_drift(self):
-        # d<W>/dt = -(hbar/I) <Mbar(W)> at early times, within MC error
+        # d<W>/dt = -(1/I) <Mbar(W)> at early times, within MC error
         law = power5(1.0)
         I, W0, dt, T = 50.0, 1.0, 1e-3, 0.2
         ens = simulate_ensemble(law, I=I, omega0=W0, t_total=T, dt=dt, n_traj=4000,
@@ -131,9 +131,9 @@ class TestRNGLedger:
     @pytest.mark.parametrize("block_size", [7, 64, 4096])
     def test_independent_of_chunk_and_block(self, monkeypatch, n_steps, chunk, block_size):
         monkeypatch.setattr(rotor, "NOISE_CHUNK", chunk)
+        monkeypatch.setattr(rotor, "BLOCK_SIZE", block_size)
         ens = simulate_ensemble(QUINTIC, I=100.0, omega0=1.0, t_total=n_steps * 1e-2,
-                                dt=1e-2, n_traj=64, seed=42, drive_at=1.0,
-                                block_size=block_size)
+                                dt=1e-2, n_traj=64, seed=42, drive_at=1.0)
         assert hashlib.sha256(ens.omegas.tobytes()).hexdigest() == LEDGER_DIGESTS[n_steps]
 
     def test_one_pass_law_matches_two_calls(self):
@@ -156,14 +156,16 @@ class TestRNGLedger:
             tracemalloc.stop()
         assert peak < 2 * 2**20
 
-    def test_reproducible_and_blocking_independent(self):
+    def test_reproducible_and_blocking_independent(self, monkeypatch):
         law = power5()
         kw = dict(I=100.0, omega0=1.0, t_total=0.5, dt=1e-2, n_traj=64, seed=42,
                   drive_at=1.0)
-        a = simulate_ensemble(law, **kw, block_size=7)
-        b = simulate_ensemble(law, **kw, block_size=64)
-        assert np.array_equal(a.omegas, b.omegas)
         c = simulate_ensemble(law, **kw)
+        monkeypatch.setattr(rotor, "BLOCK_SIZE", 7)
+        a = simulate_ensemble(law, **kw)
+        monkeypatch.setattr(rotor, "BLOCK_SIZE", 64)
+        b = simulate_ensemble(law, **kw)
+        assert np.array_equal(a.omegas, b.omegas)
         assert np.array_equal(a.omegas, c.omegas)
         assert a.trajectory_keys()[:3] == [(42, 0), (42, 1), (42, 2)]
 
@@ -235,8 +237,8 @@ class TestOnePassLaw:
 
 class TestVarianceGrowth:
     def test_early_growth_under_bare_covariance(self):
-        # freely decaying, early times, <eta eta'> = hbar^2 Mbar2 delta:
-        # Var[I W(t)] = hbar^2 Mbar2(W0) t
+        # freely decaying, early times, <eta eta'> = Mbar2 delta:
+        # Var[I W(t)] = Mbar2(W0) t
         law = power5(1.0)
         I, W0, T = 2000.0, 1.0, 2.0  # drift shifts W0 by only 1e-3 over T
         ens = simulate_ensemble(law, I=I, omega0=W0, t_total=T, dt=0.01, n_traj=6000,
@@ -334,6 +336,20 @@ class TestTorqueLawFromRadiation:
                                           policy=MSumPolicy(m_max=9))
         for W in (0.5, 1.0):
             assert grown.moments(W) == pytest.approx(fixed.moments(W), rel=1e-6)
+
+    def test_auto_extend_meets_tail_tol_in_both_moments(self, monkeypatch):
+        # Mbar2 weights m^2 and converges more slowly than Mbar; the sum must
+        # grow until both are within tail_tol of the m_max = 32 sum
+        monkeypatch.setattr(rotor, "tabulate_torque_law", lambda moments, *a, **k: moments)
+        table = DiskTable(Drude(1.0), 0.3)
+
+        def moments(policy):  # the untabulated moment function at W = 1.9
+            return torque_law_from_radiation(table, ThermalState(), (0.0, 1.9), policy=policy)(1.9)
+
+        grown = moments(MSumPolicy(m_max=1, auto_extend=True, tail_tol=1e-6))
+        fixed = moments(MSumPolicy(m_max=32))
+        for got, ref in zip(grown, fixed):
+            assert abs(got / ref - 1.0) < 1e-6
 
     def test_m0_channel_adds_exactly_nothing(self):
         from spinrad.radiation import integrate_channels

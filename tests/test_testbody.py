@@ -120,13 +120,6 @@ class TestTorque3D:
         b = torque_on_test_3d(cfg, 1.0, small_particle=True)
         assert a == pytest.approx(b, rel=1e-6)
 
-    def test_exact_kernel_equals_far_field(self):
-        # |h0(x)|^2 = 1/x^2 exactly on the real line
-        cfg = drude_pair(4.0)
-        assert torque_on_test_3d(cfg, 1.0, far_field=False) == pytest.approx(
-            torque_on_test_3d(cfg, 1.0, far_field=True), rel=1e-9
-        )
-
     def test_inverse_square_distance(self):
         cfg = drude_pair(2.0)
         M1 = torque_on_test_3d(cfg, 1.0)
