@@ -3,12 +3,12 @@
 Config files are INI-style, one section per concern, with strict unknown-key
 rejection (a typo in a physics parameter must never be silently ignored); a
 material key that the chosen model does not read is rejected too.
-``units = si`` converts at the boundary only: radius/length/d in m, omega in
-rad/s, temperatures in K, conductivity in S/m (converted to the Gaussian
-convention used by eps = 1 + 4 pi i sigma/omega), inertia in kg m^2; outputs
-come back in W, N m, W/K and s.  Exit codes: 0 ok, 2 config error, 3 numeric
-non-convergence, 4 numeric domain fault (a resonance or a special-function
-overflow met while computing).
+``units = si`` converts at the boundary only: radius/length/d in m, omega and
+omega_hi in rad/s, dt and t_total in s, temperatures in K, conductivity in S/m
+(converted to the Gaussian convention used by eps = 1 + 4 pi i sigma/omega),
+inertia in kg m^2; outputs come back in W, N m, W/K and s.  Exit codes: 0 ok,
+2 config error, 3 numeric non-convergence, 4 numeric domain fault (a resonance
+or a special-function overflow met while computing).
 """
 
 import argparse
@@ -120,22 +120,22 @@ def load_config(path):
     return parser
 
 
-def _build_material(parser, units, section="material"):
-    model = _get(parser, section, "model", str, required=True).lower()
+def _build_material(parser, units):
+    model = _get(parser, "material", "model", str, required=True).lower()
     if model not in _MATERIAL_KEYS:
-        raise ConfigError(f"[{section}] model: unknown model {model!r}")
-    _reject_unread(section, set(parser.options(section)) - {"model"}, _MATERIAL_KEYS[model],
-                   model)
+        raise ConfigError(f"[material] model: unknown model {model!r}")
+    _reject_unread("material", set(parser.options("material")) - {"model"},
+                   _MATERIAL_KEYS[model], model)
     if model == "vacuum":
         return Vacuum()
     if model == "drude":
-        sigma = _get(parser, section, "sigma", float, required=True)
+        sigma = _get(parser, "material", "sigma", float, required=True)
         if units is not None:
             sigma = units.conductivity(si_conductivity_to_gaussian(sigma))
         return Drude(sigma)
     if model == "lorentz":
         vals = [
-            _get(parser, section, k, float, required=True)
+            _get(parser, "material", k, float, required=True)
             for k in ("eps_inf", "omega_p", "omega_0", "gamma")
         ]
         if units is not None:
@@ -143,10 +143,10 @@ def _build_material(parser, units, section="material"):
         return Lorentz(*vals)
     if model == "constant":
         return ConstantEpsilon(
-            _get(parser, section, "eps_re", float, required=True),
-            _get(parser, section, "eps_im", float, default=0.0),
+            _get(parser, "material", "eps_re", float, required=True),
+            _get(parser, "material", "eps_im", float, default=0.0),
         )
-    path = _get(parser, section, "path", str, required=True)
+    path = _get(parser, "material", "path", str, required=True)
     return _load_file(TabulatedEpsilon.from_csv, path, "tabulated epsilon")
 
 
@@ -204,9 +204,9 @@ def _build_scenario(parser):
         "tail_tol": _get(parser, "numerics", "tail_tol", float, default=1e-6),
         "rel_tol": _get(parser, "numerics", "rel_tol", float, default=1e-9),
         "omega_points": _get(parser, "numerics", "omega_points", int, default=200),
-        "dt": _get(parser, "numerics", "dt", float),
+        "dt": conv(_get(parser, "numerics", "dt", float), lambda v: units.time(v)),
         "n_traj": _get(parser, "numerics", "n_traj", int, default=1000),
-        "t_total": _get(parser, "numerics", "t_total", float),
+        "t_total": conv(_get(parser, "numerics", "t_total", float), lambda v: units.time(v)),
         "n_record": _get(parser, "numerics", "n_record", int, default=33),
     }
     for key in ("tail_tol", "rel_tol"):
@@ -411,7 +411,11 @@ def run_rotor(args, parser):
         law = TorqueLaw.power_law(coeff, exponent)
     elif law_kind == "radiation":
         state0 = ThermalState(T_object=body["t_object"], T_env=body["t_env"])
-        hi = _get(parser, "rotor", "omega_hi", float, default=2.0 * Omega0)
+        hi = _get(parser, "rotor", "omega_hi", float)
+        if hi is None:
+            hi = 2.0 * Omega0
+        elif units is not None:
+            hi = units.frequency(hi)
         law = torque_law_from_radiation(
             _make_table(geometry, material, body), state0, omega_range=(0.0, hi), rtol=1e-6,
             policy=numerics["policy"],

@@ -324,7 +324,8 @@ def kirchhoff_power(table, T_object, T_env, policy=None):
 def spindown_timescale(torque, I, omega0, omega_final=None, epsrel=1e-8):
     """Deterministic time to coast from omega0 down to omega_final (default omega0/10).
 
-    Integrates dW/dt = -M(W)/I, i.e. tau = I * int_{Wf}^{W0} dW / M(W).
+    Integrates dW/dt = -M(W)/I, i.e. tau = I * int_{Wf}^{W0} dW / M(W), with
+    ``torque`` vectorized over W (a :class:`TorqueLaw`'s ``drift``, say).
     A torque that vanishes anywhere on the range makes the time infinite and
     raises :class:`DomainError`.
     """
@@ -335,14 +336,12 @@ def spindown_timescale(torque, I, omega0, omega_final=None, epsrel=1e-8):
         raise DomainError("omega_final must lie in (0, omega0)")
 
     def integrand(ws):
-        # torque() is a scalar callable: one call per node
-        out = np.empty(ws.shape)
-        for i, w in enumerate(ws):
-            M = torque(float(w))
-            if M <= 0:
-                raise DomainError(f"torque {M:g} <= 0 at Omega={w:g}: infinite spindown time")
-            out[i] = I / M
-        return out
+        M = torque(ws)
+        bad = M <= 0
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise DomainError(f"torque {M[i]:g} <= 0 at Omega={ws[i]:g}: infinite spindown time")
+        return I / M
 
     val, _ = adaptive_integral(integrand, omega_final, omega0, epsrel=epsrel)
     return float(val)

@@ -10,13 +10,13 @@ driven solution is
 
 The equivalent Ito SDE for that equation carries noise variance
 2 * Mbar2 * dt per step (the master equation's diffusion term reads
-d^2/dW^2 (Mbar2 P) with no 1/2), which is what the simulator uses by default
-so that ensembles, the stationary closed form and the width formula
-I*dW = sqrt(I*Mbar2/Mbar') are mutually consistent.  Every drift slope Mbar'
-(the width, the stiffness guard, the CLI's time step) is the law's own
-:meth:`TorqueLaw.drift_derivative`.  Pass ``diffusion_scale=1.0`` for the
-bare covariance <eta eta'> = Mbar2 delta(t-t') instead; early-time variance
-growth then follows Mbar2*t.
+d^2/dW^2 (Mbar2 P) with no 1/2), which is what the simulator uses, so that
+ensembles, the stationary closed form and the width formula
+I*dW = sqrt(I*Mbar2/Mbar') are mutually consistent; a freely decaying
+ensemble's Var[I W] grows as 2*Mbar2*t at early times.  A law is built by
+:meth:`TorqueLaw.from_moments` from its moment function W -> (Mbar, Mbar2)
+and its drift slope Mbar', which serves every slope the layer takes (the
+width, the stiffness guard, the CLI's time step).
 
 The layer imports no scipy: the monotone cubic (PCHIP) of tabulated torque
 laws and the Simpson and trapezoid rules of the stationary density are
@@ -62,55 +62,40 @@ FP_SPAN = 16.0
 class TorqueLaw:
     """Drift Mbar(W) and diffusion Mbar2(W), both vectorized over W.
 
-    ``moments_fn(W)``, when given, returns the pair (Mbar, Mbar2) from one
-    pass over W, bit-identical to the two separate calls.
+    Build one with :meth:`from_moments`: ``drift`` and ``diffusion`` are the
+    rows of ``moments_fn``, and ``drift_derivative_fn`` is dMbar/dW.
     """
 
     drift: object
     diffusion: object
-    drift_derivative_fn: object = None
-    moments_fn: object = None
+    drift_derivative_fn: object
+    moments_fn: object
 
     @classmethod
-    def power_law(cls, coeff, exponent, coeff2=None, exponent2=None):
-        """Mbar = coeff * W^exponent, Mbar2 likewise (defaults to the same law)."""
-        if coeff < 0 or (coeff2 is not None and coeff2 < 0):
-            raise DomainError("torque-law coefficients must be >= 0")
-        c2 = coeff if coeff2 is None else coeff2
-        k2 = exponent if exponent2 is None else exponent2
+    def from_moments(cls, moments, slope):
+        """The law with (Mbar(W), Mbar2(W)) = moments(W) and dMbar/dW = slope(W)."""
+        return cls(lambda w: moments(w)[0], lambda w: moments(w)[1], slope, moments)
 
-        def drift(w):
-            return coeff * np.power(w, exponent)
+    @classmethod
+    def power_law(cls, coeff, exponent):
+        """Mbar = Mbar2 = coeff * W^exponent."""
+        if coeff < 0:
+            raise DomainError("torque-law coefficient must be >= 0")
 
-        def diffusion(w):
-            return c2 * np.power(w, k2)
-
-        def ddrift(w):
-            return coeff * exponent * np.power(w, exponent - 1)
-
-        def moments(w):  # one power of W serves both when the exponents agree
+        def moments(w):  # one power of W serves both
             p = np.power(w, exponent)
-            return coeff * p, c2 * p
+            return coeff * p, coeff * p
 
-        return cls(drift, diffusion, ddrift, moments if k2 == exponent else None)
+        return cls.from_moments(moments,
+                                lambda w: coeff * exponent * np.power(w, exponent - 1))
 
     def moments(self, w):
-        """(Mbar(W), Mbar2(W)) in one evaluation where the law allows it."""
-        if self.moments_fn is not None:
-            return self.moments_fn(w)
-        return self.drift(w), self.diffusion(w)
+        """(Mbar(W), Mbar2(W)) in one evaluation."""
+        return self.moments_fn(w)
 
     def drift_derivative(self, w):
-        """dMbar/dW: ``drift_derivative_fn`` when the law carries one.
-
-        Otherwise a centered difference with the fixed step 1e-5 (|W| + 1),
-        for scalar and array W alike.
-        """
-        if self.drift_derivative_fn is not None:
-            return self.drift_derivative_fn(w)
-        w = np.asarray(w, dtype=float)
-        h = 1e-5 * (np.abs(w) + 1.0)
-        return (self.drift(w + h) - self.drift(np.maximum(w - h, 0.0))) / (2.0 * h)
+        """dMbar/dW."""
+        return self.drift_derivative_fn(w)
 
 
 def torque_law_from_radiation(table, state, omega_range, rtol=1e-6, policy=None):
@@ -168,8 +153,8 @@ def tabulate_torque_law(moments, omega_range, rtol=1e-6):
         vals = evaluate(grid)
         if np.all(vals == 0.0):
             zero = lambda w: np.zeros_like(np.asarray(w, dtype=float))
-            return TorqueLaw(zero, zero, zero)
-        drift_i, diff_i, moments_i = _moment_interpolants(grid, vals)
+            return TorqueLaw.from_moments(lambda w: (zero(w), zero(w)), zero)
+        moments_i = _moment_interpolants(grid, vals)
         mids = np.sqrt(grid[:-1] * grid[1:])
         probe = mids[:: max(1, (len(grid) - 1) // 8)]
         direct = evaluate(probe)
@@ -186,29 +171,26 @@ def tabulate_torque_law(moments, omega_range, rtol=1e-6):
 
     def slope(w):
         h = 1e-6 * (np.abs(w) + 1e-6 * hi)
-        return (drift_i(w + h) - drift_i(np.maximum(w - h, 0.0))) / (2.0 * h)
+        return (moments_i(w + h)[0] - moments_i(np.maximum(w - h, 0.0))[0]) / (2.0 * h)
 
-    return TorqueLaw(drift_i, diff_i, slope, moments_i)
+    return TorqueLaw.from_moments(moments_i, slope)
 
 
 def _moment_interpolants(grid, vals):
-    """Interpolants (drift, diffusion, moments) of the tabulated pairs vals (n, 2).
+    """Interpolant W -> (Mbar, Mbar2) of the tabulated pairs vals (n, 2).
 
     The radiation moments behave as steep power laws in the rotation rate, so
     log-log PCHIP holds a uniform relative accuracy across decades where a
     linear-space interpolant cannot.  Both columns share one two-column
-    spline, so ``moments`` takes log W, the interval search and exp once and
-    returns two contiguous rows; drift and diffusion alone read single
-    columns of the same coefficients.  A column with negative values (the
+    spline, so an evaluation takes log W, the interval search and exp once
+    and returns two contiguous rows.  A column with negative values (the
     finite-T drift can change sign) keeps a linear-space interpolant of its
     own.
     """
     if np.any(vals < 0.0):
         drift, diffusion = (_column_interpolant(grid, vals[:, j]) for j in range(2))
-        return drift, diffusion, lambda w: (drift(w), diffusion(w))
-    both = _log_log_pchip(grid, vals)
-    drift, diffusion = (_exp_log_log(both.column(j)) for j in range(2))
-    return drift, diffusion, _exp_log_log(both)
+        return lambda w: (drift(w), diffusion(w))
+    return _exp_log_log(_log_log_pchip(grid, vals))
 
 
 def _column_interpolant(grid, vals):
@@ -267,10 +249,6 @@ class _PiecewiseCubic:
         self.x = x
         self.c = c
         self._inner = x[1:-1]  # searched on the right: a node takes the piece it starts
-
-    def column(self, j):
-        """The pieces of column j alone."""
-        return _PiecewiseCubic(self.x, np.ascontiguousarray(self.c[:, j]))
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -386,12 +364,12 @@ def _cumulative_trapezoid(y, x):
     return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
 
 
-def langevin_step(omega, law, I, dt, xi, *, drive=0.0, diffusion_scale=FP_DIFFUSION_SCALE):
+def langevin_step(omega, law, I, dt, xi, *, drive=0.0):
     """One Euler-Maruyama update; `xi` are standard normals shaped like omega.
 
     The law is evaluated once per step, for drift and diffusion together.
     The update is omega + drift*dt + noise with drift = -(1/I)(Mbar - drive)
-    and noise = (1/I) sqrt(diffusion_scale*Mbar2*dt) xi, each product taken
+    and noise = (1/I) sqrt(FP_DIFFUSION_SCALE*Mbar2*dt) xi, each product taken
     in that order; the temporaries are reused in place.
     """
     mbar, mbar2 = law.moments(omega)
@@ -400,7 +378,7 @@ def langevin_step(omega, law, I, dt, xi, *, drive=0.0, diffusion_scale=FP_DIFFUS
     out *= -k
     out *= dt
     out += omega
-    noise = np.multiply(diffusion_scale, mbar2)
+    noise = np.multiply(FP_DIFFUSION_SCALE, mbar2)
     noise *= dt
     noise = np.sqrt(noise)
     noise *= k
@@ -416,7 +394,6 @@ class RotorEnsemble:
     I: float
     dt: float
     seed: int
-    diffusion_scale: float
     drive_at: float | None
     times: np.ndarray
     omegas: np.ndarray  # (n_traj, n_records)
@@ -436,7 +413,7 @@ class RotorEnsemble:
 
 
 def simulate_ensemble(law, I, omega0, *, t_total, dt, n_traj, seed=0, drive_at=None,
-                      diffusion_scale=FP_DIFFUSION_SCALE, n_record=33):
+                      n_record=33):
     """Evolve an ensemble of rotors by Euler-Maruyama.
 
     Counter-based RNG: trajectory i draws from Philox(key=(seed, i)), so the
@@ -499,8 +476,7 @@ def simulate_ensemble(law, I, omega0, *, t_total, dt, n_traj, seed=0, drive_at=N
                 det = inv_I * np.abs(law.drift(W) - drive)
                 wsafe = np.maximum(W, 1e-300)
                 adiab_max = max(adiab_max, float(np.max(det / wsafe**2)))
-            W = langevin_step(W, law, I, dt, noise[s], drive=drive,
-                              diffusion_scale=diffusion_scale)
+            W = langevin_step(W, law, I, dt, noise[s], drive=drive)
             np.abs(W, out=W)  # reflecting boundary at W = 0
             if rec_pos < len(rec_idx) and step + 1 == rec_idx[rec_pos]:
                 omegas[start:stop, rec_pos] = W
@@ -513,7 +489,7 @@ def simulate_ensemble(law, I, omega0, *, t_total, dt, n_traj, seed=0, drive_at=N
             UserWarning,
             stacklevel=2,
         )
-    return RotorEnsemble(I, dt, seed, diffusion_scale, drive_at, times, omegas, adiab_max)
+    return RotorEnsemble(I, dt, seed, drive_at, times, omegas, adiab_max)
 
 
 def _transpose_into(dst, src, k):
@@ -628,10 +604,10 @@ def fokker_planck_stationary(law, omega0, I):
 
 def _fp_density_on(law, omega0, I, drive, grid):
     """Unnormalized stationary density (peak scaled to 1) on a given grid."""
-    M2 = np.asarray(law.diffusion(grid), dtype=float)
+    M, M2 = (np.asarray(m, dtype=float) for m in law.moments(grid))
     if np.any(M2 <= 0):
         raise DomainError("Mbar2 must be > 0 on the integration domain")
-    h = (np.asarray(law.drift(grid), dtype=float) - drive) / M2
+    h = (M - drive) / M2
     # O(h^4) cumulative rule: the exponent is multiplied by I, so the
     # 1e-8 normalization target needs better than trapezoid accuracy
     G = _cumulative_simpson(h, grid)

@@ -9,6 +9,7 @@ from scipy.constants import c as C_SI, epsilon_0, hbar as HBAR_SI
 
 from spinrad import Drude, disk_smatrix
 from spinrad.cli import main
+from spinrad.units import UnitSystem, si_conductivity_to_gaussian
 
 DISK_CFG = """
 [scenario]
@@ -426,6 +427,42 @@ class TestUnitsMode:
         assert payload["si"]["P_W"] == pytest.approx(P_ref, rel=1e-6)
         M_ref = HBAR_SI * R_si**3 * Omega_si**5 / (20 * math.pi**2 * C_SI**3 * sigma_gauss)
         assert payload["si"]["M_Nm"] == pytest.approx(M_ref, rel=1e-6)
+
+    def test_si_rotor_converts_omega_hi_dt_and_t_total(self, tmp_path):
+        # omega_hi in rad/s, dt and t_total in s: the run equals the natural-unit
+        # run with the converted values, bit for bit
+        Omega_si, sigma_si, R_si, I_si = 2.0e9, 2.2, 1.5e-3, 5.3e-41
+        hi_si, dt_si, t_total_si = 3.0e9, 0.4, 8.0
+        u = UnitSystem.from_omega_si(Omega_si)
+        numerics = "[numerics]\nn_traj = 16\nn_record = 3\nm_max = 2\n"
+        runs = {
+            "si": (f"[scenario]\ngeometry = sphere\nunits = si\n"
+                   f"[material]\nmodel = drude\nsigma = {sigma_si!r}\n"
+                   f"[body]\nradius = {R_si!r}\nomega = {Omega_si!r}\ninertia = {I_si!r}\n"
+                   f"{numerics}dt = {dt_si!r}\nt_total = {t_total_si!r}\n"
+                   f"[rotor]\nomega_hi = {hi_si!r}\n"),
+            "natural": (f"[scenario]\ngeometry = sphere\n[material]\nmodel = drude\n"
+                        f"sigma = {u.conductivity(si_conductivity_to_gaussian(sigma_si))!r}\n"
+                        f"[body]\nradius = {u.length(R_si)!r}\nomega = 1.0\n"
+                        f"inertia = {u.inertia(I_si)!r}\n"
+                        f"{numerics}dt = {u.time(dt_si)!r}\nt_total = {u.time(t_total_si)!r}\n"
+                        f"[rotor]\nomega_hi = {u.frequency(hi_si)!r}\n"),
+        }
+        outputs = {}
+        for name, text in runs.items():
+            out = tmp_path / name
+            cfg = write(tmp_path, text, f"{name}.ini")
+            assert main(["rotor", "--config", cfg, "--out", str(out)]) == 0
+            summary = json.loads((out / "rotor.json").read_text())
+            del summary["meta"]  # the config hash
+            summary.pop("si", None)
+            tables = [[l for l in (out / f"{stem}.csv").read_text().splitlines()
+                       if not l.startswith("#")] for stem in ("trajectories", "stationary")]
+            outputs[name] = summary, tables
+        assert len(outputs["si"][1][0]) == 1 + 16 * 3
+        # 20 steps of the converted dt, recorded at the start, midway and the end
+        assert outputs["si"][1][0][-1].startswith(f"{20 * u.time(dt_si)!r},")
+        assert outputs["si"] == outputs["natural"]
 
 
 class TestVerify:

@@ -284,7 +284,8 @@ class TestSpindown:
         def tau_for(W0, L, R, I):
             sigma = 1e-3 * W0  # fixed ratio keeps the log factor constant
 
-            def torque(w):
+            @np.vectorize
+            def torque(w):  # one integrate_power per rate
                 return _cylinder(Drude(sigma), R, L, w).M
 
             return spindown_timescale(torque, I, W0, epsrel=1e-6)
@@ -296,7 +297,7 @@ class TestSpindown:
 
     def test_zero_torque_error(self):
         with pytest.raises(DomainError):
-            spindown_timescale(lambda w: 0.0, 1.0, 1.0)
+            spindown_timescale(lambda w: 0.0 * w, 1.0, 1.0)
 
 
 class TestSpectralRows:

@@ -32,6 +32,12 @@ def power5(c=1.0):
     return TorqueLaw.power_law(c, 5)
 
 
+def drift_only_quintic(c):
+    """Mbar = c W^5 with no diffusion: the deterministic spin-down."""
+    return TorqueLaw.from_moments(lambda w: (c * np.power(w, 5), 0.0 * w),
+                                  lambda w: 5 * c * np.power(w, 4))
+
+
 class TestUncertainty:
     def test_power_law_closed_form(self):
         for c in (0.1, 1.0, 40.0):
@@ -52,14 +58,14 @@ class TestUncertainty:
             I * law.diffusion(W0) / law.drift_derivative(W0))
 
     def test_flat_law_raises(self):
-        flat = TorqueLaw(lambda w: 0.0 * w + 1.0, lambda w: 0.0 * w + 1.0)
+        flat = TorqueLaw.from_moments(lambda w: (0.0 * w + 1.0,) * 2, lambda w: 0.0 * w)
         with pytest.raises(DomainError):
             uncertainty(flat, 1.0, 1.0)
 
 
 class TestDeterministicLimit:
     def test_zero_law_constant(self):
-        silent = TorqueLaw(lambda w: 0.0 * w, lambda w: 0.0 * w)
+        silent = TorqueLaw.from_moments(lambda w: (0.0 * w, 0.0 * w), lambda w: 0.0 * w)
         ens = simulate_ensemble(
             silent, I=1.0, omega0=0.8, t_total=5.0, dt=0.1, n_traj=3, seed=1
         )
@@ -69,8 +75,7 @@ class TestDeterministicLimit:
     def test_drift_only_matches_closed_form_with_richardson(self):
         # I dW/dt = -c W^5  =>  W(t) = W0 (1 + 4 c W0^4 t / I)^(-1/4)
         c, I, W0, T = 0.5, 2.0, 1.0, 3.0
-        law = TorqueLaw(lambda w: c * np.power(w, 5), lambda w: 0.0 * w,
-                        drift_derivative_fn=lambda w: 5 * c * np.power(w, 4))
+        law = drift_only_quintic(c)
         finals = []
         for dt in (2e-3, 1e-3):
             ens = simulate_ensemble(law, I=I, omega0=W0, t_total=T, dt=dt, n_traj=1, seed=0)
@@ -84,9 +89,8 @@ class TestDeterministicLimit:
         # the time spindown_timescale predicts to reach W0/2 lands the
         # drift-only trajectory there (Richardson-extrapolated in dt)
         c, I, W0 = 0.5, 2.0, 1.0
-        tau = spindown_timescale(lambda w: c * w**5, I, W0, omega_final=W0 / 2)
-        law = TorqueLaw(lambda w: c * np.power(w, 5), lambda w: 0.0 * w,
-                        drift_derivative_fn=lambda w: 5 * c * np.power(w, 4))
+        law = drift_only_quintic(c)
+        tau = spindown_timescale(law.drift, I, W0, omega_final=W0 / 2)
         finals = []
         for dt in (tau / 2000, tau / 4000):
             ens = simulate_ensemble(law, I=I, omega0=W0, t_total=tau, dt=dt,
@@ -112,9 +116,8 @@ def quintic(w):
 
 
 # W^5 law from IEEE-exact arithmetic only (no pow), so the digests below do
-# not depend on the platform's math library; moments_fn shares one power
-QUINTIC = TorqueLaw(quintic, quintic, lambda w: 5.0 * w * w * w * w,
-                    lambda w: (quintic(w),) * 2)
+# not depend on the platform's math library; both moments share one power
+QUINTIC = TorqueLaw.from_moments(lambda w: (quintic(w),) * 2, lambda w: 5.0 * w * w * w * w)
 
 # SHA-256 of ens.omegas for the ledger runs below, recorded before the noise
 # was streamed in chunks (the whole (block, n_steps) array was drawn at once)
@@ -135,14 +138,6 @@ class TestRNGLedger:
         ens = simulate_ensemble(QUINTIC, I=100.0, omega0=1.0, t_total=n_steps * 1e-2,
                                 dt=1e-2, n_traj=64, seed=42, drive_at=1.0)
         assert hashlib.sha256(ens.omegas.tobytes()).hexdigest() == LEDGER_DIGESTS[n_steps]
-
-    def test_one_pass_law_matches_two_calls(self):
-        two_pass = dataclasses.replace(QUINTIC, moments_fn=None)
-        kw = dict(I=100.0, omega0=1.0, t_total=8.05, dt=1e-2, n_traj=64, seed=42,
-                  drive_at=1.0)
-        a = simulate_ensemble(QUINTIC, **kw)
-        b = simulate_ensemble(two_pass, **kw)
-        assert np.array_equal(a.omegas, b.omegas)
 
     def test_noise_memory_does_not_grow_with_steps(self):
         # drawn whole, the 64 x 20000 noise array alone would take 10 MB
@@ -185,27 +180,29 @@ class TestStiffnessGuard:
 
     def test_adiabaticity_monitor_warns(self):
         # a fast free decay violates |dW/dt| << W^2 and must say so
-        law = TorqueLaw(lambda w: 0.5 * np.power(w, 5), lambda w: 0.0 * w,
-                        drift_derivative_fn=lambda w: 2.5 * np.power(w, 4))
+        law = drift_only_quintic(0.5)
         with pytest.warns(UserWarning, match="adiabaticity"):
             simulate_ensemble(law, I=2.0, omega0=1.0, t_total=1.0, dt=1e-3,
                               n_traj=1, seed=0)
 
 
+def nan_above_one_and_a_half():
+    """W^5 law whose drift turns NaN above W = 1.5."""
+    return TorqueLaw.from_moments(
+        lambda w: (np.where(w > 1.5, np.nan, np.power(w, 5)), np.power(w, 5)),
+        lambda w: 5.0 * np.power(w, 4))
+
+
 class TestNonFiniteGuard:
     def test_nan_drift_raises_naming_step_and_trajectory(self):
-        # the drift turns NaN above W = 1.5; trajectory 0 starts there
-        law = TorqueLaw(lambda w: np.where(w > 1.5, np.nan, np.power(w, 5)),
-                        lambda w: np.power(w, 5),
-                        drift_derivative_fn=lambda w: 5.0 * np.power(w, 4))
+        # trajectory 0 starts above W = 1.5, where the drift is NaN
+        law = nan_above_one_and_a_half()
         with pytest.raises(StepSizeError, match=r"step 25 in trajectory 0\b"):
             simulate_ensemble(law, I=1e4, omega0=2.0, t_total=100.0, dt=1.0, n_traj=3,
                               seed=0)
 
     def test_nan_within_the_last_guard_interval_is_caught(self):
-        law = TorqueLaw(lambda w: np.where(w > 1.5, np.nan, np.power(w, 5)),
-                        lambda w: np.power(w, 5),
-                        drift_derivative_fn=lambda w: 5.0 * np.power(w, 4))
+        law = nan_above_one_and_a_half()
         with pytest.raises(StepSizeError, match="after step 3 "):
             simulate_ensemble(law, I=1e4, omega0=2.0, t_total=3.0, dt=1.0, n_traj=2,
                               seed=0)
@@ -214,11 +211,11 @@ class TestNonFiniteGuard:
 class TestOnePassLaw:
     def test_power_law_pair_equals_separate_calls(self):
         w = np.linspace(0.0, 3.0, 101)
-        for law in (TorqueLaw.power_law(0.7, 5), TorqueLaw.power_law(0.7, 5, 2.0, 3)):
-            m1, m2 = law.moments(w)
-            assert np.array_equal(m1, law.drift(w))
-            assert np.array_equal(m2, law.diffusion(w))
-        assert TorqueLaw.power_law(0.7, 5, 2.0, 3).moments_fn is None
+        law = TorqueLaw.power_law(0.7, 5)
+        m1, m2 = law.moments(w)
+        assert np.array_equal(m1, 0.7 * np.power(w, 5))
+        assert np.array_equal(m1, law.drift(w))
+        assert np.array_equal(m2, law.diffusion(w))
 
     def test_langevin_step_evaluates_the_law_once(self):
         calls = []
@@ -230,31 +227,58 @@ class TestOnePassLaw:
             calls.append(1)
             return np.power(w, 5), np.power(w, 5)
 
-        law = TorqueLaw(refuse, refuse, moments_fn=moments)
+        law = dataclasses.replace(TorqueLaw.from_moments(moments, refuse),
+                                  drift=refuse, diffusion=refuse)
         langevin_step(np.ones(4), law, 100.0, 1e-2, np.zeros(4))
         assert len(calls) == 1
 
 
+# every kind of law that src/ builds; the benchmark's tracer rebuilds each one
+# by dataclasses.replace on these three fields
+LAWS_BUILT_BY_SRC = {
+    "power": lambda: TorqueLaw.power_law(1.0, 5),
+    "log-log table": lambda: tabulate_torque_law(lambda W: (W**5 + 0.3 * W**3, W**5),
+                                                 (0.0, 2.0)),
+    "signed table": lambda: tabulate_torque_law(lambda W: (W**3 - 0.25 * W, W**2 + 0.1),
+                                                (0.0, 2.0)),
+    "zero": lambda: tabulate_torque_law(lambda W: (0.0, 0.0), (0.0, 2.0)),
+}
+
+
+class TestReplacedLaw:
+    @pytest.mark.parametrize("kind", LAWS_BUILT_BY_SRC)
+    def test_runs_through_the_replaced_callables(self, kind):
+        law = LAWS_BUILT_BY_SRC[kind]()
+        calls = {"drift": 0, "diffusion": 0, "slope": 0}
+
+        def counted(name, f):
+            def g(w):
+                calls[name] += 1
+                return f(w)
+            return g
+
+        rebuilt = dataclasses.replace(
+            law, drift=counted("drift", law.drift),
+            diffusion=counted("diffusion", law.diffusion),
+            drift_derivative_fn=counted("slope", law.drift_derivative_fn))
+        kw = dict(I=100.0, omega0=1.0, t_total=0.5, dt=1e-2, n_traj=8, seed=4, drive_at=1.0)
+        ens = simulate_ensemble(rebuilt, **kw)
+        assert np.array_equal(ens.omegas, simulate_ensemble(law, **kw).omegas)
+        # the drive, then the drift and the slope at each of the guards of steps 0 and 25
+        assert calls == {"drift": 3, "diffusion": 0, "slope": 2}
+
+
 class TestVarianceGrowth:
-    def test_early_growth_under_bare_covariance(self):
-        # freely decaying, early times, <eta eta'> = Mbar2 delta:
-        # Var[I W(t)] = Mbar2(W0) t
+    def test_early_growth_follows_the_master_equation(self):
+        # freely decaying, early times, noise variance 2 Mbar2 dt per step:
+        # Var[I W(t)] = 2 Mbar2(W0) t
         law = power5(1.0)
         I, W0, T = 2000.0, 1.0, 2.0  # drift shifts W0 by only 1e-3 over T
         ens = simulate_ensemble(law, I=I, omega0=W0, t_total=T, dt=0.01, n_traj=6000,
-                                seed=3, diffusion_scale=1.0)
+                                seed=3)
         var = (I * ens.final).var()
-        target = law.diffusion(W0) * T
+        target = 2.0 * law.diffusion(W0) * T
         assert var == pytest.approx(target, rel=0.1)
-
-    def test_fp_convention_doubles_growth(self):
-        law = power5(1.0)
-        I, W0, T = 2000.0, 1.0, 2.0
-        kw = dict(I=I, omega0=W0, t_total=T, dt=0.01, n_traj=6000, seed=3)
-        bare = simulate_ensemble(law, diffusion_scale=1.0, **kw)
-        fp = simulate_ensemble(law, diffusion_scale=2.0, **kw)
-        ratio = (I * fp.final).var() / (I * bare.final).var()
-        assert ratio == pytest.approx(2.0, rel=0.15)
 
 
 class TestStationary:
@@ -295,7 +319,7 @@ class TestStationary:
 
     def test_non_normalizable_raises(self):
         # no restoring drift against a diffusion vanishing as W^5 at the origin
-        law = TorqueLaw(lambda w: 0.0 * w, lambda w: np.power(w, 5))
+        law = TorqueLaw.from_moments(lambda w: (0.0 * w, np.power(w, 5)), lambda w: 0.0 * w)
         with pytest.raises(DomainError):
             fokker_planck_stationary(law, 1.0, 100.0)
 

@@ -58,8 +58,6 @@ class TestPchip:
         ref = PchipInterpolator(np.log(GRID), np.log(np.maximum(vals, tiny)))
         t = points(np.log(GRID))
         same(mine(t), ref(t).T)
-        for j in range(2):
-            same(mine.column(j)(t), ref(t)[:, j])
 
     @pytest.mark.parametrize("kind", ["rising", "bumpy", "flat-runs"])
     def test_single_column(self, kind):
@@ -94,15 +92,13 @@ class TestPchip:
 
     def test_moment_interpolants_equal_exp_of_scipy_pchip(self):
         vals = two_column_vals(GRID)
-        drift, diffusion, moments = _moment_interpolants(GRID, vals)
+        moments = _moment_interpolants(GRID, vals)
         tiny = np.max(vals, axis=0) * 1e-290 + 1e-300
         ref = PchipInterpolator(np.log(GRID), np.log(np.maximum(vals, tiny)))
         w = np.exp(points(np.log(GRID)))
         pair = moments(w)
         assert pair.shape == (2, len(w)) and pair.flags.c_contiguous
         same(pair, np.exp(ref(np.log(w))).T)
-        same(drift(w), pair[0])
-        same(diffusion(w), pair[1])
         assert moments(0.7) == np.exp(ref(np.log(0.7))).tolist()
 
     @pytest.mark.parametrize("n", [0, 1, 2])
