@@ -19,7 +19,6 @@ from .material import (
     ThermalState,
     Vacuum,
     bose_occupation,
-    epsilon,
     sphere_polarizability,
 )
 from .scattering import (

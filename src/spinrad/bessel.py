@@ -14,10 +14,11 @@ An overflow, or an argument past the cap, raises
 input.
 
 Bit-identity rules: the AMOS calls stay numpy ufunc calls on arrays; the
-derivative recurrences divide by the complex argument even when it is real
-(``k / z`` as a complex division rounds differently from a real one); and
-the fast path of ``bessel_j`` (no real argument: one AMOS call on the
-whole array) takes empty input and gives the same bits as the masked path.
+J and H derivative recurrences divide by the complex argument even when it
+is real (``k / z`` as a complex division rounds differently from a real
+one), the Y recurrence by the real one; and the fast path of ``bessel_j``
+(no real argument: one AMOS call on the whole array) takes empty input and
+gives the same bits as the masked path.
 """
 
 import functools
@@ -72,50 +73,57 @@ def _guard(value, what, m, z):
     return value
 
 
-def _j(m, za):
-    """J_m on a checked complex array."""
-    real = za.imag == 0.0
-    if real.any():
-        J = np.empty(za.shape, dtype=complex)
-        # the complex AMOS path leaves ~1e-18 imaginary crumbs on real input,
-        # which would break exact identities (e.g. zero flux at corotation)
-        J[real] = _sc().jv(abs(m), za.real[real])
-        J[~real] = _sc().jv(abs(m), za[~real])
-        J[za == 0] = 1.0 if m == 0 else 0.0
-    else:  # no real argument: one AMOS call on the whole array
-        J = _sc().jv(abs(m), za)
-    J = _guard(J, "J", m, za)
-    return (-1) ** (-m) * J if m < 0 else J
+_AMOS = {"Y": "yv", "H1": "hankel1", "H2": "hankel2"}
 
 
-def _h(kind, m, za):
-    """H^(kind)_m on a checked complex array."""
-    H = _guard(getattr(_sc(), f"hankel{kind}")(abs(m), za), f"H{kind}", m, za)
-    return (-1) ** (-m) * H if m < 0 else H
+def _cyl(kind, m, z):
+    """C_m on a checked array: J, H1 or H2 of complex z, or Y of real x.
+
+    AMOS is called at order |m| and the result reflected by (-1)^m.
+    """
+    k = abs(m)
+    if kind == "J":
+        real = z.imag == 0.0
+        if real.any():
+            C = np.empty(z.shape, dtype=complex)
+            # the complex AMOS path leaves ~1e-18 imaginary crumbs on real input,
+            # which would break exact identities (e.g. zero flux at corotation)
+            C[real] = _sc().jv(k, z.real[real])
+            C[~real] = _sc().jv(k, z[~real])
+            C[z == 0] = 1.0 if m == 0 else 0.0
+        else:  # no real argument: one AMOS call on the whole array
+            C = _sc().jv(k, z)
+    else:
+        C = getattr(_sc(), _AMOS[kind])(k, z)
+    C = _guard(C, kind, m, z)
+    return (-1) ** (-m) * C if m < 0 else C
+
+
+def _and_deriv(kind, m, z):
+    """(C_m, C'_m) on a checked array by C'_m = C_{m-1} - (m/z) C_m, z divided as given."""
+    k = abs(m)
+    C = _cyl(kind, k, z)
+    if kind == "J":  # J_m ~ (z/2)^m / m!: the derivative at the origin is set apart
+        zero = z == 0
+        d = _cyl(kind, k - 1, z) - (k / np.where(zero, 1.0, z)) * C
+        d[zero] = 0.5 if k == 1 else 0.0
+    else:
+        d = _cyl(kind, k - 1, z) - (k / z) * C
+    if m < 0:
+        C, d = (-1) ** (-m) * C, (-1) ** (-m) * d
+    return C, d
 
 
 def bessel_j(m, z):
     """Bessel function of the first kind J_m(z), integer m, complex z."""
     _check(m, z)
-    return _out(_j(m, _array(z)), z)
+    return _out(_cyl("J", m, _array(z)), z)
 
 
 def bessel_j_and_deriv(m, z):
-    """(J_m(z), dJ_m/dz): J is evaluated once at each of the orders |m| and |m| - 1.
-
-    The derivative follows the recurrence J'_m = J_{m-1} - (m/z) J_m on the
-    complex argument.
-    """
+    """(J_m(z), dJ_m/dz): J is evaluated once at each of the orders |m| and |m| - 1."""
     _check(m, z)
-    za = _array(z)
-    k = abs(m)
-    J = _j(k, za)
-    zero = za == 0
-    d = _j(k - 1, za) - (k / np.where(zero, 1.0, za)) * J
-    # J_m ~ (z/2)^m / m!: derivative at the origin
-    d[zero] = 0.5 if k == 1 else 0.0
-    if m < 0:
-        J, d = (-1) ** (-m) * J, (-1) ** (-m) * d
+    J, d = _and_deriv("J", m, _array(z))
     return _out(J, z), _out(d, z)
 
 
@@ -127,30 +135,21 @@ def bessel_j_deriv(m, z):
 def _kind(kind):
     if kind not in (1, 2):
         raise DomainError(f"kind must be 1 or 2, got {kind!r}")
+    return f"H{kind}"
 
 
 def hankel(kind, m, z):
     """Hankel function H^(kind)_m(z) of the first (1) or second (2) kind."""
-    _kind(kind)
+    name = _kind(kind)
     _check(m, z, nonzero=True)
-    return _out(_h(kind, m, _array(z)), z)
+    return _out(_cyl(name, m, _array(z)), z)
 
 
 def hankel_and_deriv(kind, m, z):
-    """(H^(kind)_m(z), dH^(kind)_m/dz), evaluating H once at each of |m| and |m| - 1.
-
-    The derivative follows the recurrence C'_m = C_{m-1} - (m/z) C_m with z
-    complex even when the argument is real: the complex division k/z is
-    what the outputs are pinned to.
-    """
-    _kind(kind)
+    """(H^(kind)_m(z), dH^(kind)_m/dz), evaluating H once at each of |m| and |m| - 1."""
+    name = _kind(kind)
     _check(m, z, nonzero=True)
-    za = _array(z)
-    k = abs(m)
-    H = _h(kind, k, za)
-    d = _h(kind, k - 1, za) - (k / za) * H
-    if m < 0:
-        H, d = (-1) ** (-m) * H, (-1) ** (-m) * d
+    H, d = _and_deriv(name, m, _array(z))
     return _out(H, z), _out(d, z)
 
 
@@ -159,27 +158,23 @@ def hankel_deriv(kind, m, z):
     return hankel_and_deriv(kind, m, z)[1]
 
 
-def bessel_y(m, x):
-    """Bessel function of the second kind Y_m(x), real x > 0."""
+def _real_positive(m, x):
+    """x as a checked float array for Y_m, which is real only for x > 0."""
     _check(m, x, nonzero=True)
     xa = _array(x, float)
     if (xa < 0).any():
         raise DomainError("Y_m is real only for x > 0")
-    Y = _guard(_sc().yv(abs(m), xa), "Y", m, xa)
-    if m < 0:
-        Y = (-1) ** (-m) * Y
-    return _out(Y, x)
+    return xa
+
+
+def bessel_y(m, x):
+    """Bessel function of the second kind Y_m(x), real x > 0."""
+    return _out(_cyl("Y", m, _real_positive(m, x)), x)
 
 
 def bessel_y_deriv(m, x):
     """dY_m/dx via the recurrence C'_m = C_{m-1} - (m/x) C_m."""
-    _check(m, x, nonzero=True)
-    xa = _array(x, float)
-    k = abs(m)
-    d = bessel_y(k - 1, xa) - (k / xa) * bessel_y(k, xa)
-    if m < 0:
-        d = (-1) ** (-m) * d
-    return _out(d, x)
+    return _out(_and_deriv("Y", m, _real_positive(m, x))[1], x)
 
 
 def wronskian_h1h2(m, x):
@@ -194,8 +189,7 @@ def wronskian_h1h2(m, x):
     if (xa <= 0).any():
         raise DomainError(f"Wronskian needs x > 0, got {_first(xa, xa <= 0)!r}")
     j, jp = (v.real for v in bessel_j_and_deriv(m, xa))
-    y = bessel_y(m, xa)
-    yp = bessel_y_deriv(m, xa)
+    y, yp = _and_deriv("Y", m, xa)
     return _out(-2j * (j * yp - jp * y), x)
 
 

@@ -6,9 +6,10 @@ material key that the chosen model does not read is rejected too.
 ``units = si`` converts at the boundary only: radius/length/d in m, omega and
 omega_hi in rad/s, dt and t_total in s, temperatures in K, conductivity in S/m
 (converted to the Gaussian convention used by eps = 1 + 4 pi i sigma/omega),
-inertia in kg m^2; outputs come back in W, N m, W/K and s.  Exit codes: 0 ok,
-2 config error, 3 numeric non-convergence, 4 numeric domain fault (a resonance
-or a special-function overflow met while computing).
+inertia in kg m^2, the power-law coeff in N m (rad/s)^-exponent; the ``si``
+blocks of the JSON outputs come back in W, N m, N, W/K, rad/s and J s.  Exit
+codes: 0 ok, 2 config error, 3 numeric non-convergence, 4 numeric domain fault
+(a resonance or a special-function overflow met while computing).
 """
 
 import argparse
@@ -80,9 +81,6 @@ _MATERIAL_KEYS = {
     "tabulated": {"path"},
 }
 
-# the [twobody] keys that describe the test body's material
-_TEST_MATERIAL_KEYS = {"test_sigma", "test_eps_re", "test_eps_im"}
-
 
 def _get(parser, section, key, cast, default=None, required=False):
     if not parser.has_option(section, key):
@@ -120,41 +118,38 @@ def load_config(path):
     return parser
 
 
-def _build_material(parser, units):
-    model = _get(parser, "material", "model", str, required=True).lower()
-    if model not in _MATERIAL_KEYS:
-        raise ConfigError(f"[material] model: unknown model {model!r}")
-    _reject_unread("material", set(parser.options("material")) - {"model"},
-                   _MATERIAL_KEYS[model], model)
+def _build_material(parser, units, section="material", prefix="", models=tuple(_MATERIAL_KEYS)):
+    """The dielectric model that ``[section]`` describes with the keys ``prefix + key``.
+
+    A material key that the chosen model does not read is rejected.
+    """
+    def get(key, cast=float, **kw):
+        return _get(parser, section, prefix + key, cast, **kw)
+
+    model = get("model", str, required=True).lower()
+    if model not in models:
+        raise ConfigError(
+            f"[{section}] {prefix}model: must be one of {', '.join(models)}, got {model!r}")
+    given = set(parser.options(section)) & {prefix + k for v in _MATERIAL_KEYS.values() for k in v}
+    unread = sorted(given - {prefix + k for k in _MATERIAL_KEYS[model]})
+    if unread:
+        raise ConfigError(f"[{section}] {', '.join(unread)}: not read by model {model!r}")
     if model == "vacuum":
         return Vacuum()
     if model == "drude":
-        sigma = _get(parser, "material", "sigma", float, required=True)
+        sigma = get("sigma", required=True)
         if units is not None:
             sigma = units.conductivity(si_conductivity_to_gaussian(sigma))
         return Drude(sigma)
     if model == "lorentz":
-        vals = [
-            _get(parser, "material", k, float, required=True)
-            for k in ("eps_inf", "omega_p", "omega_0", "gamma")
-        ]
+        vals = [get(k, required=True) for k in ("eps_inf", "omega_p", "omega_0", "gamma")]
         if units is not None:
             vals = [vals[0]] + [units.frequency(v) for v in vals[1:]]
         return Lorentz(*vals)
     if model == "constant":
-        return ConstantEpsilon(
-            _get(parser, "material", "eps_re", float, required=True),
-            _get(parser, "material", "eps_im", float, default=0.0),
-        )
-    path = _get(parser, "material", "path", str, required=True)
-    return _load_file(TabulatedEpsilon.from_csv, path, "tabulated epsilon")
-
-
-def _reject_unread(section, given, read, model):
-    """Raise ConfigError naming any key of ``given`` that ``model`` does not read."""
-    unread = sorted(given - read)
-    if unread:
-        raise ConfigError(f"[{section}] {', '.join(unread)}: not read by model {model!r}")
+        return ConstantEpsilon(get("eps_re", required=True), get("eps_im", default=0.0))
+    return _load_file(TabulatedEpsilon.from_csv, get("path", str, required=True),
+                      "tabulated epsilon")
 
 
 def _build_scenario(parser):
@@ -408,6 +403,8 @@ def run_rotor(args, parser):
     if law_kind == "powerlaw":
         coeff = _get(parser, "rotor", "coeff", float, required=True)
         exponent = _get(parser, "rotor", "exponent", float, required=True)
+        if units is not None:  # coeff in N m (rad/s)^-exponent
+            coeff = units.torque(coeff) * units.frequency_si(1.0) ** exponent
         law = TorqueLaw.power_law(coeff, exponent)
     elif law_kind == "radiation":
         state0 = ThermalState(T_object=body["t_object"], T_env=body["t_env"])
@@ -460,7 +457,14 @@ def run_rotor(args, parser):
         summary["IDeltaOmega_analytic"] = uncertainty(law, Omega0, I)
         summary["KS_mc_vs_analytic"] = dist.ks_statistic(ens.final)
     if units is not None:
-        summary["si"] = {"mean_rad_per_s": units.frequency_si(summary["mean"])}
+        summary["si"] = {
+            "mean_rad_per_s": units.frequency_si(summary["mean"]),
+            "var_rad2_per_s2": summary["var"] / units.time_unit_s**2,
+            "IDeltaOmega_mc_Js": units.angular_momentum_si(summary["IDeltaOmega_mc"]),
+        }
+        if drive:
+            summary["si"]["IDeltaOmega_analytic_Js"] = units.angular_momentum_si(
+                summary["IDeltaOmega_analytic"])
     _write_json(Path(args.out) / "rotor.json", summary)
     print(f"rotor: {numerics['n_traj']} trajectories -> {args.out}")
     return 0
@@ -470,31 +474,16 @@ def run_twobody(args, parser):
     geometry, units, material, body, numerics = _build_scenario(parser)
     if geometry not in ("disk", "sphere"):
         raise ConfigError("[scenario] geometry: twobody supports disk (2d) and sphere (3d)")
-    mode = _get(parser, "twobody", "mode", str, default="3d" if geometry == "sphere" else "2d")
-    if mode not in ("2d", "3d"):
-        raise ConfigError("[twobody] mode: must be '2d' or '3d'")
+    mode = "3d" if geometry == "sphere" else "2d"
+    if _get(parser, "twobody", "mode", str, default=mode) != mode:
+        raise ConfigError(f"[twobody] mode: must be {mode!r} for the {geometry}")
     d = _get(parser, "twobody", "d", float, required=True)
     test_radius = _get(parser, "twobody", "test_radius", float, required=True)
     if units is not None:
         d = units.length(d)
         test_radius = units.length(test_radius)
-    test_model_name = _get(parser, "twobody", "test_model", str, required=True).lower()
-    if test_model_name not in ("drude", "constant", "vacuum"):
-        raise ConfigError("[twobody] test_model: must be drude, constant or vacuum")
-    _reject_unread("twobody", set(parser.options("twobody")) & _TEST_MATERIAL_KEYS,
-                   {"test_" + k for k in _MATERIAL_KEYS[test_model_name]}, test_model_name)
-    if test_model_name == "drude":
-        ts = _get(parser, "twobody", "test_sigma", float, required=True)
-        if units is not None:
-            ts = units.conductivity(si_conductivity_to_gaussian(ts))
-        test_model = Drude(ts)
-    elif test_model_name == "constant":
-        test_model = ConstantEpsilon(
-            _get(parser, "twobody", "test_eps_re", float, required=True),
-            _get(parser, "twobody", "test_eps_im", float, default=0.0),
-        )
-    else:
-        test_model = Vacuum()
+    test_model = _build_material(parser, units, "twobody", "test_",
+                                 ("drude", "constant", "vacuum"))
 
     cfg = TwoBodyConfig(d, material, body["radius"], test_model, test_radius)
     Omega = body["omega"]

@@ -185,11 +185,6 @@ class TabulatedEpsilon(DielectricModel):
         raise DomainError("omega = 0 outside tabulated range")
 
 
-def epsilon(model, omega):
-    """Causal response eps(omega) of a model on the full real axis."""
-    return model.epsilon(omega)
-
-
 def bose_occupation(omega, T):
     """Bose-Einstein occupation n(omega, T) = 1/(exp(omega/T) - 1), k_B = 1.
 

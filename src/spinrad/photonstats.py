@@ -156,8 +156,8 @@ def entropy_generation(table, state, policy=None):
 
     Runs :func:`integrate_power`, then integrates mode_entropy_rate over
     exactly the channels its P, M, Q sum used (the block |m| <= m_max and,
-    with ``auto_extend``, the shells it grew), each at the thermal cutoff
-    its P, M, Q integral used, Omega*max(|m|, m_max) + 40T.  For a static
+    with ``auto_extend``, the shells it grew), each on the support
+    :func:`channel_support` gave its P, M, Q integral.  For a static
     thermal emitter the object contributes -P/T; for a rotating body at
     finite temperature the comoving heat gain contributes +Q/T; at T = 0 the
     object term is left unset and the combined rate equals the field rate.
@@ -178,8 +178,7 @@ def entropy_generation(table, state, policy=None):
     total = 0.0
     err_total = 0.0
     for c in rad.per_mode:
-        val, err = integrate_channel(table, state, c.m, c.extra, c.pol, weight,
-                                     max(abs(c.m), policy.m_max),
+        val, err = integrate_channel(table, state, c.m, c.extra, c.pol, weight, policy.m_max,
                                      epsrel=max(policy.epsrel, 1e-8))
         per_mode.append((c.m, c.extra, c.pol, float(val)))
         total += float(val)

@@ -166,18 +166,3 @@ def adaptive_integral(f, a, b, *, epsrel=1e-9, limit=300):
         )
     return total[()], err
 
-
-def integrate_segments(f, points, **kw):
-    """Integrate over consecutive segments defined by sorted breakpoints."""
-    points = sorted(points)
-    total = None
-    err = 0.0
-    for a, b in zip(points[:-1], points[1:]):
-        if b <= a:
-            continue
-        val, e = adaptive_integral(f, a, b, **kw)
-        total = val if total is None else total + val
-        err += e
-    if total is None:
-        raise ConvergenceError("empty integration domain")
-    return total, err

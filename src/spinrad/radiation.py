@@ -17,13 +17,13 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, NumericDomainError
 from .material import ThermalState, bose_occupation
-from .quadrature import adaptive_integral, integrate_segments
+from .quadrature import adaptive_integral
 from .scattering import SMALLVEL_LIMIT
 
 TWO_PI = 2.0 * math.pi
 
-# thermal integrals are cut at Omega*m_max + TAIL_DECADES*T with an analytic
-# exponential bound folded into the error estimate
+# thermal integrals are cut at Omega*max(|m|, m_max, 1) + TAIL_DECADES*T with
+# an analytic exponential bound folded into the error estimate
 TAIL_DECADES = 40.0
 
 
@@ -142,9 +142,10 @@ def channel_support(table, state, m, extra, pol, m_max):
     """Breakpoints of a channel's spectral support; empty when nothing radiates.
 
     At T = 0 only the superradiant window (0, Omega*m) of m >= 1 carries
-    flux.  Otherwise the support runs to the thermal cutoff and is split at
-    omega = Omega*m, where the diverging occupation meets the vanishing flux
-    factor (a removable singularity, kept on a panel edge).
+    flux.  Otherwise the support runs to the thermal cutoff
+    Omega*max(|m|, m_max, 1) + 40T and is split at omega = Omega*m, where the
+    diverging occupation meets the vanishing flux factor (a removable
+    singularity, kept on a panel edge).
     """
     lo, hi = table.omega_domain(m, extra, pol)
     lo = max(lo, 0.0)
@@ -154,7 +155,7 @@ def channel_support(table, state, m, extra, pol, m_max):
             return []
         hi = min(hi, corotation)
     else:
-        hi = min(hi, _thermal_cutoff(state, m_max))
+        hi = min(hi, _thermal_cutoff(state, max(abs(m), m_max)))
     if hi <= lo:
         return []
     if not state.zero_temperature and m >= 1 and lo < corotation < hi:
@@ -167,8 +168,9 @@ def integrate_channel(table, state, m, extra, pol, weight, m_max, epsrel=1e-9):
 
     ``weight`` maps the node array, m and the spectral density on the nodes
     to the integrand components (nodes on the last axis); all components
-    share panels.  Returns (value, error), or None when the support is empty.
-    A stalled quadrature raises :class:`ConvergenceError` naming the channel.
+    share panels; the segments of the support are added left to right.
+    Returns (value, error), or None when the support is empty.  A stalled
+    quadrature raises :class:`ConvergenceError` naming the channel.
     """
     points = channel_support(table, state, m, extra, pol, m_max)
     if not points:
@@ -178,11 +180,16 @@ def integrate_channel(table, state, m, extra, pol, weight, m_max, epsrel=1e-9):
         return weight(w, m, mode_flux(table, state, w, m, extra, pol)) / TWO_PI
 
     try:
-        return integrate_segments(integrand, points, epsrel=epsrel)
+        parts = [adaptive_integral(integrand, a, b, epsrel=epsrel)
+                 for a, b in zip(points, points[1:])]
     except ConvergenceError as exc:
         raise ConvergenceError(
             f"channel m={m}, extra={extra}, pol={pol} on support {points}: {exc}", m=m
         ) from exc
+    total, err = parts[0]
+    for val, e in parts[1:]:
+        total, err = total + val, err + e
+    return total, err
 
 
 def integrate_channels(table, state, weight, m_max, m_min=0, **kw):
@@ -306,18 +313,12 @@ def _regime_flags(table, state):
 def kirchhoff_power(table, T_object, T_env, policy=None):
     """Static thermal radiation P = sum_m int dw/2pi hw [n(w,T)-n(w,T0)] (1-|S_m|^2).
 
-    The torque vanishes identically by the m <-> -m symmetry of the static
-    table (the summation cancels pairwise).
+    At Omega = 0 the heat weight is -omega*N, so Q = -P bit for bit.  The
+    torque vanishes by the m <-> -m symmetry of the static table (S_m =
+    S_{-m}); it is zeroed rather than left at the summation-order roundoff.
     """
-    state = ThermalState(T_object=T_object, T_env=T_env, Omega=0.0)
-    if T_object == T_env:
-        # detailed balance: the integrand is pointwise zero
-        return RadiationResult(0.0, 0.0, 0.0, [], 0.0, 0.0, _regime_flags(table, state))
-    res = integrate_power(table, state, policy)
-    # S_m = S_{-m} at rest, so the +-m torque contributions cancel exactly;
-    # zero it rather than keep the summation-order roundoff
+    res = integrate_power(table, ThermalState(T_object=T_object, T_env=T_env), policy)
     res.M = 0.0
-    res.Q = -res.P
     return res
 
 

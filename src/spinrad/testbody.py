@@ -7,8 +7,8 @@ scattering event off the test body is kept; validity needs d well above both
 radii, and a warning is emitted below 3x the larger one.
 """
 
+import dataclasses
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,7 @@ class ProximityWarning(UserWarning):
     """Separation close enough that neglected multiple reflections matter."""
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class TwoBodyConfig:
     """Rotating source and static test body, centers separated by d along x.
 
@@ -76,6 +76,17 @@ def _transfer(source, state, weight, epsrel):
     return float(sum(val for *_, val, _ in vals))
 
 
+def _small_particle(cfg, Omega, power, epsrel):
+    """int_0^Omega dw w^power |Im a1(w - Omega)| Im a2(w) over the two polarizabilities."""
+    def integrand(w):
+        a1 = sphere_polarizability(cfg.source_model, cfg.source_radius, w - Omega)
+        a2 = sphere_polarizability(cfg.test_model, cfg.test_radius, w)
+        return w**power * abs(a1.imag) * a2.imag
+
+    val, _ = adaptive_integral(integrand, 0.0, Omega, epsrel=epsrel)
+    return float(val)
+
+
 def torque_on_test_2d(cfg, Omega, T=0.0, *, far_field=False, epsrel=1e-8):
     """Torque transferred to a static test disk by the rotating disk's radiation.
 
@@ -125,13 +136,7 @@ def torque_on_test_3d(cfg, Omega, *, small_particle=False, epsrel=1e-10):
         return 0.0
 
     if small_particle:
-        def integrand(w):
-            a1 = sphere_polarizability(cfg.source_model, cfg.source_radius, w - Omega)
-            a2 = sphere_polarizability(cfg.test_model, cfg.test_radius, w)
-            return w**4 * abs(a1.imag) * a2.imag
-
-        val, _ = adaptive_integral(integrand, 0.0, Omega, epsrel=epsrel)
-        return 8.0 * float(val) / (9.0 * np.pi * cfg.d**2)
+        return 8.0 * _small_particle(cfg, Omega, 4, epsrel) / (9.0 * np.pi * cfg.d**2)
 
     def weight(w, m, N):
         loss = sphere_flux_dipole(cfg.test_model, cfg.test_radius, 0.0, w, 1)
@@ -154,13 +159,7 @@ def tangential_force_3d(cfg, Omega, *, small_particle=False, epsrel=1e-10):
         return 0.0
 
     if small_particle:
-        def integrand(w):
-            a1 = sphere_polarizability(cfg.source_model, cfg.source_radius, w - Omega)
-            a2 = sphere_polarizability(cfg.test_model, cfg.test_radius, w)
-            return w**6 * abs(a1.imag) * a2.imag
-
-        val, _ = adaptive_integral(integrand, 0.0, Omega, epsrel=epsrel)
-        return float(val) / (9.0 * np.pi * cfg.d)
+        return _small_particle(cfg, Omega, 6, epsrel) / (9.0 * np.pi * cfg.d)
 
     def weight(w, m, N):
         # 1 - Re S' = Im X for S' = 1 + iX: evaluated from the polarizability
@@ -178,7 +177,7 @@ def torque_vs_distance(cfg, Omega, distances, *, mode="3d", **kw):
     """Torque sweep over separations (for the power-law falloff diagnostics)."""
     out = []
     for d in distances:
-        c = TwoBodyConfig(d, cfg.source_model, cfg.source_radius, cfg.test_model, cfg.test_radius)
+        c = dataclasses.replace(cfg, d=d)
         if mode == "2d":
             out.append(torque_on_test_2d(c, Omega, **kw))
         elif mode == "3d":

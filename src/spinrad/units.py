@@ -59,6 +59,9 @@ class UnitSystem:
     def inertia(self, I_si):
         return I_si / (HBAR_SI * self.time_unit_s)
 
+    def torque(self, M_si):
+        return M_si * self.time_unit_s / HBAR_SI
+
     # ---- natural -> SI -------------------------------------------------
     def frequency_si(self, omega):
         return omega / self.time_unit_s
@@ -90,3 +93,6 @@ class UnitSystem:
 
     def inertia_si(self, I):
         return I * HBAR_SI * self.time_unit_s
+
+    def angular_momentum_si(self, L):
+        return L * HBAR_SI

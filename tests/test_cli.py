@@ -149,6 +149,17 @@ class TestValidation:
         assert err.startswith("config error") and key in err
         assert not any(out.iterdir())
 
+    @pytest.mark.parametrize("cfg, mode", [(DISK_CFG, "3d"), (SPHERE_CFG, "2d")],
+                             ids=["disk-3d", "sphere-2d"])
+    def test_twobody_mode_contradicting_geometry_exits_2(self, tmp_path, capsys, cfg, mode):
+        text = cfg + (f"[twobody]\nmode = {mode}\nd = 2.0\ntest_model = drude\n"
+                      "test_sigma = 1.0\ntest_radius = 0.1\n")
+        out = tmp_path / "out"
+        assert main(["twobody", "--config", write(tmp_path, text), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "[twobody] mode" in err
+        assert not any(out.iterdir())
+
 
 class TestPower:
     def test_sphere_closed_form_and_exit_zero(self, tmp_path):
@@ -463,6 +474,43 @@ class TestUnitsMode:
         # 20 steps of the converted dt, recorded at the start, midway and the end
         assert outputs["si"][1][0][-1].startswith(f"{20 * u.time(dt_si)!r},")
         assert outputs["si"] == outputs["natural"]
+
+    def test_si_powerlaw_rotor_converts_coeff(self, tmp_path):
+        # coeff in N m (rad/s)^-exponent: the run equals the natural-unit run with
+        # the converted coeff, bit for bit; var and I*dW gain SI values
+        Omega_si, sigma_si, R_si, I_si, coeff_si = 2.0e9, 2.2, 1.5e-3, 5.3e-41, 1.3e-71
+        u = UnitSystem.from_omega_si(Omega_si)
+        coeff = u.torque(coeff_si) * u.frequency_si(1.0) ** 5
+        assert coeff == pytest.approx(coeff_si * u.time_unit_s**-4 / HBAR_SI, rel=1e-14)
+        tail = "[numerics]\nn_traj = 16\nn_record = 3\n[rotor]\nlaw = powerlaw\nexponent = 5\n"
+        runs = {
+            "si": (f"[scenario]\ngeometry = sphere\nunits = si\n"
+                   f"[material]\nmodel = drude\nsigma = {sigma_si!r}\n"
+                   f"[body]\nradius = {R_si!r}\nomega = {Omega_si!r}\ninertia = {I_si!r}\n"
+                   f"{tail}coeff = {coeff_si!r}\n"),
+            "natural": (f"[scenario]\ngeometry = sphere\n[material]\nmodel = drude\n"
+                        f"sigma = {u.conductivity(si_conductivity_to_gaussian(sigma_si))!r}\n"
+                        f"[body]\nradius = {u.length(R_si)!r}\nomega = 1.0\n"
+                        f"inertia = {u.inertia(I_si)!r}\n{tail}coeff = {coeff!r}\n"),
+        }
+        outputs, si_blocks = {}, {}
+        for name, text in runs.items():
+            out = tmp_path / name
+            cfg = write(tmp_path, text, f"{name}.ini")
+            assert main(["rotor", "--config", cfg, "--out", str(out)]) == 0
+            summary = json.loads((out / "rotor.json").read_text())
+            del summary["meta"]
+            si_blocks[name] = summary.pop("si", None)
+            tables = [[l for l in (out / f"{stem}.csv").read_text().splitlines()
+                       if not l.startswith("#")] for stem in ("trajectories", "stationary")]
+            outputs[name] = summary, tables
+        assert outputs["si"] == outputs["natural"]
+        summary, si = outputs["si"][0], si_blocks["si"]
+        assert si["var_rad2_per_s2"] == pytest.approx(summary["var"] * Omega_si**2, rel=1e-14)
+        assert si["IDeltaOmega_mc_Js"] == summary["IDeltaOmega_mc"] * HBAR_SI
+        # the W^5 width sqrt(I W0 / 5) (hbar = 1) is sqrt(hbar I Omega / 5) in SI
+        assert si["IDeltaOmega_analytic_Js"] == pytest.approx(
+            math.sqrt(HBAR_SI * I_si * Omega_si / 5.0), rel=1e-9)
 
 
 class TestVerify:

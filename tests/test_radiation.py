@@ -217,11 +217,19 @@ class TestKirchhoff:
         res = kirchhoff_power(DiskTable(Drude(1.0), 0.3), 0.7, 0.7)
         assert abs(res.P) < 1e-12
 
+    def test_equilibrium_integrates_every_channel_to_zero(self):
+        # detailed balance makes the integrand pointwise 0.0: every channel
+        # |m| <= 5 is integrated and the sums are exactly zero
+        res = kirchhoff_power(DiskTable(Drude(1.0), 0.3), 0.7, 0.7)
+        assert [c.m for c in res.per_mode] == list(range(-5, 6))
+        assert (res.P, res.M, res.Q) == (0.0, 0.0, 0.0)
+
     THERMAL_POLICY = MSumPolicy(m_max=4, auto_extend=True, tail_tol=1e-4, m_cap=24)
 
     def test_hot_object_radiates(self):
         res = kirchhoff_power(DiskTable(Drude(1.0), 0.1), 1.0, 0.2, self.THERMAL_POLICY)
         assert res.P > 0
+        assert res.Q == -res.P  # the Omega = 0 heat weight is -omega*N
 
     def test_cold_object_absorbs(self):
         res = kirchhoff_power(DiskTable(Drude(1.0), 0.1), 0.2, 1.0, self.THERMAL_POLICY)
