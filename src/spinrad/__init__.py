@@ -26,7 +26,6 @@ from .scattering import (
     DiskTable,
     SphereTable,
     UserTable,
-    classify_channel,
     cylinder_flux_block,
     cylinder_smatrix_block,
     disk_interior_frequency,
@@ -46,14 +45,12 @@ from .radiation import (
 )
 from .photonstats import (
     EntropyReport,
-    ModeStatistics,
     counting_distribution,
     cumulant,
     entropy_generation,
     generating_function,
     glauber_pn,
     mode_entropy_rate,
-    mode_statistics,
     total_mode_entropy,
 )
 from .rotor import (
@@ -74,7 +71,6 @@ from .testbody import (
     torque_on_test_2d,
     torque_on_test_3d,
     translation_2d,
-    translation_3d_dipole,
 )
 from .units import UnitSystem, si_conductivity_to_gaussian
 

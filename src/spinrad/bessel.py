@@ -1,11 +1,12 @@
-"""Cylindrical and spherical Bessel/Hankel functions of integer order.
+"""Cylindrical Bessel and Hankel functions of integer order.
 
-Thin, guarded layer over ``scipy.special`` (AMOS) providing complex
-arguments, the exact derivative recurrence C'_m(z) = C_{m-1}(z) - (m/z) C_m(z),
-and the Hankel Wronskian used by the disk scattering matrix.  Orders are
-capped at |m| <= 200 and arguments at |z| <= 1e4; outside that range, or when
-the backend overflows, a :class:`DomainError` naming the first offending
-argument is raised instead of returning NaN.
+Thin, guarded layer over ``scipy.special`` (AMOS) providing J_m and
+H^(1,2)_m of complex argument, each alone or paired with its derivative
+from the exact recurrence C'_m(z) = C_{m-1}(z) - (m/z) C_m(z), and the
+Hankel Wronskian used by the disk scattering matrix (the only user of Y_m).
+Orders are capped at |m| <= 200 and arguments at |z| <= 1e4; outside that
+range, or when the backend overflows, a :class:`DomainError` naming the first
+offending argument is raised instead of returning NaN.
 
 Every function takes a scalar or an array argument and returns the same
 kind; arrays are evaluated element by element with the scalar arithmetic.
@@ -127,11 +128,6 @@ def bessel_j_and_deriv(m, z):
     return _out(J, z), _out(d, z)
 
 
-def bessel_j_deriv(m, z):
-    """dJ_m/dz via the recurrence J'_m = J_{m-1} - (m/z) J_m."""
-    return bessel_j_and_deriv(m, z)[1]
-
-
 def _kind(kind):
     if kind not in (1, 2):
         raise DomainError(f"kind must be 1 or 2, got {kind!r}")
@@ -153,30 +149,6 @@ def hankel_and_deriv(kind, m, z):
     return _out(H, z), _out(d, z)
 
 
-def hankel_deriv(kind, m, z):
-    """dH^(kind)_m/dz via the recurrence C'_m = C_{m-1} - (m/z) C_m."""
-    return hankel_and_deriv(kind, m, z)[1]
-
-
-def _real_positive(m, x):
-    """x as a checked float array for Y_m, which is real only for x > 0."""
-    _check(m, x, nonzero=True)
-    xa = _array(x, float)
-    if (xa < 0).any():
-        raise DomainError("Y_m is real only for x > 0")
-    return xa
-
-
-def bessel_y(m, x):
-    """Bessel function of the second kind Y_m(x), real x > 0."""
-    return _out(_cyl("Y", m, _real_positive(m, x)), x)
-
-
-def bessel_y_deriv(m, x):
-    """dY_m/dx via the recurrence C'_m = C_{m-1} - (m/x) C_m."""
-    return _out(_and_deriv("Y", m, _real_positive(m, x))[1], x)
-
-
 def wronskian_h1h2(m, x):
     """Wronskian H^(1)_m(x) d/dx H^(2)_m(x) - d/dx H^(1)_m(x) H^(2)_m(x).
 
@@ -191,34 +163,3 @@ def wronskian_h1h2(m, x):
     j, jp = (v.real for v in bessel_j_and_deriv(m, xa))
     y, yp = _and_deriv("Y", m, xa)
     return _out(-2j * (j * yp - jp * y), x)
-
-
-def sph_bessel(kind, l, z):
-    """Spherical Bessel j_l(z) (kind 'j') or Hankel h^(1)_l(z) (kind 'h1').
-
-    Complex arguments use the half-order relation f_l(z) =
-    sqrt(pi/2z) F_{l+1/2}(z) on the principal square-root branch.
-    """
-    if l < 0 or int(l) != l:
-        raise DomainError(f"spherical order must be an integer l >= 0, got {l!r}")
-    za = _array(z)
-    big = np.abs(za) > ARG_MAX
-    if big.any():
-        raise NumericDomainError(f"|z|={abs(_first(za, big)):g} exceeds cap {ARG_MAX:g}")
-    zero = za == 0
-    if kind == "j":
-        zs = np.where(zero, 1.0, za)
-        if l == 0:
-            val = np.sin(zs) / zs
-        else:
-            val = _guard(_sc().jv(l + 0.5, zs) * np.sqrt(np.pi / (2 * zs)), "j", l, zs)
-        val[zero] = 1.0 if l == 0 else 0.0
-        return _out(val, z)
-    if kind == "h1":
-        if zero.any():
-            raise DomainError("h^(1)_l is singular at z = 0")
-        if l == 0:
-            return _out(-1j * np.exp(1j * za) / za, z)
-        val = _sc().hankel1(l + 0.5, za) * np.sqrt(np.pi / (2 * za))
-        return _out(_guard(val, "h1", l, za), z)
-    raise DomainError(f"kind must be 'j' or 'h1', got {kind!r}")

@@ -3,13 +3,14 @@
 Config files are INI-style, one section per concern, with strict unknown-key
 rejection (a typo in a physics parameter must never be silently ignored); a
 material key that the chosen model does not read is rejected too.
-``units = si`` converts at the boundary only: radius/length/d in m, omega and
-omega_hi in rad/s, dt and t_total in s, temperatures in K, conductivity in S/m
-(converted to the Gaussian convention used by eps = 1 + 4 pi i sigma/omega),
-inertia in kg m^2, the power-law coeff in N m (rad/s)^-exponent; the ``si``
-blocks of the JSON outputs come back in W, N m, N, W/K, rad/s and J s.  Exit
-codes: 0 ok, 2 config error, 3 numeric non-convergence, 4 numeric domain fault
-(a resonance or a special-function overflow met while computing).
+``units = si`` converts at the boundary only: radius/length/d in m, omega,
+omega_hi and the omega column of input files in rad/s, dt and t_total in s,
+temperatures in K, conductivity in S/m (converted to the Gaussian convention
+used by eps = 1 + 4 pi i sigma/omega), inertia in kg m^2, the power-law coeff
+in N m (rad/s)^-exponent; the ``si`` blocks of the JSON outputs come back in W,
+N m, N, W/K, rad/s and J s.  Exit codes: 0 ok, 2 config error, 3 numeric
+non-convergence, 4 numeric domain fault (a resonance or a special-function
+overflow met while computing).
 """
 
 import argparse
@@ -48,7 +49,7 @@ from .rotor import (
     torque_law_from_radiation,
     uncertainty,
 )
-from .scattering import CylinderTable, DiskTable, SphereTable, load_channel_table
+from .scattering import CylinderTable, DiskTable, SphereTable, UserTable, load_channel_table
 from .testbody import (
     TwoBodyConfig,
     tangential_force_3d,
@@ -148,8 +149,11 @@ def _build_material(parser, units, section="material", prefix="", models=tuple(_
         return Lorentz(*vals)
     if model == "constant":
         return ConstantEpsilon(get("eps_re", required=True), get("eps_im", default=0.0))
-    return _load_file(TabulatedEpsilon.from_csv, get("path", str, required=True),
-                      "tabulated epsilon")
+    eps = _load_file(TabulatedEpsilon.from_csv, get("path", str, required=True),
+                     "tabulated epsilon")
+    if units is not None:  # the file's omega column is in rad/s
+        eps = TabulatedEpsilon(units.frequency(eps.omega), eps.eps_re, eps.eps_im)
+    return eps
 
 
 def _build_scenario(parser):
@@ -224,14 +228,17 @@ def _build_scenario(parser):
     return geometry, units, material, body, numerics
 
 
-def _make_table(geometry, material, body):
+def _make_table(geometry, units, material, body):
     if geometry == "disk":
         return DiskTable(material, body["radius"])
     if geometry == "sphere":
         return SphereTable(material, body["radius"])
     if geometry == "cylinder":
         return CylinderTable(material, body["radius"], body["length"])
-    return _load_file(load_channel_table, body["table"], "channel table")
+    table = _load_file(load_channel_table, body["table"], "channel table")
+    if units is not None:  # the file's omega column is in rad/s
+        table = UserTable({key: (units.frequency(om), S) for key, (om, S) in table.groups.items()})
+    return table
 
 
 def _load_file(loader, path, what):
@@ -325,7 +332,7 @@ def _state(body):
 
 def run_power(args, parser):
     geometry, units, material, body, numerics = _build_scenario(parser)
-    table = _make_table(geometry, material, body)
+    table = _make_table(geometry, units, material, body)
     result = integrate_power(table, _state(body), numerics["policy"])
     payload = {"meta": _meta(args, result.flags), **result.as_dict()}
     if units is not None:
@@ -342,7 +349,7 @@ def run_power(args, parser):
 
 def run_spectrum(args, parser):
     geometry, units, material, body, numerics = _build_scenario(parser)
-    table = _make_table(geometry, material, body)
+    table = _make_table(geometry, units, material, body)
     rows = spectral_rows(table, _state(body), numerics["policy"], numerics["omega_points"])
     flags = {"omega_R_over_c": (body["omega"] * body["radius"]) if body["radius"] else 0.0}
     out = _write_table(
@@ -359,7 +366,7 @@ def run_stats(args, parser):
         # the cylinder's channels are k_z-integrated, and the entropy of a
         # k_z-integrated N is not the k_z integral of the per-k_z entropy
         raise ConfigError("stats: per-mode entropy is available for disk, sphere and user-table")
-    table = _make_table(geometry, material, body)
+    table = _make_table(geometry, units, material, body)
     report = entropy_generation(table, _state(body), numerics["policy"])
     radiation = report.radiation
     payload = {
@@ -414,8 +421,8 @@ def run_rotor(args, parser):
         elif units is not None:
             hi = units.frequency(hi)
         law = torque_law_from_radiation(
-            _make_table(geometry, material, body), state0, omega_range=(0.0, hi), rtol=1e-6,
-            policy=numerics["policy"],
+            _make_table(geometry, units, material, body), state0, omega_range=(0.0, hi),
+            rtol=1e-6, policy=numerics["policy"],
         )
     else:
         raise ConfigError("[rotor] law: must be 'radiation' or 'powerlaw'")
@@ -427,6 +434,9 @@ def run_rotor(args, parser):
     dt = numerics["dt"] if numerics["dt"] is not None else 0.02 / kappa
     t_total = numerics["t_total"] if numerics["t_total"] is not None else 30.0 / kappa
     drive = _get(parser, "rotor", "drive", bool, default=True)
+    if drive:  # before any file is written, so that a numeric fault here leaves none
+        dist = fokker_planck_stationary(law, Omega0, I)
+        width = uncertainty(law, Omega0, I)
 
     ens = simulate_ensemble(
         law, I=I, omega0=Omega0, t_total=t_total, dt=dt,
@@ -449,12 +459,11 @@ def run_rotor(args, parser):
         "IDeltaOmega_mc": float(I * ens.final.std()),
     }
     if drive:
-        dist = fokker_planck_stationary(law, Omega0, I)
         _write_table(
             args.out, "stationary", args.format, meta, ["omega", "pdf"],
             list(zip(dist.omega.tolist(), dist.pdf.tolist())),
         )
-        summary["IDeltaOmega_analytic"] = uncertainty(law, Omega0, I)
+        summary["IDeltaOmega_analytic"] = width
         summary["KS_mc_vs_analytic"] = dist.ks_statistic(ens.final)
     if units is not None:
         summary["si"] = {

@@ -135,14 +135,14 @@ class TabulatedEpsilon(DielectricModel):
             raise TableFormatError("grid frequencies must be strictly increasing")
         if (eps_im < 0).any():
             raise TableFormatError("Im eps < 0 at omega > 0 violates causality")
-        self._omega = omega
-        self._re = eps_re
-        self._im = eps_im
+        self.omega = omega
+        self.eps_re = eps_re
+        self.eps_im = eps_im
         self._logw = np.log(omega)
 
     @property
     def lossless(self):
-        return bool((self._im == 0).all())
+        return bool((self.eps_im == 0).all())
 
     @classmethod
     def from_csv(cls, path):
@@ -171,14 +171,14 @@ class TabulatedEpsilon(DielectricModel):
         return cls(arr[:, 0], arr[:, 1], arr[:, 2])
 
     def _positive(self, omega):
-        outside = (omega < self._omega[0]) | (omega > self._omega[-1])
+        outside = (omega < self.omega[0]) | (omega > self.omega[-1])
         if outside.any():
             raise DomainError(
                 f"omega={omega[outside][0]:g} outside tabulated range "
-                f"[{self._omega[0]:g}, {self._omega[-1]:g}]"
+                f"[{self.omega[0]:g}, {self.omega[-1]:g}]"
             )
-        re = np.interp(omega, self._omega, self._re)
-        im = np.interp(np.log(omega), self._logw, self._im)
+        re = np.interp(omega, self.omega, self.eps_re)
+        im = np.interp(np.log(omega), self._logw, self.eps_im)
         return re + 1j * im
 
     def _at_zero(self):

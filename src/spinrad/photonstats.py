@@ -108,37 +108,6 @@ def total_mode_entropy(r, x):
     return mode_entropy_rate(N) - x * N
 
 
-@dataclass(frozen=True)
-class ModeStatistics:
-    """Mean flux, factorial cumulants and the truncated counting law of a mode."""
-
-    N: float
-    cumulants: tuple
-    probabilities: np.ndarray
-    tail: float
-
-    @property
-    def mean(self):
-        n = np.arange(len(self.probabilities))
-        return float(np.sum(n * self.probabilities)) + self._tail_mean()
-
-    def _tail_mean(self):
-        # exact first moment of the dropped geometric tail
-        if self.tail == 0.0:
-            return 0.0
-        n0 = len(self.probabilities)
-        q = self.N / (self.N + 1.0)
-        return self.tail * (n0 + q / (1.0 - q))
-
-
-def mode_statistics(N, p_max=6, n_max=10_000):
-    if p_max > P_MAX:
-        raise DomainError(f"p_max must be <= {P_MAX}")
-    probs, tail = counting_distribution(N, n_max)
-    kappas = tuple(cumulant(N, p) for p in range(1, p_max + 1))
-    return ModeStatistics(N, kappas, probs, tail)
-
-
 @dataclass
 class EntropyReport:
     """Entropy generation rates (k_B = 1): radiated, object and combined."""

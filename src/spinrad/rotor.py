@@ -171,7 +171,8 @@ def tabulate_torque_law(moments, omega_range, rtol=1e-6):
 
     def slope(w):
         h = 1e-6 * (np.abs(w) + 1e-6 * hi)
-        return (moments_i(w + h)[0] - moments_i(np.maximum(w - h, 0.0))[0]) / (2.0 * h)
+        span = np.where(w < h, w + h, 2.0 * h)  # the lower point is clipped at W = 0
+        return (moments_i(w + h)[0] - moments_i(np.maximum(w - h, 0.0))[0]) / span
 
     return TorqueLaw.from_moments(moments_i, slope)
 
@@ -389,7 +390,7 @@ def langevin_step(omega, law, I, dt, xi, *, drive=0.0):
 
 @dataclass
 class RotorEnsemble:
-    """Recorded angular-velocity trajectories and their seed ledger."""
+    """Recorded angular-velocity trajectories and the seed they were drawn from."""
 
     I: float
     dt: float
@@ -406,10 +407,6 @@ class RotorEnsemble:
     @property
     def final(self):
         return self.omegas[:, -1]
-
-    def trajectory_keys(self):
-        """Philox keys (seed, traj_id): the per-trajectory RNG ledger."""
-        return [(self.seed, i) for i in range(self.n_traj)]
 
 
 def simulate_ensemble(law, I, omega0, *, t_total, dt, n_traj, seed=0, drive_at=None,
@@ -550,9 +547,11 @@ def fokker_planck_stationary(law, omega0, I):
     P(W) = C/Mbar2(W) exp[-I int (Mbar - Mbar(omega0))/Mbar2], with the path
     integral anchored at omega0 (the divergent constant from the lower limit
     cancels against the normalization).  The first grid spans omega0 +-
-    ``FP_SPAN`` widths (:func:`uncertainty`) and is widened until the density
-    has decayed at both ends.  Raises :class:`DomainError` when the density
-    is not normalizable (e.g. free decay, Mbar(omega0) = 0, against a
+    ``FP_SPAN`` widths (:func:`uncertainty`) but starts no lower than
+    omega0/``FP_SPAN``, lest one Simpson step cross a steep 1/Mbar2 (W^-5);
+    it is widened until the density has decayed at both ends, its lower end
+    divided by ``FP_SPAN`` at a time.  Raises :class:`DomainError` when the
+    density is not normalizable (e.g. free decay, Mbar(omega0) = 0, against a
     diffusion vanishing at W = 0 with exponent >= 1).
     """
     if I <= 0:
@@ -563,7 +562,7 @@ def fokker_planck_stationary(law, omega0, I):
     except DomainError:
         sig = 0.25 * omega0
     n = FP_GRID_POINTS
-    grid = np.linspace(max(omega0 - FP_SPAN * sig, 1e-9 * omega0), omega0 + FP_SPAN * sig, n)
+    grid = np.linspace(max(omega0 - FP_SPAN * sig, omega0 / FP_SPAN), omega0 + FP_SPAN * sig, n)
 
     floor = 1e-12 * omega0
     for _ in range(60):
@@ -575,7 +574,7 @@ def fokker_planck_stationary(law, omega0, I):
         lo, hi = grid[0], grid[-1]
         width = hi - lo
         if not ok_left:
-            lo = max(lo - 0.75 * width, floor)
+            lo = max(lo / FP_SPAN, floor)
         if not ok_right:
             hi = hi + 0.75 * width
         grid = np.linspace(lo, hi, n)

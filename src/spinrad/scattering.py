@@ -19,18 +19,9 @@ from .material import sphere_polarizability
 
 SMALLVEL_LIMIT = 0.3
 
-UNITARITY_TOL = 1e-10
-
 
 class SmallVelocityWarning(UserWarning):
     """Emitted when a leading-order-in-velocity formula is pushed past omega*R/c = 0.3."""
-
-
-def classify_channel(flux, tol=UNITARITY_TOL):
-    """'unitary', 'sub-unitary' (absorbing) or 'super-unitary' (amplifying)."""
-    if abs(flux) < tol:
-        return "unitary"
-    return "sub-unitary" if flux > 0 else "super-unitary"
 
 
 # ---------------------------------------------------------------------------
@@ -397,24 +388,24 @@ class UserTable(ChannelTable):
         # groups: {(m, extra, pol): (omega array, S complex array)}
         if not groups:
             raise TableFormatError("channel table holds no rows")
-        self._groups = groups
+        self.groups = groups
 
     def channel_labels(self, m):
         return sorted(
-            {(extra, pol) for (mm, extra, pol) in self._groups if mm == m},
+            {(extra, pol) for (mm, extra, pol) in self.groups if mm == m},
             key=lambda t: (repr(t[0]), t[1]),
         )
 
     def m_values(self, m_max):
-        return sorted({mm for (mm, _, _) in self._groups if abs(mm) <= m_max})
+        return sorted({mm for (mm, _, _) in self.groups if abs(mm) <= m_max})
 
     def omega_domain(self, m, extra, pol):
-        om, _ = self._groups[(m, extra, pol)]
+        om, _ = self.groups[(m, extra, pol)]
         return (float(om[0]), float(om[-1]))
 
     def smatrix(self, omega, m, extra, pol, Omega):
         try:
-            om, S = self._groups[(m, extra, pol)]
+            om, S = self.groups[(m, extra, pol)]
         except KeyError:
             raise DomainError(f"no channel (m={m}, extra={extra}, pol={pol}) in table") from None
         w = np.atleast_1d(np.asarray(omega, dtype=float))

@@ -62,14 +62,6 @@ def translation_2d(n, m, omega, d):
     return bessel.hankel(1, n - m, omega * d)
 
 
-def translation_3d_dipole(omega, d):
-    """EM dipole translation coefficients (U_{11E,11E}, U_{10M,11E}) at separation d."""
-    if d <= 0 or omega <= 0:
-        raise DomainError("need omega > 0 and d > 0")
-    h0 = bessel.sph_bessel("h1", 0, omega * d)
-    return h0, (np.sqrt(2.0) * omega * d / 4.0) * h0
-
-
 def _transfer(source, state, weight, epsrel):
     """sum over the source's |m| = 1 channels of int dw/2pi weight(w, m, N_m(w))."""
     vals = integrate_channels(source, state, weight, 1, m_min=1, epsrel=epsrel)
@@ -87,7 +79,7 @@ def _small_particle(cfg, Omega, power, epsrel):
     return float(val)
 
 
-def torque_on_test_2d(cfg, Omega, T=0.0, *, far_field=False, epsrel=1e-8):
+def torque_on_test_2d(cfg, Omega, T=0.0, *, epsrel=1e-8):
     """Torque transferred to a static test disk by the rotating disk's radiation.
 
     First-reflection transfer through the dominant |m| = |n| = 1 channels:
@@ -97,20 +89,15 @@ def torque_on_test_2d(cfg, Omega, T=0.0, *, far_field=False, epsrel=1e-8):
     with N_m = n(w - Omega m, T)(1 - |S_m|^2) the source photon flux.  At
     T = 0 only N_1 survives on (0, Omega), which is the printed form; at
     finite temperature the counter-rotating channel transfers opposite
-    angular momentum and cancels the static-source torque exactly.
-    ``far_field=True`` uses the large-argument kernel 2/(pi w d), under
-    which the torque falls off as 1/d.
+    angular momentum and cancels the static-source torque exactly.  At
+    large w d the kernel tends to 2/(pi w d), so the torque falls off as 1/d.
     """
     if cfg.test_model.lossless:
         return 0.0  # a lossless test body absorbs no angular momentum
 
-    def kernel(w):
-        if far_field:
-            return 2.0 / (np.pi * w * cfg.d)
-        return abs(bessel.hankel(1, 0, w * cfg.d)) ** 2
-
     def weight(w, m, N):
-        return m * N * kernel(w) * disk_flux(cfg.test_model, cfg.test_radius, 0.0, w, 1)
+        kernel = abs(bessel.hankel(1, 0, w * cfg.d)) ** 2
+        return m * N * kernel * disk_flux(cfg.test_model, cfg.test_radius, 0.0, w, 1)
 
     source = DiskTable(cfg.source_model, cfg.source_radius)
     state = ThermalState(T_object=T, T_env=0.0, Omega=Omega)

@@ -75,9 +75,6 @@ class UnitSystem:
     def temperature_si(self, T):
         return T * HBAR_SI / (KB_SI * self.time_unit_s)
 
-    def energy_si(self, E):
-        return E * HBAR_SI / self.time_unit_s
-
     def power_si(self, P):
         return P * HBAR_SI / self.time_unit_s**2
 

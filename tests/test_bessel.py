@@ -8,10 +8,9 @@ import pytest
 from spinrad import DomainError
 from spinrad.bessel import (
     bessel_j,
-    bessel_j_deriv,
+    bessel_j_and_deriv,
     hankel,
-    hankel_deriv,
-    sph_bessel,
+    hankel_and_deriv,
     wronskian_h1h2,
 )
 
@@ -148,8 +147,8 @@ class TestRecurrences:
 
     def test_derivative_consistency(self):
         # C'_m from the recurrence equals a high-order finite difference
-        for fn, dfn in ((bessel_j, bessel_j_deriv),
-                        (lambda m, z: hankel(1, m, z), lambda m, z: hankel_deriv(1, m, z))):
+        for fn, dfn in ((bessel_j, lambda m, z: bessel_j_and_deriv(m, z)[1]),
+                        (lambda m, z: hankel(1, m, z), lambda m, z: hankel_and_deriv(1, m, z)[1])):
             for m in (0, 1, 4):
                 z = 2.3
                 h = 1e-5
@@ -159,33 +158,6 @@ class TestRecurrences:
                 assert dfn(m, z) == pytest.approx(fd, rel=1e-9)
 
     def test_derivative_at_origin(self):
-        assert bessel_j_deriv(0, 0) == 0.0
-        assert bessel_j_deriv(1, 0) == 0.5
-        assert bessel_j_deriv(3, 0) == 0.0
-
-
-class TestSpherical:
-    def test_j_at_origin(self):
-        assert sph_bessel("j", 0, 0) == 1.0
-        assert sph_bessel("j", 2, 0) == 0.0
-
-    def test_h1_closed_form(self):
-        for x in (0.3, 1.0, 8.0):
-            expected = -1j * np.exp(1j * x) / x
-            assert sph_bessel("h1", 0, x) == pytest.approx(expected, rel=1e-13)
-
-    def test_j1_closed_form(self):
-        # j_1(x) = sin x / x^2 - cos x / x at x = 1
-        assert complex(sph_bessel("j", 1, 1.0)).real == pytest.approx(
-            math.sin(1.0) - math.cos(1.0), rel=1e-12
-        )
-
-    def test_h1_at_zero_raises(self):
-        with pytest.raises(DomainError):
-            sph_bessel("h1", 0, 0.0)
-
-    def test_half_order_relation_complex(self):
-        z = 2.0 + 0.7j
-        # cross-check l=1 against the closed form sin z / z^2 - cos z / z
-        expected = np.sin(z) / z**2 - np.cos(z) / z
-        assert sph_bessel("j", 1, z) == pytest.approx(expected, rel=1e-12)
+        assert bessel_j_and_deriv(0, 0)[1] == 0.0
+        assert bessel_j_and_deriv(1, 0)[1] == 0.5
+        assert bessel_j_and_deriv(3, 0)[1] == 0.0

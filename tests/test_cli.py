@@ -5,9 +5,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy.constants import c as C_SI, epsilon_0, hbar as HBAR_SI
+from scipy.constants import c as C_SI, epsilon_0, hbar as HBAR_SI, k as KB_SI
 
-from spinrad import Drude, disk_smatrix
+from spinrad import ConvergenceError, Drude, disk_smatrix
+from spinrad import cli
 from spinrad.cli import main
 from spinrad.units import UnitSystem, si_conductivity_to_gaussian
 
@@ -401,6 +402,30 @@ class TestRotor:
             widths.append(json.loads((out / "rotor.json").read_text())["IDeltaOmega_analytic"])
         assert widths[0] != widths[1]
 
+    POWERLAW_CFG = ("[scenario]\ngeometry = sphere\n[material]\nmodel = drude\nsigma = 1000\n"
+                    "[body]\nradius = 0.001\nomega = 1.0\ninertia = {I}\n"
+                    "[numerics]\nn_traj = 16\nn_record = 3\n"
+                    "[rotor]\nlaw = powerlaw\ncoeff = 1.0\nexponent = 5\n")
+
+    def test_broad_stationary_density_at_small_inertia(self, tmp_path):
+        # the W^5 density at I = 30 reaches far below omega - 16 widths
+        cfg = write(tmp_path, self.POWERLAW_CFG.format(I=30.0))
+        assert main(["rotor", "--config", cfg, "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "rotor.json").read_text())
+        assert summary["IDeltaOmega_analytic"] == pytest.approx(math.sqrt(30.0 / 5.0),
+                                                                rel=1e-12)
+
+    def test_stationary_density_fault_writes_no_file(self, tmp_path, capsys, monkeypatch):
+        def stalled(*args):
+            raise ConvergenceError("stationary-density quadrature did not reach 1e-8")
+
+        monkeypatch.setattr(cli, "fokker_planck_stationary", stalled)
+        out = tmp_path / "out"
+        cfg = write(tmp_path, self.POWERLAW_CFG.format(I=400.0))
+        assert main(["rotor", "--config", cfg, "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("numeric non-convergence")
+        assert list(out.iterdir()) == []
+
 
 class TestTwoBody:
     def test_torque_force_and_sweep(self, tmp_path):
@@ -511,6 +536,99 @@ class TestUnitsMode:
         # the W^5 width sqrt(I W0 / 5) (hbar = 1) is sqrt(hbar I Omega / 5) in SI
         assert si["IDeltaOmega_analytic_Js"] == pytest.approx(
             math.sqrt(HBAR_SI * I_si * Omega_si / 5.0), rel=1e-9)
+
+    OMEGA_SI = 2.0e9  # rad/s, the unit anchor of the SI twins below
+
+    def _twins(self, tmp_path, command, runs):
+        """Run the "si" and "natural" configs of ``runs``; return their JSON outputs."""
+        outputs = {}
+        for name, text in runs.items():
+            out = tmp_path / name
+            cfg = write(tmp_path, text, f"{name}.ini")
+            assert main([command, "--config", cfg, "--out", str(out)]) == 0
+            outputs[name] = json.loads((out / f"{command}.json").read_text())
+        return outputs["si"], outputs["natural"]
+
+    @pytest.mark.parametrize("command", ["power", "stats"])
+    def test_si_channel_table_omega_column_in_rad_per_s(self, tmp_path, command):
+        om = np.linspace(0.05, 3.0, 24)
+        for name, scale in (("natural", 1.0), ("si", self.OMEGA_SI)):
+            rows = ["omega,m,extra,pol,ReS,ImS"]
+            for m in (-1, 1, 2):
+                S = disk_smatrix(Drude(1.0), 0.1, 1.0, om, m)
+                rows += [f"{w * scale!r},{m},,scalar,{float(z.real)!r},{float(z.imag)!r}"
+                         for w, z in zip(om.tolist(), S)]
+            (tmp_path / f"{name}.csv").write_text("\n".join(rows) + "\n")
+        body = ("[scenario]\ngeometry = user-table\n{units}"
+                "[body]\nomega = {omega!r}\ntable = {path}\n")
+        si, natural = self._twins(tmp_path, command, {
+            "si": body.format(units="units = si\n", omega=self.OMEGA_SI,
+                              path=tmp_path / "si.csv"),
+            "natural": body.format(units="", omega=1.0, path=tmp_path / "natural.csv"),
+        })
+        assert natural["P"] > 0
+        for key in "PMQ":
+            assert si[key] == pytest.approx(natural[key], rel=1e-10)
+
+    def test_si_tabulated_epsilon_omega_column_in_rad_per_s(self, tmp_path):
+        u = UnitSystem.from_omega_si(self.OMEGA_SI)
+        R_si = 1e-3
+        for name, scale in (("natural", 1.0), ("si", self.OMEGA_SI)):
+            rows = ["omega,eps_re,eps_im"]
+            rows += [f"{w * scale!r},4.0,1.0" for w in np.geomspace(1e-9, 1e4, 14).tolist()]
+            (tmp_path / f"{name}.csv").write_text("\n".join(rows) + "\n")
+        body = ("[scenario]\ngeometry = sphere\n{units}"
+                "[material]\nmodel = tabulated\npath = {path}\n"
+                "[body]\nradius = {radius!r}\nomega = {omega!r}\n")
+        si, natural = self._twins(tmp_path, "power", {
+            "si": body.format(units="units = si\n", path=tmp_path / "si.csv", radius=R_si,
+                              omega=self.OMEGA_SI),
+            "natural": body.format(units="", path=tmp_path / "natural.csv",
+                                   radius=u.length(R_si), omega=1.0),
+        })
+        assert natural["P"] > 0
+        for key in "PMQ":
+            assert si[key] == pytest.approx(natural[key], rel=1e-10)
+
+    def test_si_twobody_matches_natural_twin(self, tmp_path):
+        # d and test_radius in m; M_transfer in N m and F_y in N
+        u = UnitSystem.from_omega_si(self.OMEGA_SI)
+        R_si, sigma_si, d_si = 1.5e-4, 222.0, 0.3
+        sigma = u.conductivity(si_conductivity_to_gaussian(sigma_si))
+        body = ("[scenario]\ngeometry = sphere\n{units}[material]\nmodel = drude\n"
+                "sigma = {sigma!r}\n[body]\nradius = {R!r}\nomega = {omega!r}\n"
+                "[twobody]\nd = {d!r}\ntest_model = drude\ntest_sigma = {sigma!r}\n"
+                "test_radius = {R!r}\n")
+        si, natural = self._twins(tmp_path, "twobody", {
+            "si": body.format(units="units = si\n", sigma=sigma_si, R=R_si, d=d_si,
+                              omega=self.OMEGA_SI),
+            "natural": body.format(units="", sigma=sigma, R=u.length(R_si), d=u.length(d_si),
+                                   omega=1.0),
+        })
+        assert natural["M_transfer"] > 0 and natural["F_y"] > 0
+        assert si["d"] == pytest.approx(natural["d"], rel=1e-12)
+        assert si["si"]["M_transfer_Nm"] == pytest.approx(
+            natural["M_transfer"] * HBAR_SI * self.OMEGA_SI, rel=1e-12)
+        assert si["si"]["F_y_N"] == pytest.approx(
+            natural["F_y"] * HBAR_SI * self.OMEGA_SI**2 / C_SI, rel=1e-12)
+
+    def test_si_thermal_stats_matches_natural_twin(self, tmp_path):
+        # t_object in K; the entropy rate in W/K
+        u = UnitSystem.from_omega_si(self.OMEGA_SI)
+        R_si, sigma_si, T_si = 1.5e-4, 222.0, 7.6e-3
+        body = ("[scenario]\ngeometry = sphere\n{units}[material]\nmodel = drude\n"
+                "sigma = {sigma!r}\n[body]\nradius = {R!r}\nomega = {omega!r}\n"
+                "t_object = {T!r}\n[numerics]\nm_max = 2\n")
+        si, natural = self._twins(tmp_path, "stats", {
+            "si": body.format(units="units = si\n", sigma=sigma_si, R=R_si, T=T_si,
+                              omega=self.OMEGA_SI),
+            "natural": body.format(units="",
+                                   sigma=u.conductivity(si_conductivity_to_gaussian(sigma_si)),
+                                   R=u.length(R_si), T=u.temperature(T_si), omega=1.0),
+        })
+        assert natural["totalEntropyRate"] > 0 and natural["objectEntropyRate"] is not None
+        assert si["si"]["S_W_per_K"] == pytest.approx(
+            natural["totalEntropyRate"] * KB_SI * self.OMEGA_SI, rel=1e-12)
 
 
 class TestVerify:

@@ -205,10 +205,11 @@ class TestBesselGuards:
     @pytest.mark.parametrize("m", [-3, 0, 1, 4])
     def test_array_equals_scalars(self, m):
         zs = np.array([0.0, 0.3, 2.0 + 0.5j, 7.0 - 1.0j, 15.0])
-        for fn in (bessel.bessel_j, bessel.bessel_j_deriv):
+        for fn in (bessel.bessel_j, lambda m, z: bessel.bessel_j_and_deriv(m, z)[1]):
             got = fn(m, zs)
             np.testing.assert_array_equal(got, np.array([fn(m, z) for z in zs.tolist()]))
-        for fn in (lambda m, z: bessel.hankel(1, m, z), lambda m, z: bessel.hankel_deriv(2, m, z)):
+        for fn in (lambda m, z: bessel.hankel(1, m, z),
+                   lambda m, z: bessel.hankel_and_deriv(2, m, z)[1]):
             got = fn(m, zs[1:])
             np.testing.assert_array_equal(got, np.array([fn(m, z) for z in zs[1:].tolist()]))
 

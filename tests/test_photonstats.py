@@ -20,7 +20,6 @@ from spinrad import (
     glauber_pn,
     integrate_power,
     mode_entropy_rate,
-    mode_statistics,
     total_mode_entropy,
 )
 
@@ -110,11 +109,6 @@ class TestCountingDistribution:
         if N <= 1.0:  # second tail moment negligible on this grid
             var = float(np.sum((n - mean) ** 2 * probs))
             assert var == pytest.approx(N * (N + 1), rel=1e-10, abs=1e-12)
-
-    def test_statistics_bundle(self):
-        st = mode_statistics(0.5, p_max=4, n_max=3000)
-        assert st.cumulants == (0.5, 0.25, 0.25, 0.375)
-        assert st.mean == pytest.approx(0.5, rel=1e-12)
 
 
 class TestGlauberRoute:

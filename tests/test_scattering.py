@@ -12,7 +12,6 @@ from spinrad import (
     Lorentz,
     TableFormatError,
     Vacuum,
-    classify_channel,
     cylinder_flux_block,
     cylinder_smatrix_block,
     disk_interior_frequency,
@@ -181,13 +180,6 @@ class TestCylinderBlock:
         tr = cylinder_flux_block(model, R, Omega, w, kz)
         ex = cylinder_flux_block(model, R, Omega, w, kz, exact=True)
         assert ex == pytest.approx(tr, rel=1e-4)
-
-
-class TestFluxFactor:
-    def test_classification(self):
-        assert classify_channel(0.0) == "unitary"
-        assert classify_channel(0.3) == "sub-unitary"
-        assert classify_channel(-0.3) == "super-unitary"
 
 
 GOOD_CSV = """omega,m,extra,pol,ReS,ImS

@@ -14,7 +14,6 @@ from spinrad import (
     torque_on_test_2d,
     torque_on_test_3d,
     translation_2d,
-    translation_3d_dipole,
 )
 from spinrad.bessel import bessel_j, hankel
 from spinrad.testbody import ProximityWarning, torque_vs_distance
@@ -55,12 +54,6 @@ class TestTranslation2D:
             coeff = translation_2d(1, 1, w, d)
             assert abs(coeff) == pytest.approx(math.sqrt(2 / (math.pi * w * d)), rel=2e-3)
 
-    def test_3d_dipole_coefficients(self):
-        w, d = 1.0, 7.0
-        u_ee, u_me = translation_3d_dipole(w, d)
-        assert u_ee == pytest.approx(-1j * np.exp(1j * w * d) / (w * d), rel=1e-12)
-        assert u_me == pytest.approx(u_ee * math.sqrt(2) * w * d / 4, rel=1e-12)
-
 
 class TestTorque2D:
     def test_lossless_test_body_silent(self):
@@ -72,12 +65,6 @@ class TestTorque2D:
 
     def test_positive_for_drude_pair(self):
         assert torque_on_test_2d(drude_pair(5.0), 1.0) > 0.0
-
-    def test_far_field_asymptote_at_large_separation(self):
-        cfg = drude_pair(50.0)
-        exact = torque_on_test_2d(cfg, 1.0)
-        asym = torque_on_test_2d(cfg, 1.0, far_field=True)
-        assert exact == pytest.approx(asym, rel=0.1)
 
     def test_inverse_distance_slope(self):
         ds = np.geomspace(50.0, 500.0, 7)
