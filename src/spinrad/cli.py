@@ -235,10 +235,20 @@ def _make_table(geometry, units, material, body):
         return SphereTable(material, body["radius"])
     if geometry == "cylinder":
         return CylinderTable(material, body["radius"], body["length"])
-    table = _load_file(load_channel_table, body["table"], "channel table")
-    if units is not None:  # the file's omega column is in rad/s
-        table = UserTable({key: (units.frequency(om), S) for key, (om, S) in table.groups.items()})
-    return table
+    def load(path):
+        table = load_channel_table(path)
+        if units is None:
+            return table
+        # the file's omega column is in rad/s and a k_z label (a float extra) in
+        # rad/m; UserTable checks |k_z| <= omega on the converted values
+        groups, rows = {}, {}
+        for (m, extra, pol), (om, S) in table.groups.items():
+            key = (m, extra / units.length(1.0) if isinstance(extra, float) else extra, pol)
+            groups[key] = (units.frequency(om), S)
+            rows[key] = table.rows[(m, extra, pol)]
+        return UserTable(groups, rows)
+
+    return _load_file(load, body["table"], "channel table")
 
 
 def _load_file(loader, path, what):
@@ -275,10 +285,10 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _write_csv(path, meta, columns, rows):
+def _write_csv(path, meta, names, columns):
     lines = [f"# {k}: {v}" for k, v in _flatten_meta(meta)]
-    lines.append(",".join(columns))
-    lines.extend(map(",".join, zip(*map(_fmt_column, zip(*rows)))))
+    lines.append(",".join(names))
+    lines.extend(map(",".join, zip(*map(_fmt_column, columns))))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -290,16 +300,20 @@ def _fmt_column(values):
         return list(map(_fmt, values))
 
 
-def _write_table(out_dir, stem, fmt, meta, columns, rows):
-    """Tabular emitter honoring --format: CSV with a header block, or JSON records."""
+def _write_table(out_dir, stem, fmt, meta, names, columns):
+    """Tabular emitter honoring --format: CSV with a header block, or JSON records.
+
+    ``columns`` holds one sequence of cells per name; the CSV is written
+    column by column, the JSON as one record per row.
+    """
     if fmt == "json":
         path = Path(out_dir) / f"{stem}.json"
-        payload = {"meta": meta, "columns": list(columns),
-                   "rows": [list(r) for r in rows]}
+        payload = {"meta": meta, "columns": list(names),
+                   "rows": [list(r) for r in zip(*columns)]}
         _write_json(path, payload)
     else:
         path = Path(out_dir) / f"{stem}.csv"
-        _write_csv(path, meta, columns, rows)
+        _write_csv(path, meta, names, columns)
     return path
 
 
@@ -354,7 +368,7 @@ def run_spectrum(args, parser):
     flags = {"omega_R_over_c": (body["omega"] * body["radius"]) if body["radius"] else 0.0}
     out = _write_table(
         args.out, "spectrum", args.format, _meta(args, flags),
-        ["omega", "m", "extra", "pol", "N", "dP_domega"], rows,
+        ["omega", "m", "extra", "pol", "N", "dP_domega"], list(zip(*rows)),
     )
     print(f"spectrum: {len(rows)} rows -> {out}")
     return 0
@@ -395,7 +409,7 @@ def run_stats(args, parser):
         _write_table(
             args.out, "pn", args.format,
             _meta(args, {"N": pn_mean, "tail": float(tail)}),
-            ["n", "P"], list(enumerate(map(float, probs))),
+            ["n", "P"], [range(len(probs)), list(map(float, probs))],
         )
     print(f"stats: total entropy rate {report.total_rate!r} -> {out}")
     return 0
@@ -444,13 +458,11 @@ def run_rotor(args, parser):
         drive_at=Omega0 if drive else None, n_record=numerics["n_record"],
     )
     meta = _meta(args, {"adiabaticity_max": ens.adiabaticity_max})
-    times = ens.times.tolist()
-    rows = [
-        (t, j, w)
-        for j, wrow in enumerate(ens.omegas.tolist())
-        for t, w in zip(times, wrow)
-    ]
-    _write_table(args.out, "trajectories", args.format, meta, ["t", "traj_id", "omega"], rows)
+    n_traj, n_times = ens.omegas.shape
+    columns = [ens.times.tolist() * n_traj,
+               [j for j in range(n_traj) for _ in range(n_times)],
+               ens.omegas.ravel().tolist()]
+    _write_table(args.out, "trajectories", args.format, meta, ["t", "traj_id", "omega"], columns)
 
     summary = {
         "meta": meta,
@@ -461,7 +473,7 @@ def run_rotor(args, parser):
     if drive:
         _write_table(
             args.out, "stationary", args.format, meta, ["omega", "pdf"],
-            list(zip(dist.omega.tolist(), dist.pdf.tolist())),
+            [dist.omega.tolist(), dist.pdf.tolist()],
         )
         summary["IDeltaOmega_analytic"] = width
         summary["KS_mc_vs_analytic"] = dist.ks_statistic(ens.final)
@@ -516,7 +528,7 @@ def run_twobody(args, parser):
         Ms = torque_vs_distance(cfg, Omega, ds, mode=mode)
         _write_table(
             args.out, "twobody_sweep", args.format, _meta(args, flags),
-            ["d", "M_transfer"], list(zip(map(float, ds), map(float, Ms))),
+            ["d", "M_transfer"], [list(map(float, ds)), list(map(float, Ms))],
         )
     print(f"twobody: M={payload['M_transfer']!r} -> {args.out}")
     return 0

@@ -30,11 +30,16 @@ class ResonanceError(NumericDomainError):
 
 
 class ConvergenceError(SpinradError, RuntimeError):
-    """Quadrature or partial-wave sum failed to meet its tolerance."""
+    """Quadrature or partial-wave sum failed to meet its tolerance.
 
-    def __init__(self, message, m=None):
+    ``m`` names the partial wave, ``index`` the integral of a quadrature
+    batch that stalled.
+    """
+
+    def __init__(self, message, m=None, index=None):
         super().__init__(message)
         self.m = m
+        self.index = index
 
 
 class StepSizeError(SpinradError, RuntimeError):

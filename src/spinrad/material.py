@@ -228,7 +228,11 @@ def sphere_polarizability(model, R, omega):
 
 @dataclass(frozen=True)
 class ThermalState:
-    """Object temperature, environment temperature and rotation rate."""
+    """Object temperature, environment temperature and rotation rate.
+
+    ``Omega`` may also be an array of rates, one per frequency node of a
+    batched :func:`~spinrad.radiation.mode_flux` call.
+    """
 
     T_object: float = 0.0
     T_env: float = 0.0
@@ -237,7 +241,7 @@ class ThermalState:
     def __post_init__(self):
         if self.T_object < 0 or self.T_env < 0:
             raise DomainError("temperatures must be >= 0")
-        if self.Omega < 0:
+        if np.any(np.less(self.Omega, 0)):
             raise DomainError("Omega must be >= 0 (flip the axis instead)")
 
     @property

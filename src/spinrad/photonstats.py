@@ -12,7 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .radiation import MSumPolicy, RadiationResult, integrate_channel, integrate_power
+from .radiation import (
+    MSumPolicy,
+    RadiationResult,
+    channel_stage,
+    integrate_power,
+    integrate_stages,
+)
 
 P_MAX = 20
 
@@ -143,13 +149,14 @@ def entropy_generation(table, state, policy=None):
     def weight(w, m, N):
         return mode_entropy_rate(np.maximum(N, 0.0))
 
+    labels = [(c.m, c.extra, c.pol) for c in rad.per_mode]
+    stage = channel_stage(table, state, weight, labels, policy.m_max,
+                          epsrel=max(policy.epsrel, 1e-8))
     per_mode = []
     total = 0.0
     err_total = 0.0
-    for c in rad.per_mode:
-        val, err = integrate_channel(table, state, c.m, c.extra, c.pol, weight, policy.m_max,
-                                     epsrel=max(policy.epsrel, 1e-8))
-        per_mode.append((c.m, c.extra, c.pol, float(val)))
+    for m, extra, pol, val, err in integrate_stages([stage])[0]:
+        per_mode.append((m, extra, pol, float(val)))
         total += float(val)
         err_total += err
 

@@ -8,18 +8,32 @@ floor), but each refinement round bisects up to ``BATCH_PANELS`` panels of
 largest error and hands the nodes of all their halves to the integrand in a
 single call.
 
-Integrand contract: ``f(w)`` receives a 1-D float array of nodes and returns
-values with the nodes on the last axis, shape ``(..., len(w))``.  Nodes are
-strictly interior to (a, b), so integrable endpoint singularities (the
-removable n(omega - Omega*m) divergence) are never evaluated.  Vector
-components share panels, which keeps linear identities such as
-Q = Omega*M - P exact to roundoff.
+One engine serves one integral or a batch of K independent ones, which
+advance in lock-step: each round makes one integrand call and one GK21
+pass over the bisected panels of every unfinished integral, while each
+integral keeps its own panel heap, panel values, totals, ``BATCH_PANELS``
+cap and stopping rule.  So a batch costs one call per round instead of one
+per integral and round, and every integral ends with the bits it has alone.
+
+Integrand contract: for one interval ``f(w)`` receives a 1-D float array
+of nodes; for a batch ``f((w, k))`` receives one argument, the nodes and
+their owners (k[i] is the index of the interval node w[i] belongs to).
+Either way it returns values with the nodes on the last axis, shape
+``(..., len(w))``, the same component shape for every integral.  Nodes
+are strictly interior to their interval, so integrable endpoint
+singularities (the removable n(omega - Omega*m) divergence) are never
+evaluated.  Vector components share panels, which keeps linear identities
+such as Q = Omega*M - P exact to roundoff.
 
 Bit-identity rules: the rule's arithmetic keeps its order and stays in
 numpy array operations (the ``** 1.5`` of the error estimate included:
 numpy's float64 ``power`` and Python's ``**`` differ in the last bit on
 some inputs), reductions are ndarray methods over the same contiguous
-axes, and temporaries are reused in place, never reassociated.
+axes, and temporaries are reused in place, never reassociated.  In a
+batch every per-panel quantity is elementwise or reduced within its panel,
+and every per-integral sum (the panel totals, the error and rounding
+sums) runs over that integral's own contiguous slice, left halves before
+right halves, as it does alone.
 """
 
 import heapq
@@ -61,16 +75,18 @@ _EPS = sys.float_info.epsilon
 _TINY = sys.float_info.min
 
 
-def _gk21(f, lo, hi):
+def _gk21(f, lo, hi, owner):
     """GK21 on the panels (lo[i], hi[i]) with one integrand call.
 
-    Returns (integrals, errors, rounding errors); integrals carry the panel
-    index on the last axis, the two error arrays are per panel.
+    ``owner[i]`` is the batch member panel i belongs to: the integrand gets
+    the nodes and the owner of each node, or the nodes alone when ``owner``
+    is None.  Returns (integrals, errors, rounding errors); integrals carry
+    the panel index on the last axis, the two error arrays are per panel.
     """
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
     nodes = (c[:, None] + h[:, None] * _XK).ravel()
-    fv = np.asarray(f(nodes), dtype=float)
+    fv = np.asarray(f(nodes if owner is None else (nodes, owner.repeat(_XK.size))), dtype=float)
     if fv.shape[-1:] != nodes.shape:
         raise ValueError(
             f"integrand returned shape {fv.shape} for {nodes.size} nodes; "
@@ -99,70 +115,169 @@ def _gk21(f, lo, hi):
     return h * s_k, err, round_err
 
 
-def adaptive_integral(f, a, b, *, epsrel=1e-9, limit=300):
-    """Integrate a scalar or vector integrand over (a, b).
+class _Member:
+    """One integral of a batch: its panel heap, panel values and running totals."""
 
-    ``f`` takes a 1-D array of nodes and returns values with the nodes on the
-    last axis.  Returns (value, error_estimate); value has the integrand's
-    component shape.  Raises :class:`ConvergenceError` naming the interval
-    when the subdivision limit is hit without meeting the tolerance, or when
-    the integrand returns non-finite values.
-    """
-    if b <= a:
-        # no node to evaluate: an empty call only reveals the component shape
-        shape = np.shape(f(np.empty(0)))[:-1]
-        return np.zeros(shape)[()], 0.0
+    __slots__ = ("k", "a", "b", "epsrel", "total", "error", "rounding", "heap", "cache",
+                 "success", "popped", "err_sum")
 
-    # the first round always bisects the whole interval: evaluate the whole
-    # panel and both halves in one call
-    mid = 0.5 * (a + b)
-    vals, errs, rnds = _gk21(f, np.array([a, a, mid]), np.array([b, mid, b]))
-    total = vals[..., 1] + vals[..., 2]
-    error = errs[1] + errs[2]
-    rounding = rnds[0] + rnds[1] + rnds[2]
-    panels = [(-errs[1], a, mid), (-errs[2], mid, b)]
-    heapq.heapify(panels)
-    cache = {(a, mid): vals[..., 1], (mid, b): vals[..., 2]}
+    def __init__(self, k, a, b, epsrel):
+        self.k, self.a, self.b, self.epsrel = k, a, b, epsrel
+        self.success = False
 
-    success = False
-    while True:
-        tol = max(EPSABS, epsrel * np.abs(total).max())
+    def start(self, vals, errs, rnds, j):
+        """Take the whole panel j and its halves j + 1, j + 2 of the first round."""
+        a, b = self.a, self.b
+        mid = 0.5 * (a + b)
+        self.total = vals[..., j + 1] + vals[..., j + 2]
+        self.error = errs[j + 1] + errs[j + 2]
+        self.rounding = rnds[j] + rnds[j + 1] + rnds[j + 2]
+        self.heap = [(-errs[j + 1], a, mid), (-errs[j + 2], mid, b)]
+        heapq.heapify(self.heap)
+        self.cache = {(a, mid): vals[..., j + 1], (mid, b): vals[..., j + 2]}
+
+    def pop(self, limit):
+        """Pop the panels to bisect this round; False once the member has stopped.
+
+        Bisects the panels of largest error, up to ``BATCH_PANELS`` of them,
+        stopping once the popped error would already meet the tolerance.
+        """
+        error = self.error
+        tol = max(EPSABS, self.epsrel * np.abs(self.total).max())
         if error < tol / 8:
-            success = True
-            break
+            self.success = True
+            return False
+        rounding = self.rounding
         if error < rounding or not (np.isfinite(error) and np.isfinite(rounding)):
-            break
-        if len(panels) >= limit:
-            break
-        # bisect the panels of largest error, up to BATCH_PANELS of them,
-        # stopping once the popped error would already meet the tolerance
+            return False
+        heap = self.heap
+        if len(heap) >= limit:
+            return False
         popped = []
         err_sum = 0.0
-        while panels and len(popped) < BATCH_PANELS:
+        while heap and len(popped) < BATCH_PANELS:
             if popped and err_sum > error - tol / 8:
                 break
-            neg_err, lo, hi = heapq.heappop(panels)
+            neg_err, lo, hi = heapq.heappop(heap)
             popped.append((lo, hi))
             err_sum -= neg_err
-        lo, hi = np.array(popped).T
-        mid = 0.5 * (lo + hi)
-        vals, errs, rnds = _gk21(f, np.concatenate([lo, mid]), np.concatenate([mid, hi]))
+        self.popped = popped
+        self.err_sum = err_sum
+        return True
+
+    def update(self, vals, errs, rnds, errs_list, mids, s):
+        """Replace the popped panels by their halves, at s.. (left) and s + k.. (right)."""
+        popped = self.popped
         k = len(popped)
+        cache = self.cache
+        heap = self.heap
         old = np.stack([cache.pop(p) for p in popped], axis=-1)
-        total = total + (vals[..., :k] + vals[..., k:] - old).sum(axis=-1)
-        error += float((errs[:k] + errs[k:]).sum()) - err_sum
-        rounding += float(rnds.sum())
+        self.total = self.total + (vals[..., s:s + k] + vals[..., s + k:s + 2 * k] - old).sum(
+            axis=-1)
+        self.error += float((errs[s:s + k] + errs[s + k:s + 2 * k]).sum()) - self.err_sum
+        self.rounding += float(rnds[s:s + 2 * k].sum())
         for i, (p_lo, p_hi) in enumerate(popped):
-            m = float(mid[i])
-            for j, (x1, x2) in ((i, (p_lo, m)), (k + i, (m, p_hi))):
+            m = mids[i]
+            for j, (x1, x2) in ((s + i, (p_lo, m)), (s + k + i, (m, p_hi))):
                 cache[(x1, x2)] = vals[..., j]
-                heapq.heappush(panels, (-float(errs[j]), x1, x2))
+                heapq.heappush(heap, (-errs_list[j], x1, x2))
 
-    err = float(error + rounding)
-    scale = float(np.abs(total).max())
-    if not success and not err <= max(EPSABS, epsrel * scale) * 50:  # NaN fails too
-        raise ConvergenceError(
-            f"quadrature on ({a:g}, {b:g}) stalled: err={err:g} after {len(panels)} panels"
-        )
-    return total[()], err
+    def result(self):
+        """The error estimate, or None when the integral stalled short of its tolerance."""
+        err = float(self.error + self.rounding)
+        scale = float(np.abs(self.total).max())
+        if not self.success and not err <= max(EPSABS, self.epsrel * scale) * 50:  # NaN fails
+            return None
+        return err
 
+
+def adaptive_integral(f, a, b, *, epsrel=1e-9, limit=300):
+    """Integrate a scalar or vector integrand over (a, b), or a batch of intervals.
+
+    With scalar ``a``, ``b``: ``f`` takes a 1-D array of nodes and returns
+    values with the nodes on the last axis; returns (value, error_estimate),
+    value of the integrand's component shape.
+
+    With 1-D arrays ``a``, ``b`` of K intervals (``epsrel`` a scalar or one
+    per interval), the K integrals advance in lock-step: ``f`` takes one
+    argument, the pair (nodes, owners) of 1-D arrays, owners[i] the index of
+    the interval node i belongs to, and is called once per round for every
+    unfinished integral.  Returns (values, errors), the lists of the K
+    integrals' values (of the component shape) and errors.  Each integral
+    keeps its own panels, totals and stopping rule, so its value and error
+    are those of a batch of one.
+
+    Raises :class:`ConvergenceError` naming the interval when an integral
+    hits the subdivision limit without meeting the tolerance, or when the
+    integrand returns non-finite values; its ``index`` is the interval's
+    position in the batch (the first such one).  Every other integral of the
+    batch still runs to its own end first.
+    """
+    batch = np.ndim(a) > 0
+    a = np.asarray(a, dtype=float).reshape(-1).tolist()
+    b = np.asarray(b, dtype=float).reshape(-1).tolist()
+    eps = list(epsrel) if np.ndim(epsrel) else [epsrel] * len(a)
+    members = [_Member(k, *args) for k, args in enumerate(zip(a, b, eps))]
+    live = [mb for mb in members if mb.b > mb.a]
+
+    shape = None
+    if live:
+        # the first round always bisects each whole interval: evaluate the
+        # whole panel and both halves in one call
+        lo, hi = [], []
+        for mb in live:
+            mid = 0.5 * (mb.a + mb.b)
+            lo += (mb.a, mb.a, mid)
+            hi += (mb.b, mid, mb.b)
+        owner = np.array([mb.k for mb in live]).repeat(3) if batch else None
+        vals, errs, rnds = _gk21(f, np.array(lo), np.array(hi), owner)
+        shape = vals.shape[:-1]
+        for i, mb in enumerate(live):
+            mb.start(vals, errs, rnds, 3 * i)
+
+    running = live
+    while running:
+        running = [mb for mb in running if mb.pop(limit)]
+        if not running:
+            break
+        plo, phi = np.array([p for mb in running for p in mb.popped]).T
+        pmid = 0.5 * (plo + phi)
+        # member j, with popped panels o_j .. o_j + k_j, takes the left halves
+        # at 2*o_j + [0, k_j) and the right halves at 2*o_j + k_j + [0, k_j)
+        lo, hi, offsets = [], [], []
+        o = 0
+        for mb in running:
+            k = len(mb.popped)
+            lo += (plo[o:o + k], pmid[o:o + k])
+            hi += (pmid[o:o + k], phi[o:o + k])
+            offsets.append(o)
+            o += k
+        owner = None
+        if batch:
+            owner = np.array([mb.k for mb in running]).repeat([2 * len(mb.popped) for mb in running])
+        vals, errs, rnds = _gk21(f, np.concatenate(lo), np.concatenate(hi), owner)
+        errs_list = errs.tolist()
+        mids = pmid.tolist()
+        for mb, o in zip(running, offsets):
+            mb.update(vals, errs, rnds, errs_list, mids[o:o + len(mb.popped)], 2 * o)
+
+    if shape is None:  # no interval to evaluate: an empty call only reveals the component shape
+        shape = np.shape(f((np.empty(0), np.empty(0, dtype=int)) if batch else np.empty(0)))[:-1]
+    totals, errors = [], []
+    for k, mb in enumerate(members):
+        if mb.b <= mb.a:
+            totals.append(np.zeros(shape))
+            errors.append(0.0)
+            continue
+        err = mb.result()
+        if err is None:
+            raise ConvergenceError(
+                f"quadrature on ({mb.a:g}, {mb.b:g}) stalled: "
+                f"err={float(mb.error + mb.rounding):g} after {len(mb.heap)} panels",
+                index=k,
+            )
+        totals.append(mb.total)
+        errors.append(err)
+    if batch:
+        return totals, errors
+    return totals[0][()], errors[0]

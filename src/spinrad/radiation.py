@@ -8,10 +8,24 @@ with weights hbar*omega (P), hbar*m (M) and hbar*(Omega*m - omega) (Q),
 integrated d(omega)/2pi and summed over channels.  The three weights share
 quadrature panels, so Q = Omega*M - P holds to roundoff.  At T = 0 the
 support collapses to the superradiant windows (0, Omega*m), m >= 1.
+
+Channel integrals run in stages and jobs.  A :class:`Stage` lists channels
+with their supports; :func:`integrate_stages` integrates every segment of
+every channel of several stages as one lock-step quadrature batch, calling
+:func:`mode_flux` once per round for each channel label, with one rotation
+rate per node when the stages hold several rates.  A job is a generator
+that yields stages, is sent each stage's channel results and returns its
+result: :func:`partial_wave_sum` yields its block stage and then each
+``auto_extend`` shell.  :func:`run_jobs` advances many jobs together, one
+batch per round, so the torque-law tabulation integrates every new rate
+of a refinement round at once.  Each integral keeps its own panels and
+stopping rule, so the results are those of each integral run alone.
 """
 
 import math
 from dataclasses import asdict, dataclass, field
+from types import GeneratorType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,40 +82,42 @@ class RadiationResult:
         return asdict(self)
 
 
-def occupation_difference(omega, m, state):
-    """n(omega - Omega*m, T_obj) - n(omega, T_env), with T = 0 steps built in."""
-    w = np.atleast_1d(np.asarray(omega, dtype=float))
-    n_in = bose_occupation(w - state.Omega * m, state.T_object)
+def _occupation_gap(w, om_p, state):
+    """n(om_p, T_obj) - n(w, T_env) on node arrays, om_p = w - Omega*m."""
+    n_in = bose_occupation(om_p, state.T_object)
     n_out = bose_occupation(w, state.T_env) if state.T_env > 0 else np.where(w > 0, 0.0, -1.0)
-    dn = n_in - n_out
-    return dn if np.ndim(omega) else dn.item()
+    return n_in - n_out
 
 
 def mode_flux(table, state, omega, m, extra=None, pol="scalar"):
     """Spectral photon flux N of channel (m, extra, pol) (photons per unit omega and time).
 
-    ``omega`` is a scalar or an array of frequencies.  At omega = Omega*m
-    the diverging occupation multiplies a vanishing flux factor; the finite
-    product limit is taken by a symmetric two-sided average just off the
-    singular point.  A :class:`NumericDomainError` of the table (a resonance,
-    a Bessel overflow) is raised again naming the channel and the span of
-    the nodes.
+    ``omega`` is a scalar or an array of frequencies; ``state.Omega`` is one
+    rotation rate or, for an array ``omega``, one rate per node (a batch of
+    rates evaluated in one call, each node with the bits of its own
+    scalar-rate call).  At omega = Omega*m the diverging occupation
+    multiplies a vanishing flux factor; the finite product limit is taken
+    by a symmetric two-sided average just off the singular point.  A
+    :class:`NumericDomainError` of the table (a resonance, a Bessel
+    overflow) is raised again naming the channel and the span of the nodes.
     """
     w = np.atleast_1d(np.asarray(omega, dtype=float))
     if (w <= 0).any():
         raise DomainError("mode flux needs omega > 0")
-    om_p = w - state.Omega * m
+    Omega = state.Omega
+    om_p = w - Omega * m
     try:
-        F = table.flux(w, m, extra, pol, state.Omega)
+        F = table.flux(w, m, extra, pol, Omega)
         if state.zero_temperature:
             N = np.where(om_p < 0, -F, 0.0)
         elif om_p.all():  # common case: no node at corotation, so no mask
-            N = occupation_difference(w, m, state) * F
+            N = _occupation_gap(w, om_p, state) * F
         else:
             at = om_p == 0.0
             N = np.empty(w.shape)
-            N[~at] = occupation_difference(w[~at], m, state) * F[~at]
-            N[at] = _corotation_limit(table, state, m, extra, pol)
+            N[~at] = _occupation_gap(w[~at], om_p[~at], state) * F[~at]
+            N[at] = [_corotation_limit(table, state, W, m, extra, pol)
+                     for W in np.broadcast_to(Omega, w.shape)[at].tolist()]
     except NumericDomainError as exc:
         raise type(exc)(
             f"channel m={m}, extra={extra}, pol={pol} at omega in "
@@ -110,17 +126,17 @@ def mode_flux(table, state, omega, m, extra=None, pol="scalar"):
     return N if np.ndim(omega) else N.item()
 
 
-def _corotation_limit(table, state, m, extra, pol):
+def _corotation_limit(table, state, Omega, m, extra, pol):
     """N at omega = Omega*m: the mean of N just above and just below."""
-    omega = state.Omega * m
+    omega = Omega * m
     h = 1e-7 * max(abs(omega), state.T_object, 1e-30)
     lo, hi = table.omega_domain(m, extra, pol)
     w = np.array([omega + h, omega - h])
     w = w[(lo < w) & (w < hi) & (w > 0)]
     if not w.size:
         return 0.0
-    F = table.flux(w, m, extra, pol, state.Omega)
-    return np.mean(occupation_difference(w, m, state) * F)
+    F = table.flux(w, m, extra, pol, Omega)
+    return np.mean(_occupation_gap(w, w - Omega * m, state) * F)
 
 
 def _thermal_cutoff(state, m_max):
@@ -163,69 +179,176 @@ def channel_support(table, state, m, extra, pol, m_max):
     return [lo, hi]
 
 
-def integrate_channel(table, state, m, extra, pol, weight, m_max, epsrel=1e-9):
-    """int dw/2pi weight(w, m, N_m(w)) over the channel's support.
+class Stage(NamedTuple):
+    """The channel integrals of one stage: every segment of every listed channel.
 
-    ``weight`` maps the node array, m and the spectral density on the nodes
-    to the integrand components (nodes on the last axis); all components
-    share panels; the segments of the support are added left to right.
-    Returns (value, error), or None when the support is empty.  A stalled
-    quadrature raises :class:`ConvergenceError` naming the channel.
+    ``channels`` holds (m, extra, pol, points), points the breakpoints
+    :func:`channel_support` gave the channel; ``weight`` maps the node
+    array, m and the spectral density on the nodes to the integrand
+    components (nodes on the last axis), all of which share panels.
     """
-    points = channel_support(table, state, m, extra, pol, m_max)
-    if not points:
-        return None
 
-    def integrand(w):
-        return weight(w, m, mode_flux(table, state, w, m, extra, pol)) / TWO_PI
+    table: object
+    state: ThermalState
+    weight: object
+    epsrel: float
+    channels: list
+
+
+def channel_stage(table, state, weight, labels, m_max, epsrel=1e-9):
+    """The stage of the channels ``labels`` (m, extra, pol) that radiate, cut at m_max.
+
+    Every channel takes the support :func:`channel_support` gives it with
+    this ``m_max``, so the thermal cutoff is Omega*max(|m|, m_max) + 40T.
+    """
+    channels = []
+    for m, extra, pol in labels:
+        points = channel_support(table, state, m, extra, pol, m_max)
+        if points:
+            channels.append((m, extra, pol, points))
+    return Stage(table, state, weight, epsrel, channels)
+
+
+def _labels(table, m_max, m_min):
+    """(m, extra, pol) of every channel of the table with m_min <= |m| <= m_max."""
+    return [(m, extra, pol) for m in table.m_values(m_max) if abs(m) >= m_min
+            for extra, pol in table.channel_labels(m)]
+
+
+def integrate_stages(stages):
+    """Integrate every segment of every channel of the stages in one quadrature batch.
+
+    Returns, per stage, the list of its channels' (m, extra, pol, value,
+    error), value = int dw/2pi weight(w, m, N_m(w)) with the segments of
+    the support added left to right.  The batch integrand calls
+    :func:`mode_flux` once per round for each channel label (same table,
+    temperatures, weight and (m, extra, pol)), with one rotation rate per
+    node when the stages hold several rates; each integral keeps its own
+    panels and stopping rule, so its bits are those it has alone.  A stalled
+    integral raises :class:`ConvergenceError` naming its channel, support
+    and rotation rate.
+    """
+    labels = {}  # (table, T_object, T_env, weight, m, extra, pol) -> kernel index
+    kernels = []  # [table, state, weight, m, extra, pol, whether all share state.Omega]
+    a, b, eps, kernel_of, omega_of, owners = [], [], [], [], [], []
+    for stage in stages:
+        state = stage.state
+        for m, extra, pol, points in stage.channels:
+            i = labels.setdefault(
+                (stage.table, state.T_object, state.T_env, stage.weight, m, extra, pol),
+                len(kernels))
+            if i == len(kernels):
+                kernels.append([stage.table, state, stage.weight, m, extra, pol, True])
+            elif kernels[i][1].Omega != state.Omega:
+                kernels[i][6] = False
+            for lo, hi in zip(points, points[1:]):
+                a.append(lo)
+                b.append(hi)
+                eps.append(stage.epsrel)
+                kernel_of.append(i)
+                omega_of.append(state.Omega)
+                owners.append((state, m, extra, pol, points))
+    if not a:
+        return [[] for _ in stages]
+    kernel_of = np.array(kernel_of)
+    omega_of = np.array(omega_of)
+
+    def integrand(x):
+        w, k = x
+        out = None
+        for i, (table, state, weight, m, extra, pol, one_rate) in enumerate(kernels):
+            sel = slice(None) if len(kernels) == 1 else np.flatnonzero(kernel_of[k] == i)
+            ws = w[sel]
+            if not ws.size:  # every integral of this label has finished
+                continue
+            if not one_rate:  # one rotation rate per node
+                state = ThermalState(state.T_object, state.T_env, omega_of[k[sel]])
+            vals = weight(ws, m, mode_flux(table, state, ws, m, extra, pol)) / TWO_PI
+            if out is None:
+                out = np.empty(vals.shape[:-1] + w.shape)
+            out[..., sel] = vals
+        return out
 
     try:
-        parts = [adaptive_integral(integrand, a, b, epsrel=epsrel)
-                 for a, b in zip(points, points[1:])]
+        values, errors = adaptive_integral(integrand, a, b, epsrel=eps)
     except ConvergenceError as exc:
+        state, m, extra, pol, points = owners[exc.index]
         raise ConvergenceError(
-            f"channel m={m}, extra={extra}, pol={pol} on support {points}: {exc}", m=m
+            f"channel m={m}, extra={extra}, pol={pol} on support {points} "
+            f"at Omega={state.Omega:g}: {exc}", m=m
         ) from exc
-    total, err = parts[0]
-    for val, e in parts[1:]:
-        total, err = total + val, err + e
-    return total, err
+    results = []
+    k = 0
+    for stage in stages:
+        channels = []
+        for m, extra, pol, points in stage.channels:
+            total, err = values[k], errors[k]
+            for j in range(k + 1, k + len(points) - 1):
+                total, err = total + values[j], err + errors[j]
+            k += len(points) - 1
+            channels.append((m, extra, pol, total, err))
+        results.append(channels)
+    return results
 
 
-def integrate_channels(table, state, weight, m_max, m_min=0, **kw):
-    """Yield (m, extra, pol, value, error) for each radiating channel, m_min <= |m| <= m_max.
+def integrate_channels(table, state, weight, m_max, m_min=0, epsrel=1e-9):
+    """(m, extra, pol, value, error) of each radiating channel, m_min <= |m| <= m_max.
 
-    Every channel is cut at the same thermal cutoff, Omega*m_max + 40T.
+    One stage: every channel is cut at the same thermal cutoff,
+    Omega*m_max + 40T, and all are integrated in one quadrature batch.
     """
-    for m in table.m_values(m_max):
-        if abs(m) < m_min:
-            continue
-        for extra, pol in table.channel_labels(m):
-            res = integrate_channel(table, state, m, extra, pol, weight, m_max, **kw)
-            if res is not None:
-                yield (m, extra, pol, *res)
+    stage = channel_stage(table, state, weight, _labels(table, m_max, m_min), m_max, epsrel)
+    return integrate_stages([stage])[0]
 
 
 def partial_wave_sum(table, state, weight, policy, m_min=0):
-    """(channels, m_used): each radiating channel's (m, extra, pol, value, error) and the last |m|.
+    """Job of the partial-wave sum; it returns (channels, m_used).
 
-    First the block m_min <= |m| <= m_max at the shared cutoff Omega*m_max +
-    40T; then, with ``auto_extend``, one shell |m| = k at a time at its own
-    cutoff Omega*k + 40T, while the outer shell's largest |first component|
+    A generator, driven by :func:`run_jobs`: it yields its block stage,
+    m_min <= |m| <= m_max at the shared cutoff Omega*m_max + 40T, and then,
+    with ``auto_extend``, one shell |m| = k at a time at its own cutoff
+    Omega*k + 40T, while the outer shell's largest |first component|
     exceeds ``tail_tol`` times the summed first component and k < ``m_cap``.
+    It is sent each stage's channel results and returns every radiating
+    channel's (m, extra, pol, value, error) and the last |m| summed.
     """
     def unconverged():
         scale = abs(_sum(val[0] for *_, val, _ in channels))
         return scale > 0 and _outer_peak(channels) > policy.tail_tol * scale
 
-    channels = list(integrate_channels(table, state, weight, policy.m_max, m_min,
-                                       epsrel=policy.epsrel))
+    channels = yield channel_stage(table, state, weight, _labels(table, policy.m_max, m_min),
+                                   policy.m_max, policy.epsrel)
     m_used = policy.m_max
     while policy.auto_extend and m_used < policy.m_cap and unconverged():
         m_used += 1
-        channels += integrate_channels(table, state, weight, m_used, m_used,
-                                       epsrel=policy.epsrel)
+        channels += yield channel_stage(table, state, weight, _labels(table, m_used, m_used),
+                                        m_used, policy.epsrel)
     return channels, m_used
+
+
+def run_jobs(jobs):
+    """Drive jobs in lock-step and return their results, in order.
+
+    A job is a generator that yields :class:`Stage` objects, is sent back
+    each stage's channel results (as :func:`integrate_stages` gives them)
+    and returns its result; anything else is a finished job and its own
+    result.  Each round integrates the current stage of every unfinished
+    job in one quadrature batch.
+    """
+    results = list(jobs)
+    pending = [(i, job, None) for i, job in enumerate(results) if isinstance(job, GeneratorType)]
+    while pending:
+        running, stages = [], []
+        for i, job, sent in pending:
+            try:
+                stages.append(job.send(sent))
+            except StopIteration as stop:
+                results[i] = stop.value
+            else:
+                running.append((i, job))
+        outs = integrate_stages(stages) if stages else []
+        pending = [(i, job, out) for (i, job), out in zip(running, outs)]
+    return results
 
 
 def integrate_power(table, state, policy=None):
@@ -254,7 +377,7 @@ def integrate_power(table, state, policy=None):
     def weight(w, m, N):
         return np.array([w * N, m * N, (Omega * m - w) * N])
 
-    channels, m_used = partial_wave_sum(table, state, weight, policy)
+    channels, m_used = run_jobs([partial_wave_sum(table, state, weight, policy)])[0]
     per_mode = [
         ModeContribution(m, extra, pol, float(val[0]), float(val[1]), float(val[2]), err)
         for m, extra, pol, val, err in channels
@@ -262,8 +385,8 @@ def integrate_power(table, state, policy=None):
 
     # probe the first omitted shell and close the geometric series with the
     # measured decay ratio; a table with no higher partial waves has no tail
-    probe = list(integrate_channels(table, state, weight, m_used + 1, m_used + 1,
-                                    epsrel=policy.epsrel)) if channels else []
+    probe = integrate_channels(table, state, weight, m_used + 1, m_used + 1,
+                               epsrel=policy.epsrel) if channels else []
     tail = _geometric_tail(_outer_peak(channels), _outer_peak(probe)) if probe else 0.0
 
     P, M, Q = (_sum(getattr(c, k) for c in per_mode) for k in "PMQ")

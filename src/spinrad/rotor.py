@@ -16,7 +16,10 @@ I*dW = sqrt(I*Mbar2/Mbar') are mutually consistent; a freely decaying
 ensemble's Var[I W] grows as 2*Mbar2*t at early times.  A law is built by
 :meth:`TorqueLaw.from_moments` from its moment function W -> (Mbar, Mbar2)
 and its drift slope Mbar', which serves every slope the layer takes (the
-width, the stiffness guard, the CLI's time step).
+width, the stiffness guard, the CLI's time step).  A numeric law is
+tabulated by :func:`tabulate_torque_law`, whose moment function may return
+a radiation job (see :mod:`spinrad.radiation`): every new rate of a
+refinement round is then integrated in one lock-step batch.
 
 The layer imports no scipy: the monotone cubic (PCHIP) of tabulated torque
 laws and the Simpson and trapezoid rules of the stationary density are
@@ -31,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, StepSizeError
-from .radiation import MSumPolicy, partial_wave_sum
+from .radiation import MSumPolicy, partial_wave_sum, run_jobs
 from .material import ThermalState
 
 FP_DIFFUSION_SCALE = 2.0
@@ -106,7 +109,8 @@ def torque_law_from_radiation(table, state, omega_range, rtol=1e-6, policy=None)
 
     evaluated at rotation rate W over the partial waves of ``policy`` (an
     :class:`MSumPolicy`; ``auto_extend`` grows the sum by |Mbar2|, the more
-    slowly converging of the two),
+    slowly converging of the two) by one :func:`partial_wave_sum` job per
+    rate, the rates of a refinement round run in lock-step,
     interpolated monotonically (PCHIP) and refined by grid doubling until
     the interpolant reproduces midpoint evaluations to ``rtol`` relative.
     Both weights vanish at m = 0, so that channel is never integrated.
@@ -116,10 +120,11 @@ def torque_law_from_radiation(table, state, omega_range, rtol=1e-6, policy=None)
     def weight(w, m, N):  # Mbar2 first: partial_wave_sum grows by the first component
         return np.array([m * m * N * (N + 1.0), m * N])
 
-    def moments(W):
+    def moments(W):  # a job: the stages of its partial-wave sum, then (Mbar, Mbar2)
         st = ThermalState(state.T_object, state.T_env, W)
+        channels, _ = yield from partial_wave_sum(table, st, weight, policy, m_min=1)
         out = np.zeros(2)
-        for *_, val, _ in partial_wave_sum(table, st, weight, policy, m_min=1)[0]:
+        for *_, val, _ in channels:
             out += val
         return out[::-1]
 
@@ -129,12 +134,14 @@ def torque_law_from_radiation(table, state, omega_range, rtol=1e-6, policy=None)
 def tabulate_torque_law(moments, omega_range, rtol=1e-6):
     """Memoize a (drift, diffusion) moment function on a refining log grid.
 
-    ``moments(W)`` returns the pair (Mbar, Mbar2) at rotation rate W; it is
-    called at most once per distinct W.  Each refinement interleaves the grid
-    with its geometric midpoints, so the midpoints probed to test the
-    log-log interpolant are nodes of the next grid and are never computed
-    twice.  The grid doubles until the interpolant reproduces the probes to
-    ``rtol`` relative.
+    ``moments(W)`` returns the pair (Mbar, Mbar2) at rotation rate W, or a
+    job that returns it (:func:`~spinrad.radiation.run_jobs`); it is called
+    at most once per distinct W.  Each refinement interleaves the grid with
+    its geometric midpoints, so the midpoints probed to test the log-log
+    interpolant are nodes of the next grid and are never computed twice.
+    The new grid nodes and the probes of a round are evaluated together, their
+    jobs driven in lock-step.  The grid doubles until the interpolant
+    reproduces the probes to ``rtol`` relative.
     """
     lo, hi = omega_range
     if not 0 <= lo < hi:
@@ -143,21 +150,21 @@ def tabulate_torque_law(moments, omega_range, rtol=1e-6):
 
     def evaluate(ws):
         ws = ws.tolist()
-        for w in ws:
-            if w not in memo:
-                memo[w] = moments(w)
+        new = [w for w in dict.fromkeys(ws) if w not in memo]
+        memo.update(zip(new, run_jobs([moments(w) for w in new])))
         return np.array([memo[w] for w in ws], dtype=float)
 
     grid = np.geomspace(max(lo, hi * 1e-4), hi, 17)
     for _ in range(7):
-        vals = evaluate(grid)
+        mids = np.sqrt(grid[:-1] * grid[1:])
+        probe = mids[:: max(1, (len(grid) - 1) // 8)]
+        # the new grid nodes and the probes of a round run as one lock-step batch
+        vals = evaluate(np.concatenate([grid, probe]))
+        vals, direct = vals[:len(grid)], vals[len(grid):]
         if np.all(vals == 0.0):
             zero = lambda w: np.zeros_like(np.asarray(w, dtype=float))
             return TorqueLaw.from_moments(lambda w: (zero(w), zero(w)), zero)
         moments_i = _moment_interpolants(grid, vals)
-        mids = np.sqrt(grid[:-1] * grid[1:])
-        probe = mids[:: max(1, (len(grid) - 1) // 8)]
-        direct = evaluate(probe)
         scale = np.maximum(np.abs(direct), 1e-12 * np.max(np.abs(vals), axis=0))
         err = np.max(np.abs(np.column_stack(moments_i(probe)) - direct) / scale)
         if err < rtol:

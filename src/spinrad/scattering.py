@@ -384,11 +384,19 @@ class UserTable(ChannelTable):
     non-integrable T/(omega - Omega*m) that stalls the quadrature.
     """
 
-    def __init__(self, groups):
-        # groups: {(m, extra, pol): (omega array, S complex array)}
+    def __init__(self, groups, rows=None):
+        # groups: {(m, extra, pol): (omega array, S complex array)}; rows, when the
+        # table comes from a file: {(m, extra, pol): file row of each omega}
         if not groups:
             raise TableFormatError("channel table holds no rows")
+        for key, (om, _) in groups.items():
+            kz = key[1]  # a float label is an axial wavenumber: it must propagate
+            if isinstance(kz, float) and (abs(kz) > om).any():
+                i = int(np.argmax(abs(kz) > om))
+                raise TableFormatError(f"|k_z|={abs(kz):g} exceeds omega={om[i]:g}",
+                                       row=rows[key][i] if rows else None)
         self.groups = groups
+        self.rows = rows
 
     def channel_labels(self, m):
         return sorted(
@@ -435,8 +443,10 @@ def load_channel_table(path):
     """Load a channel table CSV with header omega,m,extra,pol,ReS,ImS.
 
     Strict schema: per-channel omega strictly increasing, |k_z| <= omega for
-    float 'extra' rows, polarizations limited to scalar/E/M.  Violations raise
-    :class:`TableFormatError` carrying the offending row number.
+    float 'extra' rows (checked by :class:`UserTable`, so that a caller that
+    rescales the columns checks the rescaled values), polarizations limited
+    to scalar/E/M.  Violations raise :class:`TableFormatError` carrying the
+    offending row number.
     """
     rows = []
     with open(path, newline="") as fh:
@@ -462,13 +472,11 @@ def load_channel_table(path):
                 raise TableFormatError("omega must be > 0", row=i)
             if pol not in _POLS:
                 raise TableFormatError(f"pol must be one of {_POLS}", row=i)
-            if isinstance(extra, float) and abs(extra) > omega:
-                raise TableFormatError(f"|k_z|={abs(extra):g} exceeds omega={omega:g}", row=i)
             rows.append((i, omega, m, extra, pol, S))
     groups = {}
     for i, omega, m, extra, pol, S in rows:
         groups.setdefault((m, extra, pol), []).append((i, omega, S))
-    packed = {}
+    packed, rows = {}, {}
     for key, entries in groups.items():
         for (i0, w0, _), (i1, w1, _) in zip(entries[:-1], entries[1:]):
             if w1 <= w0:
@@ -478,4 +486,5 @@ def load_channel_table(path):
         om = np.array([w for (_, w, _) in entries])
         S = np.array([s for (_, _, s) in entries], dtype=complex)
         packed[key] = (om, S)
-    return UserTable(packed)
+        rows[key] = [i for (i, _, _) in entries]
+    return UserTable(packed, rows)

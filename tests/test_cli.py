@@ -570,6 +570,45 @@ class TestUnitsMode:
         for key in "PMQ":
             assert si[key] == pytest.approx(natural[key], rel=1e-10)
 
+    def _kz_table(self, path, scale, kz_scale, kzs=(0.0, 0.2)):
+        """A disk-S-matrix table with k_z-labelled channels, omega and k_z rescaled."""
+        om = np.linspace(0.3, 3.0, 16)
+        rows = ["omega,m,extra,pol,ReS,ImS"]
+        for kz in kzs:
+            S = disk_smatrix(Drude(1.0), 0.1, 1.0, om, 1)
+            rows += [f"{w * scale!r},1,{kz * kz_scale!r},E,{float(z.real)!r},{float(z.imag)!r}"
+                     for w, z in zip(om.tolist(), S)]
+        path.write_text("\n".join(rows) + "\n")
+
+    KZ_BODY = "[scenario]\ngeometry = user-table\n{units}[body]\nomega = {omega!r}\ntable = {path}\n"
+
+    def test_si_kz_table_matches_natural_twin(self, tmp_path):
+        # omega in rad/s and k_z in rad/m: k_z natural = k_z SI * c / Omega_SI
+        self._kz_table(tmp_path / "natural.csv", 1.0, 1.0)
+        self._kz_table(tmp_path / "si.csv", self.OMEGA_SI, self.OMEGA_SI / C_SI)
+        si, natural = self._twins(tmp_path, "power", {
+            "si": self.KZ_BODY.format(units="units = si\n", omega=self.OMEGA_SI,
+                                      path=tmp_path / "si.csv"),
+            "natural": self.KZ_BODY.format(units="", omega=1.0, path=tmp_path / "natural.csv"),
+        })
+        assert natural["P"] > 0 and len(natural["per_mode"]) == 2
+        for key in "PMQ":
+            assert si[key] == pytest.approx(natural[key], rel=1e-10)
+        for a, b in zip(si["per_mode"], natural["per_mode"]):
+            assert a["extra"] == pytest.approx(b["extra"], rel=1e-12)
+
+    @pytest.mark.parametrize("units", ["natural", "si"])
+    def test_evanescent_kz_row_exits_2(self, tmp_path, capsys, units):
+        # |k_z| = 0.31 > omega = 0.3 on the first row; in SI |k_z| c > omega there
+        scale, kz_scale, omega = ((1.0, 1.0, 1.0) if units == "natural"
+                                  else (self.OMEGA_SI, self.OMEGA_SI / C_SI, self.OMEGA_SI))
+        self._kz_table(tmp_path / "t.csv", scale, kz_scale, kzs=(0.31,))
+        cfg = write(tmp_path, self.KZ_BODY.format(
+            units="units = si\n" if units == "si" else "", omega=omega, path=tmp_path / "t.csv"))
+        assert main(["power", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "row 2: |k_z|=0.31 exceeds omega=0.3" in err
+
     def test_si_tabulated_epsilon_omega_column_in_rad_per_s(self, tmp_path):
         u = UnitSystem.from_omega_si(self.OMEGA_SI)
         R_si = 1e-3

@@ -232,10 +232,30 @@ class TestWriteCsv:
         columns = list("abcdefgh")
         meta = {"seed": 3, "flags": {"x": np.float64(0.25), "y": None}}
         self.old_write(tmp_path / "old.csv", meta, columns, rows)
-        cli._write_csv(tmp_path / "new.csv", meta, columns, rows)
+        cli._write_csv(tmp_path / "new.csv", meta, columns, list(zip(*rows)))
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
     def test_no_rows(self, tmp_path):
         self.old_write(tmp_path / "old.csv", {}, ["a", "b"], [])
-        cli._write_csv(tmp_path / "new.csv", {}, ["a", "b"], [])
+        cli._write_csv(tmp_path / "new.csv", {}, ["a", "b"], [[], []])
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_table_by_column_equals_the_row_writer(self, tmp_path, fmt):
+        # the trajectory table's layout: a float column repeated per trajectory,
+        # an int id column and a float column, plus None and np.float64 cells
+        times, omegas = [0.0, 0.5, 1.0], np.arange(6.0).reshape(2, 3) / 7
+        columns = [times * 2, [0, 0, 0, 1, 1, 1], omegas.ravel().tolist(),
+                   [None, np.float64(0.25), 1, None, 2.5, np.float64(-1e-300)]]
+        rows = [(t, j, w, x) for j, wrow in enumerate(omegas.tolist())
+                for t, w, x in zip(times, wrow, columns[3][3 * j:])]
+        meta = {"seed": 1}
+        names = ["t", "traj_id", "omega", "x"]
+        path = cli._write_table(tmp_path, "new", fmt, meta, names, columns)
+        if fmt == "csv":
+            self.old_write(tmp_path / "old.csv", meta, names, rows)
+            assert path.read_bytes() == (tmp_path / "old.csv").read_bytes()
+        else:
+            cli._write_json(tmp_path / "old.json", {"meta": meta, "columns": names,
+                                                    "rows": [list(r) for r in rows]})
+            assert path.read_bytes() == (tmp_path / "old.json").read_bytes()

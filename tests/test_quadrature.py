@@ -96,3 +96,66 @@ def test_identical_calls_are_bit_identical():
 def test_integrand_must_put_nodes_on_the_last_axis():
     with pytest.raises(ValueError, match="last axis"):
         adaptive_integral(lambda w: np.ones((w.size, 2)), 0.0, 1.0)
+
+
+# lock-step batches: members with their own interval, integrand and tolerance
+BATCH = [  # (a, b, epsrel, peak, width)
+    (0.0, 12.0, 1e-9, 1.0, 1e-3),
+    (0.0, 1.0, 1e-10, 0.3, 1e-2),
+    (0.5, 2.5, 1e-8, 2.0, 1e-4),
+    (1.0, 1.0, 1e-9, 1.0, 1.0),  # empty: zeros, no node
+    (0.0, 3.0, 1e-9, 1.7, 3e-5),
+]
+
+
+def peaked(w, peak, width):
+    N = np.exp(-w / 0.3) / (1.0 + (w - peak) ** 2 / width)
+    return np.array([w * N, N, (peak - w) * N])
+
+
+def batch_integrand(members, seen=None):
+    params = np.array([(p, wd) for *_, p, wd in members])
+
+    def f(x):
+        w, k = x
+        if seen is not None:
+            seen.append((w.copy(), k.copy()))
+        return peaked(w, params[k, 0], params[k, 1])
+
+    return f
+
+
+def test_batch_equals_batches_of_one():
+    a, b, eps, *_ = map(list, zip(*BATCH))
+    values, errors = adaptive_integral(batch_integrand(BATCH), a, b, epsrel=eps)
+    assert len(values) == len(errors) == len(BATCH)
+    for (lo, hi, e, p, wd), val, err in zip(BATCH, values, errors):
+        ref, ref_err = adaptive_integral(lambda w: peaked(w, p, wd), lo, hi, epsrel=e)
+        assert val.tobytes() == ref.tobytes() and err == ref_err
+
+
+def test_scalar_pair_is_a_batch_of_one():
+    f = Recorder(lambda w: peaked(w, 1.0, 1e-3))
+    val, err = adaptive_integral(f, 0.0, 12.0)
+    seen = []
+    values, errors = adaptive_integral(batch_integrand([BATCH[0]], seen), [0.0], [12.0])
+    assert values[0].tobytes() == val.tobytes() and errors == [err]
+    assert len(seen) == len(f.calls)
+    for (w, k), ref in zip(seen, f.calls):
+        assert np.array_equal(w, ref) and not k.any()
+
+
+def test_stalled_member_raises_and_its_neighbours_run_as_alone():
+    members = [BATCH[0], (0.0, 1.0, 1e-9, np.nan, 1.0), BATCH[4]]
+    a, b, eps, *_ = map(list, zip(*members))
+    seen = []
+    with pytest.raises(ConvergenceError, match=r"\(0, 1\) stalled") as exc:
+        adaptive_integral(batch_integrand(members, seen), a, b, epsrel=eps)
+    assert exc.value.index == 1
+    for k in (0, 2):
+        lo, hi, e, p, wd = members[k]
+        alone = Recorder(lambda w: peaked(w, p, wd))
+        adaptive_integral(alone, lo, hi, epsrel=e)
+        mine = [w[owner == k] for w, owner in seen if (owner == k).any()]
+        assert len(mine) == len(alone.calls)
+        assert all(np.array_equal(x, y) for x, y in zip(mine, alone.calls))

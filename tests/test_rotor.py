@@ -26,6 +26,7 @@ from spinrad import (
     torque_law_from_radiation,
     uncertainty,
 )
+from spinrad.radiation import run_jobs
 
 
 def power5(c=1.0):
@@ -383,8 +384,9 @@ class TestTorqueLawFromRadiation:
         monkeypatch.setattr(rotor, "tabulate_torque_law", lambda moments, *a, **k: moments)
         table = DiskTable(Drude(1.0), 0.3)
 
-        def moments(policy):  # the untabulated moment function at W = 1.9
-            return torque_law_from_radiation(table, ThermalState(), (0.0, 1.9), policy=policy)(1.9)
+        def moments(policy):  # the untabulated moment job at W = 1.9, driven to its end
+            job = torque_law_from_radiation(table, ThermalState(), (0.0, 1.9), policy=policy)(1.9)
+            return run_jobs([job])[0]
 
         grown = moments(MSumPolicy(m_max=1, auto_extend=True, tail_tol=1e-6))
         fixed = moments(MSumPolicy(m_max=32))
