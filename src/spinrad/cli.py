@@ -15,6 +15,7 @@ overflow met while computing).
 
 import argparse
 import configparser
+import functools
 import hashlib
 import json
 import sys
@@ -555,6 +556,7 @@ COMMANDS = {
 }
 
 
+@functools.cache  # built once per process: parse_args writes only to a fresh namespace
 def build_argparser():
     ap = argparse.ArgumentParser(
         prog="spinrad",

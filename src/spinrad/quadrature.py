@@ -116,10 +116,13 @@ def _gk21(f, lo, hi, owner):
 
 
 class _Member:
-    """One integral of a batch: its panel heap, panel values and running totals."""
+    """One integral of a batch: its panel heap and running totals.
 
-    __slots__ = ("k", "a", "b", "epsrel", "total", "error", "rounding", "heap", "cache",
-                 "success", "popped", "err_sum")
+    A heap entry is (-error, lo, hi, value), one per panel.  No two panels of
+    an integral share (lo, hi), so the heap never compares values.
+    """
+
+    __slots__ = ("k", "a", "b", "epsrel", "total", "error", "rounding", "heap", "success")
 
     def __init__(self, k, a, b, epsrel):
         self.k, self.a, self.b, self.epsrel = k, a, b, epsrel
@@ -132,12 +135,12 @@ class _Member:
         self.total = vals[..., j + 1] + vals[..., j + 2]
         self.error = errs[j + 1] + errs[j + 2]
         self.rounding = rnds[j] + rnds[j + 1] + rnds[j + 2]
-        self.heap = [(-errs[j + 1], a, mid), (-errs[j + 2], mid, b)]
+        self.heap = [(-errs[j + 1], a, mid, vals[..., j + 1]),
+                     (-errs[j + 2], mid, b, vals[..., j + 2])]
         heapq.heapify(self.heap)
-        self.cache = {(a, mid): vals[..., j + 1], (mid, b): vals[..., j + 2]}
 
     def pop(self, limit):
-        """Pop the panels to bisect this round; False once the member has stopped.
+        """Pop the heap entries of the panels to bisect this round; [] once stopped.
 
         Bisects the panels of largest error, up to ``BATCH_PANELS`` of them,
         stopping once the popped error would already meet the tolerance.
@@ -146,41 +149,38 @@ class _Member:
         tol = max(EPSABS, self.epsrel * np.abs(self.total).max())
         if error < tol / 8:
             self.success = True
-            return False
+            return []
         rounding = self.rounding
         if error < rounding or not (np.isfinite(error) and np.isfinite(rounding)):
-            return False
+            return []
         heap = self.heap
         if len(heap) >= limit:
-            return False
+            return []
         popped = []
         err_sum = 0.0
         while heap and len(popped) < BATCH_PANELS:
             if popped and err_sum > error - tol / 8:
                 break
-            neg_err, lo, hi = heapq.heappop(heap)
-            popped.append((lo, hi))
-            err_sum -= neg_err
-        self.popped = popped
-        self.err_sum = err_sum
-        return True
+            popped.append(heapq.heappop(heap))
+            err_sum -= popped[-1][0]
+        return popped
 
-    def update(self, vals, errs, rnds, errs_list, mids, s):
+    def update(self, popped, vals, errs, rnds, errs_list, mids, s):
         """Replace the popped panels by their halves, at s.. (left) and s + k.. (right)."""
-        popped = self.popped
         k = len(popped)
-        cache = self.cache
         heap = self.heap
-        old = np.stack([cache.pop(p) for p in popped], axis=-1)
+        err_sum = 0.0
+        for neg_err, *_ in popped:
+            err_sum -= neg_err
+        old = np.stack([value for *_, value in popped], axis=-1)
         self.total = self.total + (vals[..., s:s + k] + vals[..., s + k:s + 2 * k] - old).sum(
             axis=-1)
-        self.error += float((errs[s:s + k] + errs[s + k:s + 2 * k]).sum()) - self.err_sum
+        self.error += float((errs[s:s + k] + errs[s + k:s + 2 * k]).sum()) - err_sum
         self.rounding += float(rnds[s:s + 2 * k].sum())
-        for i, (p_lo, p_hi) in enumerate(popped):
+        for i, (_, p_lo, p_hi, _) in enumerate(popped):
             m = mids[i]
-            for j, (x1, x2) in ((s + i, (p_lo, m)), (s + k + i, (m, p_hi))):
-                cache[(x1, x2)] = vals[..., j]
-                heapq.heappush(heap, (-errs_list[j], x1, x2))
+            for j, x1, x2 in ((s + i, p_lo, m), (s + k + i, m, p_hi)):
+                heapq.heappush(heap, (-errs_list[j], x1, x2, vals[..., j]))
 
     def result(self):
         """The error estimate, or None when the integral stalled short of its tolerance."""
@@ -235,31 +235,30 @@ def adaptive_integral(f, a, b, *, epsrel=1e-9, limit=300):
         for i, mb in enumerate(live):
             mb.start(vals, errs, rnds, 3 * i)
 
-    running = live
-    while running:
-        running = [mb for mb in running if mb.pop(limit)]
-        if not running:
-            break
-        plo, phi = np.array([p for mb in running for p in mb.popped]).T
+    running = [(mb, mb.pop(limit)) for mb in live]
+    while running := [(mb, popped) for mb, popped in running if popped]:
+        plo, phi = np.array([entry[1:3] for _, popped in running for entry in popped]).T
         pmid = 0.5 * (plo + phi)
         # member j, with popped panels o_j .. o_j + k_j, takes the left halves
         # at 2*o_j + [0, k_j) and the right halves at 2*o_j + k_j + [0, k_j)
         lo, hi, offsets = [], [], []
         o = 0
-        for mb in running:
-            k = len(mb.popped)
+        for _, popped in running:
+            k = len(popped)
             lo += (plo[o:o + k], pmid[o:o + k])
             hi += (pmid[o:o + k], phi[o:o + k])
             offsets.append(o)
             o += k
         owner = None
         if batch:
-            owner = np.array([mb.k for mb in running]).repeat([2 * len(mb.popped) for mb in running])
+            owner = np.array([mb.k for mb, _ in running]).repeat(
+                [2 * len(popped) for _, popped in running])
         vals, errs, rnds = _gk21(f, np.concatenate(lo), np.concatenate(hi), owner)
         errs_list = errs.tolist()
         mids = pmid.tolist()
-        for mb, o in zip(running, offsets):
-            mb.update(vals, errs, rnds, errs_list, mids[o:o + len(mb.popped)], 2 * o)
+        for (mb, popped), o in zip(running, offsets):
+            mb.update(popped, vals, errs, rnds, errs_list, mids[o:o + len(popped)], 2 * o)
+        running = [(mb, mb.pop(limit)) for mb, _ in running]
 
     if shape is None:  # no interval to evaluate: an empty call only reveals the component shape
         shape = np.shape(f((np.empty(0), np.empty(0, dtype=int)) if batch else np.empty(0)))[:-1]

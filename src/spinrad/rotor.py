@@ -21,10 +21,12 @@ tabulated by :func:`tabulate_torque_law`, whose moment function may return
 a radiation job (see :mod:`spinrad.radiation`): every new rate of a
 refinement round is then integrated in one lock-step batch.
 
-The layer imports no scipy: the monotone cubic (PCHIP) of tabulated torque
-laws and the Simpson and trapezoid rules of the stationary density are
-private numpy code here, written op for op after scipy 1.17 so that their
-values equal scipy's bit for bit.
+The layer imports no scipy.  The monotone cubic (PCHIP) of tabulated torque
+laws is private numpy code written op for op after scipy 1.17, so that its
+values, and with them every trajectory, equal scipy's bit for bit.  The
+stationary density, built only on evenly spaced grids, takes its integrals
+from one running Simpson rule for such grids and its CDF from the trapezoid
+rule.
 """
 
 import math
@@ -235,10 +237,9 @@ def _exp_log_log(spline):
     return f
 
 
-# The PCHIP and Simpson rules below follow scipy 1.17's PchipInterpolator (with
-# PPoly evaluation), simpson, cumulative_simpson and cumulative_trapezoid op for
-# op, so their values match those bit for bit; they live here so that no
-# operation of the rotor layer imports scipy.
+# The PCHIP below follows scipy 1.17's PchipInterpolator (with PPoly
+# evaluation) op for op, so its values match scipy's bit for bit; it lives here
+# so that no operation of the rotor layer imports scipy.
 
 
 class _PiecewiseCubic:
@@ -312,59 +313,25 @@ def _pchip_end_slope(h0, h1, m0, m1):
     return np.where(wrong_sign, 0.0, np.where(overshoot, 3. * m0, d))
 
 
-def _spacings(x, what):
-    """Node spacings of a strictly increasing grid of at least 3 nodes."""
-    h = np.diff(x)
-    if len(x) < 3 or not (h > 0).all():
-        raise DomainError(f"{what} needs >= 3 strictly increasing nodes, got {len(x)}")
-    return h
-
-
-def _simpson(y, x):
-    """Composite Simpson rule for int y dx over an odd number (>= 3) of nodes x."""
-    if len(x) % 2 == 0:
-        raise DomainError(f"Simpson's rule needs an odd number of nodes, got {len(x)}")
-    h = _spacings(x, "Simpson's rule")
-    h0, h1 = h[0:-1:2], h[1::2]
-    hsum = h0 + h1
-    hprod = h0 * h1
-    h0divh1 = h0 / h1
-    tmp = hsum / 6.0 * (y[0:-2:2] * (2.0 - 1.0 / h0divh1)
-                        + y[1:-1:2] * (hsum * (hsum / hprod))
-                        + y[2::2] * (2.0 - h0divh1))
-    return tmp.sum()
-
-
 def _cumulative_simpson(y, x):
     """Running Simpson integral of y from x[0] at every node (0 at the first).
 
-    Interval k is integrated under the quadratic through its own two nodes
-    and the next node when k is even, the previous node when k is odd or
-    the interval is the last one.
+    The nodes x are evenly spaced, at least 3.  Interval k is integrated
+    under the parabola through nodes k, k+1, k+2 when k is even, through
+    k-1, k, k+1 when k is odd or the interval is the last one, so each pair
+    of intervals adds one Simpson panel h/3 (y0 + 4 y1 + y2) and the value
+    at the last node of an odd count is the composite Simpson rule.
     """
-    h = _spacings(x, "cumulative Simpson")
-    ahead = _simpson_first_intervals(y, h)
-    behind = _simpson_first_intervals(y[::-1], h[::-1])[::-1]
-    parts = np.empty(len(h))
-    parts[:-1:2] = ahead[::2]
-    parts[1::2] = behind[::2]
-    parts[-1] = behind[-1]
+    n = len(x)
+    if n < 3:
+        raise DomainError(f"cumulative Simpson needs >= 3 nodes, got {n}")
+    parts = np.empty(n - 1)
+    parts[:-1:2] = 5.0 * y[0:-2:2] + 8.0 * y[1:-1:2] - y[2::2]  # (5, 8, -1) ahead
+    parts[1::2] = -y[0:-2:2] + 8.0 * y[1:-1:2] + 5.0 * y[2::2]  # (-1, 8, 5) behind
+    parts[-1] = -y[-3] + 8.0 * y[-2] + 5.0 * y[-1]  # the last interval looks behind
     run = np.cumsum(parts)
-    run += 0.0  # adds the initial value, as scipy does (-0.0 becomes 0.0)
+    run *= (x[-1] - x[0]) / (n - 1) / 12.0
     return np.concatenate(([0.0], run))
-
-
-def _simpson_first_intervals(y, h):
-    """int over [x_k, x_k+1] of the quadratic through nodes k, k+1, k+2, for each k."""
-    x21, x32 = h[:-1], h[1:]
-    x31 = x21 + x32
-    x21_x31 = x21 / x31
-    x21_x32 = x21 / x32
-    x21x21_x31x32 = x21_x31 * x21_x32
-    coeff1 = 3 - x21_x31
-    coeff2 = 3 + x21x21_x31x32 + x21_x31
-    coeff3 = -x21x21_x31x32
-    return x21 / 6 * (coeff1 * y[:-2] + coeff2 * y[1:-1] + coeff3 * y[2:])
 
 
 def _cumulative_trapezoid(y, x):
@@ -461,10 +428,8 @@ def simulate_ensemble(law, I, omega0, *, t_total, dt, n_traj, seed=0, drive_at=N
         draws = np.empty((nb, NOISE_CHUNK))  # row j: the next steps of trajectory start + j
         noise = np.empty((NOISE_CHUNK, nb))  # row s: step s of the chunk, every trajectory
         W = np.full(nb, float(omega0))
-        rec_pos = 0
-        if rec_idx[0] == 0:
-            omegas[start:stop, 0] = W
-            rec_pos = 1
+        omegas[start:stop, 0] = W  # rec_idx[0] == 0: the start is always recorded
+        rec_pos = 1
         for step in range(n_steps):
             s = step % NOISE_CHUNK
             if s == 0:
@@ -527,11 +492,11 @@ class StationaryDistribution:
         self.cdf = c / c[-1]
 
     def mean(self):
-        return float(_simpson(self.omega * self.pdf, self.omega))
+        return float(_cumulative_simpson(self.omega * self.pdf, self.omega)[-1])
 
     def var(self):
         mu = self.mean()
-        return float(_simpson((self.omega - mu) ** 2 * self.pdf, self.omega))
+        return float(_cumulative_simpson((self.omega - mu) ** 2 * self.pdf, self.omega)[-1])
 
     def std(self):
         return math.sqrt(self.var())
@@ -596,10 +561,10 @@ def fokker_planck_stationary(law, omega0, I):
 
     # refine until the Simpson norm is resolution-independent to ~1e-8
     for _ in range(4):
-        norm = _simpson(pdf, grid)
+        norm = _cumulative_simpson(pdf, grid)[-1]
         if not np.isfinite(norm) or norm <= 0:
             raise DomainError("stationary density is not normalizable on the grid")
-        coarse = _simpson(pdf[::2], grid[::2])
+        coarse = _cumulative_simpson(pdf[::2], grid[::2])[-1]
         if abs(coarse / norm - 1.0) < 1.5e-7:  # ~15x the fine-grid error
             return StationaryDistribution(grid, pdf / norm)
         n = 2 * n - 1

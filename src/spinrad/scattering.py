@@ -360,9 +360,10 @@ class CylinderTable(ChannelTable):
         w = np.atleast_1d(np.asarray(omega, dtype=float))
         if self.exact:
             x, g = _KZ_RULE
-            block = cylinder_flux_block(self.model, self.R, Omega, w, x[:, None] * w, m=m,
-                                        exact=True)
-            F = np.sum(g[:, None] * block, axis=0) * w
+            terms = g[:, None] * cylinder_flux_block(self.model, self.R, Omega, w,
+                                                     x[:, None] * w, m=m, exact=True)
+            # sum adds the k_z terms left to right, so one node sums as among many
+            F = sum(terms[1:], terms[0]) * w
         else:
             # truncated flux pi*Im r*(w^2 + kz^2)*R^2: the kz integral is 8 w^3/3
             r_im = _cyl_response(self.model, w - Omega * m).imag

@@ -2,6 +2,11 @@
 
 import json
 import math
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,6 +64,54 @@ def write(tmp_path, text, name="run.ini"):
     p = tmp_path / name
     p.write_text(text)
     return str(p)
+
+
+def run_in_new_process(argv):
+    """(exit code, stdout, stderr) of ``spinrad argv`` in a fresh interpreter."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-m", "spinrad.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120, check=False)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def run_in_this_process(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def take_files(out):
+    files = {p.name: p.read_bytes() for p in sorted(Path(out).iterdir())}
+    shutil.rmtree(out)
+    return files
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; reuse must change no output."""
+
+    def test_calls_in_a_row_match_separate_processes(self, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        cfg = write(tmp_path, SPHERE_CFG)
+        runs = [["power", "--config", cfg, "--out", out, "--format", "json", "--seed", "3"],
+                ["stats", "--config", cfg, "--out", out]]
+        here = []
+        for argv in runs:
+            here.append((run_in_this_process(argv, capsys), take_files(out)))
+        for argv, (result, files) in zip(runs, here):
+            assert run_in_new_process(argv) == result and result[0] == 0
+            assert take_files(out) == files
+
+    @pytest.mark.parametrize("argv", [[], ["power", "--bogus"]], ids=["empty", "unknown-flag"])
+    def test_usage_errors_match_a_separate_process(self, argv, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # both processes wrap the usage alike, tty or not
+        run_in_this_process(["verify", "--bogus"], capsys)  # the parser is built and used
+        result = run_in_this_process(argv, capsys)
+        assert result[0] == 2 and result[2].startswith("usage: spinrad")
+        assert run_in_new_process(argv) == result
 
 
 class TestValidation:

@@ -334,6 +334,25 @@ class TestStationary:
         dist = fokker_planck_stationary(power5(), 1.0, I)
         assert dist.std() == pytest.approx(float(std), rel=1e-8)
 
+    @pytest.mark.parametrize("I", [100.0, 1e4])
+    def test_narrow_density_matches_quadrature(self, I):
+        # the same W^5 density where it is narrow: the mpmath cuts follow its
+        # width 1/sqrt(5 I) about W0 = 1
+        import mpmath as mp
+
+        def density(W):
+            return mp.exp(-I * ((W - 1) + (W**-4 - 1) / 4)) / W**5
+
+        s = 1.0 / math.sqrt(5.0 * I)
+        peak = [1 + k * s for k in (-16, -8, -4, -2, -1, 0, 1, 2, 4, 8, 16)]
+        with mp.workdps(30):
+            cuts = [0, 0.3, 0.6] + [w for w in peak if w > 0.6] + [2, 5, mp.inf]
+            norm = mp.quad(density, cuts)
+            mean = mp.quad(lambda W: W * density(W), cuts) / norm
+            std = mp.sqrt(mp.quad(lambda W: (W - mean) ** 2 * density(W), cuts) / norm)
+        dist = fokker_planck_stationary(power5(), 1.0, I)
+        assert dist.std() == pytest.approx(float(std), rel=1e-10)
+
     def test_non_normalizable_raises(self):
         # no restoring drift against a diffusion vanishing as W^5 at the origin
         law = TorqueLaw.from_moments(lambda w: (0.0 * w, np.power(w, 5)), lambda w: 0.0 * w)
