@@ -10,15 +10,18 @@ offending argument is raised instead of returning NaN.
 
 Every function takes a scalar or an array argument and returns the same
 kind; arrays are evaluated element by element with the scalar arithmetic.
-An overflow, or an argument past the cap, raises
-:class:`NumericDomainError`, the fault of a computation rather than of its
-input.
+The order is one integer or, beside an array argument, one integer per
+node (so the channels of one body share one call), each node with the bits
+of its own scalar-order call.  An overflow, or an argument past the cap,
+raises :class:`NumericDomainError`, the fault of a computation rather than
+of its input, naming the order and argument of the first offending node.
 
 Bit-identity rules: the AMOS calls stay numpy ufunc calls on arrays; the
 J and H derivative recurrences divide by the complex argument even when it
 is real (``k / z`` as a complex division rounds differently from a real
-one), the Y recurrence by the real one; and the fast path of ``bessel_j``
-(no real argument: one AMOS call on the whole array) takes empty input and
+one), the Y recurrence by the real one; the (-1)^m reflection multiplies
+only the nodes of negative order; and the fast path of ``bessel_j`` (no
+real argument: one AMOS call on the whole array) takes empty input and
 gives the same bits as the masked path.
 """
 
@@ -54,11 +57,21 @@ def _out(value, like):
     return value if np.ndim(like) else value.item()
 
 
+def _at(k, mask):
+    """The orders of the nodes where mask holds: the one order, when it is a scalar."""
+    return k[mask] if np.ndim(k) else k
+
+
 def _check(m, z, *, nonzero=False):
-    if int(m) != m:
-        raise DomainError(f"order must be an integer, got {m!r}")
-    if abs(m) > ORDER_MAX:
-        raise DomainError(f"order |m|={abs(m)} exceeds cap {ORDER_MAX}")
+    if np.ndim(m) and np.shape(m) != np.shape(z):
+        raise DomainError(f"orders of shape {np.shape(m)} do not match arguments of shape "
+                          f"{np.shape(z)}")
+    fractional = np.mod(m, 1) != 0
+    if np.any(fractional):
+        raise DomainError(f"order must be an integer, got {_first(m, fractional)!r}")
+    big = np.abs(m) > ORDER_MAX
+    if np.any(big):
+        raise DomainError(f"order |m|={_first(np.abs(m), big)} exceeds cap {ORDER_MAX}")
     az = np.abs(z)
     big = az > ARG_MAX
     if big.any():
@@ -70,8 +83,21 @@ def _check(m, z, *, nonzero=False):
 def _guard(value, what, m, z):
     bad = ~np.isfinite(value)
     if bad.any():
-        raise NumericDomainError(f"{what} overflowed at order {m}, argument {_first(z, bad)!r}")
-    return value
+        raise NumericDomainError(
+            f"{what} overflowed at order {_first(m, bad)}, argument {_first(z, bad)!r}")
+
+
+def _reflect(m, *values):
+    """C_{-k} = (-1)^k C_k: multiply the nodes of negative order, in place.
+
+    Only those nodes are touched, since a complex multiply by 1 + 0j can
+    flip the sign of a zero.
+    """
+    negative = np.less(m, 0)
+    if np.any(negative):
+        sign = 1 - 2 * (abs(m) % 2)
+        for value in values:
+            np.multiply(value, sign, out=value, where=negative)
 
 
 _AMOS = {"Y": "yv", "H1": "hankel1", "H2": "hankel2"}
@@ -80,7 +106,8 @@ _AMOS = {"Y": "yv", "H1": "hankel1", "H2": "hankel2"}
 def _cyl(kind, m, z):
     """C_m on a checked array: J, H1 or H2 of complex z, or Y of real x.
 
-    AMOS is called at order |m| and the result reflected by (-1)^m.
+    m is one order or one per node.  AMOS is called at the orders |m| and
+    the nodes of negative order reflected by (-1)^m.
     """
     k = abs(m)
     if kind == "J":
@@ -89,15 +116,17 @@ def _cyl(kind, m, z):
             C = np.empty(z.shape, dtype=complex)
             # the complex AMOS path leaves ~1e-18 imaginary crumbs on real input,
             # which would break exact identities (e.g. zero flux at corotation)
-            C[real] = _sc().jv(k, z.real[real])
-            C[~real] = _sc().jv(k, z[~real])
-            C[z == 0] = 1.0 if m == 0 else 0.0
+            C[real] = _sc().jv(_at(k, real), z.real[real])
+            C[~real] = _sc().jv(_at(k, ~real), z[~real])
+            zero = z == 0
+            C[zero] = np.where(_at(k, zero) == 0, 1.0, 0.0)
         else:  # no real argument: one AMOS call on the whole array
             C = _sc().jv(k, z)
     else:
         C = getattr(_sc(), _AMOS[kind])(k, z)
-    C = _guard(C, kind, m, z)
-    return (-1) ** (-m) * C if m < 0 else C
+    _guard(C, kind, m, z)
+    _reflect(m, C)
+    return C
 
 
 def _and_deriv(kind, m, z):
@@ -107,11 +136,10 @@ def _and_deriv(kind, m, z):
     if kind == "J":  # J_m ~ (z/2)^m / m!: the derivative at the origin is set apart
         zero = z == 0
         d = _cyl(kind, k - 1, z) - (k / np.where(zero, 1.0, z)) * C
-        d[zero] = 0.5 if k == 1 else 0.0
+        d[zero] = np.where(_at(k, zero) == 1, 0.5, 0.0)
     else:
         d = _cyl(kind, k - 1, z) - (k / z) * C
-    if m < 0:
-        C, d = (-1) ** (-m) * C, (-1) ** (-m) * d
+    _reflect(m, C, d)
     return C, d
 
 

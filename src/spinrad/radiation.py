@@ -12,8 +12,10 @@ support collapses to the superradiant windows (0, Omega*m), m >= 1.
 Channel integrals run in stages and jobs.  A :class:`Stage` lists channels
 with their supports; :func:`integrate_stages` integrates every segment of
 every channel of several stages as one lock-step quadrature batch, calling
-:func:`mode_flux` once per round for each channel label, with one rotation
-rate per node when the stages hold several rates.  A job is a generator
+:func:`mode_flux` once per round for each table group (table,
+temperatures, weight, extra, pol), with one m per node when the group holds
+several channels and one rotation rate per node when it holds several
+rates.  A job is a generator
 that yields stages, is sent each stage's channel results and returns its
 result: :func:`partial_wave_sum` yields its block stage and then each
 ``auto_extend`` shell.  :func:`run_jobs` advances many jobs together, one
@@ -92,14 +94,16 @@ def _occupation_gap(w, om_p, state):
 def mode_flux(table, state, omega, m, extra=None, pol="scalar"):
     """Spectral photon flux N of channel (m, extra, pol) (photons per unit omega and time).
 
-    ``omega`` is a scalar or an array of frequencies; ``state.Omega`` is one
-    rotation rate or, for an array ``omega``, one rate per node (a batch of
-    rates evaluated in one call, each node with the bits of its own
-    scalar-rate call).  At omega = Omega*m the diverging occupation
-    multiplies a vanishing flux factor; the finite product limit is taken
-    by a symmetric two-sided average just off the singular point.  A
+    ``omega`` is a scalar or an array of frequencies.  For an array
+    ``omega``, ``m`` may be one int or one per node and ``state.Omega`` one
+    rotation rate or one per node: the channels (extra, pol) of several m
+    and rates evaluated in one call, each node with the bits of its own
+    scalar call.  At omega = Omega*m the diverging occupation multiplies a
+    vanishing flux factor; the finite product limit is taken by a
+    symmetric two-sided average just off the singular point.  A
     :class:`NumericDomainError` of the table (a resonance, a Bessel
-    overflow) is raised again naming the channel and the span of the nodes.
+    overflow) is raised again naming the channel and the span of the
+    nodes; with one m per node, the first m whose nodes fail alone.
     """
     w = np.atleast_1d(np.asarray(omega, dtype=float))
     if (w <= 0).any():
@@ -116,9 +120,16 @@ def mode_flux(table, state, omega, m, extra=None, pol="scalar"):
             at = om_p == 0.0
             N = np.empty(w.shape)
             N[~at] = _occupation_gap(w[~at], om_p[~at], state) * F[~at]
-            N[at] = [_corotation_limit(table, state, W, m, extra, pol)
-                     for W in np.broadcast_to(Omega, w.shape)[at].tolist()]
+            N[at] = [_corotation_limit(table, state, W, mm, extra, pol) for W, mm in
+                     zip(np.broadcast_to(Omega, w.shape)[at].tolist(),
+                         np.broadcast_to(m, w.shape)[at].tolist())]
     except NumericDomainError as exc:
+        if np.ndim(m):  # an error path: redo each channel alone to name the first that fails
+            for mm in dict.fromkeys(m.tolist()):
+                at = m == mm
+                rates = Omega[at] if np.ndim(Omega) else Omega
+                mode_flux(table, ThermalState(state.T_object, state.T_env, rates), w[at], mm,
+                          extra, pol)
         raise type(exc)(
             f"channel m={m}, extra={extra}, pol={pol} at omega in "
             f"[{w.min():g}, {w.max():g}]: {exc}"
@@ -220,47 +231,56 @@ def integrate_stages(stages):
 
     Returns, per stage, the list of its channels' (m, extra, pol, value,
     error), value = int dw/2pi weight(w, m, N_m(w)) with the segments of
-    the support added left to right.  The batch integrand calls
-    :func:`mode_flux` once per round for each channel label (same table,
-    temperatures, weight and (m, extra, pol)), with one rotation rate per
-    node when the stages hold several rates; each integral keeps its own
-    panels and stopping rule, so its bits are those it has alone.  A stalled
-    integral raises :class:`ConvergenceError` naming its channel, support
-    and rotation rate.
+    the support added left to right.  The batch integrand makes one
+    :func:`mode_flux` call per round for each table group (same table,
+    temperatures, weight, extra and pol), with one m per node when the
+    group holds several channels and one rotation rate per node when it
+    holds several rates; each integral keeps its own panels and stopping
+    rule, so its bits are those it has alone.  A stalled integral raises
+    :class:`ConvergenceError` naming its channel, support and rotation
+    rate, or :class:`DomainError` when its support is split at a
+    corotation point omega = Omega*m where the flux does not vanish: there
+    N carries a non-integrable T/(omega - Omega*m) and the integral does
+    not exist.
     """
-    labels = {}  # (table, T_object, T_env, weight, m, extra, pol) -> kernel index
-    kernels = []  # [table, state, weight, m, extra, pol, whether all share state.Omega]
-    a, b, eps, kernel_of, omega_of, owners = [], [], [], [], [], []
+    groups = {}  # (table, T_object, T_env, weight, extra, pol) -> kernel index
+    kernels = []  # [table, state, weight, m, extra, pol, one m, one rate]
+    a, b, eps, kernel_of, m_of, omega_of, owners = [], [], [], [], [], [], []
     for stage in stages:
         state = stage.state
         for m, extra, pol, points in stage.channels:
-            i = labels.setdefault(
-                (stage.table, state.T_object, state.T_env, stage.weight, m, extra, pol),
+            i = groups.setdefault(
+                (stage.table, state.T_object, state.T_env, stage.weight, extra, pol),
                 len(kernels))
             if i == len(kernels):
-                kernels.append([stage.table, state, stage.weight, m, extra, pol, True])
-            elif kernels[i][1].Omega != state.Omega:
-                kernels[i][6] = False
+                kernels.append([stage.table, state, stage.weight, m, extra, pol, True, True])
+            else:
+                kernels[i][6] &= kernels[i][3] == m
+                kernels[i][7] &= kernels[i][1].Omega == state.Omega
             for lo, hi in zip(points, points[1:]):
                 a.append(lo)
                 b.append(hi)
                 eps.append(stage.epsrel)
                 kernel_of.append(i)
+                m_of.append(m)
                 omega_of.append(state.Omega)
-                owners.append((state, m, extra, pol, points))
+                owners.append((stage.table, state, m, extra, pol, points))
     if not a:
         return [[] for _ in stages]
     kernel_of = np.array(kernel_of)
+    m_of = np.array(m_of)
     omega_of = np.array(omega_of)
 
     def integrand(x):
         w, k = x
         out = None
-        for i, (table, state, weight, m, extra, pol, one_rate) in enumerate(kernels):
+        for i, (table, state, weight, m, extra, pol, one_m, one_rate) in enumerate(kernels):
             sel = slice(None) if len(kernels) == 1 else np.flatnonzero(kernel_of[k] == i)
             ws = w[sel]
-            if not ws.size:  # every integral of this label has finished
+            if not ws.size:  # every integral of this group has finished
                 continue
+            if not one_m:  # one m per node
+                m = m_of[k[sel]]
             if not one_rate:  # one rotation rate per node
                 state = ThermalState(state.T_object, state.T_env, omega_of[k[sel]])
             vals = weight(ws, m, mode_flux(table, state, ws, m, extra, pol)) / TWO_PI
@@ -272,7 +292,15 @@ def integrate_stages(stages):
     try:
         values, errors = adaptive_integral(integrand, a, b, epsrel=eps)
     except ConvergenceError as exc:
-        state, m, extra, pol, points = owners[exc.index]
+        table, state, m, extra, pol, points = owners[exc.index]
+        if len(points) == 3:  # split at corotation: is it a pole of N?
+            F = table.flux(points[1], m, extra, pol, state.Omega)
+            if abs(F) > 0.0:
+                raise DomainError(
+                    f"channel m={m}, extra={extra}, pol={pol}: the flux factor is {F:g}, "
+                    f"not 0, at corotation omega = Omega*m = {points[1]:g}, so N diverges "
+                    f"like T/(omega - Omega*m) there and its integral does not exist"
+                ) from exc
         raise ConvergenceError(
             f"channel m={m}, extra={extra}, pol={pol} on support {points} "
             f"at Omega={state.Omega:g}: {exc}", m=m
@@ -474,20 +502,28 @@ def spindown_timescale(torque, I, omega0, omega_final=None, epsrel=1e-8):
 def spectral_rows(table, state, policy=None, n_points=400):
     """Rows (omega, m, extra, pol, N, dP_domega) for the spectrum emitter.
 
-    Each channel |m| <= m_max is sampled on n_points interior nodes of its support.
+    Each channel |m| <= m_max is sampled on n_points interior nodes of its
+    support; the channels of each (extra, pol) share one :func:`mode_flux`
+    call, with one m per node.
     """
     if n_points < 1:
         raise DomainError(f"n_points must be >= 1, got {n_points}")
     policy = policy or MSumPolicy()
-    rows = []
+    channels = []  # (m, extra, pol, grid), in row order
     for m in table.m_values(policy.m_max):
         for extra, pol in table.channel_labels(m):
             points = channel_support(table, state, m, extra, pol, policy.m_max)
-            if not points:
-                continue
-            grid = np.linspace(points[0], points[-1], n_points + 2)[1:-1]
-            N = mode_flux(table, state, grid, m, extra, pol)
-            rows.extend(
-                (w, m, extra, pol, n, w * n / TWO_PI) for w, n in zip(grid.tolist(), N.tolist())
-            )
+            if points:
+                grid = np.linspace(points[0], points[-1], n_points + 2)[1:-1]
+                channels.append((m, extra, pol, grid))
+    flux = {}  # (m, extra, pol) -> N on the channel's grid
+    for extra, pol in dict.fromkeys((extra, pol) for _, extra, pol, _ in channels):
+        group = [c for c in channels if c[1:3] == (extra, pol)]
+        m = group[0][0] if len(group) == 1 else np.repeat([c[0] for c in group], n_points)
+        N = mode_flux(table, state, np.concatenate([c[3] for c in group]), m, extra, pol)
+        flux.update(zip((c[:3] for c in group), np.split(N, len(group))))
+    rows = []
+    for m, extra, pol, grid in channels:
+        rows.extend((w, m, extra, pol, n, w * n / TWO_PI)
+                    for w, n in zip(grid.tolist(), flux[m, extra, pol].tolist()))
     return rows

@@ -31,6 +31,8 @@ class SmallVelocityWarning(UserWarning):
 def disk_interior_frequency(model, Omega, omega, m):
     """Interior wavenumber of the rotating disk, scalar or array omega.
 
+    ``m`` (like ``Omega``) is one value or, for an array omega, one per node.
+
     wt^2 = (eps(omega') - 1) * omega'^2 + omega^2 with omega' = omega - Omega*m.
     The square-root branch is fixed by sgn(Im wt) = sgn(omega'), which encodes
     gain versus loss in the comoving frame; for Im wt = 0 either branch gives
@@ -87,9 +89,8 @@ def _disk_matching(model, R, Omega, w, m):
     den = wt * Jp * H - J * w * Hp
     tiny = np.abs(den) < 1e-300
     if tiny.any():
-        raise ResonanceError(
-            f"disk S-matrix denominator underflow at omega={w[tiny][0]:g}, m={m}"
-        )
+        raise ResonanceError(f"disk S-matrix denominator underflow at omega={w[tiny][0]:g}, "
+                             f"m={np.broadcast_to(m, w.shape)[tiny][0]}")
     return wt, J, Jp, den
 
 
@@ -263,6 +264,11 @@ class ChannelTable:
     (extra, pol) labels of each, a channel's omega span and its flux factor.
     Which channels radiate in a given thermal state is decided by
     ``radiation.channel_support``, not by the table.
+
+    ``flux(omega, m, extra, pol, Omega)`` takes a scalar or an array omega;
+    with an array, ``m`` may be one int or one int per node and ``Omega``
+    one rate or one per node, so the channels (extra, pol) of every m and
+    rate share one call.  Each node gets the bits of its own scalar call.
     """
 
     def channel_labels(self, m):
@@ -382,7 +388,9 @@ class UserTable(ChannelTable):
     S is interpolated linearly between rows, so at T > 0 a channel needs a
     row at each corotation point omega = Omega*m inside its span: only there
     does the interpolated flux vanish, and elsewhere N carries a
-    non-integrable T/(omega - Omega*m) that stalls the quadrature.
+    non-integrable T/(omega - Omega*m), which ``radiation.integrate_stages``
+    reports as a :class:`DomainError`.  With one m per node, each m
+    interpolates its own rows.
     """
 
     def __init__(self, groups, rows=None):
@@ -413,6 +421,13 @@ class UserTable(ChannelTable):
         return (float(om[0]), float(om[-1]))
 
     def smatrix(self, omega, m, extra, pol, Omega):
+        if np.ndim(m):  # one m per node: each channel interpolates its own rows
+            w = np.asarray(omega, dtype=float)
+            Sw = np.empty(w.shape, dtype=complex)
+            for mm in dict.fromkeys(m.tolist()):  # in order of first appearance
+                at = m == mm
+                Sw[at] = self.smatrix(w[at], mm, extra, pol, Omega)
+            return Sw
         try:
             om, S = self.groups[(m, extra, pol)]
         except KeyError:

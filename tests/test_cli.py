@@ -242,22 +242,35 @@ class TestPower:
         payload = json.loads((tmp_path / "power.json").read_text())
         assert payload["P"] == pytest.approx(1e-6 / (90 * math.pi**2 * 1000.0), rel=1e-5)
 
-    def test_stalled_channel_is_named(self, tmp_path, capsys):
-        # a thermal user table without a row at omega = Omega*m: the
-        # interpolated flux does not vanish there and the m = 1 integral stalls
-        om = np.linspace(0.05, 3.0, 24).tolist()
+    @staticmethod
+    def user_table_config(tmp_path, n_rows, m_values, body):
+        om = np.linspace(0.05, 3.0, n_rows).tolist()
         rows = ["omega,m,extra,pol,ReS,ImS"]
-        for m in (-1, 1, 2):
+        for m in m_values:
             S = disk_smatrix(Drude(1.0), 0.1, 1.0, np.array(om), m)
             rows += [f"{w!r},{m},,scalar,{float(s.real)!r},{float(s.imag)!r}"
                      for w, s in zip(om, S)]
         table = tmp_path / "table.csv"
         table.write_text("\n".join(rows) + "\n")
-        cfg = write(tmp_path, "[scenario]\ngeometry = user-table\n"
-                    f"[body]\nomega = 1.0\nt_object = 0.3\ntable = {table}\n")
+        return write(tmp_path, "[scenario]\ngeometry = user-table\n"
+                     f"[body]\nomega = 1.0\n{body}table = {table}\n")
+
+    def test_stalled_channel_is_named(self, tmp_path, capsys):
+        # the interpolated flux has a kink at each of the 40 rows, and against a
+        # thermal environment the m = -1 integral stalls short of its tolerance
+        cfg = self.user_table_config(tmp_path, 40, (-1,), "t_object = 0.3\nt_env = 0.1\n")
         assert main(["power", "--config", cfg, "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("numeric non-convergence") and "m=1," in err
+        assert err.startswith("numeric non-convergence") and "m=-1," in err
+
+    def test_missing_corotation_row_exits_2(self, tmp_path, capsys):
+        # a thermal user table without a row at omega = Omega*m: the interpolated
+        # flux does not vanish there, so N has a non-integrable pole at corotation
+        cfg = self.user_table_config(tmp_path, 24, (-1, 1, 2), "t_object = 0.3\n")
+        assert main(["power", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: channel m=1, extra=None, pol=scalar: ")
+        assert "corotation omega = Omega*m = 1," in err and "flux factor is 3.95096e-06" in err
 
 
 class TestNumericDomainFault:

@@ -213,6 +213,45 @@ class TestBesselGuards:
             got = fn(m, zs[1:])
             np.testing.assert_array_equal(got, np.array([fn(m, z) for z in zs[1:].tolist()]))
 
+    # per-node orders: negative, zero and positive, at real, zero and complex arguments
+    ORDERS = np.array([0, -3, 1, 4, -1, 1, -2, 0, 2, 3, -4, 0])
+    ARGS = np.array([0.0, 0.3, 2.0 + 0.5j, 7.0 - 1.0j, 15.0, 0.0, 1.2, -2.5, 3.0j, 0.3,
+                     0.0, 5.5 + 0j])
+
+    @pytest.mark.parametrize("fn", [
+        bessel.bessel_j,
+        lambda m, z: bessel.bessel_j_and_deriv(m, z)[0],
+        lambda m, z: bessel.bessel_j_and_deriv(m, z)[1],
+    ], ids=["J", "J-pair", "J'"])
+    def test_per_node_orders_equal_scalar_order_calls(self, fn):
+        got = fn(self.ORDERS, self.ARGS)
+        ref = [fn(m, z) for m, z in zip(self.ORDERS.tolist(), self.ARGS.tolist())]
+        assert got.tobytes() == np.array(ref).tobytes()
+        for m in set(self.ORDERS.tolist()):  # and the entries of one-order array calls
+            at = self.ORDERS == m
+            assert got[at].tobytes() == fn(m, self.ARGS[at]).tobytes()
+
+    @pytest.mark.parametrize("kind", [1, 2])
+    @pytest.mark.parametrize("part", [0, 1])
+    def test_per_node_hankel_orders_equal_scalar_order_calls(self, kind, part):
+        live = self.ARGS != 0
+        ms, zs = self.ORDERS[live], self.ARGS[live]
+        got = bessel.hankel_and_deriv(kind, ms, zs)[part]
+        ref = [bessel.hankel_and_deriv(kind, m, z)[part] for m, z in zip(ms.tolist(), zs.tolist())]
+        assert got.tobytes() == np.array(ref).tobytes()
+        if part == 0:
+            assert bessel.hankel(kind, ms, zs).tobytes() == got.tobytes()
+
+    def test_per_node_order_guards_name_the_first_offender(self):
+        with pytest.raises(DomainError, match="201"):
+            bessel.bessel_j(np.array([1, 201, -300]), np.array([1.0, 2.0, 3.0]))
+        with pytest.raises(DomainError, match="integer, got 1.5"):
+            bessel.bessel_j(np.array([1.0, 1.5, 2.5]), np.array([1.0, 2.0, 3.0]))
+        with pytest.raises(DomainError, match="do not match"):
+            bessel.bessel_j(np.array([1, 2]), np.array([1.0, 2.0, 3.0]))
+        with pytest.raises(DomainError, match=r"order 200, argument \(0.01"):
+            bessel.hankel(1, np.array([0, 200, 200]), np.array([5.0, 0.01, 0.02]))
+
 
 class TestTorqueLawMemo:
     def test_each_rate_evaluated_once_and_probes_become_grid_nodes(self):

@@ -1,11 +1,13 @@
 """Lock-step channel integrals: a batch of rates, channels and segments has the bits of each alone.
 
-A stage batch hands ``mode_flux`` one rotation rate per node, so every table's
-flux with an array of rates must equal the stacked scalar-rate calls, and a
-scalar-node call its entry of an array call; and each integral of a batch,
-however the stages are split into batches, must equal the same integral run
-alone, the segments of its support added left to right.
+A stage batch hands ``mode_flux`` one m and one rotation rate per node, so
+every table's flux with arrays of m and rates must equal the scalar calls,
+and a scalar-node call its entry of an array call; and each integral of a
+batch, however the stages are split into batches, must equal the same
+integral run alone, the segments of its support added left to right.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +17,9 @@ from spinrad import (
     ConvergenceError,
     CylinderTable,
     DiskTable,
+    DomainError,
     Drude,
+    ResonanceError,
     SphereTable,
     ThermalState,
     UserTable,
@@ -30,6 +34,7 @@ from spinrad.radiation import (
     integrate_stages,
     run_jobs,
 )
+from spinrad.scattering import ChannelTable
 
 
 def user_table():
@@ -84,6 +89,36 @@ def test_mode_flux_with_a_rate_per_node_equals_scalar_rate_calls(name, temps):
            for i, W in enumerate(OMEGAS.tolist())]
     assert got.tobytes() == np.array(ref).tobytes()
     assert np.isfinite(got).all()
+
+
+@st.composite
+def channel_nodes(draw, table):
+    """1 to 12 nodes (omega, m, Omega) over the table's m, some at corotation omega = Omega*m."""
+    nodes = []
+    for _ in range(draw(st.integers(1, 12))):
+        m = draw(st.sampled_from(table.m_values(2)))
+        Omega = draw(st.floats(0.5, 2.0))
+        w = Omega * m
+        if not (draw(st.booleans()) and 0.05 < w < 3.0):
+            w = draw(st.floats(0.05, 3.0))
+        nodes.append((w, m, Omega))
+    return nodes
+
+
+@pytest.mark.parametrize("name", TABLES)
+@settings(derandomize=True, deadline=None)
+@given(data=st.data(), temps=st.sampled_from([(0.0, 0.0), (0.5, 0.0), (0.5, 0.2)]))
+def test_flux_and_mode_flux_with_an_m_and_rate_per_node_equal_scalar_calls(name, data, temps):
+    table = TABLES[name]
+    nodes = data.draw(channel_nodes(table))
+    w, m, Omega = (np.array(column) for column in zip(*nodes))
+    extra, pol = table.channel_labels(1)[0]  # every m of a table shares its (extra, pol)
+    got = table.flux(w, m, extra, pol, Omega)
+    ref = [table.flux(*node[:2], extra, pol, node[2]) for node in nodes]
+    assert got.tobytes() == np.array(ref).tobytes()
+    got = mode_flux(table, ThermalState(*temps, Omega), w, m, extra, pol)
+    ref = [mode_flux(table, ThermalState(*temps, W), x, mm, extra, pol) for x, mm, W in nodes]
+    assert got.tobytes() == np.array(ref).tobytes()
 
 
 def moments_weight(w, m, N):
@@ -164,13 +199,111 @@ def test_every_split_of_random_stages_keeps_each_channel_alone(batches):
                 assert val.tobytes() == rval.tobytes() and err == rerr
 
 
+class Broken(ChannelTable):
+    """A table whose channel m = bad has a NaN flux, so its integrals stall.
+
+    Records the nodes, m and flux of every call.
+    """
+
+    def __init__(self, inner, bad):
+        self.inner, self.bad, self.calls = inner, bad, []
+
+    def channel_labels(self, m):
+        return self.inner.channel_labels(m)
+
+    def m_values(self, m_max):
+        return self.inner.m_values(m_max)
+
+    def omega_domain(self, m, extra, pol):
+        return self.inner.omega_domain(m, extra, pol)
+
+    def flux(self, omega, m, extra, pol, Omega):
+        F = self.inner.flux(omega, m, extra, pol, Omega)
+        self.calls.append((np.broadcast_to(m, np.shape(omega)), np.copy(omega), F))
+        return np.where(np.equal(m, self.bad), np.nan, F)
+
+    def seen_by(self, m):
+        """The (nodes, flux) of each call that held nodes of channel m."""
+        return [(w[ms == m].tobytes(), F[ms == m].tobytes())
+                for ms, w, F in self.calls if (ms == m).any()]
+
+
+def broken_stage(name, state, weight, m_max, bad):
+    stage = stage_of(name, state, weight, m_max)
+    return stage._replace(table=Broken(stage.table, bad))
+
+
 def test_stalled_channel_of_a_batch_names_its_m_and_rate():
-    # a thermal user table without a row at omega = Omega*m: the m = 1 integral stalls
+    # the m = 1 channel of the user table shares its flux call with m = 2
     stages = [stage_of("sphere", ThermalState(0.5, 0.0, 0.7), moments_weight, 1),
-              stage_of("user", ThermalState(0.3, 0.0, 1.0), power_weight, 2)]
+              broken_stage("user", ThermalState(0.0, 0.0, 1.0), power_weight, 2, bad=1)]
     with pytest.raises(ConvergenceError, match=r"channel m=1, .* at Omega=1: ") as exc:
         integrate_stages(stages)
     assert exc.value.m == 1
+
+
+def test_numeric_fault_of_a_grouped_call_names_the_first_channel_that_fails_alone():
+    class Resonant(DiskTable):
+        def flux(self, omega, m, extra, pol, Omega):
+            if np.any(np.equal(m, 2)):
+                raise ResonanceError("eps = -2 plasmon pole")
+            return super().flux(omega, m, extra, pol, Omega)
+
+    # m = 1, 2, 3 share each flux call; only the m = 2 nodes, on (0, 2), fail alone
+    stage = channel_stage(Resonant(Drude(1.0), 0.1), ThermalState(0.0, 0.0, 1.0), power_weight,
+                          [(m, None, "scalar") for m in (1, 2, 3)], 3)
+    with pytest.raises(ResonanceError, match=r"^channel m=2, extra=None, pol=scalar at omega "
+                       r"in \[(\S+), (\S+)\]: eps = -2 plasmon pole$") as exc:
+        integrate_stages([stage])
+    lo, hi = re.search(r"\[(\S+), (\S+)\]", str(exc.value)).groups()
+    assert 0.0 < float(lo) < float(hi) < 2.0
+
+
+# (table, T_object) whose stage holds more than one channel, so one flux call holds several m
+GROUPED_KINDS = [(name, T) for name, T in STAGE_KINDS
+                 if len(stage_of(name, ThermalState(T, 0.0, 1.0), power_weight, 2).channels) > 1]
+
+
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(kind=st.sampled_from(GROUPED_KINDS), Omega=st.floats(0.5, 2.0),
+       weight=st.sampled_from([moments_weight, power_weight]), pick=st.integers(0, 4))
+def test_stalled_member_of_a_grouped_call_names_its_m_and_leaves_neighbours_alone(
+        kind, Omega, weight, pick):
+    name, T = kind
+    state = ThermalState(T, 0.0, Omega)
+    ms = [m for m, *_ in stage_of(name, state, weight, 2).channels]
+    bad = ms[pick % len(ms)]
+    stage = broken_stage(name, state, weight, 2, bad)
+    with pytest.raises(ConvergenceError, match=rf"^channel m={bad}, ") as exc:
+        integrate_stages([stage])
+    assert exc.value.m == bad
+    # without the stalled channel its neighbours see the same nodes and flux bits
+    healthy = broken_stage(name, state, weight, 2, bad)
+    healthy = healthy._replace(channels=[c for c in healthy.channels if c[0] != bad])
+    integrate_stages([healthy])
+    for m in ms:
+        if m != bad:
+            assert stage.table.seen_by(m) == healthy.table.seen_by(m)
+
+
+def test_stalled_channel_with_a_corotation_pole_is_a_domain_error():
+    # a thermal user table without a row at omega = Omega*m = 1
+    stages = [stage_of("sphere", ThermalState(0.5, 0.0, 0.7), moments_weight, 1),
+              stage_of("user", ThermalState(0.3, 0.0, 1.0), power_weight, 2)]
+    with pytest.raises(DomainError, match=r"^channel m=1, extra=None, pol=scalar: the flux "
+                       r"factor is 3\.95096e-06, not 0, at corotation omega = Omega\*m = 1,"):
+        integrate_stages(stages)
+
+
+@pytest.mark.parametrize("name", ["sphere-exact", "cylinder-exact"])
+def test_exact_tables_have_a_corotation_pole_at_T_object_above_0(name):
+    # the exact flux keeps its O(R^4) magnitude -|X|^2 at omega = Omega*m
+    stage = stage_of(name, ThermalState(0.3, 0.0, 1.0), power_weight, 1)
+    F = TABLES[name].flux(1.0, 1, *TABLES[name].channel_labels(1)[0], 1.0)
+    assert F < 0.0
+    with pytest.raises(DomainError, match=rf"^channel m=1, .*: the flux factor is {F:g}, "
+                       r"not 0, at corotation omega = Omega\*m = 1,"):
+        integrate_stages([stage])
 
 
 def test_jobs_run_in_lock_step_and_pairs_are_finished_jobs():

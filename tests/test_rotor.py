@@ -377,7 +377,7 @@ class TestTorqueLawFromRadiation:
         # its weights m*N and m^2*N(N+1) vanish, yet at T > 0 it has support
         class Recording(SphereTable):
             def flux(self, omega, m, extra, pol, Omega):
-                seen.add(m)
+                seen.update(np.atleast_1d(m).tolist())  # one m, or one per node
                 return super().flux(omega, m, extra, pol, Omega)
 
         seen = set()
