@@ -41,7 +41,7 @@ from .material import (
     ThermalState,
     Vacuum,
 )
-from .photonstats import entropy_generation
+from .photonstats import counting_distribution, entropy_generation
 from .radiation import MSumPolicy, integrate_power, spectral_rows
 from .rotor import (
     TorqueLaw,
@@ -97,7 +97,10 @@ def _get(parser, section, key, cast, default=None, required=False):
             if text.lower() in ("false", "no", "0"):
                 return False
             raise ValueError("expected a boolean")
-        return cast(text)
+        value = cast(text)
+        if cast is float and not np.isfinite(value):
+            raise ValueError(f"must be finite, got {value}")
+        return value
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: {exc}") from exc
 
@@ -381,6 +384,10 @@ def run_stats(args, parser):
         # the cylinder's channels are k_z-integrated, and the entropy of a
         # k_z-integrated N is not the k_z integral of the per-k_z entropy
         raise ConfigError("stats: per-mode entropy is available for disk, sphere and user-table")
+    pn_mean = _get(parser, "stats", "pn_mean", float)
+    if pn_mean is not None:  # checked before any work, so a bad key writes no file
+        n_max = _get(parser, "stats", "pn_n_max", int, default=50)
+        probs, tail = counting_distribution(pn_mean, n_max)
     table = _make_table(geometry, units, material, body)
     report = entropy_generation(table, _state(body), numerics["policy"])
     radiation = report.radiation
@@ -401,12 +408,7 @@ def run_stats(args, parser):
         payload["si"] = {"S_W_per_K": units.entropy_rate_si(report.total_rate)}
     out = Path(args.out) / "stats.json"
     _write_json(out, payload)
-    pn_mean = _get(parser, "stats", "pn_mean", float)
     if pn_mean is not None:
-        from .photonstats import counting_distribution
-
-        n_max = _get(parser, "stats", "pn_n_max", int, default=50)
-        probs, tail = counting_distribution(pn_mean, n_max)
         _write_table(
             args.out, "pn", args.format,
             _meta(args, {"N": pn_mean, "tail": float(tail)}),
@@ -506,6 +508,10 @@ def run_twobody(args, parser):
         test_radius = units.length(test_radius)
     test_model = _build_material(parser, units, "twobody", "test_",
                                  ("drude", "constant", "vacuum"))
+    sweep = _get(parser, "twobody", "sweep", bool, default=False)
+    sweep_points = _get(parser, "twobody", "sweep_points", int, default=7)
+    if sweep_points < 1:
+        raise ConfigError("[twobody] sweep_points: must be >= 1")
 
     cfg = TwoBodyConfig(d, material, body["radius"], test_model, test_radius)
     Omega = body["omega"]
@@ -523,9 +529,8 @@ def run_twobody(args, parser):
             payload["si"]["F_y_N"] = units.force_si(payload["F_y"])
     _write_json(Path(args.out) / "twobody.json", payload)
 
-    if _get(parser, "twobody", "sweep", bool, default=False):
-        n = _get(parser, "twobody", "sweep_points", int, default=7)
-        ds = np.geomspace(d, 10 * d, n)
+    if sweep:
+        ds = np.geomspace(d, 10 * d, sweep_points)
         Ms = torque_vs_distance(cfg, Omega, ds, mode=mode)
         _write_table(
             args.out, "twobody_sweep", args.format, _meta(args, flags),

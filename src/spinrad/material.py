@@ -162,6 +162,8 @@ class TabulatedEpsilon(DielectricModel):
                     rows.append(tuple(float(v) for v in row))
                 except ValueError as exc:
                     raise TableFormatError(str(exc), row=i) from exc
+                if not np.isfinite(rows[-1]).all():
+                    raise TableFormatError("omega, eps_re and eps_im must be finite", row=i)
         if len(rows) < 2:
             raise TableFormatError("need at least two grid rows")
         arr = np.array(rows)

@@ -41,7 +41,7 @@ import sys
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, DomainError
 
 # Kronrod nodes on [-1, 1]; the Gauss nodes are the odd entries
 _XK = np.array([
@@ -211,12 +211,16 @@ def adaptive_integral(f, a, b, *, epsrel=1e-9, limit=300):
     hits the subdivision limit without meeting the tolerance, or when the
     integrand returns non-finite values; its ``index`` is the interval's
     position in the batch (the first such one).  Every other integral of the
-    batch still runs to its own end first.
+    batch still runs to its own end first.  A non-finite bound raises
+    :class:`DomainError` naming the interval and its position, before any call.
     """
     batch = np.ndim(a) > 0
     a = np.asarray(a, dtype=float).reshape(-1).tolist()
     b = np.asarray(b, dtype=float).reshape(-1).tolist()
     eps = list(epsrel) if np.ndim(epsrel) else [epsrel] * len(a)
+    for k, (lo, hi) in enumerate(zip(a, b)):
+        if not np.isfinite([lo, hi]).all():
+            raise DomainError(f"interval ({lo:g}, {hi:g}) at batch position {k} is not finite")
     members = [_Member(k, *args) for k, args in enumerate(zip(a, b, eps))]
     live = [mb for mb in members if mb.b > mb.a]
 

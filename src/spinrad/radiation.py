@@ -220,12 +220,6 @@ def channel_stage(table, state, weight, labels, m_max, epsrel=1e-9):
     return Stage(table, state, weight, epsrel, channels)
 
 
-def _labels(table, m_max, m_min):
-    """(m, extra, pol) of every channel of the table with m_min <= |m| <= m_max."""
-    return [(m, extra, pol) for m in table.m_values(m_max) if abs(m) >= m_min
-            for extra, pol in table.channel_labels(m)]
-
-
 def integrate_stages(stages):
     """Integrate every segment of every channel of the stages in one quadrature batch.
 
@@ -243,46 +237,39 @@ def integrate_stages(stages):
     N carries a non-integrable T/(omega - Omega*m) and the integral does
     not exist.
     """
-    groups = {}  # (table, T_object, T_env, weight, extra, pol) -> kernel index
-    kernels = []  # [table, state, weight, m, extra, pol, one m, one rate]
-    a, b, eps, kernel_of, m_of, omega_of, owners = [], [], [], [], [], [], []
+    # flux group key (table, T_object, T_env, weight, extra, pol) -> [index, m, state],
+    # m and state those its channels share, None when they hold several values
+    groups = {}
+    segments = []  # (stage, channel, lo, hi, group index), in batch order
     for stage in stages:
         state = stage.state
-        for m, extra, pol, points in stage.channels:
-            i = groups.setdefault(
+        for channel in stage.channels:
+            m, extra, pol, points = channel
+            group = groups.setdefault(
                 (stage.table, state.T_object, state.T_env, stage.weight, extra, pol),
-                len(kernels))
-            if i == len(kernels):
-                kernels.append([stage.table, state, stage.weight, m, extra, pol, True, True])
-            else:
-                kernels[i][6] &= kernels[i][3] == m
-                kernels[i][7] &= kernels[i][1].Omega == state.Omega
-            for lo, hi in zip(points, points[1:]):
-                a.append(lo)
-                b.append(hi)
-                eps.append(stage.epsrel)
-                kernel_of.append(i)
-                m_of.append(m)
-                omega_of.append(state.Omega)
-                owners.append((stage.table, state, m, extra, pol, points))
-    if not a:
+                [len(groups), m, state])
+            if group[1] != m:
+                group[1] = None
+            if group[2] != state:  # the key fixes both temperatures: a second rate
+                group[2] = None
+            segments += [(stage, channel, lo, hi, group[0]) for lo, hi in zip(points, points[1:])]
+    if not segments:
         return [[] for _ in stages]
-    kernel_of = np.array(kernel_of)
-    m_of = np.array(m_of)
-    omega_of = np.array(omega_of)
+    group_of, m_of, omega_of = (np.array(column) for column in zip(
+        *[(i, channel[0], stage.state.Omega) for stage, channel, _, _, i in segments]))
 
     def integrand(x):
         w, k = x
         out = None
-        for i, (table, state, weight, m, extra, pol, one_m, one_rate) in enumerate(kernels):
-            sel = slice(None) if len(kernels) == 1 else np.flatnonzero(kernel_of[k] == i)
+        for (table, T_object, T_env, weight, extra, pol), (i, m, state) in groups.items():
+            sel = slice(None) if len(groups) == 1 else np.flatnonzero(group_of[k] == i)
             ws = w[sel]
             if not ws.size:  # every integral of this group has finished
                 continue
-            if not one_m:  # one m per node
+            if m is None:  # one m per node
                 m = m_of[k[sel]]
-            if not one_rate:  # one rotation rate per node
-                state = ThermalState(state.T_object, state.T_env, omega_of[k[sel]])
+            if state is None:  # one rotation rate per node
+                state = ThermalState(T_object, T_env, omega_of[k[sel]])
             vals = weight(ws, m, mode_flux(table, state, ws, m, extra, pol)) / TWO_PI
             if out is None:
                 out = np.empty(vals.shape[:-1] + w.shape)
@@ -290,11 +277,13 @@ def integrate_stages(stages):
         return out
 
     try:
-        values, errors = adaptive_integral(integrand, a, b, epsrel=eps)
+        values, errors = adaptive_integral(
+            integrand, [seg[2] for seg in segments], [seg[3] for seg in segments],
+            epsrel=[seg[0].epsrel for seg in segments])
     except ConvergenceError as exc:
-        table, state, m, extra, pol, points = owners[exc.index]
+        stage, (m, extra, pol, points), *_ = segments[exc.index]
         if len(points) == 3:  # split at corotation: is it a pole of N?
-            F = table.flux(points[1], m, extra, pol, state.Omega)
+            F = stage.table.flux(points[1], m, extra, pol, stage.state.Omega)
             if abs(F) > 0.0:
                 raise DomainError(
                     f"channel m={m}, extra={extra}, pol={pol}: the flux factor is {F:g}, "
@@ -303,7 +292,7 @@ def integrate_stages(stages):
                 ) from exc
         raise ConvergenceError(
             f"channel m={m}, extra={extra}, pol={pol} on support {points} "
-            f"at Omega={state.Omega:g}: {exc}", m=m
+            f"at Omega={stage.state.Omega:g}: {exc}", m=m
         ) from exc
     results = []
     k = 0
@@ -325,7 +314,8 @@ def integrate_channels(table, state, weight, m_max, m_min=0, epsrel=1e-9):
     One stage: every channel is cut at the same thermal cutoff,
     Omega*m_max + 40T, and all are integrated in one quadrature batch.
     """
-    stage = channel_stage(table, state, weight, _labels(table, m_max, m_min), m_max, epsrel)
+    labels = [label for label in table.channels(m_max) if abs(label[0]) >= m_min]
+    stage = channel_stage(table, state, weight, labels, m_max, epsrel)
     return integrate_stages([stage])[0]
 
 
@@ -344,13 +334,13 @@ def partial_wave_sum(table, state, weight, policy, m_min=0):
         scale = abs(_sum(val[0] for *_, val, _ in channels))
         return scale > 0 and _outer_peak(channels) > policy.tail_tol * scale
 
-    channels = yield channel_stage(table, state, weight, _labels(table, policy.m_max, m_min),
-                                   policy.m_max, policy.epsrel)
+    block = [label for label in table.channels(policy.m_max) if abs(label[0]) >= m_min]
+    channels = yield channel_stage(table, state, weight, block, policy.m_max, policy.epsrel)
     m_used = policy.m_max
     while policy.auto_extend and m_used < policy.m_cap and unconverged():
         m_used += 1
-        channels += yield channel_stage(table, state, weight, _labels(table, m_used, m_used),
-                                        m_used, policy.epsrel)
+        shell = [label for label in table.channels(m_used) if abs(label[0]) == m_used]
+        channels += yield channel_stage(table, state, weight, shell, m_used, policy.epsrel)
     return channels, m_used
 
 
@@ -509,13 +499,9 @@ def spectral_rows(table, state, policy=None, n_points=400):
     if n_points < 1:
         raise DomainError(f"n_points must be >= 1, got {n_points}")
     policy = policy or MSumPolicy()
-    channels = []  # (m, extra, pol, grid), in row order
-    for m in table.m_values(policy.m_max):
-        for extra, pol in table.channel_labels(m):
-            points = channel_support(table, state, m, extra, pol, policy.m_max)
-            if points:
-                grid = np.linspace(points[0], points[-1], n_points + 2)[1:-1]
-                channels.append((m, extra, pol, grid))
+    stage = channel_stage(table, state, None, table.channels(policy.m_max), policy.m_max)
+    channels = [(m, extra, pol, np.linspace(points[0], points[-1], n_points + 2)[1:-1])
+                for m, extra, pol, points in stage.channels]  # in row order
     flux = {}  # (m, extra, pol) -> N on the channel's grid
     for extra, pol in dict.fromkeys((extra, pol) for _, extra, pol, _ in channels):
         group = [c for c in channels if c[1:3] == (extra, pol)]

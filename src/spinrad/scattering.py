@@ -62,11 +62,9 @@ def disk_smatrix(model, R, Omega, omega, m):
     Unitary for lossless media; sub-unitary for a lossy body at rest;
     super-unitary in the superradiant window of a lossy rotating body.
     """
-    w = np.atleast_1d(np.asarray(omega, dtype=float))
-    if (w <= 0).any():
-        raise DomainError("disk S-matrix needs omega > 0")
     if R <= 0:
         raise DomainError("radius must be > 0")
+    w = np.atleast_1d(np.asarray(omega, dtype=float))
     wt, J, Jp, den = _disk_matching(model, R, Omega, w, m)
     zh = w * R
     H2, H2p = bessel.hankel_and_deriv(2, m, zh)
@@ -81,6 +79,8 @@ def _disk_matching(model, R, Omega, w, m):
     J and H^(1) are evaluated once at each of the orders |m| and |m| - 1
     (four AMOS calls); the derivatives follow from the recurrence.
     """
+    if (w <= 0).any():
+        raise DomainError("disk scattering needs omega > 0")
     wt = disk_interior_frequency(model, Omega, w, m)
     zj = wt * R
     zh = w * R
@@ -107,8 +107,6 @@ def disk_flux(model, R, Omega, omega, m):
     relative precision when |S| is within roundoff of 1.
     """
     w = np.atleast_1d(np.asarray(omega, dtype=float))
-    if (w <= 0).any():
-        raise DomainError("disk flux needs omega > 0")
     wt, J, Jp, den = _disk_matching(model, R, Omega, w, m)
     F = -(8.0 / (np.pi * R)) * (wt * Jp * np.conj(J)).imag / np.abs(den) ** 2
     return F if np.ndim(omega) else F.item()
@@ -260,10 +258,11 @@ def cylinder_flux_block(model, R, Omega, omega, kz, m=1, exact=False):
 class ChannelTable:
     """Diagonal-in-(omega, m) scattering data consumed by the radiation layer.
 
-    The contract is what the channel engine reads: the angular momenta, the
-    (extra, pol) labels of each, a channel's omega span and its flux factor.
-    Which channels radiate in a given thermal state is decided by
-    ``radiation.channel_support``, not by the table.
+    The contract is what the channel engine reads: ``channels`` lists the
+    (m, extra, pol) of every channel, ``omega_domain`` gives a channel's
+    omega span and ``flux`` its flux factor.  Which channels radiate in a
+    given thermal state is decided by ``radiation.channel_support``, not by
+    the table.
 
     ``flux(omega, m, extra, pol, Omega)`` takes a scalar or an array omega;
     with an array, ``m`` may be one int or one int per node and ``Omega``
@@ -271,12 +270,8 @@ class ChannelTable:
     rate share one call.  Each node gets the bits of its own scalar call.
     """
 
-    def channel_labels(self, m):
-        """(extra, pol) channel descriptors available at angular momentum m."""
-        raise NotImplementedError
-
-    def m_values(self, m_max):
-        """Every angular momentum of the table with |m| <= m_max, ascending."""
+    def channels(self, m_max):
+        """(m, extra, pol) of every channel with |m| <= m_max, by m, then (repr(extra), pol)."""
         raise NotImplementedError
 
     def omega_domain(self, m, extra, pol):
@@ -301,11 +296,8 @@ class DiskTable(ChannelTable):
         self.model = model
         self.R = R
 
-    def channel_labels(self, m):
-        return [(None, "scalar")]
-
-    def m_values(self, m_max):
-        return list(range(-m_max, m_max + 1))
+    def channels(self, m_max):
+        return [(m, None, "scalar") for m in range(-m_max, m_max + 1)]
 
     def flux(self, omega, m, extra, pol, Omega):
         return disk_flux(self.model, self.R, Omega, omega, m)
@@ -321,11 +313,8 @@ class SphereTable(ChannelTable):
         self.R = R
         self.exact = exact
 
-    def channel_labels(self, m):
-        return [(1, "E")]
-
-    def m_values(self, m_max):
-        return [m for m in (-1, 0, 1) if abs(m) <= m_max]
+    def channels(self, m_max):
+        return [(m, 1, "E") for m in (-1, 0, 1) if abs(m) <= m_max]
 
     def flux(self, omega, m, extra, pol, Omega):
         return sphere_flux_dipole(self.model, self.R, Omega, omega, m, exact=self.exact)
@@ -356,11 +345,8 @@ class CylinderTable(ChannelTable):
         self.L = L
         self.exact = exact
 
-    def channel_labels(self, m):
-        return [(None, "block")]
-
-    def m_values(self, m_max):
-        return [m for m in (-1, 1) if abs(m) <= m_max]
+    def channels(self, m_max):
+        return [(m, None, "block") for m in (-1, 1) if abs(m) <= m_max]
 
     def flux(self, omega, m, extra, pol, Omega):
         w = np.atleast_1d(np.asarray(omega, dtype=float))
@@ -407,14 +393,9 @@ class UserTable(ChannelTable):
         self.groups = groups
         self.rows = rows
 
-    def channel_labels(self, m):
-        return sorted(
-            {(extra, pol) for (mm, extra, pol) in self.groups if mm == m},
-            key=lambda t: (repr(t[0]), t[1]),
-        )
-
-    def m_values(self, m_max):
-        return sorted({mm for (mm, _, _) in self.groups if abs(mm) <= m_max})
+    def channels(self, m_max):
+        return sorted((key for key in self.groups if abs(key[0]) <= m_max),
+                      key=lambda key: (key[0], repr(key[1]), key[2]))
 
     def omega_domain(self, m, extra, pol):
         om, _ = self.groups[(m, extra, pol)]
@@ -464,7 +445,7 @@ def load_channel_table(path):
     to scalar/E/M.  Violations raise :class:`TableFormatError` carrying the
     offending row number.
     """
-    rows = []
+    groups = {}  # (m, extra, pol) -> (file row, omega, S) of each row, in file order
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -484,14 +465,13 @@ def load_channel_table(path):
                 S = complex(float(row[4]), float(row[5]))
             except ValueError as exc:
                 raise TableFormatError(str(exc), row=i) from exc
+            if not np.isfinite([omega, extra or 0.0, S.real, S.imag]).all():  # a None extra: 0
+                raise TableFormatError("omega, extra, ReS and ImS must be finite", row=i)
             if omega <= 0:
                 raise TableFormatError("omega must be > 0", row=i)
             if pol not in _POLS:
                 raise TableFormatError(f"pol must be one of {_POLS}", row=i)
-            rows.append((i, omega, m, extra, pol, S))
-    groups = {}
-    for i, omega, m, extra, pol, S in rows:
-        groups.setdefault((m, extra, pol), []).append((i, omega, S))
+            groups.setdefault((m, extra, pol), []).append((i, omega, S))
     packed, rows = {}, {}
     for key, entries in groups.items():
         for (i0, w0, _), (i1, w1, _) in zip(entries[:-1], entries[1:]):

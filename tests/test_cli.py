@@ -203,6 +203,38 @@ class TestValidation:
         assert err.startswith("config error") and key in err
         assert not any(out.iterdir())
 
+    @pytest.mark.parametrize("key, value", [("omega", "nan"), ("omega", "inf"),
+                                            ("t_object", "nan"), ("radius", "nan"),
+                                            ("radius", "-inf")])
+    def test_non_finite_value_exits_2_naming_the_key(self, tmp_path, capsys, key, value):
+        body = {"radius": "0.001", "omega": "1.0", "t_object": "0.0", key: value}
+        text = ("[scenario]\ngeometry = sphere\n[material]\nmodel = drude\nsigma = 1000.0\n"
+                "[body]\n" + "".join(f"{k} = {v}\n" for k, v in body.items()))
+        out = tmp_path / "out"
+        assert main(["power", "--config", write(tmp_path, text), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: [body] {key}: must be finite")
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("command, section, named", [
+        ("stats", "[stats]\npn_mean = -1\n", "mean flux"),
+        ("stats", "[stats]\npn_mean = 0.5\npn_n_max = -1\n", "n_max"),
+        ("twobody", "[twobody]\nd = 2.0\ntest_model = drude\ntest_sigma = 1000\n"
+         "test_radius = 0.001\nsweep = true\nsweep_points = -1\n", "[twobody] sweep_points"),
+        ("twobody", "[twobody]\nd = 2.0\ntest_model = drude\ntest_sigma = 1000\n"
+         "test_radius = 0.001\nsweep = true\nsweep_points = 0\n", "[twobody] sweep_points"),
+        ("twobody", "[twobody]\nd = 2.0\ntest_model = drude\ntest_sigma = 1000\n"
+         "test_radius = 0.001\nsweep = maybe\n", "[twobody] sweep"),
+    ], ids=["pn_mean", "pn_n_max", "sweep_points=-1", "sweep_points=0", "sweep"])
+    def test_stats_and_twobody_keys_are_checked_before_any_file(self, tmp_path, capsys,
+                                                                command, section, named):
+        out = tmp_path / "out"
+        cfg = write(tmp_path, SPHERE_CFG + section)
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and named in err
+        assert not any(out.iterdir())
+
     @pytest.mark.parametrize("cfg, mode", [(DISK_CFG, "3d"), (SPHERE_CFG, "2d")],
                              ids=["disk-3d", "sphere-2d"])
     def test_twobody_mode_contradicting_geometry_exits_2(self, tmp_path, capsys, cfg, mode):
@@ -243,10 +275,10 @@ class TestPower:
         assert payload["P"] == pytest.approx(1e-6 / (90 * math.pi**2 * 1000.0), rel=1e-5)
 
     @staticmethod
-    def user_table_config(tmp_path, n_rows, m_values, body):
+    def user_table_config(tmp_path, n_rows, ms, body):
         om = np.linspace(0.05, 3.0, n_rows).tolist()
         rows = ["omega,m,extra,pol,ReS,ImS"]
-        for m in m_values:
+        for m in ms:
             S = disk_smatrix(Drude(1.0), 0.1, 1.0, np.array(om), m)
             rows += [f"{w!r},{m},,scalar,{float(s.real)!r},{float(s.imag)!r}"
                      for w, s in zip(om, S)]

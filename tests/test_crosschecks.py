@@ -107,5 +107,4 @@ class TestUserTableKzChannels:
         res = integrate_power(table, ThermalState(Omega=1.0))
         # each channel contributes 0.5 * Omega^2/(4 pi)
         assert res.P == pytest.approx(2 * 0.5 / (4 * math.pi), rel=1e-7)
-        labels = table.channel_labels(1)
-        assert labels == [(0.0, "E"), (5e-10, "E")]
+        assert table.channels(1) == [(1, 0.0, "E"), (1, 5e-10, "E")]

@@ -88,11 +88,10 @@ class TestZeroTemperatureRule:
         # the table lists every m; channel_support alone drops m <= 0 at T = 0
         table = _table(geometry, 1.0)
         state = ThermalState(Omega=1.0)
-        for m in table.m_values(5):
+        for m, extra, pol in table.channels(5):
             if m <= 0:
-                for extra, pol in table.channel_labels(m):
-                    assert channel_support(table, state, m, extra, pol, 5) == []
-        assert any(m <= 0 for m in table.m_values(5))
+                assert channel_support(table, state, m, extra, pol, 5) == []
+        assert any(m <= 0 for m, *_ in table.channels(5))
         res = _radiate(geometry, 1.0, 1.0, 0.0)
         assert res.per_mode and all(c.m >= 1 for c in res.per_mode)
 
@@ -113,8 +112,9 @@ class TestSuperradiantSign:
         state = ThermalState(Omega=Omega)
         inside = frac * Omega * m
         outside = (1.0 + frac) * Omega * m
-        N_in = mode_flux(table, state, inside, m, *table.channel_labels(m)[0])
-        N_out = mode_flux(table, state, outside, m, *table.channel_labels(m)[0])
+        extra, pol = table.channels(1)[0][1:]  # every m of a geometry shares its label
+        N_in = mode_flux(table, state, inside, m, extra, pol)
+        N_out = mode_flux(table, state, outside, m, extra, pol)
         assert np.sign(N_in) == np.sign(Omega * m - inside) == 1.0
         assert N_out == 0.0
 
@@ -129,7 +129,7 @@ class TestSuperradiantSign:
         if geometry != "disk":
             m = max(-1, min(m, 1))
         table = _table(geometry, sigma)
-        extra, pol = table.channel_labels(m)[0]
+        extra, pol = table.channels(1)[0][1:]  # every m of a geometry shares its label
         F = table.flux(omega, m, extra, pol, 1.0)
         assert np.sign(F) == np.sign(omega - 1.0 * m)
 

@@ -161,8 +161,8 @@ class TestCylinderTable:
 
     def test_channels_mirror_the_sphere(self):
         table = CylinderTable(Drude(1e3), 1e-3, 1.0)
-        assert table.m_values(5) == [-1, 1] and table.m_values(0) == []
-        assert table.channel_labels(1) == [(None, "block")]
+        assert table.channels(5) == [(-1, None, "block"), (1, None, "block")]
+        assert table.channels(0) == []
         with pytest.raises(DomainError):
             CylinderTable(Drude(1e3), 1e-3, 0.0)
 

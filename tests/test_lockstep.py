@@ -56,11 +56,16 @@ OMEGAS = np.array([0.4, 0.4, 1.1, 1.1, 1.7, 0.9, 2.3])
 NODES = np.array([0.2, 0.7, 1.1, 1.6, 0.35, 2.9, 1.2])
 
 
+def label(table, m):
+    """(extra, pol) of the table's first channel at angular momentum m."""
+    return next((extra, pol) for mm, extra, pol in table.channels(abs(m)) if mm == m)
+
+
 @pytest.mark.parametrize("name", TABLES)
 @pytest.mark.parametrize("m", [-1, 1])
 def test_flux_with_a_rate_per_node_equals_scalar_rate_calls(name, m):
     table = TABLES[name]
-    extra, pol = table.channel_labels(m)[0]
+    extra, pol = label(table, m)
     got = table.flux(NODES, m, extra, pol, OMEGAS)
     ref = [table.flux(NODES, m, extra, pol, W)[i] for i, W in enumerate(OMEGAS.tolist())]
     assert got.tobytes() == np.array(ref).tobytes()
@@ -72,7 +77,7 @@ def test_flux_with_a_rate_per_node_equals_scalar_rate_calls(name, m):
        nodes=st.lists(st.floats(0.05, 3.0), min_size=1, max_size=12))
 def test_scalar_flux_call_equals_its_entry_of_an_array_call(name, m, Omega, nodes):
     table = TABLES[name]
-    extra, pol = table.channel_labels(m)[0]
+    extra, pol = label(table, m)
     got = table.flux(np.array(nodes), m, extra, pol, Omega)
     ref = [table.flux(w, m, extra, pol, Omega) for w in nodes]
     assert got.tobytes() == np.array(ref).tobytes()
@@ -83,7 +88,7 @@ def test_scalar_flux_call_equals_its_entry_of_an_array_call(name, m, Omega, node
 def test_mode_flux_with_a_rate_per_node_equals_scalar_rate_calls(name, temps):
     table = TABLES[name]
     m = 1
-    extra, pol = table.channel_labels(m)[0]
+    extra, pol = label(table, m)
     got = mode_flux(table, ThermalState(*temps, OMEGAS), NODES, m, extra, pol)
     ref = [mode_flux(table, ThermalState(*temps, W), NODES, m, extra, pol)[i]
            for i, W in enumerate(OMEGAS.tolist())]
@@ -96,7 +101,7 @@ def channel_nodes(draw, table):
     """1 to 12 nodes (omega, m, Omega) over the table's m, some at corotation omega = Omega*m."""
     nodes = []
     for _ in range(draw(st.integers(1, 12))):
-        m = draw(st.sampled_from(table.m_values(2)))
+        m = draw(st.sampled_from([m for m, *_ in table.channels(2)]))
         Omega = draw(st.floats(0.5, 2.0))
         w = Omega * m
         if not (draw(st.booleans()) and 0.05 < w < 3.0):
@@ -112,7 +117,7 @@ def test_flux_and_mode_flux_with_an_m_and_rate_per_node_equal_scalar_calls(name,
     table = TABLES[name]
     nodes = data.draw(channel_nodes(table))
     w, m, Omega = (np.array(column) for column in zip(*nodes))
-    extra, pol = table.channel_labels(1)[0]  # every m of a table shares its (extra, pol)
+    extra, pol = label(table, 1)  # every m of a table shares its (extra, pol)
     got = table.flux(w, m, extra, pol, Omega)
     ref = [table.flux(*node[:2], extra, pol, node[2]) for node in nodes]
     assert got.tobytes() == np.array(ref).tobytes()
@@ -146,9 +151,7 @@ def alone(stage):
 
 def stage_of(name, state, weight, m_max, epsrel=1e-9):
     table = TABLES[name]
-    labels = [(m, extra, pol) for m in table.m_values(m_max)
-              for extra, pol in table.channel_labels(m)]
-    return channel_stage(table, state, weight, labels, m_max, epsrel)
+    return channel_stage(table, state, weight, table.channels(m_max), m_max, epsrel)
 
 
 def test_mixed_batch_equals_each_integral_alone():
@@ -208,11 +211,8 @@ class Broken(ChannelTable):
     def __init__(self, inner, bad):
         self.inner, self.bad, self.calls = inner, bad, []
 
-    def channel_labels(self, m):
-        return self.inner.channel_labels(m)
-
-    def m_values(self, m_max):
-        return self.inner.m_values(m_max)
+    def channels(self, m_max):
+        return self.inner.channels(m_max)
 
     def omega_domain(self, m, extra, pol):
         return self.inner.omega_domain(m, extra, pol)
@@ -299,7 +299,7 @@ def test_stalled_channel_with_a_corotation_pole_is_a_domain_error():
 def test_exact_tables_have_a_corotation_pole_at_T_object_above_0(name):
     # the exact flux keeps its O(R^4) magnitude -|X|^2 at omega = Omega*m
     stage = stage_of(name, ThermalState(0.3, 0.0, 1.0), power_weight, 1)
-    F = TABLES[name].flux(1.0, 1, *TABLES[name].channel_labels(1)[0], 1.0)
+    F = TABLES[name].flux(1.0, 1, *label(TABLES[name], 1), 1.0)
     assert F < 0.0
     with pytest.raises(DomainError, match=rf"^channel m=1, .*: the flux factor is {F:g}, "
                        r"not 0, at corotation omega = Omega\*m = 1,"):

@@ -107,6 +107,15 @@ class TestTabulated:
         with pytest.raises(TableFormatError):
             TabulatedEpsilon.from_csv(p)
 
+    @pytest.mark.parametrize("row", ["1.0,2.5,nan", "1.0,nan,0.1", "inf,2.5,0.1"],
+                             ids=["eps_im-nan", "eps_re-nan", "omega-inf"])
+    def test_csv_non_finite_cell_names_its_row(self, tmp_path, row):
+        p = tmp_path / "eps.csv"
+        p.write_text(f"omega,eps_re,eps_im\n0.5,3.0,0.2\n{row}\n2.0,2.0,0.1\n")
+        with pytest.raises(TableFormatError, match=r"^row 3: .*finite") as exc:
+            TabulatedEpsilon.from_csv(p)
+        assert exc.value.row == 3
+
     def test_csv_nonmonotone_row_number(self, tmp_path):
         p = tmp_path / "eps.csv"
         p.write_text("omega,eps_re,eps_im\n1.0,3.0,0.2\n0.5,2.5,0.1\n")

@@ -5,7 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from spinrad import ConvergenceError, DiskTable, Drude, MSumPolicy, ThermalState, integrate_power
+from spinrad import (
+    ConvergenceError,
+    DiskTable,
+    DomainError,
+    Drude,
+    MSumPolicy,
+    ThermalState,
+    integrate_power,
+)
 from spinrad.quadrature import adaptive_integral
 
 
@@ -72,6 +80,24 @@ def test_subdivision_limit_raises_naming_the_interval():
 def test_non_finite_integrand_raises_instead_of_returning_nan():
     with pytest.raises(ConvergenceError, match=r"\(0, 1\)"):
         adaptive_integral(lambda w: np.where(w > 0.5, np.nan, w), 0.0, 1.0)
+
+
+@pytest.mark.parametrize("a, b", [(0.0, math.nan), (math.nan, 1.0), (0.0, math.inf),
+                                  (-math.inf, 1.0)])
+def test_non_finite_bound_raises_before_any_integrand_call(a, b):
+    f = Recorder(np.sin)
+    with pytest.raises(DomainError, match=r"at batch position 0 is not finite"):
+        adaptive_integral(f, a, b)
+    assert f.calls == []
+
+
+def test_non_finite_bound_of_a_batch_names_its_position():
+    def f(x):
+        raise AssertionError("the integrand must not be called")
+
+    with pytest.raises(DomainError,
+                       match=r"^interval \(1, nan\) at batch position 2 is not finite$"):
+        adaptive_integral(f, [0.0, 0.5, 1.0, 2.0], [1.0, 1.5, math.nan, math.inf])
 
 
 def test_empty_interval_returns_zeros_of_the_component_shape():

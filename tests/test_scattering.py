@@ -7,10 +7,14 @@ import pytest
 
 from spinrad import (
     ConstantEpsilon,
+    CylinderTable,
+    DiskTable,
     DomainError,
     Drude,
     Lorentz,
+    SphereTable,
     TableFormatError,
+    UserTable,
     Vacuum,
     cylinder_flux_block,
     cylinder_smatrix_block,
@@ -196,7 +200,7 @@ class TestUserTable:
         p = tmp_path / "table.csv"
         p.write_text(GOOD_CSV)
         t = load_channel_table(p)
-        assert t.m_values(5) == [1, 2]
+        assert t.channels(5) == [(1, None, "scalar"), (2, None, "scalar")]
         S = t.smatrix(0.75, 1, None, "scalar", 0.0)
         assert S == pytest.approx(complex(0.85, 0.15))
         assert t.omega_domain(1, None, "scalar") == (0.5, 1.5)
@@ -221,6 +225,16 @@ class TestUserTable:
             load_channel_table(p)
         assert exc.value.row == 2
 
+    @pytest.mark.parametrize("row", ["1.0,1,,scalar,nan,0", "1.0,1,,scalar,1,-inf",
+                                     "inf,1,,scalar,1,0", "1.0,1,nan,E,1,0"],
+                             ids=["ReS-nan", "ImS-inf", "omega-inf", "kz-nan"])
+    def test_non_finite_cell_names_its_row(self, tmp_path, row):
+        p = tmp_path / "t.csv"
+        p.write_text(f"omega,m,extra,pol,ReS,ImS\n0.5,1,,scalar,1,0\n{row}\n")
+        with pytest.raises(TableFormatError, match=r"^row 3: .*finite") as exc:
+            load_channel_table(p)
+        assert exc.value.row == 3
+
     def test_bad_polarization(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("omega,m,extra,pol,ReS,ImS\n0.5,1,,TEM,1,0\n")
@@ -233,3 +247,35 @@ class TestUserTable:
         t = load_channel_table(p)
         with pytest.raises(DomainError):
             t.smatrix(2.0, 1, None, "scalar", 0.0)
+
+
+def _kz_user_table():
+    # float k_z extras, both polarizations at m = 0 and 1, an int extra and no m = -1
+    om = np.linspace(0.6, 2.0, 4)
+    keys = [(1, 0.5, "M"), (3, 0.25, "E"), (1, 10, "E"), (0, 1, "M"), (1, -0.25, "E"),
+            (-2, None, "scalar"), (1, 0.5, "E"), (0, 1, "E")]
+    return UserTable({key: (om, np.full(4, 0.9 + 0j)) for key in keys})
+
+
+def _nested_order(table, m_max):
+    """Each m of the user table's rows ascending, then its (extra, pol) by (repr(extra), pol)."""
+    ms = sorted({m for m, _, _ in table.groups if abs(m) <= m_max})
+    return [(m, extra, pol) for m in ms
+            for extra, pol in sorted({key[1:] for key in table.groups if key[0] == m},
+                                     key=lambda t: (repr(t[0]), t[1]))]
+
+
+class TestChannelList:
+    @pytest.mark.parametrize("m_max", [0, 1, 2, 5])
+    def test_channels_keep_the_m_then_label_order(self, m_max):
+        user = _kz_user_table()
+        tables = {
+            DiskTable(Drude(1.0), 0.1): [(m, None, "scalar") for m in range(-m_max, m_max + 1)],
+            SphereTable(Drude(1.0), 0.1): [(m, 1, "E") for m in (-1, 0, 1)],
+            CylinderTable(Drude(1.0), 0.1, 1.0): [(m, None, "block") for m in (-1, 1)],
+            user: [(-2, None, "scalar"), (0, 1, "E"), (0, 1, "M"), (1, -0.25, "E"),
+                   (1, 0.5, "E"), (1, 0.5, "M"), (1, 10, "E"), (3, 0.25, "E")],
+        }
+        for table, every in tables.items():
+            assert table.channels(m_max) == [key for key in every if abs(key[0]) <= m_max]
+        assert user.channels(m_max) == _nested_order(user, m_max)
