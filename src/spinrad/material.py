@@ -147,7 +147,7 @@ class TabulatedEpsilon(DielectricModel):
     @classmethod
     def from_csv(cls, path):
         """Read a CSV with header and columns omega, eps_re, eps_im."""
-        rows = []
+        rows, lines = [], []  # the kept rows and the file line of each
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
@@ -160,6 +160,7 @@ class TabulatedEpsilon(DielectricModel):
                     raise TableFormatError("expected 3 columns", row=i)
                 try:
                     rows.append(tuple(float(v) for v in row))
+                    lines.append(i)
                 except ValueError as exc:
                     raise TableFormatError(str(exc), row=i) from exc
                 if not np.isfinite(rows[-1]).all():
@@ -168,8 +169,8 @@ class TabulatedEpsilon(DielectricModel):
             raise TableFormatError("need at least two grid rows")
         arr = np.array(rows)
         if not (np.diff(arr[:, 0]) > 0).all():
-            bad = int(np.argmin(np.diff(arr[:, 0]) > 0)) + 3
-            raise TableFormatError("non-monotone omega grid", row=bad)
+            bad = int(np.argmin(np.diff(arr[:, 0]) > 0)) + 1
+            raise TableFormatError("non-monotone omega grid", row=lines[bad])
         return cls(arr[:, 0], arr[:, 1], arr[:, 2])
 
     def _positive(self, omega):

@@ -21,6 +21,11 @@ tabulated by :func:`tabulate_torque_law`, whose moment function may return
 a radiation job (see :mod:`spinrad.radiation`): every new rate of a
 refinement round is then integrated in one lock-step batch.
 
+A Langevin ensemble draws each block's noise beside its step loop, in one
+forked producer per block large enough to repay the fork: every trajectory
+draws from its own counter-based Philox stream, so its noise is the same
+whichever process draws it (see :func:`simulate_ensemble`).
+
 The layer imports no scipy.  The monotone cubic (PCHIP) of tabulated torque
 laws is private numpy code written op for op after scipy 1.17, so that its
 values, and with them every trajectory, equal scipy's bit for bit.  The
@@ -29,13 +34,18 @@ from one running Simpson rule for such grids and its CDF from the trapezoid
 rule.
 """
 
+import contextlib
 import math
+import mmap
+import os
+import signal
+import threading
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, StepSizeError
+from .errors import ConvergenceError, DomainError, SpinradError, StepSizeError
 from .radiation import MSumPolicy, partial_wave_sum, run_jobs
 from .material import ThermalState
 
@@ -50,6 +60,16 @@ ADIABATIC_LIMIT = 0.1
 # NOISE_CHUNK doubles of noise whatever its length
 BLOCK_SIZE = 4096
 NOISE_CHUNK = 256
+
+# A block whose noise spans at least PRODUCER_MIN_CHUNKS chunks and
+# PRODUCER_MIN_NORMALS normals has it drawn by a forked producer while it
+# steps.  The first chunk cannot overlap and a fork costs about 4 ms, so
+# smaller blocks lose: inline against producer, medians in a process holding
+# 80 MB on a 2-vCPU machine, 4096 x 256 steps (one chunk) 160 against 186 ms,
+# 512 x 300 33 against 37 ms, 64 x 1000 27 against 31 ms, 512 x 1500 76
+# against 70 ms and 64 x 10^4 165 against 142 ms
+PRODUCER_MIN_CHUNKS = 4
+PRODUCER_MIN_NORMALS = 2**19
 
 # edge of the square tiles in which a noise chunk is transposed
 _TILE = 64
@@ -392,22 +412,43 @@ def simulate_ensemble(law, I, omega0, *, t_total, dt, n_traj, seed=0, drive_at=N
     run in blocks of ``BLOCK_SIZE``; each block draws its noise
     ``NOISE_CHUNK`` steps at a time, so memory scales with
     BLOCK_SIZE * NOISE_CHUNK and not with the number of steps, and the
-    recorded trajectories do not depend on the block or chunk size.  The
-    torque law is evaluated once per step (``TorqueLaw.moments``).  A
+    recorded trajectories do not depend on the block or chunk size.
+
+    A block of at least ``PRODUCER_MIN_CHUNKS`` chunks and
+    ``PRODUCER_MIN_NORMALS`` normals forks one producer process that draws
+    chunk c + 1 into one of two shared slots while this process steps chunk
+    c; smaller blocks, platforms without ``os.fork``, a process with other
+    Python threads and a failed fork draw inline.  Both ways run one drawing
+    function on the same per-trajectory streams, so every output byte is
+    the same.  Every step, law evaluation, guard, error and warning runs in
+    the calling process; the producer's memory counts in the children's
+    resource usage, not in the caller's peak RSS, which does hold the two
+    slots.  A producer that exits early raises :class:`SpinradError` naming
+    the block; on every exit path the producer is killed and reaped.
+
+    The torque law is evaluated once per step (``TorqueLaw.moments``).  A
     reflecting boundary keeps W >= 0.  ``drive_at=W0`` applies the constant
     torque Mbar(W0) that holds the rotor near the set point; ``None`` lets it
     decay freely.  dt must satisfy dt*(1/I)*dMbar/dW < 0.1 everywhere the
     ensemble goes, with the slope from ``TorqueLaw.drift_derivative``, and W
     must stay finite (both checked every ``GUARD_EVERY`` steps, and
     finiteness again at the end).  ``n_record`` (>= 2) counts the recorded
-    times, the start and the end included.
+    times, the start and the end included.  I, dt and t_total must be
+    finite and > 0, omega0 and drive_at finite and >= 0
+    (:class:`DomainError` naming the argument, before any work).
     """
     if n_traj < 1:
         raise DomainError(f"n_traj must be >= 1, got {n_traj}")
     if n_record < 2:
         raise DomainError(f"n_record must be >= 2, got {n_record}")
-    if dt <= 0 or t_total <= 0:
-        raise DomainError("need positive dt and t_total")
+    for name, value in (("I", I), ("dt", dt), ("t_total", t_total)):
+        if not (math.isfinite(value) and value > 0):
+            raise DomainError(f"{name} must be finite and > 0, got {value}")
+    for name, value in (("omega0", omega0), ("drive_at", drive_at)):
+        if value is not None and not (math.isfinite(value) and value >= 0):
+            raise DomainError(f"{name} must be finite and >= 0, got {value}")
+    if not math.isfinite(t_total / dt):
+        raise DomainError(f"t_total / dt = {t_total / dt} steps is not finite")
     n_steps = int(round(t_total / dt))
     if n_steps < 1:
         raise DomainError("t_total shorter than one step")
@@ -420,36 +461,28 @@ def simulate_ensemble(law, I, omega0, *, t_total, dt, n_traj, seed=0, drive_at=N
     adiab_max = 0.0
     for start in range(0, n_traj, BLOCK_SIZE):
         stop = min(start + BLOCK_SIZE, n_traj)
-        nb = stop - start
-        gens = [
-            np.random.Generator(np.random.Philox(key=np.array([seed, j], dtype=np.uint64)))
-            for j in range(start, stop)
-        ]
-        draws = np.empty((nb, NOISE_CHUNK))  # row j: the next steps of trajectory start + j
-        noise = np.empty((NOISE_CHUNK, nb))  # row s: step s of the chunk, every trajectory
-        W = np.full(nb, float(omega0))
+        W = np.full(stop - start, float(omega0))
         omegas[start:stop, 0] = W  # rec_idx[0] == 0: the start is always recorded
         rec_pos = 1
-        for step in range(n_steps):
-            s = step % NOISE_CHUNK
-            if s == 0:
-                k = min(NOISE_CHUNK, n_steps - step)
-                for j, gen in enumerate(gens):
-                    gen.standard_normal(out=draws[j, :k])
-                _transpose_into(noise, draws, k)
-            if step % GUARD_EVERY == 0:
-                _check_finite(W, step, start)
-                stiff = dt * inv_I * np.max(np.abs(law.drift_derivative(W)))
-                if stiff >= STIFFNESS_LIMIT:
-                    raise StepSizeError(f"dt*(1/I)*dMbar/dW = {stiff:.3g} >= {STIFFNESS_LIMIT}")
-                det = inv_I * np.abs(law.drift(W) - drive)
-                wsafe = np.maximum(W, 1e-300)
-                adiab_max = max(adiab_max, float(np.max(det / wsafe**2)))
-            W = langevin_step(W, law, I, dt, noise[s], drive=drive)
-            np.abs(W, out=W)  # reflecting boundary at W = 0
-            if rec_pos < len(rec_idx) and step + 1 == rec_idx[rec_pos]:
-                omegas[start:stop, rec_pos] = W
-                rec_pos += 1
+        with _block_noise(seed, start, stop, n_steps) as chunks:
+            for step in range(n_steps):
+                s = step % NOISE_CHUNK
+                if s == 0:
+                    noise = next(chunks)  # row s: step s of the chunk, every trajectory
+                if step % GUARD_EVERY == 0:
+                    _check_finite(W, step, start)
+                    stiff = dt * inv_I * np.max(np.abs(law.drift_derivative(W)))
+                    if stiff >= STIFFNESS_LIMIT:
+                        raise StepSizeError(
+                            f"dt*(1/I)*dMbar/dW = {stiff:.3g} >= {STIFFNESS_LIMIT}")
+                    det = inv_I * np.abs(law.drift(W) - drive)
+                    wsafe = np.maximum(W, 1e-300)
+                    adiab_max = max(adiab_max, float(np.max(det / wsafe**2)))
+                W = langevin_step(W, law, I, dt, noise[s], drive=drive)
+                np.abs(W, out=W)  # reflecting boundary at W = 0
+                if rec_pos < len(rec_idx) and step + 1 == rec_idx[rec_pos]:
+                    omegas[start:stop, rec_pos] = W
+                    rec_pos += 1
         _check_finite(W, n_steps, start)
 
     if adiab_max > ADIABATIC_LIMIT:
@@ -459,6 +492,102 @@ def simulate_ensemble(law, I, omega0, *, t_total, dt, n_traj, seed=0, drive_at=N
             stacklevel=2,
         )
     return RotorEnsemble(I, dt, seed, drive_at, times, omegas, adiab_max)
+
+
+def _draw_noise(seed, start, stop, n_steps, slots):
+    """Draw the noise of trajectories start..stop-1, one chunk per iteration.
+
+    Chunk c holds steps c*NOISE_CHUNK onward of every trajectory, each drawn
+    from its own Philox(key=(seed, j)) stream by one
+    ``standard_normal(out=row)`` call, then transposed into
+    ``slots[c % len(slots)]`` (row s: step s, every trajectory), which is
+    yielded.  The generators are built on the first iteration.
+    """
+    gens = [
+        np.random.Generator(np.random.Philox(key=np.array([seed, j], dtype=np.uint64)))
+        for j in range(start, stop)
+    ]
+    draws = np.empty((stop - start, NOISE_CHUNK))  # row j: the next steps of trajectory start + j
+    for c, first in enumerate(range(0, n_steps, NOISE_CHUNK)):
+        k = min(NOISE_CHUNK, n_steps - first)
+        for j, gen in enumerate(gens):
+            gen.standard_normal(out=draws[j, :k])
+        slot = slots[c % len(slots)]
+        _transpose_into(slot, draws, k)
+        yield slot
+
+
+@contextlib.contextmanager
+def _block_noise(seed, start, stop, n_steps):
+    """The iterator of a block's noise chunks, drawn by a producer where that pays.
+
+    A block of at least ``PRODUCER_MIN_CHUNKS`` chunks and
+    ``PRODUCER_MIN_NORMALS`` normals forks one child that runs
+    :func:`_draw_noise` into two slots of a shared anonymous mmap while the
+    caller steps: a byte on one pipe says the next chunk is ready, a byte on
+    the other that the caller is done with the slot the child is to refill.
+    Exiting the context closes the pipes, then kills and reaps the child.
+    Other blocks, a process with other Python threads (fork copies only the
+    calling one), a platform without ``os.fork`` and a failed fork draw in
+    the caller instead, into one slot.
+    """
+    nb = stop - start
+    n_chunks = -(-n_steps // NOISE_CHUNK)
+    pid = None
+    if (n_chunks >= PRODUCER_MIN_CHUNKS and nb * n_steps >= PRODUCER_MIN_NORMALS
+            and hasattr(os, "fork") and threading.active_count() == 1):
+        slots = np.frombuffer(mmap.mmap(-1, 2 * NOISE_CHUNK * nb * 8)).reshape(2, NOISE_CHUNK, nb)
+        ready_r, ready_w = os.pipe()
+        free_r, free_w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            for fd in (ready_r, ready_w, free_r, free_w):
+                os.close(fd)
+        if pid == 0:
+            try:  # the child never returns into the caller
+                os.close(ready_r)
+                os.close(free_w)
+                _produce(_draw_noise(seed, start, stop, n_steps, slots), n_chunks,
+                         ready_w, free_r)
+            finally:
+                os._exit(0)
+    if pid is None:
+        yield _draw_noise(seed, start, stop, n_steps, [np.empty((NOISE_CHUNK, nb))])
+        return
+    os.close(ready_w)
+    os.close(free_r)
+    try:
+        yield _delivered(slots, n_chunks, ready_r, free_w,
+                         f"trajectories {start}..{stop - 1}")
+    finally:
+        os.close(ready_r)
+        os.close(free_w)
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+
+
+def _produce(chunks, n_chunks, ready_w, free_r):
+    """The producer's loop: draw each chunk once its slot is free, then say so."""
+    for c in range(n_chunks):
+        if c >= 2 and not os.read(free_r, 1):  # chunk c - 2 is stepped; EOF: the caller left
+            return
+        next(chunks)
+        os.write(ready_w, b"\0")
+
+
+def _delivered(slots, n_chunks, ready_r, free_w, block):
+    """The caller's side: yield each chunk as the producer reports it ready."""
+    for c in range(n_chunks):
+        try:
+            if 1 <= c < n_chunks - 1:  # chunk c - 1 is stepped: its slot takes chunk c + 1
+                os.write(free_w, b"\0")
+            ready = os.read(ready_r, 1)
+        except BrokenPipeError:
+            ready = b""
+        if not ready:
+            raise SpinradError(f"the noise producer of {block} exited before chunk {c}")
+        yield slots[c % 2]
 
 
 def _transpose_into(dst, src, k):

@@ -122,6 +122,18 @@ class TestTabulated:
         with pytest.raises(TableFormatError):
             TabulatedEpsilon.from_csv(p)
 
+    @pytest.mark.parametrize("text, line", [
+        ("1.0,3.0,0.2\n0.5,2.5,0.1\n", 3),
+        ("0.5,3.0,0.2\n\n1.5,2.5,0.1\n1.0,2.5,0.1\n", 5),
+    ], ids=["adjacent", "after-blank-line"])
+    def test_csv_nonmonotone_names_its_file_line(self, tmp_path, text, line):
+        # blank lines are skipped but still counted
+        p = tmp_path / "eps.csv"
+        p.write_text("omega,eps_re,eps_im\n" + text)
+        with pytest.raises(TableFormatError, match=rf"^row {line}: non-monotone") as exc:
+            TabulatedEpsilon.from_csv(p)
+        assert exc.value.row == line
+
 
 class TestBoseOccupation:
     def test_zero_temperature_step(self):

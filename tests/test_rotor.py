@@ -3,6 +3,8 @@
 import dataclasses
 import hashlib
 import math
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -15,6 +17,7 @@ from spinrad import (
     Drude,
     MSumPolicy,
     SphereTable,
+    SpinradError,
     StepSizeError,
     ThermalState,
     TorqueLaw,
@@ -128,19 +131,67 @@ LEDGER_DIGESTS = {
 }
 
 
+def assert_no_child():
+    """No child process of this one is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def inline(monkeypatch):
+    """Every block draws its noise in the caller."""
+    monkeypatch.setattr(rotor, "PRODUCER_MIN_CHUNKS", 2**62)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Every block forks a noise producer; returns the list of forks made.
+
+    Each fork first checks that no earlier producer is left, so at most one
+    is alive at a time.
+    """
+    monkeypatch.setattr(rotor, "PRODUCER_MIN_CHUNKS", 0)
+    monkeypatch.setattr(rotor, "PRODUCER_MIN_NORMALS", 0)
+    made = []
+    fork = os.fork
+
+    def counted():
+        assert_no_child()
+        made.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return made
+
+
+def ledger_digest(n_steps):
+    ens = simulate_ensemble(QUINTIC, I=100.0, omega0=1.0, t_total=n_steps * 1e-2,
+                            dt=1e-2, n_traj=64, seed=42, drive_at=1.0)
+    return hashlib.sha256(ens.omegas.tobytes()).hexdigest()
+
+
 class TestRNGLedger:
     # 805 steps span three default chunks plus a remainder; 50 is shorter than one
     @pytest.mark.parametrize("n_steps", [805, 50])
     @pytest.mark.parametrize("chunk", [1, 7, rotor.NOISE_CHUNK])
     @pytest.mark.parametrize("block_size", [7, 64, 4096])
-    def test_independent_of_chunk_and_block(self, monkeypatch, n_steps, chunk, block_size):
+    def test_independent_of_chunk_and_block(self, monkeypatch, inline, n_steps, chunk,
+                                            block_size):
         monkeypatch.setattr(rotor, "NOISE_CHUNK", chunk)
         monkeypatch.setattr(rotor, "BLOCK_SIZE", block_size)
-        ens = simulate_ensemble(QUINTIC, I=100.0, omega0=1.0, t_total=n_steps * 1e-2,
-                                dt=1e-2, n_traj=64, seed=42, drive_at=1.0)
-        assert hashlib.sha256(ens.omegas.tobytes()).hexdigest() == LEDGER_DIGESTS[n_steps]
+        assert ledger_digest(n_steps) == LEDGER_DIGESTS[n_steps]
 
-    def test_noise_memory_does_not_grow_with_steps(self):
+    @pytest.mark.parametrize("n_steps", [805, 50])
+    @pytest.mark.parametrize("chunk", [1, 7, rotor.NOISE_CHUNK])
+    @pytest.mark.parametrize("block_size", [7, 64, 4096])
+    def test_producer_keeps_the_digests(self, monkeypatch, forks, n_steps, chunk, block_size):
+        monkeypatch.setattr(rotor, "NOISE_CHUNK", chunk)
+        monkeypatch.setattr(rotor, "BLOCK_SIZE", block_size)
+        assert ledger_digest(n_steps) == LEDGER_DIGESTS[n_steps]
+        assert len(forks) == -(-64 // block_size)  # one producer per block
+        assert_no_child()
+
+    def test_noise_memory_does_not_grow_with_steps(self, inline):
         # drawn whole, the 64 x 20000 noise array alone would take 10 MB
         kw = dict(I=1e4, omega0=1.0, dt=20.0, n_traj=64, seed=3, drive_at=1.0)
         simulate_ensemble(power5(), t_total=20.0, **kw)  # first-call set-up off the books
@@ -151,6 +202,25 @@ class TestRNGLedger:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
+
+    def test_producer_slots_hold_two_chunks(self, monkeypatch):
+        # 64 x 20000 steps meet the size rule; tracemalloc sees neither the
+        # producer nor its shared slots, so the slots are counted where mapped
+        sizes = []
+        real = rotor.mmap.mmap
+
+        def recorded(fileno, length):
+            sizes.append(length)
+            return real(fileno, length)
+
+        monkeypatch.setattr(rotor.mmap, "mmap", recorded)
+        kw = dict(I=1e4, omega0=1.0, dt=20.0, n_traj=64, seed=3, drive_at=1.0)
+        ens = simulate_ensemble(power5(), t_total=20_000 * 20.0, **kw)
+        assert sizes == [2 * rotor.NOISE_CHUNK * 64 * 8]
+        assert_no_child()
+        monkeypatch.setattr(rotor, "PRODUCER_MIN_CHUNKS", 2**62)
+        assert np.array_equal(ens.omegas, simulate_ensemble(power5(), t_total=20_000 * 20.0,
+                                                            **kw).omegas)
 
     def test_reproducible_and_blocking_independent(self, monkeypatch):
         law = power5()
@@ -172,11 +242,30 @@ class TestRNGLedger:
         assert not np.array_equal(a.omegas, b.omegas)
 
 
+def error_of(run):
+    """The (type, message) of the SpinradError that run() raises."""
+    with pytest.raises(SpinradError) as exc:
+        run()
+    return type(exc.value), str(exc.value)
+
+
 class TestStiffnessGuard:
     def test_raises_on_oversized_step(self):
         law = power5(10.0)
         with pytest.raises(StepSizeError):
             simulate_ensemble(law, I=0.1, omega0=1.0, t_total=1.0, dt=0.5, n_traj=2, seed=0)
+
+    def test_producer_raises_the_same_and_leaves_no_child(self, monkeypatch, forks):
+        # the guard trips at step 0, before the law ever sees a chunk's noise
+        def run():
+            simulate_ensemble(power5(10.0), I=0.1, omega0=1.0, t_total=1.0, dt=0.5,
+                              n_traj=2, seed=0)
+
+        on = error_of(run)
+        assert forks and on[0] is StepSizeError
+        assert_no_child()
+        monkeypatch.setattr(rotor, "PRODUCER_MIN_CHUNKS", 2**62)
+        assert error_of(run) == on
 
     def test_adiabaticity_monitor_warns(self):
         # a fast free decay violates |dW/dt| << W^2 and must say so
@@ -206,6 +295,109 @@ class TestNonFiniteGuard:
         with pytest.raises(StepSizeError, match="after step 3 "):
             simulate_ensemble(law, I=1e4, omega0=2.0, t_total=3.0, dt=1.0, n_traj=2,
                               seed=0)
+
+    @pytest.mark.parametrize("t_total", [100.0, 3.0])
+    def test_producer_raises_the_same_and_leaves_no_child(self, monkeypatch, forks, t_total):
+        def run():
+            simulate_ensemble(nan_above_one_and_a_half(), I=1e4, omega0=2.0,
+                              t_total=t_total, dt=1.0, n_traj=3, seed=0)
+
+        on = error_of(run)
+        assert forks and on[0] is StepSizeError
+        assert_no_child()
+        monkeypatch.setattr(rotor, "PRODUCER_MIN_CHUNKS", 2**62)
+        assert error_of(run) == on
+
+
+class TestNoiseProducer:
+    KW = dict(I=100.0, omega0=1.0, t_total=20.0, dt=1e-2, n_traj=8, seed=5, drive_at=1.0)
+
+    def test_default_rule_forks_only_large_blocks(self, monkeypatch, forks):
+        monkeypatch.setattr(rotor, "PRODUCER_MIN_CHUNKS", 4)
+        monkeypatch.setattr(rotor, "PRODUCER_MIN_NORMALS", 2**19)
+        # 8 x 2000 steps: 8 chunks but 16,000 normals; 512 x 768: 3 chunks
+        simulate_ensemble(power5(), **self.KW)
+        simulate_ensemble(power5(), **{**self.KW, "t_total": 7.68, "n_traj": 512})
+        assert not forks
+        # 512 x 1024 steps: 4 chunks and 2**19 normals
+        simulate_ensemble(power5(), **{**self.KW, "t_total": 10.24, "n_traj": 512})
+        assert len(forks) == 1
+        assert_no_child()
+
+    def test_normal_run_leaves_no_child(self, forks):
+        simulate_ensemble(power5(), **self.KW)
+        assert len(forks) == 1
+        assert_no_child()
+
+    def test_interrupt_partway_leaves_no_child(self, forks):
+        calls = []
+
+        def moments(w):
+            calls.append(1)
+            if len(calls) == 600:  # in the third chunk of 256 steps
+                raise KeyboardInterrupt
+            return np.power(w, 5), np.power(w, 5)
+
+        law = TorqueLaw.from_moments(moments, lambda w: 5.0 * np.power(w, 4))
+        with pytest.raises(KeyboardInterrupt):
+            simulate_ensemble(law, **self.KW)
+        assert len(forks) == 1
+        assert_no_child()
+
+    def test_other_thread_or_failed_fork_draws_inline(self, monkeypatch, forks):
+        expect = simulate_ensemble(power5(), **self.KW).omegas
+        assert len(forks) == 1
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait, args=(60,))
+        waiter.start()
+        try:  # fork would copy only this thread
+            assert np.array_equal(simulate_ensemble(power5(), **self.KW).omegas, expect)
+        finally:
+            release.set()
+            waiter.join(60)
+        assert not waiter.is_alive() and len(forks) == 1
+
+        def refused():
+            raise OSError("fork refused")
+
+        monkeypatch.setattr(os, "fork", refused)
+        assert np.array_equal(simulate_ensemble(power5(), **self.KW).omegas, expect)
+        assert_no_child()
+
+    @pytest.mark.parametrize("chunks_made", [0, 2])
+    def test_early_exit_names_the_block(self, monkeypatch, forks, chunks_made):
+        draw = rotor._draw_noise
+
+        def dying(*args):  # runs in the producer: chunks_made chunks, then exit
+            gen = draw(*args)
+            for _ in range(chunks_made):
+                yield next(gen)
+            os._exit(0)
+
+        monkeypatch.setattr(rotor, "_draw_noise", dying)
+        with pytest.raises(SpinradError, match=rf"^the noise producer of trajectories 0..7 "
+                                               rf"exited before chunk {chunks_made}$"):
+            simulate_ensemble(power5(), **self.KW)
+        assert_no_child()
+
+
+class TestEnsembleInputs:
+    @pytest.mark.parametrize("name, value", [
+        ("I", 0.0), ("I", -1e4), ("I", math.nan), ("I", math.inf),
+        ("dt", 0.0), ("dt", math.nan), ("dt", -1.0),
+        ("t_total", math.inf), ("t_total", math.nan), ("t_total", -1.0),
+        ("omega0", -1.0), ("omega0", math.nan), ("omega0", math.inf),
+        ("drive_at", -1.0), ("drive_at", math.nan),
+    ])
+    def test_bad_argument_is_named_before_any_fork(self, forks, name, value):
+        kw = dict(I=1e4, omega0=1.0, t_total=2e4, dt=20.0, n_traj=4, seed=0, drive_at=1.0)
+        with pytest.raises(DomainError, match=rf"^{name} must be finite"):
+            simulate_ensemble(power5(), **{**kw, name: value})
+        assert not forks
+
+    def test_step_count_must_be_finite(self):
+        with pytest.raises(DomainError, match="not finite"):
+            simulate_ensemble(power5(), I=1.0, omega0=1.0, t_total=1e300, dt=1e-300, n_traj=1)
 
 
 class TestOnePassLaw:
