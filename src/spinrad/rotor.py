@@ -22,7 +22,7 @@ a radiation job (see :mod:`spinrad.radiation`): every new rate of a
 refinement round is then integrated in one lock-step batch.
 
 A Langevin ensemble draws each block's noise beside its step loop, in one
-forked producer per block large enough to repay the fork: every trajectory
+forked producer per block of two or more noise chunks: every trajectory
 draws from its own counter-based Philox stream, so its noise is the same
 whichever process draws it (see :func:`simulate_ensemble`).
 
@@ -60,16 +60,6 @@ ADIABATIC_LIMIT = 0.1
 # NOISE_CHUNK doubles of noise whatever its length
 BLOCK_SIZE = 4096
 NOISE_CHUNK = 256
-
-# A block whose noise spans at least PRODUCER_MIN_CHUNKS chunks and
-# PRODUCER_MIN_NORMALS normals has it drawn by a forked producer while it
-# steps.  The first chunk cannot overlap and a fork costs about 4 ms, so
-# smaller blocks lose: inline against producer, medians in a process holding
-# 80 MB on a 2-vCPU machine, 4096 x 256 steps (one chunk) 160 against 186 ms,
-# 512 x 300 33 against 37 ms, 64 x 1000 27 against 31 ms, 512 x 1500 76
-# against 70 ms and 64 x 10^4 165 against 142 ms
-PRODUCER_MIN_CHUNKS = 4
-PRODUCER_MIN_NORMALS = 2**19
 
 # edge of the square tiles in which a noise chunk is transposed
 _TILE = 64
@@ -414,17 +404,18 @@ def simulate_ensemble(law, I, omega0, *, t_total, dt, n_traj, seed=0, drive_at=N
     BLOCK_SIZE * NOISE_CHUNK and not with the number of steps, and the
     recorded trajectories do not depend on the block or chunk size.
 
-    A block of at least ``PRODUCER_MIN_CHUNKS`` chunks and
-    ``PRODUCER_MIN_NORMALS`` normals forks one producer process that draws
+    A block of two or more chunks forks one producer process that draws
     chunk c + 1 into one of two shared slots while this process steps chunk
-    c; smaller blocks, platforms without ``os.fork``, a process with other
-    Python threads and a failed fork draw inline.  Both ways run one drawing
+    c.  A one-chunk block (nothing to overlap), a process that may run on
+    one CPU only, a process with other Python threads, platforms without
+    ``os.fork`` and a failed fork draw inline.  Both ways run one drawing
     function on the same per-trajectory streams, so every output byte is
     the same.  Every step, law evaluation, guard, error and warning runs in
-    the calling process; the producer's memory counts in the children's
-    resource usage, not in the caller's peak RSS, which does hold the two
-    slots.  A producer that exits early raises :class:`SpinradError` naming
-    the block; on every exit path the producer is killed and reaped.
+    the calling process.  The caller's peak RSS holds the two slots; the
+    producer's generators and draws buffer moved into the child and count
+    in the children's resource usage instead.  A producer that exits early
+    raises :class:`SpinradError` naming the block; on every exit path the
+    producer is killed and reaped.
 
     The torque law is evaluated once per step (``TorqueLaw.moments``).  A
     reflecting boundary keeps W >= 0.  ``drive_at=W0`` applies the constant
@@ -519,29 +510,36 @@ def _draw_noise(seed, start, stop, n_steps, slots):
 
 @contextlib.contextmanager
 def _block_noise(seed, start, stop, n_steps):
-    """The iterator of a block's noise chunks, drawn by a producer where that pays.
+    """The iterator of a block's noise chunks, drawn by a producer where one can overlap.
 
-    A block of at least ``PRODUCER_MIN_CHUNKS`` chunks and
-    ``PRODUCER_MIN_NORMALS`` normals forks one child that runs
-    :func:`_draw_noise` into two slots of a shared anonymous mmap while the
-    caller steps: a byte on one pipe says the next chunk is ready, a byte on
-    the other that the caller is done with the slot the child is to refill.
-    Exiting the context closes the pipes, then kills and reaps the child.
-    Other blocks, a process with other Python threads (fork copies only the
-    calling one), a platform without ``os.fork`` and a failed fork draw in
-    the caller instead, into one slot.
+    A block of two or more chunks, in a process with a spare CPU and no
+    other Python thread (fork copies only the calling one), forks one child
+    that runs :func:`_draw_noise` into two slots of a shared anonymous mmap
+    while the caller steps: a byte on one pipe says the next chunk is ready,
+    a byte on the other that the caller is done with the slot the child is
+    to refill.  Exiting the context closes the pipes, then kills and reaps
+    the child.  Every other block, a platform without ``os.fork`` and a
+    failed fork draw in the caller instead, into one slot.
     """
     nb = stop - start
     n_chunks = -(-n_steps // NOISE_CHUNK)
     pid = None
-    if (n_chunks >= PRODUCER_MIN_CHUNKS and nb * n_steps >= PRODUCER_MIN_NORMALS
-            and hasattr(os, "fork") and threading.active_count() == 1):
+    if (n_chunks >= 2 and hasattr(os, "fork") and threading.active_count() == 1
+            and _spare_cpu()):
         slots = np.frombuffer(mmap.mmap(-1, 2 * NOISE_CHUNK * nb * 8)).reshape(2, NOISE_CHUNK, nb)
         ready_r, ready_w = os.pipe()
         free_r, free_w = os.pipe()
         try:
-            pid = os.fork()
-        except OSError:
+            with warnings.catch_warnings():
+                # Python >= 3.12 warns of a fork beside any other OS thread, and
+                # numpy's BLAS pool is one; the child calls no BLAS, only the
+                # Philox draws and the copies of _draw_noise.  (3.12 and 3.13
+                # drop that warning when filters make it an error: os.fork
+                # still returns the child's pid.)
+                warnings.filterwarnings("ignore", r".*multi-threaded, use of fork\(\)",
+                                        DeprecationWarning)
+                pid = os.fork()
+        except OSError:  # the only error os.fork raises, and then there is no child
             for fd in (ready_r, ready_w, free_r, free_w):
                 os.close(fd)
         if pid == 0:
@@ -565,6 +563,13 @@ def _block_noise(seed, start, stop, n_steps):
         os.close(free_w)
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
+
+
+def _spare_cpu():
+    """Whether this process may run on more than one CPU, so a producer can overlap."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) > 1
+    return (os.cpu_count() or 1) > 1
 
 
 def _produce(chunks, n_chunks, ready_w, free_r):

@@ -6,6 +6,7 @@ import math
 import os
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -137,21 +138,28 @@ def assert_no_child():
         os.waitpid(-1, os.WNOHANG)
 
 
+SPARE_CPU = rotor._spare_cpu
+
+
+def draw_inline(monkeypatch):
+    """From now on every block draws its noise in the caller."""
+    monkeypatch.setattr(rotor, "_spare_cpu", lambda: False)
+
+
 @pytest.fixture
 def inline(monkeypatch):
-    """Every block draws its noise in the caller."""
-    monkeypatch.setattr(rotor, "PRODUCER_MIN_CHUNKS", 2**62)
+    draw_inline(monkeypatch)
 
 
 @pytest.fixture
 def forks(monkeypatch):
-    """Every block forks a noise producer; returns the list of forks made.
+    """Every block of two or more chunks forks a noise producer, whatever CPUs
+    this process may use; returns the list of forks made.
 
     Each fork first checks that no earlier producer is left, so at most one
     is alive at a time.
     """
-    monkeypatch.setattr(rotor, "PRODUCER_MIN_CHUNKS", 0)
-    monkeypatch.setattr(rotor, "PRODUCER_MIN_NORMALS", 0)
+    monkeypatch.setattr(rotor, "_spare_cpu", lambda: True)
     made = []
     fork = os.fork
 
@@ -175,21 +183,19 @@ class TestRNGLedger:
     @pytest.mark.parametrize("n_steps", [805, 50])
     @pytest.mark.parametrize("chunk", [1, 7, rotor.NOISE_CHUNK])
     @pytest.mark.parametrize("block_size", [7, 64, 4096])
-    def test_independent_of_chunk_and_block(self, monkeypatch, inline, n_steps, chunk,
+    def test_independent_of_chunk_and_block(self, monkeypatch, forks, n_steps, chunk,
                                             block_size):
+        # the same digests whether a producer or the caller draws the noise
         monkeypatch.setattr(rotor, "NOISE_CHUNK", chunk)
         monkeypatch.setattr(rotor, "BLOCK_SIZE", block_size)
         assert ledger_digest(n_steps) == LEDGER_DIGESTS[n_steps]
-
-    @pytest.mark.parametrize("n_steps", [805, 50])
-    @pytest.mark.parametrize("chunk", [1, 7, rotor.NOISE_CHUNK])
-    @pytest.mark.parametrize("block_size", [7, 64, 4096])
-    def test_producer_keeps_the_digests(self, monkeypatch, forks, n_steps, chunk, block_size):
-        monkeypatch.setattr(rotor, "NOISE_CHUNK", chunk)
-        monkeypatch.setattr(rotor, "BLOCK_SIZE", block_size)
-        assert ledger_digest(n_steps) == LEDGER_DIGESTS[n_steps]
-        assert len(forks) == -(-64 // block_size)  # one producer per block
+        # one producer per block, unless the noise fits in one chunk
+        n_forks = -(-64 // block_size) if n_steps > chunk else 0
+        assert len(forks) == n_forks
         assert_no_child()
+        draw_inline(monkeypatch)
+        assert ledger_digest(n_steps) == LEDGER_DIGESTS[n_steps]
+        assert len(forks) == n_forks
 
     def test_noise_memory_does_not_grow_with_steps(self, inline):
         # drawn whole, the 64 x 20000 noise array alone would take 10 MB
@@ -203,9 +209,9 @@ class TestRNGLedger:
             tracemalloc.stop()
         assert peak < 2 * 2**20
 
-    def test_producer_slots_hold_two_chunks(self, monkeypatch):
-        # 64 x 20000 steps meet the size rule; tracemalloc sees neither the
-        # producer nor its shared slots, so the slots are counted where mapped
+    def test_producer_slots_hold_two_chunks(self, monkeypatch, forks):
+        # tracemalloc sees neither the producer nor its shared slots, so the
+        # slots are counted where mapped
         sizes = []
         real = rotor.mmap.mmap
 
@@ -216,9 +222,9 @@ class TestRNGLedger:
         monkeypatch.setattr(rotor.mmap, "mmap", recorded)
         kw = dict(I=1e4, omega0=1.0, dt=20.0, n_traj=64, seed=3, drive_at=1.0)
         ens = simulate_ensemble(power5(), t_total=20_000 * 20.0, **kw)
-        assert sizes == [2 * rotor.NOISE_CHUNK * 64 * 8]
+        assert sizes == [2 * rotor.NOISE_CHUNK * 64 * 8] and len(forks) == 1
         assert_no_child()
-        monkeypatch.setattr(rotor, "PRODUCER_MIN_CHUNKS", 2**62)
+        draw_inline(monkeypatch)
         assert np.array_equal(ens.omegas, simulate_ensemble(power5(), t_total=20_000 * 20.0,
                                                             **kw).omegas)
 
@@ -256,7 +262,10 @@ class TestStiffnessGuard:
             simulate_ensemble(law, I=0.1, omega0=1.0, t_total=1.0, dt=0.5, n_traj=2, seed=0)
 
     def test_producer_raises_the_same_and_leaves_no_child(self, monkeypatch, forks):
-        # the guard trips at step 0, before the law ever sees a chunk's noise
+        # the guard trips at step 0, before the law ever sees a chunk's noise;
+        # one-step chunks make the two steps a block the producer draws
+        monkeypatch.setattr(rotor, "NOISE_CHUNK", 1)
+
         def run():
             simulate_ensemble(power5(10.0), I=0.1, omega0=1.0, t_total=1.0, dt=0.5,
                               n_traj=2, seed=0)
@@ -264,7 +273,7 @@ class TestStiffnessGuard:
         on = error_of(run)
         assert forks and on[0] is StepSizeError
         assert_no_child()
-        monkeypatch.setattr(rotor, "PRODUCER_MIN_CHUNKS", 2**62)
+        draw_inline(monkeypatch)
         assert error_of(run) == on
 
     def test_adiabaticity_monitor_warns(self):
@@ -298,6 +307,8 @@ class TestNonFiniteGuard:
 
     @pytest.mark.parametrize("t_total", [100.0, 3.0])
     def test_producer_raises_the_same_and_leaves_no_child(self, monkeypatch, forks, t_total):
+        monkeypatch.setattr(rotor, "NOISE_CHUNK", 1)  # even 3 steps span 3 chunks
+
         def run():
             simulate_ensemble(nan_above_one_and_a_half(), I=1e4, omega0=2.0,
                               t_total=t_total, dt=1.0, n_traj=3, seed=0)
@@ -305,22 +316,43 @@ class TestNonFiniteGuard:
         on = error_of(run)
         assert forks and on[0] is StepSizeError
         assert_no_child()
-        monkeypatch.setattr(rotor, "PRODUCER_MIN_CHUNKS", 2**62)
+        draw_inline(monkeypatch)
         assert error_of(run) == on
 
 
 class TestNoiseProducer:
     KW = dict(I=100.0, omega0=1.0, t_total=20.0, dt=1e-2, n_traj=8, seed=5, drive_at=1.0)
 
-    def test_default_rule_forks_only_large_blocks(self, monkeypatch, forks):
-        monkeypatch.setattr(rotor, "PRODUCER_MIN_CHUNKS", 4)
-        monkeypatch.setattr(rotor, "PRODUCER_MIN_NORMALS", 2**19)
-        # 8 x 2000 steps: 8 chunks but 16,000 normals; 512 x 768: 3 chunks
-        simulate_ensemble(power5(), **self.KW)
-        simulate_ensemble(power5(), **{**self.KW, "t_total": 7.68, "n_traj": 512})
+    def test_forks_only_blocks_of_two_chunks_or_more(self, forks):
+        simulate_ensemble(power5(), **{**self.KW, "t_total": 2.56})  # 256 steps: one chunk
         assert not forks
-        # 512 x 1024 steps: 4 chunks and 2**19 normals
-        simulate_ensemble(power5(), **{**self.KW, "t_total": 10.24, "n_traj": 512})
+        simulate_ensemble(power5(), **{**self.KW, "t_total": 2.57})
+        assert len(forks) == 1
+        assert_no_child()
+
+    def test_one_usable_cpu_draws_inline(self, monkeypatch, forks):
+        monkeypatch.setattr(rotor, "_spare_cpu", SPARE_CPU)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        expect = simulate_ensemble(power5(), **self.KW).omegas
+        assert not forks
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert np.array_equal(simulate_ensemble(power5(), **self.KW).omegas, expect)
+        assert len(forks) == 1
+        assert_no_child()
+
+    def test_fork_warning_is_no_error(self, monkeypatch, forks):
+        # Python >= 3.12 warns when a fork has other OS threads beside it
+        counted = os.fork
+
+        def warning():
+            warnings.warn("This process (pid=1) is multi-threaded, use of fork() may "
+                          "lead to deadlocks in the child.", DeprecationWarning)
+            return counted()
+
+        monkeypatch.setattr(os, "fork", warning)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            simulate_ensemble(power5(), **self.KW)
         assert len(forks) == 1
         assert_no_child()
 
