@@ -41,15 +41,12 @@ from .radiation import (
     integrate_power,
     kirchhoff_power,
     mode_flux,
-    spindown_timescale,
 )
 from .photonstats import (
     EntropyReport,
     counting_distribution,
     cumulant,
     entropy_generation,
-    generating_function,
-    glauber_pn,
     mode_entropy_rate,
     total_mode_entropy,
 )
@@ -70,7 +67,6 @@ from .testbody import (
     tangential_force_3d,
     torque_on_test_2d,
     torque_on_test_3d,
-    translation_2d,
 )
 from .units import UnitSystem, si_conductivity_to_gaussian
 

@@ -20,7 +20,7 @@ Bit-identity rules: the AMOS calls stay numpy ufunc calls on arrays; the
 J and H derivative recurrences divide by the complex argument even when it
 is real (``k / z`` as a complex division rounds differently from a real
 one), the Y recurrence by the real one; the (-1)^m reflection multiplies
-only the nodes of negative order; and the fast path of ``bessel_j`` (no
+only the nodes of negative order; and the fast path of ``_cyl``'s J (no
 real argument: one AMOS call on the whole array) takes empty input and
 gives the same bits as the masked path.
 """
@@ -141,12 +141,6 @@ def _and_deriv(kind, m, z):
         d = _cyl(kind, k - 1, z) - (k / z) * C
     _reflect(m, C, d)
     return C, d
-
-
-def bessel_j(m, z):
-    """Bessel function of the first kind J_m(z), integer m, complex z."""
-    _check(m, z)
-    return _out(_cyl("J", m, _array(z)), z)
 
 
 def bessel_j_and_deriv(m, z):

@@ -35,15 +35,6 @@ def cumulant(N, p):
     return math.factorial(p - 1) * N**p
 
 
-def generating_function(N, eta):
-    """Cumulant generating function F(eta) = -log(1 - eta N)."""
-    if N < 0:
-        raise DomainError("mean flux must be >= 0")
-    if eta * N >= 1.0:
-        raise DomainError(f"eta*N = {eta * N:g} >= 1: moment generating function diverges")
-    return -math.log1p(-eta * N)
-
-
 def counting_distribution(N, n_max):
     """Geometric counting law P(n) = N^n/(N+1)^{n+1} for n = 0..n_max.
 
@@ -63,22 +54,6 @@ def counting_distribution(N, n_max):
     probs = np.exp(n * math.log(q)) / (N + 1.0)
     tail = q ** (n_max + 1)
     return probs, float(tail)
-
-
-def glauber_pn(N, n):
-    """P(n) through the eta-derivative route of the generating function.
-
-    The n-th derivative of exp(F) = (1 - eta N)^{-1} is n! N^n (1-eta N)^{-(n+1)};
-    evaluating at eta = -1 must reproduce the geometric law.
-    """
-    if N < 0:
-        raise DomainError("mean flux must be >= 0")
-    if not 0 <= n <= 30 or int(n) != n:
-        raise DomainError("n must be an integer in [0, 30]")
-    if N == 0.0:
-        return 1.0 if n == 0 else 0.0
-    eta = -1.0
-    return N**n / (1.0 - eta * N) ** (n + 1)
 
 
 def mode_entropy_rate(N):

@@ -463,32 +463,6 @@ def kirchhoff_power(table, T_object, T_env, policy=None):
     return res
 
 
-def spindown_timescale(torque, I, omega0, omega_final=None, epsrel=1e-8):
-    """Deterministic time to coast from omega0 down to omega_final (default omega0/10).
-
-    Integrates dW/dt = -M(W)/I, i.e. tau = I * int_{Wf}^{W0} dW / M(W), with
-    ``torque`` vectorized over W (a :class:`TorqueLaw`'s ``drift``, say).
-    A torque that vanishes anywhere on the range makes the time infinite and
-    raises :class:`DomainError`.
-    """
-    if I <= 0 or omega0 <= 0:
-        raise DomainError("need I > 0 and omega0 > 0")
-    omega_final = omega0 / 10.0 if omega_final is None else omega_final
-    if not 0 < omega_final < omega0:
-        raise DomainError("omega_final must lie in (0, omega0)")
-
-    def integrand(ws):
-        M = torque(ws)
-        bad = M <= 0
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise DomainError(f"torque {M[i]:g} <= 0 at Omega={ws[i]:g}: infinite spindown time")
-        return I / M
-
-    val, _ = adaptive_integral(integrand, omega_final, omega0, epsrel=epsrel)
-    return float(val)
-
-
 def spectral_rows(table, state, policy=None, n_points=400):
     """Rows (omega, m, extra, pol, N, dP_domega) for the spectrum emitter.
 

@@ -103,8 +103,11 @@ def disk_flux(model, R, Omega, omega, m):
 
         1 - |S|^2 = -(8 / pi R) Im[wt J'_m(wt R) conj(J_m(wt R))] / |den|^2,
 
-    which is exactly zero for real wt (lossless media) and keeps full
-    relative precision when |S| is within roundoff of 1.
+    which is exactly zero for real wt (lossless media) and keeps most of its
+    relative precision when |S| is within roundoff of 1: against mpmath it
+    is within about 3e-10 of a flux of 2.5e-11, where 1 - |S|^2 formed
+    from S would be off by about 1e-16/flux.  Nearer corotation the
+    imaginary part is a smaller share of the product, and less is kept.
     """
     w = np.atleast_1d(np.asarray(omega, dtype=float))
     wt, J, Jp, den = _disk_matching(model, R, Omega, w, m)

@@ -50,18 +50,6 @@ class TwoBodyConfig:
             )
 
 
-def translation_2d(n, m, omega, d):
-    """Coefficient H^(1)_{n-m}(omega d) reexpanding an outgoing wave about a shifted origin.
-
-    Convention: H^(1)_m(w r1) e^{i m phi1} = sum_n H^(1)_{n-m}(w d) J_n(w r2) e^{i n phi2}
-    where (r2, phi2) are measured about an origin from which the wave's own
-    origin lies at (+d, 0); convergent for r2 < d.
-    """
-    if d <= 0 or omega <= 0:
-        raise DomainError("need omega > 0 and d > 0")
-    return bessel.hankel(1, n - m, omega * d)
-
-
 def _transfer(source, state, weight, epsrel):
     """sum over the source's |m| = 1 channels of int dw/2pi weight(w, m, N_m(w))."""
     vals = integrate_channels(source, state, weight, 1, m_min=1, epsrel=epsrel)
@@ -115,7 +103,8 @@ def torque_on_test_3d(cfg, Omega, *, small_particle=False, epsrel=1e-10):
     ``small_particle=True`` uses the polarizability form
     (8 hbar c^2 / 9 pi d^2) int w^4 |Im a1(w - Omega)| Im a2(w) dw instead.
     The kernel |h^(1)_0(wd)|^2 is written as (c/wd)^2, which it equals
-    exactly for real arguments.
+    exactly for real arguments.  Both flux factors of a dipole go as
+    w^3 Im a, so the kernel's w^-2 leaves the integrand going as w^4.
     """
     if Omega <= 0:
         return 0.0
@@ -127,7 +116,7 @@ def torque_on_test_3d(cfg, Omega, *, small_particle=False, epsrel=1e-10):
 
     def weight(w, m, N):
         loss = sphere_flux_dipole(cfg.test_model, cfg.test_radius, 0.0, w, 1)
-        return N * (1.0 / (w * cfg.d) ** 2) * loss * w**2
+        return N * (1.0 / (w * cfg.d) ** 2) * loss
 
     # N_1 = |S_11E|^2 - 1 on (0, Omega) at T = 0; (1/8pi) int dw = (1/4) int dw/2pi
     source = SphereTable(cfg.source_model, cfg.source_radius)

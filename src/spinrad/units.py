@@ -66,15 +66,6 @@ class UnitSystem:
     def frequency_si(self, omega):
         return omega / self.time_unit_s
 
-    def time_si(self, t):
-        return t * self.time_unit_s
-
-    def length_si(self, l):
-        return l * C_SI * self.time_unit_s
-
-    def temperature_si(self, T):
-        return T * HBAR_SI / (KB_SI * self.time_unit_s)
-
     def power_si(self, P):
         return P * HBAR_SI / self.time_unit_s**2
 
@@ -87,9 +78,6 @@ class UnitSystem:
     def entropy_rate_si(self, S):
         """Natural entropy rate (k_B = 1) to W/K."""
         return S * KB_SI / self.time_unit_s
-
-    def inertia_si(self, I):
-        return I * HBAR_SI * self.time_unit_s
 
     def angular_momentum_si(self, L):
         return L * HBAR_SI

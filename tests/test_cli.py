@@ -537,7 +537,7 @@ class TestTwoBody:
         assert main(["twobody", "--config", cfg, "--out", str(tmp_path)]) == 0
         payload = json.loads((tmp_path / "twobody.json").read_text())
         pref = (8 / (9 * math.pi * 4.0)) * (3e-9 / (4 * math.pi * 1e3)) ** 2
-        assert payload["M_transfer"] == pytest.approx(pref / 42.0, rel=1e-4)
+        assert payload["M_transfer"] == pytest.approx(pref / 42.0, rel=1e-6)
         assert payload["F_y"] > 0
         sweep = (tmp_path / "twobody_sweep.csv").read_text().splitlines()
         rows = [l for l in sweep if not l.startswith("#")][1:]

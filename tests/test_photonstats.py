@@ -1,4 +1,4 @@
-"""Counting statistics: cumulants, generating function, geometric law, entropy."""
+"""Counting statistics: cumulants, geometric law, entropy."""
 
 import math
 
@@ -16,8 +16,6 @@ from spinrad import (
     counting_distribution,
     cumulant,
     entropy_generation,
-    generating_function,
-    glauber_pn,
     integrate_power,
     mode_entropy_rate,
     total_mode_entropy,
@@ -61,25 +59,6 @@ class TestCumulants:
             assert cumulant(N, p) == pytest.approx(kappa_from_F, rel=1e-8)
 
 
-class TestGeneratingFunction:
-    def test_zero_at_origin(self):
-        assert generating_function(0.7, 0.0) == 0.0
-
-    def test_glauber_point(self):
-        assert generating_function(1.0, -1.0) == pytest.approx(-math.log(2.0), rel=1e-14)
-
-    def test_divergence_guard(self):
-        with pytest.raises(DomainError):
-            generating_function(2.0, 0.5)
-
-    def test_series_partial_sum(self):
-        # F matches sum kappa_p eta^p / p! through order 6
-        N, eta = 0.8, 0.05
-        partial = sum(cumulant(N, p) * eta**p / math.factorial(p) for p in range(1, 7))
-        remainder = cumulant(N, 7) * eta**7 / math.factorial(7)
-        assert abs(generating_function(N, eta) - partial) < 2 * abs(remainder)
-
-
 class TestCountingDistribution:
     def test_silent_mode(self):
         probs, tail = counting_distribution(0.0, 5)
@@ -114,19 +93,10 @@ class TestCountingDistribution:
 class TestGlauberRoute:
     @pytest.mark.parametrize("N", N_GRID)
     def test_consistency_with_direct_law(self, N):
+        # the n-th eta-derivative of exp(F) = (1 - eta N)^-1 over n!, at eta = -1
         probs, _ = counting_distribution(N, 30)
         for n in (0, 1, 2, 5, 17, 30):
-            assert glauber_pn(N, n) == pytest.approx(probs[n], rel=1e-10, abs=1e-300)
-
-    def test_n0_closed_form(self):
-        assert glauber_pn(3.0, 0) == pytest.approx(0.25, rel=1e-14)
-
-    def test_unit_mean_n2(self):
-        assert glauber_pn(1.0, 2) == pytest.approx(1.0 / 8.0, rel=1e-14)
-
-    def test_silent(self):
-        assert glauber_pn(0.0, 0) == 1.0
-        assert glauber_pn(0.0, 3) == 0.0
+            assert N**n / (N + 1) ** (n + 1) == pytest.approx(probs[n], rel=1e-10, abs=1e-300)
 
 
 class TestMonteCarlo:

@@ -25,7 +25,6 @@ from spinrad import (
     fokker_planck_stationary,
     langevin_step,
     simulate_ensemble,
-    spindown_timescale,
     tabulate_torque_law,
     torque_law_from_radiation,
     uncertainty,
@@ -91,11 +90,11 @@ class TestDeterministicLimit:
 
     @pytest.mark.filterwarnings("ignore:adiabaticity")
     def test_consistent_with_spindown_route(self):
-        # the time spindown_timescale predicts to reach W0/2 lands the
-        # drift-only trajectory there (Richardson-extrapolated in dt)
+        # the spindown time I int_{W0/2}^{W0} dW / (c W^5) lands the
+        # drift-only trajectory at W0/2 (Richardson-extrapolated in dt)
         c, I, W0 = 0.5, 2.0, 1.0
         law = drift_only_quintic(c)
-        tau = spindown_timescale(law.drift, I, W0, omega_final=W0 / 2)
+        tau = I / (4 * c) * ((W0 / 2) ** -4 - W0**-4)
         finals = []
         for dt in (tau / 2000, tau / 4000):
             ens = simulate_ensemble(law, I=I, omega0=W0, t_total=tau, dt=dt,
