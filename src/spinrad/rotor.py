@@ -21,10 +21,12 @@ tabulated by :func:`tabulate_torque_law`, whose moment function may return
 a radiation job (see :mod:`spinrad.radiation`): every new rate of a
 refinement round is then integrated in one lock-step batch.
 
-A Langevin ensemble draws each block's noise beside its step loop, in one
-forked producer per block of two or more noise chunks: every trajectory
-draws from its own counter-based Philox stream, so its noise is the same
-whichever process draws it (see :func:`simulate_ensemble`).
+A Langevin ensemble draws its noise on two CPUs where it can: a block of
+two or more noise chunks forks one producer, which draws a share of the
+block's trajectories while the caller steps and draws the rest, the share
+fixed per block from timings of its first chunk.  Every trajectory draws
+from its own counter-based Philox stream, so its noise is the same whichever
+process draws it (see :func:`simulate_ensemble`).
 
 The layer imports no scipy.  The monotone cubic (PCHIP) of tabulated torque
 laws is private numpy code written op for op after scipy 1.17, so that its
@@ -61,7 +63,8 @@ ADIABATIC_LIMIT = 0.1
 BLOCK_SIZE = 4096
 NOISE_CHUNK = 256
 
-# edge of the square tiles in which a noise chunk is transposed
+# trajectories drawn together into a tile buffer, then copied transposed
+# into a noise chunk
 _TILE = 64
 
 # steps between the ensemble's finiteness, stiffness and adiabaticity checks
@@ -404,18 +407,26 @@ def simulate_ensemble(law, I, omega0, *, t_total, dt, n_traj, seed=0, drive_at=N
     BLOCK_SIZE * NOISE_CHUNK and not with the number of steps, and the
     recorded trajectories do not depend on the block or chunk size.
 
-    A block of two or more chunks forks one producer process that draws
-    chunk c + 1 into one of two shared slots while this process steps chunk
-    c.  A one-chunk block (nothing to overlap), a process that may run on
-    one CPU only, a process with other Python threads, platforms without
-    ``os.fork`` and a failed fork draw inline.  Both ways run one drawing
-    function on the same per-trajectory streams, so every output byte is
-    the same.  Every step, law evaluation, guard, error and warning runs in
-    the calling process.  The caller's peak RSS holds the two slots; the
-    producer's generators and draws buffer moved into the child and count
-    in the children's resource usage instead.  A producer that exits early
-    raises :class:`SpinradError` naming the block; on every exit path the
-    producer is killed and reaped.
+    A block of two or more chunks forks one producer process, and both
+    processes draw into two shared slots: chunk c + 1 fills one while this
+    process steps chunk c from the other.  This process draws columns
+    (trajectories) 0..k-1 of chunk c + 1 after it steps chunk c, and of
+    chunk 0 before its first step; the producer draws columns k..nb-1.  Chunks 0 and 1 are split at k = nb // 2; from chunk 2
+    on, k is the share at which the two sides' times per chunk balance,
+    from this process's time for the steps of chunk 0 and the producer's
+    for drawing a column of it (0 where the steps alone take as long as all
+    the draws).  A one-chunk block (nothing to overlap), a process that may
+    run on less than two CPUs (its affinity mask or a cgroup-v2 CPU quota),
+    a process with other Python threads, platforms without ``os.fork`` and
+    a failed fork draw inline.  Every way runs one drawing function on the
+    same per-trajectory streams, so every output byte is the same whatever
+    k.  Every step, law evaluation, guard, error and warning runs in the
+    calling process.  The caller's peak RSS holds the two slots, its k
+    generators (nb // 2 of them for chunks 0 and 1) and one ``_TILE`` x
+    ``NOISE_CHUNK`` tile buffer; the producer's generators count in the
+    children's resource usage.  A producer that exits early raises
+    :class:`SpinradError` naming the block; on every exit path, an
+    interrupt at the fork included, the producer is killed and reaped.
 
     The torque law is evaluated once per step (``TorqueLaw.moments``).  A
     reflecting boundary keeps W >= 0.  ``drive_at=W0`` applies the constant
@@ -485,41 +496,60 @@ def simulate_ensemble(law, I, omega0, *, t_total, dt, n_traj, seed=0, drive_at=N
     return RotorEnsemble(I, dt, seed, drive_at, times, omegas, adiab_max)
 
 
-def _draw_noise(seed, start, stop, n_steps, slots):
-    """Draw the noise of trajectories start..stop-1, one chunk per iteration.
+def _generators(seed, lo, hi, skip=0):
+    """The noise streams of trajectories lo..hi-1, each advanced past ``skip`` normals.
 
-    Chunk c holds steps c*NOISE_CHUNK onward of every trajectory, each drawn
-    from its own Philox(key=(seed, j)) stream by one
-    ``standard_normal(out=row)`` call, then transposed into
-    ``slots[c % len(slots)]`` (row s: step s, every trajectory), which is
-    yielded.  The generators are built on the first iteration.
+    Trajectory j draws from Philox(key=(seed, j)).
     """
-    gens = [
-        np.random.Generator(np.random.Philox(key=np.array([seed, j], dtype=np.uint64)))
-        for j in range(start, stop)
-    ]
-    draws = np.empty((stop - start, NOISE_CHUNK))  # row j: the next steps of trajectory start + j
-    for c, first in enumerate(range(0, n_steps, NOISE_CHUNK)):
-        k = min(NOISE_CHUNK, n_steps - first)
-        for j, gen in enumerate(gens):
-            gen.standard_normal(out=draws[j, :k])
-        slot = slots[c % len(slots)]
-        _transpose_into(slot, draws, k)
+    gens = [np.random.Generator(np.random.Philox(key=np.array([seed, j], dtype=np.uint64)))
+            for j in range(lo, hi)]
+    if skip:
+        for gen in gens:
+            gen.standard_normal(skip)
+    return gens
+
+
+def _draw_noise(gens, slot, col, k, tile):
+    """Draw the next k steps of each stream into slot[:k, col:col + len(gens)].
+
+    Stream i fills column col + i (row s: step s) by one
+    ``standard_normal(out=row)`` call into a row of ``tile`` (``_TILE``
+    rows), and each tile is copied transposed into the slot, so no buffer
+    holds more than one tile of streams.
+    """
+    rows = list(tile[:, :k])
+    for i in range(0, len(gens), _TILE):
+        part = gens[i:i + _TILE]
+        for gen, row in zip(part, rows):
+            gen.standard_normal(out=row)
+        slot[:k, col + i:col + i + len(part)] = tile[:len(part), :k].T
+
+
+def _drawn_inline(seed, start, stop, n_steps):
+    """The block's noise drawn in the caller, one chunk per iteration, into one slot."""
+    gens = _generators(seed, start, stop)
+    slot = np.empty((NOISE_CHUNK, stop - start))
+    tile = np.empty((_TILE, NOISE_CHUNK))
+    for first in range(0, n_steps, NOISE_CHUNK):
+        _draw_noise(gens, slot, 0, min(NOISE_CHUNK, n_steps - first), tile)
         yield slot
 
 
 @contextlib.contextmanager
 def _block_noise(seed, start, stop, n_steps):
-    """The iterator of a block's noise chunks, drawn by a producer where one can overlap.
+    """The iterator of a block's noise chunks, drawn beside a producer where one can overlap.
 
     A block of two or more chunks, in a process with a spare CPU and no
     other Python thread (fork copies only the calling one), forks one child
-    that runs :func:`_draw_noise` into two slots of a shared anonymous mmap
-    while the caller steps: a byte on one pipe says the next chunk is ready,
-    a byte on the other that the caller is done with the slot the child is
-    to refill.  Exiting the context closes the pipes, then kills and reaps
-    the child.  Every other block, a platform without ``os.fork`` and a
-    failed fork draw in the caller instead, into one slot.
+    that draws into two slots of a shared anonymous mmap while the caller
+    steps (:func:`_produce`, :func:`_delivered`): a message on one pipe says
+    the producer's columns of the next chunk are ready, one on the other
+    that the caller is done with the slot the child is to refill, and
+    carries the caller's share of the columns.  SIGINT is blocked from the
+    fork until the kill-and-reap below is in force, so an interrupt cannot
+    leave the child unreaped.  Exiting the context closes the pipes, then
+    kills and reaps the child.  Every other block, a platform without
+    ``os.fork`` and a failed fork draw in the caller instead, into one slot.
     """
     nb = stop - start
     n_chunks = -(-n_steps // NOISE_CHUNK)
@@ -529,6 +559,7 @@ def _block_noise(seed, start, stop, n_steps):
         slots = np.frombuffer(mmap.mmap(-1, 2 * NOISE_CHUNK * nb * 8)).reshape(2, NOISE_CHUNK, nb)
         ready_r, ready_w = os.pipe()
         free_r, free_w = os.pipe()
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
         try:
             with warnings.catch_warnings():
                 # Python >= 3.12 warns of a fork beside any other OS thread, and
@@ -542,22 +573,25 @@ def _block_noise(seed, start, stop, n_steps):
         except OSError:  # the only error os.fork raises, and then there is no child
             for fd in (ready_r, ready_w, free_r, free_w):
                 os.close(fd)
+        finally:
+            if pid is None:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         if pid == 0:
             try:  # the child never returns into the caller
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
                 os.close(ready_r)
                 os.close(free_w)
-                _produce(_draw_noise(seed, start, stop, n_steps, slots), n_chunks,
-                         ready_w, free_r)
+                _produce(seed, start, stop, n_steps, slots, ready_w, free_r)
             finally:
                 os._exit(0)
     if pid is None:
-        yield _draw_noise(seed, start, stop, n_steps, [np.empty((NOISE_CHUNK, nb))])
+        yield _drawn_inline(seed, start, stop, n_steps)
         return
-    os.close(ready_w)
-    os.close(free_r)
     try:
-        yield _delivered(slots, n_chunks, ready_r, free_w,
-                         f"trajectories {start}..{stop - 1}")
+        os.close(ready_w)
+        os.close(free_r)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        yield _delivered(seed, start, stop, n_steps, slots, ready_r, free_w)
     finally:
         os.close(ready_r)
         os.close(free_w)
@@ -566,41 +600,129 @@ def _block_noise(seed, start, stop, n_steps):
 
 
 def _spare_cpu():
-    """Whether this process may run on more than one CPU, so a producer can overlap."""
+    """Whether this process may run on more than one CPU, so a producer can overlap.
+
+    Both its affinity mask and a cgroup-v2 CPU quota (:func:`_cpu_quota`)
+    must allow at least two CPUs.
+    """
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0)) > 1
-    return (os.cpu_count() or 1) > 1
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return cpus > 1 and _cpu_quota() >= 2
 
 
-def _produce(chunks, n_chunks, ready_w, free_r):
-    """The producer's loop: draw each chunk once its slot is free, then say so."""
-    for c in range(n_chunks):
-        if c >= 2 and not os.read(free_r, 1):  # chunk c - 2 is stepped; EOF: the caller left
-            return
-        next(chunks)
-        os.write(ready_w, b"\0")
+def _cpu_quota():
+    """CPUs of time per period the cgroup-v2 ``cpu.max`` files allow this process.
+
+    The cgroup comes from ``/proc/self/cgroup``; a quota set on it or on any
+    ancestor applies, so the least over the path is returned.  A path with
+    no quota ("max"), and a file missing, unreadable or malformed, give inf.
+    """
+    try:
+        line = next(x for x in _read_text("/proc/self/cgroup").splitlines()
+                    if x.startswith("0::"))  # the cgroup-v2 hierarchy
+    except (OSError, StopIteration):
+        return math.inf
+    parts = [p for p in line[3:].split("/") if p]
+    quota = math.inf
+    for n in range(len(parts) + 1):
+        try:
+            limit, period = _read_text("/".join(["/sys/fs/cgroup", *parts[:n], "cpu.max"])).split()
+            quota = min(quota, int(limit) / int(period))
+        except (OSError, ValueError):  # no file, or no quota at this level
+            continue
+    return quota
 
 
-def _delivered(slots, n_chunks, ready_r, free_w, block):
-    """The caller's side: yield each chunk as the producer reports it ready."""
+def _read_text(path):
+    with open(path) as f:
+        return f.read()
+
+
+def _caller_share(nb, step_s, column_s):
+    """How many of a forked block's nb columns the caller draws from chunk 2 on.
+
+    ``step_s`` is the caller's time for the steps of chunk 0, ``column_s``
+    the producer's time for drawing one column of chunk 0.  A column costs
+    about as much on either side, so the caller's step_s + k column_s and
+    the producer's (nb - k) column_s are equal at k = nb / 2 - step_s /
+    (2 column_s): never more than half the block, and 0 where the steps
+    alone take as long as drawing every column.
+    """
+    if step_s >= nb * column_s:
+        return 0
+    return int((nb * column_s - step_s) / (2.0 * column_s))
+
+
+def _produce(seed, start, stop, n_steps, slots, ready_w, free_r):
+    """The producer's loop: draw its columns of each chunk once its slot is free, then say so.
+
+    It draws columns nb // 2.. of chunks 0 and 1.  The message that frees
+    the slot of chunk 2 holds the caller's share k; from chunk 2 on the
+    producer draws columns k.., building the streams it takes over and
+    advancing them past chunks 0 and 1.  Each ready message holds the
+    nanoseconds that the chunk's draws took.
+    """
+    import time
+
+    col = (stop - start) // 2
+    gens = _generators(seed, start + col, stop)
+    tile = np.empty((_TILE, NOISE_CHUNK))
+    for c, first in enumerate(range(0, n_steps, NOISE_CHUNK)):
+        if c >= 2:  # chunk c - 2 is stepped
+            free = os.read(free_r, 8)
+            if not free:  # EOF: the caller left
+                return
+            if c == 2:
+                k = int.from_bytes(free, "little")
+                gens = (_generators(seed, start + k, start + col, 2 * NOISE_CHUNK)
+                        + gens[max(0, k - col):])
+                col = k
+        t0 = time.perf_counter_ns()
+        _draw_noise(gens, slots[c % 2], col, min(NOISE_CHUNK, n_steps - first), tile)
+        os.write(ready_w, (time.perf_counter_ns() - t0).to_bytes(8, "little"))
+
+
+def _delivered(seed, start, stop, n_steps, slots, ready_r, free_w):
+    """The caller's side: draw its columns of each chunk, then yield it once the producer's are ready.
+
+    The caller draws columns 0..nb // 2 - 1 of chunks 0 and 1, the
+    producer the rest.  After stepping chunk 0 the caller fixes its share k
+    of chunks 2.. by :func:`_caller_share`, from its time for those steps
+    and the producer's for drawing one column, and sends k with every
+    message that frees a slot; the streams that change hands at chunk 2 are
+    built by their new owner and advanced past chunks 0 and 1.  The caller
+    draws its columns of chunk c + 1 after it steps chunk c, into the slot
+    the producer is filling with the rest.
+    """
+    import time
+
+    nb = stop - start
+    n_chunks = -(-n_steps // NOISE_CHUNK)
+    k = nb // 2
+    gens = _generators(seed, start, start + k)
+    tile = np.empty((_TILE, NOISE_CHUNK))
     for c in range(n_chunks):
         try:
+            if c == 1 and n_chunks > 2:  # chunk 0 is stepped; `ready` timed its draws
+                share = min(nb, _caller_share(
+                    nb, step_s, int.from_bytes(ready, "little") * 1e-9 / (nb - k)))
             if 1 <= c < n_chunks - 1:  # chunk c - 1 is stepped: its slot takes chunk c + 1
-                os.write(free_w, b"\0")
-            ready = os.read(ready_r, 1)
+                os.write(free_w, share.to_bytes(8, "little"))
+            _draw_noise(gens, slots[c % 2], 0, min(NOISE_CHUNK, n_steps - c * NOISE_CHUNK), tile)
+            if c == 1 and n_chunks > 2:
+                gens = gens[:share] + _generators(seed, start + k, start + share, 2 * NOISE_CHUNK)
+                k = share
+            ready = os.read(ready_r, 8)
         except BrokenPipeError:
             ready = b""
         if not ready:
-            raise SpinradError(f"the noise producer of {block} exited before chunk {c}")
+            raise SpinradError(f"the noise producer of trajectories {start}..{stop - 1} "
+                               f"exited before chunk {c}")
+        t0 = time.perf_counter()
         yield slots[c % 2]
-
-
-def _transpose_into(dst, src, k):
-    """dst[:k] = src[:, :k].T, copied in square tiles that stay in cache."""
-    for i in range(0, src.shape[0], _TILE):
-        for j in range(0, k, _TILE):
-            jj = min(j + _TILE, k)
-            dst[j:jj, i:i + _TILE] = src[i:i + _TILE, j:jj].T
+        step_s = time.perf_counter() - t0
 
 
 def _check_finite(W, step, start):

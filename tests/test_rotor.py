@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import math
 import os
+import signal
 import threading
 import tracemalloc
 import warnings
@@ -123,11 +124,14 @@ def quintic(w):
 # not depend on the platform's math library; both moments share one power
 QUINTIC = TorqueLaw.from_moments(lambda w: (quintic(w),) * 2, lambda w: 5.0 * w * w * w * w)
 
-# SHA-256 of ens.omegas for the ledger runs below, recorded before the noise
-# was streamed in chunks (the whole (block, n_steps) array was drawn at once)
+# SHA-256 of ens.omegas for the ledger runs below, keyed by (n_steps, n_traj).
+# The 64-trajectory ones were recorded before the noise was streamed in chunks
+# (the whole (block, n_steps) array was drawn at once), the 200-trajectory one
+# while the calling process drew every stream
 LEDGER_DIGESTS = {
-    805: "80fe5b7363ef1d74ea3230913f89782e5e5c5b89784a0101380f1d8146d6f52e",
-    50: "3587a3ad950707670a48b9fc692bbf704ed6407b5d085b608fab67aac727ef77",
+    (805, 64): "80fe5b7363ef1d74ea3230913f89782e5e5c5b89784a0101380f1d8146d6f52e",
+    (50, 64): "3587a3ad950707670a48b9fc692bbf704ed6407b5d085b608fab67aac727ef77",
+    (805, 200): "394c37d3ee1299a72bb36c188eea5151e9316f06b1f6c81328acbfff37e9aa3c",
 }
 
 
@@ -171,9 +175,14 @@ def forks(monkeypatch):
     return made
 
 
-def ledger_digest(n_steps):
-    ens = simulate_ensemble(QUINTIC, I=100.0, omega0=1.0, t_total=n_steps * 1e-2,
-                            dt=1e-2, n_traj=64, seed=42, drive_at=1.0)
+def caller_share(monkeypatch, k):
+    """From now on the caller of every forked block draws k(nb) of its nb columns."""
+    monkeypatch.setattr(rotor, "_caller_share", lambda nb, step_s, column_s: k(nb))
+
+
+def ledger_digest(n_steps, n_traj=64, law=QUINTIC):
+    ens = simulate_ensemble(law, I=100.0, omega0=1.0, t_total=n_steps * 1e-2,
+                            dt=1e-2, n_traj=n_traj, seed=42, drive_at=1.0)
     return hashlib.sha256(ens.omegas.tobytes()).hexdigest()
 
 
@@ -187,14 +196,52 @@ class TestRNGLedger:
         # the same digests whether a producer or the caller draws the noise
         monkeypatch.setattr(rotor, "NOISE_CHUNK", chunk)
         monkeypatch.setattr(rotor, "BLOCK_SIZE", block_size)
-        assert ledger_digest(n_steps) == LEDGER_DIGESTS[n_steps]
+        assert ledger_digest(n_steps) == LEDGER_DIGESTS[n_steps, 64]
         # one producer per block, unless the noise fits in one chunk
         n_forks = -(-64 // block_size) if n_steps > chunk else 0
         assert len(forks) == n_forks
         assert_no_child()
         draw_inline(monkeypatch)
-        assert ledger_digest(n_steps) == LEDGER_DIGESTS[n_steps]
+        assert ledger_digest(n_steps) == LEDGER_DIGESTS[n_steps, 64]
         assert len(forks) == n_forks
+
+    # 200 columns are not a whole number of tiles; nb // 2 = 100 columns are
+    # the caller's in chunks 0 and 1, so streams change hands either way
+    @pytest.mark.parametrize("k", [lambda nb: 0, lambda nb: 1, lambda nb: 77,
+                                   lambda nb: nb // 2, lambda nb: nb],
+                             ids=["0", "1", "77", "nb/2", "nb"])
+    def test_independent_of_the_callers_share(self, monkeypatch, forks, k):
+        caller_share(monkeypatch, k)
+        assert ledger_digest(805, 200) == LEDGER_DIGESTS[805, 200]
+        assert len(forks) == 1
+        assert_no_child()
+        draw_inline(monkeypatch)
+        assert ledger_digest(805, 200) == LEDGER_DIGESTS[805, 200]
+        assert len(forks) == 1
+
+    def test_work_counts_independent_of_the_callers_share(self, monkeypatch, forks):
+        def counted(name, fn):
+            def f(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return f
+
+        def counts(k):
+            caller_share(monkeypatch, k)
+            calls.update(dict.fromkeys(calls, 0))
+            law = dataclasses.replace(QUINTIC, drift=counted("drift", QUINTIC.drift),
+                                      drift_derivative_fn=counted("slope",
+                                                                  QUINTIC.drift_derivative))
+            assert ledger_digest(805, 200, law) == LEDGER_DIGESTS[805, 200]
+            return dict(calls)
+
+        calls = dict.fromkeys(["step", "drift", "slope"], 0)
+        monkeypatch.setattr(rotor, "langevin_step", counted("step", langevin_step))
+        # 805 steps; the drive at drive_at, then one guard every 25 steps
+        expect = {"step": 805, "drift": 1 + 33, "slope": 33}
+        assert counts(lambda nb: 0) == counts(lambda nb: nb // 2) == expect
+        assert len(forks) == 2
+        assert_no_child()
 
     def test_noise_memory_does_not_grow_with_steps(self, inline):
         # drawn whole, the 64 x 20000 noise array alone would take 10 MB
@@ -322,12 +369,51 @@ class TestNonFiniteGuard:
 class TestNoiseProducer:
     KW = dict(I=100.0, omega0=1.0, t_total=20.0, dt=1e-2, n_traj=8, seed=5, drive_at=1.0)
 
-    def test_forks_only_blocks_of_two_chunks_or_more(self, forks):
+    def test_forks_only_blocks_of_two_chunks_or_more(self, monkeypatch, forks):
         simulate_ensemble(power5(), **{**self.KW, "t_total": 2.56})  # 256 steps: one chunk
         assert not forks
-        simulate_ensemble(power5(), **{**self.KW, "t_total": 2.57})
+        two = simulate_ensemble(power5(), **{**self.KW, "t_total": 2.57}).omegas
         assert len(forks) == 1
         assert_no_child()
+        # two chunks, split between caller and producer at nb // 2, with no share sent
+        draw_inline(monkeypatch)
+        assert np.array_equal(simulate_ensemble(power5(), **{**self.KW, "t_total": 2.57}).omegas,
+                              two)
+
+    @pytest.mark.parametrize("files, forked", [
+        ({"/sys/fs/cgroup/a/b/cpu.max": "100000 100000\n"}, False),  # a quota of 1 CPU
+        ({"/sys/fs/cgroup/a/cpu.max": "150000 100000\n",  # 1.5 CPUs on an ancestor
+          "/sys/fs/cgroup/a/b/cpu.max": "max 100000\n"}, False),
+        ({"/sys/fs/cgroup/a/b/cpu.max": "200000 100000\n"}, True),
+        ({"/sys/fs/cgroup/a/b/cpu.max": "max 100000\n"}, True),
+        ({"/sys/fs/cgroup/a/b/cpu.max": PermissionError}, True),  # unreadable
+        ({"/proc/self/cgroup": PermissionError}, True),
+        ({"/proc/self/cgroup": "12:cpu,cpuacct:/a/b\n"}, True),  # cgroup v1 only
+    ])
+    def test_cpu_quota_below_two_draws_inline(self, monkeypatch, forks, files, forked):
+        files = {"/proc/self/cgroup": "0::/a/b\n", **files}
+
+        def read_text(path):
+            content = files.get(path, FileNotFoundError)
+            if isinstance(content, type):
+                raise content(path)
+            return content
+
+        monkeypatch.setattr(rotor, "_spare_cpu", SPARE_CPU)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(rotor, "_read_text", read_text)
+        expect = simulate_ensemble(power5(), **self.KW).omegas
+        assert len(forks) == forked
+        assert_no_child()
+        draw_inline(monkeypatch)
+        assert np.array_equal(simulate_ensemble(power5(), **self.KW).omegas, expect)
+
+    def test_callers_share_balances_the_two_sides(self):
+        # the caller's step_s + k column_s against the producer's (nb - k) column_s
+        assert rotor._caller_share(100, 0.0, 1.0) == 50
+        assert rotor._caller_share(100, 40.0, 1.0) == 30
+        assert rotor._caller_share(100, 100.0, 1.0) == 0
+        assert rotor._caller_share(100, 1.0, 0.0) == 0
 
     def test_one_usable_cpu_draws_inline(self, monkeypatch, forks):
         monkeypatch.setattr(rotor, "_spare_cpu", SPARE_CPU)
@@ -375,6 +461,22 @@ class TestNoiseProducer:
         assert len(forks) == 1
         assert_no_child()
 
+    def test_interrupt_at_the_fork_leaves_no_child(self, monkeypatch, forks):
+        # SIGINT right after fork returns, before the caller holds the pid
+        counted = os.fork
+
+        def interrupted():
+            pid = counted()
+            if pid:
+                os.kill(os.getpid(), signal.SIGINT)
+            return pid
+
+        monkeypatch.setattr(os, "fork", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            simulate_ensemble(power5(), **self.KW)
+        assert len(forks) == 1
+        assert_no_child()
+
     def test_other_thread_or_failed_fork_draws_inline(self, monkeypatch, forks):
         expect = simulate_ensemble(power5(), **self.KW).omegas
         assert len(forks) == 1
@@ -398,12 +500,15 @@ class TestNoiseProducer:
     @pytest.mark.parametrize("chunks_made", [0, 2])
     def test_early_exit_names_the_block(self, monkeypatch, forks, chunks_made):
         draw = rotor._draw_noise
+        caller = os.getpid()
+        made = []
 
-        def dying(*args):  # runs in the producer: chunks_made chunks, then exit
-            gen = draw(*args)
-            for _ in range(chunks_made):
-                yield next(gen)
-            os._exit(0)
+        def dying(*args):  # the producer draws chunks_made chunks, then exits
+            if os.getpid() != caller:
+                if len(made) == chunks_made:
+                    os._exit(0)
+                made.append(1)
+            draw(*args)
 
         monkeypatch.setattr(rotor, "_draw_noise", dying)
         with pytest.raises(SpinradError, match=rf"^the noise producer of trajectories 0..7 "
