@@ -398,6 +398,7 @@ def run_stats(args, parser):
             for (m, extra, pol, rate) in report.per_mode
         ],
         "totalEntropyRate": report.total_rate,
+        "entropyQuadratureError": report.quadrature_error,
         "objectEntropyRate": report.object_rate,
         "combinedRate": report.combined_rate,
         "P": radiation.P,

@@ -107,10 +107,17 @@ def entropy_generation(table, state, policy=None):
     Runs :func:`integrate_power`, then integrates mode_entropy_rate over
     exactly the channels its P, M, Q sum used (the block |m| <= m_max and,
     with ``auto_extend``, the shells it grew), each on the support
-    :func:`channel_support` gave its P, M, Q integral.  For a static
-    thermal emitter the object contributes -P/T; for a rotating body at
-    finite temperature the comoving heat gain contributes +Q/T; at T = 0 the
-    object term is left unset and the combined rate equals the field rate.
+    :func:`channel_support` gave its P, M, Q integral.  The entropy stage
+    is graded (:class:`radiation.Stage`) when the table's flux is smooth:
+    N vanishes linearly at corotation at T = 0, and like omega^(2m+1) as
+    omega -> 0, so the N log N of the weight has endpoint singularities
+    that plain bisection can only approach one halving per round.
+    ``quadrature_error`` sums the channels' error estimates.
+
+    For a static thermal emitter the object contributes -P/T; for a
+    rotating body at finite temperature the comoving heat gain contributes
+    +Q/T; at T = 0 the object term is left unset and the combined rate
+    equals the field rate.
 
     The accounting assumes emission into a zero-temperature environment
     (every channel then carries a nonnegative occupation); a thermal
@@ -126,7 +133,7 @@ def entropy_generation(table, state, policy=None):
 
     labels = [(c.m, c.extra, c.pol) for c in rad.per_mode]
     stage = channel_stage(table, state, weight, labels, policy.m_max,
-                          epsrel=max(policy.epsrel, 1e-8))
+                          epsrel=max(policy.epsrel, 1e-8), graded=True)
     per_mode = []
     total = 0.0
     err_total = 0.0

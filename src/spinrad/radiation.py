@@ -196,7 +196,12 @@ class Stage(NamedTuple):
     ``channels`` holds (m, extra, pol, points), points the breakpoints
     :func:`channel_support` gave the channel; ``weight`` maps the node
     array, m and the spectral density on the nodes to the integrand
-    components (nodes on the last axis), all of which share panels.
+    components (nodes on the last axis), all of which share panels.  A
+    ``graded`` stage integrates each segment (lo, hi) in tau in (0, 1),
+    omega = lo + (hi - lo)*tau^2*(3 - 2*tau), with the weight times the
+    Jacobian 6*(hi - lo)*tau*(1 - tau).  The map flattens both ends, so an
+    endpoint singularity of the weight, such as the N log N of the entropy
+    where N vanishes at corotation and as omega -> 0, takes few bisections.
     """
 
     table: object
@@ -204,20 +209,24 @@ class Stage(NamedTuple):
     weight: object
     epsrel: float
     channels: list
+    graded: bool = False
 
 
-def channel_stage(table, state, weight, labels, m_max, epsrel=1e-9):
+def channel_stage(table, state, weight, labels, m_max, epsrel=1e-9, graded=False):
     """The stage of the channels ``labels`` (m, extra, pol) that radiate, cut at m_max.
 
     Every channel takes the support :func:`channel_support` gives it with
     this ``m_max``, so the thermal cutoff is Omega*max(|m|, m_max) + 40T.
+    ``graded`` asks for the graded variable of :class:`Stage`; the stage is
+    graded only when the table's flux is smooth (``table.smooth_flux``),
+    since grading moves a kinked flux's kinks off the bisection points.
     """
     channels = []
     for m, extra, pol in labels:
         points = channel_support(table, state, m, extra, pol, m_max)
         if points:
             channels.append((m, extra, pol, points))
-    return Stage(table, state, weight, epsrel, channels)
+    return Stage(table, state, weight, epsrel, channels, graded and table.smooth_flux)
 
 
 def integrate_stages(stages):
@@ -230,12 +239,16 @@ def integrate_stages(stages):
     temperatures, weight, extra and pol), with one m per node when the
     group holds several channels and one rotation rate per node when it
     holds several rates; each integral keeps its own panels and stopping
-    rule, so its bits are those it has alone.  A stalled integral raises
-    :class:`ConvergenceError` naming its channel, support and rotation
-    rate, or :class:`DomainError` when its support is split at a
-    corotation point omega = Omega*m where the flux does not vanish: there
-    N carries a non-integrable T/(omega - Omega*m) and the integral does
-    not exist.
+    rule, so its bits are those it has alone.  The segments of a graded
+    stage are integrated over tau in (0, 1): the integrand maps their nodes
+    to omega, strictly inside (lo, hi), before :func:`mode_flux` and
+    multiplies their values by the Jacobian; a batch with no graded stage
+    does neither.  A stalled integral raises :class:`ConvergenceError`
+    naming its channel, support (a graded segment in omega, not in tau)
+    and rotation rate, or :class:`DomainError` when its support is split
+    at a corotation point omega = Omega*m where the flux does not vanish:
+    there N carries a non-integrable T/(omega - Omega*m) and the integral
+    does not exist.
     """
     # flux group key (table, T_object, T_env, weight, extra, pol) -> [index, m, state],
     # m and state those its channels share, None when they hold several values
@@ -257,9 +270,19 @@ def integrate_stages(stages):
         return [[] for _ in stages]
     group_of, m_of, omega_of = (np.array(column) for column in zip(
         *[(i, channel[0], stage.state.Omega) for stage, channel, _, _, i in segments]))
+    grading = None  # per segment: graded or not, lo, hi - lo and the omega bounds of its nodes
+    if any(stage.graded for stage, *_ in segments):
+        grading = [np.array(column) for column in zip(
+            *[(stage.graded, lo, hi - lo, np.nextafter(lo, hi), np.nextafter(hi, lo))
+              for stage, _, lo, hi, _ in segments])]
 
     def integrand(x):
         w, k = x
+        if grading is not None:  # a graded node is tau: map it to omega, strictly inside (lo, hi)
+            on, lo, span, floor, ceil = (column[k] for column in grading)
+            t = w
+            w = np.where(on, np.clip(lo + span * (t * t * (3.0 - 2.0 * t)), floor, ceil), t)
+            jacobian = np.where(on, 6.0 * span * (t * (1.0 - t)), 1.0)
         out = None
         for (table, T_object, T_env, weight, extra, pol), (i, m, state) in groups.items():
             sel = slice(None) if len(groups) == 1 else np.flatnonzero(group_of[k] == i)
@@ -274,14 +297,20 @@ def integrate_stages(stages):
             if out is None:
                 out = np.empty(vals.shape[:-1] + w.shape)
             out[..., sel] = vals
+        if grading is not None:
+            out *= jacobian
         return out
 
     try:
         values, errors = adaptive_integral(
-            integrand, [seg[2] for seg in segments], [seg[3] for seg in segments],
+            integrand, [0.0 if seg[0].graded else seg[2] for seg in segments],
+            [1.0 if seg[0].graded else seg[3] for seg in segments],
             epsrel=[seg[0].epsrel for seg in segments])
     except ConvergenceError as exc:
-        stage, (m, extra, pol, points), *_ = segments[exc.index]
+        stage, (m, extra, pol, points), lo, hi, _ = segments[exc.index]
+        reason = str(exc)
+        if stage.graded:  # name the segment in omega, not the (0, 1) of its graded variable
+            reason = reason.replace("(0, 1)", f"({lo:g}, {hi:g}), graded,", 1)
         if len(points) == 3:  # split at corotation: is it a pole of N?
             F = stage.table.flux(points[1], m, extra, pol, stage.state.Omega)
             if abs(F) > 0.0:
@@ -292,7 +321,7 @@ def integrate_stages(stages):
                 ) from exc
         raise ConvergenceError(
             f"channel m={m}, extra={extra}, pol={pol} on support {points} "
-            f"at Omega={stage.state.Omega:g}: {exc}", m=m
+            f"at Omega={stage.state.Omega:g}: {reason}", m=m
         ) from exc
     results = []
     k = 0

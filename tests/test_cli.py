@@ -428,6 +428,16 @@ class TestStats:
     @pytest.mark.parametrize("body", [DISK_CFG.replace("0.3", "0.1"),
                                       SPHERE_CFG + "t_object = 0.5\n"],
                              ids=["disk-T0", "sphere-thermal"])
+    def test_entropy_quadrature_error_is_reported(self, tmp_path, body):
+        cfg = write(tmp_path, body)
+        assert main(["stats", "--config", cfg, "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "stats.json").read_text())
+        err = payload["entropyQuadratureError"]
+        assert math.isfinite(err) and 0.0 <= err <= 1e-8 * payload["totalEntropyRate"]
+
+    @pytest.mark.parametrize("body", [DISK_CFG.replace("0.3", "0.1"),
+                                      SPHERE_CFG + "t_object = 0.5\n"],
+                             ids=["disk-T0", "sphere-thermal"])
     def test_pmq_equal_power_bit_for_bit(self, tmp_path, body):
         cfg = write(tmp_path, body)
         assert main(["stats", "--config", cfg, "--out", str(tmp_path)]) == 0

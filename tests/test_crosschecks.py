@@ -15,6 +15,7 @@ from spinrad import (
     UserTable,
     disk_flux,
     disk_smatrix,
+    entropy_generation,
     integrate_power,
 )
 
@@ -72,6 +73,47 @@ class TestDiskFluxHighPrecision:
         stable = disk_flux(model, R, Omega, omega, m)
         assert abs(stable - ref) < 1e-8 * abs(ref)
         assert abs(naive - ref) > 1e3 * abs(stable - ref)
+
+
+def mp_sphere_entropy(sigma, R, Omega, m, T, top, dps=30):
+    """int_0^top dw/2pi s(N) of the Drude-sphere dipole channel m, in mpmath arithmetic.
+
+    N = [n(w - Omega*m, T) - n(w, 0)] (8w^3/3) Im alpha(w - Omega*m), alpha =
+    R^3 (eps - 1)/(eps + 2), eps = 1 + 4 pi i sigma/w', and s(N) = (N+1) log(N+1)
+    - N log N; at T = 0 only the superradiant window w < Omega*m radiates.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        sigma, R, Omega, T, top = map(mp.mpf, (sigma, R, Omega, T, top))
+
+        def s(w):
+            om_p = w - Omega * m
+            eps = 1 + 4j * mp.pi * sigma / om_p
+            F = 8 * w**3 / 3 * mp.im(R**3 * (eps - 1) / (eps + 2))
+            if T == 0:
+                N = -F if om_p < 0 else 0
+            else:
+                N = F / mp.expm1(om_p / T)
+            return (N + 1) * mp.log1p(N) - N * mp.log(N) if N > 0 else mp.mpf(0)
+
+        cuts = {mp.mpf(0), top} | {x for x in (Omega / 2, Omega, 2 * Omega, 4 * Omega) if x < top}
+        return float(mp.quad(s, sorted(cuts)) / (2 * mp.pi))
+
+
+class TestGradedEntropyAgainstMpmath:
+    # each channel's entropy rate, integrated in the graded variable, against the
+    # closed-form dipole N: at T = 0 on (0, Omega), at T > 0 up to the thermal
+    # cutoff Omega*m_max + 40T of the default policy (m_max = 5)
+    @pytest.mark.parametrize("sigma, R, Omega, T", [
+        (10.0, 0.01, 1.0, 0.0), (1000.0, 1e-3, 1.0, 0.0), (1e4, 0.01, 0.5, 0.0),
+        (1000.0, 1e-3, 1.0, 0.3)])
+    def test_per_mode_entropy_rate(self, sigma, R, Omega, T):
+        rep = entropy_generation(SphereTable(Drude(sigma), R), ThermalState(T, 0.0, Omega))
+        assert [m for m, *_ in rep.per_mode] == ([1] if T == 0 else [-1, 0, 1])
+        for m, _, _, rate in rep.per_mode:
+            ref = mp_sphere_entropy(sigma, R, Omega, m, T, 5 * Omega + 40 * T if T else Omega)
+            assert rate == pytest.approx(ref, rel=1e-10)
 
 
 class TestStaticSphereTorqueCancellation:

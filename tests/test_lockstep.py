@@ -134,14 +134,27 @@ def power_weight(w, m, N):
     return np.array([w * N, m * N])
 
 
+def graded(integrand, lo, hi):
+    """The integrand in tau on (0, 1): omega = lo + (hi - lo)*tau^2*(3 - 2*tau), inside (lo, hi)."""
+    def in_tau(t):
+        w = np.clip(lo + (hi - lo) * (t * t * (3.0 - 2.0 * t)), np.nextafter(lo, hi),
+                    np.nextafter(hi, lo))
+        return integrand(w) * (6.0 * (hi - lo) * (t * (1.0 - t)))
+    return in_tau
+
+
 def alone(stage):
     """Each channel of the stage, each segment its own scalar quadrature, added left to right."""
     out = []
     for m, extra, pol, points in stage.channels:
         def integrand(w):
             return stage.weight(w, m, mode_flux(stage.table, stage.state, w, m, extra, pol)) / TWO_PI
-        parts = [adaptive_integral(integrand, a, b, epsrel=stage.epsrel)
-                 for a, b in zip(points, points[1:])]
+        if stage.graded:
+            parts = [adaptive_integral(graded(integrand, a, b), 0.0, 1.0, epsrel=stage.epsrel)
+                     for a, b in zip(points, points[1:])]
+        else:
+            parts = [adaptive_integral(integrand, a, b, epsrel=stage.epsrel)
+                     for a, b in zip(points, points[1:])]
         total, err = parts[0]
         for val, e in parts[1:]:
             total, err = total + val, err + e
@@ -149,9 +162,9 @@ def alone(stage):
     return out
 
 
-def stage_of(name, state, weight, m_max, epsrel=1e-9):
+def stage_of(name, state, weight, m_max, epsrel=1e-9, graded=False):
     table = TABLES[name]
-    return channel_stage(table, state, weight, table.channels(m_max), m_max, epsrel)
+    return channel_stage(table, state, weight, table.channels(m_max), m_max, epsrel, graded)
 
 
 def test_mixed_batch_equals_each_integral_alone():
@@ -171,6 +184,27 @@ def test_mixed_batch_equals_each_integral_alone():
             assert val.tobytes() == rval.tobytes() and err == rerr
 
 
+def test_graded_and_plain_stages_in_one_batch_each_equal_their_integrals_alone():
+    stages = [stage_of("disk", ThermalState(0.0, 0.0, 1.0), moments_weight, 2, graded=True),
+              stage_of("sphere", ThermalState(0.5, 0.0, 0.7), moments_weight, 1, graded=True),
+              stage_of("disk", ThermalState(0.3, 0.0, 1.2), power_weight, 2),
+              stage_of("user", ThermalState(0.0, 0.0, 1.0), power_weight, 2, graded=True)]
+    assert [stage.graded for stage in stages] == [True, True, False, False]
+    for stage, got in zip(stages, integrate_stages(stages)):
+        ref = alone(stage)
+        assert [c[:3] for c in got] == [c[:3] for c in ref]
+        for (*_, val, err), (*_, rval, rerr) in zip(got, ref):
+            assert val.tobytes() == rval.tobytes() and err == rerr
+
+
+def test_only_a_table_with_a_smooth_flux_is_graded():
+    # linear interpolation between a user table's rows puts kinks in its flux
+    state = ThermalState(0.0, 0.0, 1.0)
+    for name in TABLES:
+        assert stage_of(name, state, power_weight, 1, graded=True).graded == (name != "user")
+        assert not stage_of(name, state, power_weight, 1).graded
+
+
 # (table, T_object): at T > 0 only the tables whose flux vanishes at omega = Omega*m, where
 # n diverges; the exact blocks keep an O(R^4) flux there and the user table has no row there
 STAGE_KINDS = [(name, T) for name in sorted(TABLES) for T in (0.0, 0.3)
@@ -179,13 +213,14 @@ STAGE_KINDS = [(name, T) for name in sorted(TABLES) for T in (0.0, 0.3)
 
 @st.composite
 def stage_batches(draw):
-    """Random stages over TABLES, dealt into 1 to 4 batches."""
+    """Random stages over TABLES, graded or not, dealt into 1 to 4 batches."""
     stages = []
     for _ in range(draw(st.integers(1, 4))):
         name, T = draw(st.sampled_from(STAGE_KINDS))
         weight = draw(st.sampled_from([moments_weight, power_weight]))
         state = ThermalState(T, 0.0, draw(st.floats(0.5, 2.0)))
-        stages.append(stage_of(name, state, weight, draw(st.sampled_from([1, 2]))))
+        stages.append(stage_of(name, state, weight, draw(st.sampled_from([1, 2])),
+                               graded=draw(st.booleans())))
     n = draw(st.integers(1, 4))
     owner = draw(st.lists(st.integers(0, n - 1), min_size=len(stages), max_size=len(stages)))
     return [[s for s, k in zip(stages, owner) if k == b] for b in range(n)]
@@ -284,6 +319,22 @@ def test_stalled_member_of_a_grouped_call_names_its_m_and_leaves_neighbours_alon
     for m in ms:
         if m != bad:
             assert stage.table.seen_by(m) == healthy.table.seen_by(m)
+
+
+def test_graded_nodes_stay_inside_their_segment_and_a_stall_names_it_in_omega():
+    # a weight ~ (Omega*m - omega)^-0.9 drives the graded bisection toward tau -> 1,
+    # where lo + (hi - lo)*tau^2*(3 - 2*tau) rounds onto hi = Omega*m
+    table = Broken(DiskTable(Drude(1.0), 0.1), bad=0)
+    stage = channel_stage(table, ThermalState(0.0, 0.0, 0.7),
+                          lambda w, m, N: np.array([N / (0.7 * m - w) ** 1.9]),
+                          [(1, None, "scalar")], 1, graded=True)
+    with pytest.raises(ConvergenceError, match=r"^channel m=1, extra=None, pol=scalar on "
+                       r"support \[0\.0, 0\.7\] at Omega=0\.7: quadrature on \(0, 0\.7\), "
+                       r"graded, stalled: "):
+        integrate_stages([stage])
+    w = np.concatenate([w for _, w, _ in table.calls])
+    assert 0.0 < w.min() and w.max() < 0.7
+    assert (w == np.nextafter(0.7, 0.0)).any()  # some node rounded onto hi and was kept off it
 
 
 def test_stalled_channel_with_a_corotation_pole_is_a_domain_error():

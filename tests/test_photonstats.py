@@ -13,13 +13,16 @@ from spinrad import (
     MSumPolicy,
     SphereTable,
     ThermalState,
+    UserTable,
     counting_distribution,
     cumulant,
+    disk_smatrix,
     entropy_generation,
     integrate_power,
     mode_entropy_rate,
     total_mode_entropy,
 )
+from spinrad import photonstats, radiation
 
 N_GRID = [1e-6, 1e-2, 0.5, 1.0, 10.0]
 
@@ -204,3 +207,41 @@ class TestEntropyGeneration:
         assert grown.total_rate == pytest.approx(fixed.total_rate, rel=1e-8)
         assert grown.total_rate == pytest.approx(3.9252e-3, rel=1e-4)
         assert max(abs(c.m) for c in grown.radiation.per_mode) == 9
+
+
+class TestEntropyStageWork:
+    """The entropy stage's flux work, counted apart from the P, M, Q job it follows."""
+
+    @staticmethod
+    def entropy_stage_calls(monkeypatch, table, state):
+        rad = integrate_power(table, state)
+        monkeypatch.setattr(photonstats, "integrate_power", lambda *args: rad)
+        calls = []
+        mode_flux = radiation.mode_flux
+
+        def recording(table, state, omega, m, *args):
+            calls.append(np.size(omega))
+            return mode_flux(table, state, omega, m, *args)
+
+        monkeypatch.setattr(radiation, "mode_flux", recording)
+        return entropy_generation(table, state), calls
+
+    def test_graded_disk_entropy_takes_few_rounds(self, monkeypatch):
+        # N vanishes linearly at corotation and like omega^(2m+1) at omega -> 0; plain
+        # bisection took 10 flux calls and 2,205 nodes toward those ends
+        _, calls = self.entropy_stage_calls(monkeypatch, DiskTable(Drude(1.0), 0.1),
+                                            ThermalState(Omega=1.0))
+        assert len(calls) <= 4 and sum(calls) <= 700
+
+    def test_user_table_entropy_stays_on_plain_bisection(self, monkeypatch):
+        # linear S between rows puts kinks in the flux: the stage is not graded, and its
+        # values are those of plain bisection, pinned before grading existed
+        om = np.linspace(1.0 / 32.0, 1.0, 17)
+        table = UserTable({(m, None, "scalar"): (m * om, disk_smatrix(Drude(1.0), 0.1, 1.0,
+                                                                      m * om, m))
+                           for m in (1, 2)})
+        rep, calls = self.entropy_stage_calls(monkeypatch, table, ThermalState(Omega=1.0))
+        assert [repr(rate) for *_, rate in rep.per_mode] == [
+            "7.080372419532004e-05", "1.0943430529372404e-06"]
+        assert (len(calls), sum(calls)) == (9, 1722)
+
