@@ -168,29 +168,20 @@ def stage_of(name, state, weight, m_max, epsrel=1e-9, graded=False):
 
 
 def test_mixed_batch_equals_each_integral_alone():
-    # rates, channels and segments of several tables, weights and tolerances at once
+    # rates, channels and segments of several tables, weights and tolerances at once,
+    # graded and plain
     stages = [stage_of("sphere", ThermalState(0.5, 0.0, W), moments_weight, 2) for W in
               (0.6, 1.3, 2.0)]
     stages += [stage_of("disk", ThermalState(0.0, 0.0, W), moments_weight, 2) for W in (1.0, 1.5)]
     stages += [stage_of("cylinder", ThermalState(0.5, 0.1, 0.9), power_weight, 1, 1e-8),
                stage_of("user", ThermalState(0.0, 0.0, 1.0), power_weight, 2),
-               stage_of("disk", ThermalState(0.3, 0.0, 1.2), power_weight, 2)]
+               stage_of("disk", ThermalState(0.3, 0.0, 1.2), power_weight, 2),
+               stage_of("disk", ThermalState(0.0, 0.0, 1.0), moments_weight, 2, graded=True),
+               stage_of("sphere", ThermalState(0.5, 0.0, 0.7), moments_weight, 1, graded=True)]
     assert any(len(points) == 3 for s in stages for *_, points in s.channels)
+    assert any(s.graded and len(points) == 3 for s in stages for *_, points in s.channels)
     batch = integrate_stages(stages)
     for stage, got in zip(stages, batch):
-        ref = alone(stage)
-        assert [c[:3] for c in got] == [c[:3] for c in ref]
-        for (*_, val, err), (*_, rval, rerr) in zip(got, ref):
-            assert val.tobytes() == rval.tobytes() and err == rerr
-
-
-def test_graded_and_plain_stages_in_one_batch_each_equal_their_integrals_alone():
-    stages = [stage_of("disk", ThermalState(0.0, 0.0, 1.0), moments_weight, 2, graded=True),
-              stage_of("sphere", ThermalState(0.5, 0.0, 0.7), moments_weight, 1, graded=True),
-              stage_of("disk", ThermalState(0.3, 0.0, 1.2), power_weight, 2),
-              stage_of("user", ThermalState(0.0, 0.0, 1.0), power_weight, 2, graded=True)]
-    assert [stage.graded for stage in stages] == [True, True, False, False]
-    for stage, got in zip(stages, integrate_stages(stages)):
         ref = alone(stage)
         assert [c[:3] for c in got] == [c[:3] for c in ref]
         for (*_, val, err), (*_, rval, rerr) in zip(got, ref):
