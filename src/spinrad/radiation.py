@@ -13,12 +13,10 @@ Channel integrals run in stages and jobs.  A :class:`Stage` lists channels
 with their supports; :func:`integrate_stages` integrates every segment of
 every channel of several stages as one lock-step quadrature batch, calling
 :func:`mode_flux` once per round for each table group (table,
-temperatures, weight, extra, pol), with one m per node when the group holds
-several channels and one rotation rate per node when it holds several
-rates.  A job is a generator
-that yields stages, is sent each stage's channel results and returns its
-result: :func:`partial_wave_sum` yields its block stage and then each
-``auto_extend`` shell.  :func:`run_jobs` advances many jobs together, one
+temperatures, weight, extra, pol), with one m and one rotation rate per
+node.  A job is a generator that yields stages, is sent each stage's
+channel results and returns its result: :func:`partial_wave_sum` yields
+its block stage and then each ``auto_extend`` shell.  :func:`run_jobs` advances many jobs together, one
 batch per round, so the torque-law tabulation integrates every new rate
 of a refinement round at once.  Each integral keeps its own panels and
 stopping rule, so the results are those of each integral run alone.
@@ -236,10 +234,8 @@ def integrate_stages(stages):
     error), value = int dw/2pi weight(w, m, N_m(w)) with the segments of
     the support added left to right.  The batch integrand makes one
     :func:`mode_flux` call per round for each table group (same table,
-    temperatures, weight, extra and pol), with one m per node when the
-    group holds several channels and one rotation rate per node when it
-    holds several rates; each integral keeps its own panels and stopping
-    rule, so its bits are those it has alone.  The segments of a graded
+    temperatures, weight, extra and pol), with one m and one rotation rate
+    per node; each integral keeps its own panels and stopping rule, so its bits are those it has alone.  The segments of a graded
     stage are integrated over tau in (0, 1): the integrand maps their nodes
     to omega, strictly inside (lo, hi), before :func:`mode_flux` and
     multiplies their values by the Jacobian; a batch with no graded stage
@@ -250,22 +246,15 @@ def integrate_stages(stages):
     there N carries a non-integrable T/(omega - Omega*m) and the integral
     does not exist.
     """
-    # flux group key (table, T_object, T_env, weight, extra, pol) -> [index, m, state],
-    # m and state those its channels share, None when they hold several values
-    groups = {}
+    groups = {}  # flux group key (table, T_object, T_env, weight, extra, pol) -> index
     segments = []  # (stage, channel, lo, hi, group index), in batch order
     for stage in stages:
         state = stage.state
         for channel in stage.channels:
             m, extra, pol, points = channel
-            group = groups.setdefault(
-                (stage.table, state.T_object, state.T_env, stage.weight, extra, pol),
-                [len(groups), m, state])
-            if group[1] != m:
-                group[1] = None
-            if group[2] != state:  # the key fixes both temperatures: a second rate
-                group[2] = None
-            segments += [(stage, channel, lo, hi, group[0]) for lo, hi in zip(points, points[1:])]
+            i = groups.setdefault(
+                (stage.table, state.T_object, state.T_env, stage.weight, extra, pol), len(groups))
+            segments += [(stage, channel, lo, hi, i) for lo, hi in zip(points, points[1:])]
     if not segments:
         return [[] for _ in stages]
     group_of, m_of, omega_of = (np.array(column) for column in zip(
@@ -284,15 +273,13 @@ def integrate_stages(stages):
             w = np.where(on, np.clip(lo + span * (t * t * (3.0 - 2.0 * t)), floor, ceil), t)
             jacobian = np.where(on, 6.0 * span * (t * (1.0 - t)), 1.0)
         out = None
-        for (table, T_object, T_env, weight, extra, pol), (i, m, state) in groups.items():
+        for (table, T_object, T_env, weight, extra, pol), i in groups.items():
             sel = slice(None) if len(groups) == 1 else np.flatnonzero(group_of[k] == i)
             ws = w[sel]
             if not ws.size:  # every integral of this group has finished
                 continue
-            if m is None:  # one m per node
-                m = m_of[k[sel]]
-            if state is None:  # one rotation rate per node
-                state = ThermalState(T_object, T_env, omega_of[k[sel]])
+            m = m_of[k[sel]]
+            state = ThermalState(T_object, T_env, omega_of[k[sel]])
             vals = weight(ws, m, mode_flux(table, state, ws, m, extra, pol)) / TWO_PI
             if out is None:
                 out = np.empty(vals.shape[:-1] + w.shape)
@@ -508,7 +495,7 @@ def spectral_rows(table, state, policy=None, n_points=400):
     flux = {}  # (m, extra, pol) -> N on the channel's grid
     for extra, pol in dict.fromkeys((extra, pol) for _, extra, pol, _ in channels):
         group = [c for c in channels if c[1:3] == (extra, pol)]
-        m = group[0][0] if len(group) == 1 else np.repeat([c[0] for c in group], n_points)
+        m = np.repeat([c[0] for c in group], n_points)
         N = mode_flux(table, state, np.concatenate([c[3] for c in group]), m, extra, pol)
         flux.update(zip((c[:3] for c in group), np.split(N, len(group))))
     rows = []

@@ -196,6 +196,37 @@ def test_only_a_table_with_a_smooth_flux_is_graded():
         assert not stage_of(name, state, power_weight, 1).graded
 
 
+class Recording(ChannelTable):
+    """A table that records (node count, m, Omega) of every flux call."""
+
+    def __init__(self, inner):
+        self.inner, self.calls = inner, []
+
+    def channels(self, m_max):
+        return self.inner.channels(m_max)
+
+    def omega_domain(self, m, extra, pol):
+        return self.inner.omega_domain(m, extra, pol)
+
+    def flux(self, omega, m, extra, pol, Omega):
+        self.calls.append((np.size(omega), m, Omega))
+        return self.inner.flux(omega, m, extra, pol, Omega)
+
+
+@pytest.mark.parametrize("name, T, m_max", [("sphere", 0.0, 1), ("disk", 0.0, 2),
+                                            ("disk", 0.3, 2), ("user", 0.0, 2)])
+def test_every_stage_flux_call_gets_one_m_and_one_rate_per_node(name, T, m_max):
+    # a single channel at a single rate included: there is no shared-scalar path
+    table = Recording(TABLES[name])
+    stage = channel_stage(table, ThermalState(T, 0.0, 1.1), power_weight,
+                          table.channels(m_max), m_max)
+    integrate_stages([stage])
+    assert table.calls
+    for n, m, Omega in table.calls:
+        assert isinstance(m, np.ndarray) and isinstance(Omega, np.ndarray)
+        assert m.shape == Omega.shape == (n,)
+
+
 # (table, T_object): at T > 0 only the tables whose flux vanishes at omega = Omega*m, where
 # n diverges; the exact blocks keep an O(R^4) flux there and the user table has no row there
 STAGE_KINDS = [(name, T) for name in sorted(TABLES) for T in (0.0, 0.3)
