@@ -43,7 +43,6 @@ class CriterionResult:
     passed: bool
     measured: dict = field(default_factory=dict)
     window: str = ""
-    seconds: float = 0.0
     note: str = ""
 
     def row(self):

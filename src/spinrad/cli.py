@@ -380,10 +380,6 @@ def run_spectrum(args, parser):
 
 def run_stats(args, parser):
     geometry, units, material, body, numerics = _build_scenario(parser)
-    if geometry == "cylinder":
-        # the cylinder's channels are k_z-integrated, and the entropy of a
-        # k_z-integrated N is not the k_z integral of the per-k_z entropy
-        raise ConfigError("stats: per-mode entropy is available for disk, sphere and user-table")
     pn_mean = _get(parser, "stats", "pn_mean", float)
     if pn_mean is not None:  # checked before any work, so a bad key writes no file
         n_max = _get(parser, "stats", "pn_n_max", int, default=50)

@@ -19,6 +19,7 @@ from .radiation import (
     integrate_power,
     integrate_stages,
 )
+from .scattering import CylinderTable
 
 P_MAX = 20
 
@@ -121,8 +122,15 @@ def entropy_generation(table, state, policy=None):
 
     The accounting assumes emission into a zero-temperature environment
     (every channel then carries a nonnegative occupation); a thermal
-    environment makes the net flux sign-indefinite and is rejected.
+    environment makes the net flux sign-indefinite and is rejected.  So is
+    a :class:`CylinderTable`: its channels are k_z-integrated, and the
+    entropy of a k_z-integrated N is not the k_z integral of the per-k_z
+    entropy.
     """
+    if isinstance(table, CylinderTable):
+        raise DomainError("per-mode entropy is available for disk, sphere and user tables: "
+                          "a cylinder's channels are k_z-integrated, and the entropy of a "
+                          "k_z-integrated N is not a per-mode entropy")
     policy = policy or MSumPolicy()
     if state.T_env > 0:
         raise DomainError("entropy accounting needs a zero-temperature environment")

@@ -6,7 +6,10 @@ Its error estimate and stopping rule are those of ``scipy.integrate.quad_vec``
 (max norm over vector components, global error below tol/8, rounding-error
 floor), but each refinement round bisects up to ``BATCH_PANELS`` panels of
 largest error and hands the nodes of all their halves to the integrand in a
-single call.
+single call.  Unlike ``quad_vec``, which evaluates each whole interval first
+and then replaces it by its halves, the engine never evaluates the whole
+interval: the first round bisects it like any other panel.  So the totals,
+the error and the rounding-error floor are sums over the evaluated panels.
 
 One engine serves one integral or a batch of K independent ones, which
 advance in lock-step: each round makes one integrand call and one GK21
@@ -119,30 +122,26 @@ class _Member:
     """One integral of a batch: its panel heap and running totals.
 
     A heap entry is (-error, lo, hi, value), one per panel.  No two panels of
-    an integral share (lo, hi), so the heap never compares values.
+    an integral share (lo, hi), so the heap never compares values.  A member
+    starts with nothing evaluated: its first round bisects the entry
+    (0.0, a, b, 0.0) of the whole interval, which is never evaluated, and
+    since -0.0 + x is x for every x, its total then has the bits of
+    left + right.
     """
 
     __slots__ = ("k", "a", "b", "epsrel", "total", "error", "rounding", "heap", "success")
 
     def __init__(self, k, a, b, epsrel):
         self.k, self.a, self.b, self.epsrel = k, a, b, epsrel
+        self.total, self.error, self.rounding = -0.0, 0.0, 0.0
+        self.heap = []
         self.success = False
-
-    def start(self, vals, errs, rnds, j):
-        """Take the whole panel j and its halves j + 1, j + 2 of the first round."""
-        a, b = self.a, self.b
-        mid = 0.5 * (a + b)
-        self.total = vals[..., j + 1] + vals[..., j + 2]
-        self.error = errs[j + 1] + errs[j + 2]
-        self.rounding = rnds[j] + rnds[j + 1] + rnds[j + 2]
-        self.heap = [(-errs[j + 1], a, mid, vals[..., j + 1]),
-                     (-errs[j + 2], mid, b, vals[..., j + 2])]
-        heapq.heapify(self.heap)
 
     def pop(self, limit):
         """Pop the heap entries of the panels to bisect this round; [] once stopped.
 
-        Bisects the panels of largest error, up to ``BATCH_PANELS`` of them,
+        Bisects the panels of largest error, up to ``BATCH_PANELS`` of them
+        and never more than would take the heap past ``limit`` panels,
         stopping once the popped error would already meet the tolerance.
         """
         error = self.error
@@ -154,11 +153,10 @@ class _Member:
         if error < rounding or not (np.isfinite(error) and np.isfinite(rounding)):
             return []
         heap = self.heap
-        if len(heap) >= limit:
-            return []
+        room = min(BATCH_PANELS, limit - len(heap))  # each bisection adds one panel
         popped = []
         err_sum = 0.0
-        while heap and len(popped) < BATCH_PANELS:
+        while heap and len(popped) < room:
             if popped and err_sum > error - tol / 8:
                 break
             popped.append(heapq.heappop(heap))
@@ -222,24 +220,10 @@ def adaptive_integral(f, a, b, *, epsrel=1e-9, limit=300):
         if not np.isfinite([lo, hi]).all():
             raise DomainError(f"interval ({lo:g}, {hi:g}) at batch position {k} is not finite")
     members = [_Member(k, *args) for k, args in enumerate(zip(a, b, eps))]
-    live = [mb for mb in members if mb.b > mb.a]
 
     shape = None
-    if live:
-        # the first round always bisects each whole interval: evaluate the
-        # whole panel and both halves in one call
-        lo, hi = [], []
-        for mb in live:
-            mid = 0.5 * (mb.a + mb.b)
-            lo += (mb.a, mb.a, mid)
-            hi += (mb.b, mid, mb.b)
-        owner = np.array([mb.k for mb in live]).repeat(3) if batch else None
-        vals, errs, rnds = _gk21(f, np.array(lo), np.array(hi), owner)
-        shape = vals.shape[:-1]
-        for i, mb in enumerate(live):
-            mb.start(vals, errs, rnds, 3 * i)
-
-    running = [(mb, mb.pop(limit)) for mb in live]
+    # round 1 bisects each whole interval, which is never evaluated itself
+    running = [(mb, [(0.0, mb.a, mb.b, 0.0)]) for mb in members if mb.b > mb.a]
     while running := [(mb, popped) for mb, popped in running if popped]:
         plo, phi = np.array([entry[1:3] for _, popped in running for entry in popped]).T
         pmid = 0.5 * (plo + phi)
@@ -258,6 +242,7 @@ def adaptive_integral(f, a, b, *, epsrel=1e-9, limit=300):
             owner = np.array([mb.k for mb, _ in running]).repeat(
                 [2 * len(popped) for _, popped in running])
         vals, errs, rnds = _gk21(f, np.concatenate(lo), np.concatenate(hi), owner)
+        shape = vals.shape[:-1]
         errs_list = errs.tolist()
         mids = pmid.tolist()
         for (mb, popped), o in zip(running, offsets):

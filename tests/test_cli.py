@@ -416,6 +416,15 @@ class TestStats:
         assert payload["columns"][0] == "omega"
         assert len(payload["rows"]) == 4
 
+    def test_cylinder_entropy_is_refused(self, tmp_path, capsys):
+        cfg = write(tmp_path, CYLINDER_CFG + "t_object = 0.5\n")
+        out = tmp_path / "out"
+        assert main(["stats", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: per-mode entropy is available for disk, sphere")
+        assert "k_z-integrated" in err
+        assert not any(out.iterdir())
+
     def test_entropy_report(self, tmp_path):
         cfg = write(tmp_path, SPHERE_CFG)
         assert main(["stats", "--config", cfg, "--out", str(tmp_path)]) == 0

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from spinrad import (
+    CylinderTable,
     DiskTable,
     DomainError,
     Drude,
@@ -159,6 +160,16 @@ class TestEntropy:
 
 
 class TestEntropyGeneration:
+    def test_cylinder_is_refused_before_any_integral(self, monkeypatch):
+        # its channels are k_z-integrated: the entropy of that N is no per-mode entropy
+        def no_work(*args):
+            raise AssertionError("nothing may be integrated")
+
+        monkeypatch.setattr(photonstats, "integrate_power", no_work)
+        with pytest.raises(DomainError, match="k_z-integrated N is not a per-mode entropy"):
+            entropy_generation(CylinderTable(Drude(1000.0), 1e-3, 1.0),
+                               ThermalState(T_object=0.5, Omega=1.0))
+
     def test_lossless_silent(self):
         rep = entropy_generation(
             SphereTable(ConstantEpsilon(4.0), 1e-2), ThermalState(Omega=1.0)
@@ -243,5 +254,6 @@ class TestEntropyStageWork:
         rep, calls = self.entropy_stage_calls(monkeypatch, table, ThermalState(Omega=1.0))
         assert [repr(rate) for *_, rate in rep.per_mode] == [
             "7.080372419532004e-05", "1.0943430529372404e-06"]
-        assert (len(calls), sum(calls)) == (9, 1722)
+        # the first round evaluates each channel's two halves, not its whole support too
+        assert (len(calls), sum(calls)) == (9, 1680)
 

@@ -1,6 +1,7 @@
 """Adaptive Gauss-Kronrod engine: exactness, node placement, shared panels, failures."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -43,6 +44,20 @@ def test_gk21_exact_on_polynomials():
     assert err < 1e-12 * np.max(exact)  # only the rounding floor is left
 
 
+def test_a_degree_19_polynomial_takes_one_call_on_the_two_halves():
+    # 10-point Gauss is exact to degree 19, so the first round meets the tolerance;
+    # it evaluates the two halves only, never the whole interval (63 nodes before)
+    a, b = 0.3, 1.7
+    f = Recorder(lambda w: np.polynomial.polynomial.polyval(w, np.arange(1.0, 21.0)))
+    val, _ = adaptive_integral(f, a, b)
+    assert [w.size for w in f.calls] == [42]
+    nodes = f.calls[0]
+    assert (nodes[:21] < 1.0).all() and (nodes[21:] > 1.0).all() and 1.0 not in nodes
+    exact = math.fsum(b ** (d + 1) - a ** (d + 1) for d in range(20))
+    assert val == pytest.approx(exact, rel=1e-14)
+    assert repr(float(val)) == "98699.9055900126"  # the bits of whole-panel first rounds
+
+
 def test_integrand_never_receives_the_endpoints():
     # 1/sqrt(w) is infinite at w = 0: an endpoint evaluation would poison the sum
     f = Recorder(lambda w: 1.0 / np.sqrt(w))
@@ -75,6 +90,16 @@ def test_linear_identity_holds_to_roundoff_on_thermal_disk():
 def test_subdivision_limit_raises_naming_the_interval():
     with pytest.raises(ConvergenceError, match=r"\(0, 10\)"):
         adaptive_integral(lambda w: np.sin(300 * w) * np.exp(w), 0.0, 10.0, limit=4)
+
+
+@pytest.mark.parametrize("limit", [4, 150, 300])
+def test_a_stall_never_takes_more_panels_than_the_limit(limit):
+    # the integrand needs thousands of panels, and a round may bisect up to
+    # BATCH_PANELS of them: the last round stops at the limit
+    with pytest.raises(ConvergenceError, match=r"\(0, 10\) stalled") as exc:
+        adaptive_integral(lambda w: np.sin(3e4 * w) * np.exp(w), 0.0, 10.0, limit=limit)
+    panels = int(re.search(r"after (\d+) panels", str(exc.value)).group(1))
+    assert panels <= limit
 
 
 def test_non_finite_integrand_raises_instead_of_returning_nan():
@@ -169,6 +194,22 @@ def test_scalar_pair_is_a_batch_of_one():
     assert len(seen) == len(f.calls)
     for (w, k), ref in zip(seen, f.calls):
         assert np.array_equal(w, ref) and not k.any()
+
+
+def test_each_member_starts_on_its_two_halves():
+    a, b, eps, *_ = map(list, zip(*BATCH))
+    seen = []
+    adaptive_integral(batch_integrand(BATCH, seen), a, b, epsrel=eps)
+    w, owner = seen[0]
+    for k, (lo, hi, *_) in enumerate(BATCH):
+        mine = w[owner == k]
+        if hi <= lo:  # empty: no node
+            assert mine.size == 0
+            continue
+        mid = 0.5 * (lo + hi)
+        assert mine.size == 42 and mid not in mine  # the whole panel's centre is never a node
+        assert (lo < mine[:21]).all() and (mine[:21] < mid).all()
+        assert (mid < mine[21:]).all() and (mine[21:] < hi).all()
 
 
 def test_stalled_member_raises_and_its_neighbours_run_as_alone():
