@@ -354,7 +354,7 @@ def test_graded_nodes_stay_inside_their_segment_and_a_stall_names_it_in_omega():
                        r"support \[0\.0, 0\.7\] at Omega=0\.7: quadrature on \(0, 0\.7\), "
                        r"graded, stalled: ") as exc:
         integrate_stages([stage])
-    # the default subdivision limit holds (379 panels when each round checked it only once)
+    # the default subdivision limit holds through the last round
     assert int(re.search(r"after (\d+) panels", str(exc.value)).group(1)) <= 300
     w = np.concatenate([w for _, w, _ in table.calls])
     assert 0.0 < w.min() and w.max() < 0.7

@@ -46,7 +46,7 @@ def test_gk21_exact_on_polynomials():
 
 def test_a_degree_19_polynomial_takes_one_call_on_the_two_halves():
     # 10-point Gauss is exact to degree 19, so the first round meets the tolerance;
-    # it evaluates the two halves only, never the whole interval (63 nodes before)
+    # it evaluates the two halves only, never the whole interval
     a, b = 0.3, 1.7
     f = Recorder(lambda w: np.polynomial.polynomial.polyval(w, np.arange(1.0, 21.0)))
     val, _ = adaptive_integral(f, a, b)
@@ -55,7 +55,7 @@ def test_a_degree_19_polynomial_takes_one_call_on_the_two_halves():
     assert (nodes[:21] < 1.0).all() and (nodes[21:] > 1.0).all() and 1.0 not in nodes
     exact = math.fsum(b ** (d + 1) - a ** (d + 1) for d in range(20))
     assert val == pytest.approx(exact, rel=1e-14)
-    assert repr(float(val)) == "98699.9055900126"  # the bits of whole-panel first rounds
+    assert repr(float(val)) == "98699.9055900126"  # the bits of left half + right half
 
 
 def test_integrand_never_receives_the_endpoints():
