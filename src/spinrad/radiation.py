@@ -16,10 +16,11 @@ every channel of several stages as one lock-step quadrature batch, calling
 temperatures, weight, extra, pol), with one m and one rotation rate per
 node.  A job is a generator that yields stages, is sent each stage's
 channel results and returns its result: :func:`partial_wave_sum` yields
-its block stage and then each ``auto_extend`` shell.  :func:`run_jobs` advances many jobs together, one
-batch per round, so the torque-law tabulation integrates every new rate
-of a refinement round at once.  Each integral keeps its own panels and
-stopping rule, so the results are those of each integral run alone.
+its block stage and then each ``auto_extend`` shell.  :func:`run_jobs`
+advances many jobs together, one batch per round, so the torque-law
+tabulation integrates every new rate of a refinement round at once.  Each
+integral keeps its own panels and stopping rule, so the results are those
+of each integral run alone.
 """
 
 import math
@@ -235,8 +236,9 @@ def integrate_stages(stages):
     the support added left to right.  The batch integrand makes one
     :func:`mode_flux` call per round for each table group (same table,
     temperatures, weight, extra and pol), with one m and one rotation rate
-    per node; each integral keeps its own panels and stopping rule, so its bits are those it has alone.  The segments of a graded
-    stage are integrated over tau in (0, 1): the integrand maps their nodes
+    per node; each integral keeps its own panels and stopping rule, so its
+    bits are those it has alone.  The segments of a graded stage are
+    integrated over tau in (0, 1): the integrand maps their nodes
     to omega, strictly inside (lo, hi), before :func:`mode_flux` and
     multiplies their values by the Jacobian; a batch with no graded stage
     does neither.  A stalled integral raises :class:`ConvergenceError`

@@ -254,6 +254,6 @@ class TestEntropyStageWork:
         rep, calls = self.entropy_stage_calls(monkeypatch, table, ThermalState(Omega=1.0))
         assert [repr(rate) for *_, rate in rep.per_mode] == [
             "7.080372419532004e-05", "1.0943430529372404e-06"]
-        # the first round evaluates each channel's two halves, not its whole support too
+        # 80 panels of 21 nodes; each channel's first round evaluates its two halves
         assert (len(calls), sum(calls)) == (9, 1680)
 
