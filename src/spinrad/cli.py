@@ -466,6 +466,8 @@ def run_rotor(args, parser):
 
     summary = {
         "meta": meta,
+        "dt": ens.dt,
+        "n_steps": int(round(ens.times[-1] / ens.dt)),  # the last record is the last step
         "mean": float(ens.final.mean()),
         "var": float(ens.final.var()),
         "IDeltaOmega_mc": float(I * ens.final.std()),

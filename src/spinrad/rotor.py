@@ -21,12 +21,13 @@ tabulated by :func:`tabulate_torque_law`, whose moment function may return
 a radiation job (see :mod:`spinrad.radiation`): every new rate of a
 refinement round is then integrated in one lock-step batch.
 
-A Langevin ensemble draws its noise on two CPUs where it can: a block of
-two or more noise chunks forks one producer, which draws a share of the
-block's trajectories while the caller steps and draws the rest, the share
-fixed per block from timings of its first chunk.  Every trajectory draws
-from its own counter-based Philox stream, so its noise is the same whichever
-process draws it (see :func:`simulate_ensemble`).
+A Langevin ensemble steps by the simplified weak Euler scheme: each
+increment is +-sqrt(dt), one bit of a counter-based Philox output addressed
+by step and trajectory, drawn in the calling process (see
+:func:`simulate_ensemble`).  Two-point increments give the same weak order
+1 as Gaussian ones, so the ensemble samples the law of W(t) (its mean,
+width and stationary CDF); its trajectories are not strong approximations
+of the SDE's paths.
 
 The layer imports no scipy.  The monotone cubic (PCHIP) of tabulated torque
 laws is private numpy code written op for op after scipy 1.17, so that its
@@ -36,18 +37,14 @@ from one running Simpson rule for such grids and its CDF from the trapezoid
 rule.
 """
 
-import contextlib
 import math
-import mmap
-import os
-import signal
-import threading
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, SpinradError, StepSizeError
+from .errors import ConvergenceError, DomainError, StepSizeError
 from .radiation import MSumPolicy, partial_wave_sum, run_jobs
 from .material import ThermalState
 
@@ -58,14 +55,13 @@ STIFFNESS_LIMIT = 0.1
 ADIABATIC_LIMIT = 0.1
 
 # Langevin trajectories run BLOCK_SIZE at a time and draw their noise
-# NOISE_CHUNK steps at a time, so an ensemble holds 2 * BLOCK_SIZE *
-# NOISE_CHUNK doubles of noise whatever its length
+# NOISE_CHUNK steps at a time, so an ensemble holds BLOCK_SIZE * NOISE_CHUNK
+# doubles of noise whatever its length
 BLOCK_SIZE = 4096
 NOISE_CHUNK = 256
 
-# trajectories drawn together into a tile buffer, then copied transposed
-# into a noise chunk
-_TILE = 64
+# trajectories that share one Philox output (four 64-bit words) per step
+_GROUP = 256
 
 # steps between the ensemble's finiteness, stiffness and adiabaticity checks
 GUARD_EVERY = 25
@@ -353,7 +349,10 @@ def _cumulative_trapezoid(y, x):
 
 
 def langevin_step(omega, law, I, dt, xi, *, drive=0.0):
-    """One Euler-Maruyama update; `xi` are standard normals shaped like omega.
+    """One Euler update; `xi` are unit-variance increments shaped like omega.
+
+    :func:`simulate_ensemble` passes two-point increments +-1 (the weak
+    Euler scheme); a caller passing standard normals gets Euler-Maruyama.
 
     The law is evaluated once per step, for drift and diffusion together.
     The update is omega + drift*dt + noise with drift = -(1/I)(Mbar - drive)
@@ -398,35 +397,19 @@ class RotorEnsemble:
 
 def simulate_ensemble(law, I, omega0, *, t_total, dt, n_traj, seed=0, drive_at=None,
                       n_record=33):
-    """Evolve an ensemble of rotors by Euler-Maruyama.
+    """Evolve an ensemble of rotors by the simplified weak Euler scheme.
 
-    Counter-based RNG: trajectory i draws from Philox(key=(seed, i)), so the
-    ensemble is reproducible under any blocking or scheduling.  Trajectories
-    run in blocks of ``BLOCK_SIZE``; each block draws its noise
+    Each increment xi = +-1 is one bit of a counter-based Philox output
+    (see :func:`_block_noise` for the layout): trajectory j at step n reads
+    its bit from the output of key (seed, 0) at counter (n, j // 256, 0, 0),
+    in the calling process.  The ensemble is therefore reproducible under
+    any blocking or chunking, and prefix-stable: the first k trajectories of
+    an n-trajectory run equal a k-trajectory run.  Two-point increments have
+    the weak order 1 of Gaussian ones, so the ensemble samples the law of
+    W(t); its trajectories are not strong path approximations.
+    Trajectories run in blocks of ``BLOCK_SIZE``; each block draws its noise
     ``NOISE_CHUNK`` steps at a time, so memory scales with
-    BLOCK_SIZE * NOISE_CHUNK and not with the number of steps, and the
-    recorded trajectories do not depend on the block or chunk size.
-
-    A block of two or more chunks forks one producer process, and both
-    processes draw into two shared slots: chunk c + 1 fills one while this
-    process steps chunk c from the other.  This process draws columns
-    (trajectories) 0..k-1 of chunk c + 1 after it steps chunk c, and of
-    chunk 0 before its first step; the producer draws columns k..nb-1.  Chunks 0 and 1 are split at k = nb // 2; from chunk 2
-    on, k is the share at which the two sides' times per chunk balance,
-    from this process's time for the steps of chunk 0 and the producer's
-    for drawing a column of it (0 where the steps alone take as long as all
-    the draws).  A one-chunk block (nothing to overlap), a process that may
-    run on less than two CPUs (its affinity mask or a cgroup-v2 CPU quota),
-    a process with other Python threads, platforms without ``os.fork`` and
-    a failed fork draw inline.  Every way runs one drawing function on the
-    same per-trajectory streams, so every output byte is the same whatever
-    k.  Every step, law evaluation, guard, error and warning runs in the
-    calling process.  The caller's peak RSS holds the two slots, its k
-    generators (nb // 2 of them for chunks 0 and 1) and one ``_TILE`` x
-    ``NOISE_CHUNK`` tile buffer; the producer's generators count in the
-    children's resource usage.  A producer that exits early raises
-    :class:`SpinradError` naming the block; on every exit path, an
-    interrupt at the fork included, the producer is killed and reaped.
+    BLOCK_SIZE * NOISE_CHUNK and not with the number of steps.
 
     The torque law is evaluated once per step (``TorqueLaw.moments``).  A
     reflecting boundary keeps W >= 0.  ``drive_at=W0`` applies the constant
@@ -436,9 +419,15 @@ def simulate_ensemble(law, I, omega0, *, t_total, dt, n_traj, seed=0, drive_at=N
     must stay finite (both checked every ``GUARD_EVERY`` steps, and
     finiteness again at the end).  ``n_record`` (>= 2) counts the recorded
     times, the start and the end included.  I, dt and t_total must be
-    finite and > 0, omega0 and drive_at finite and >= 0
+    finite and > 0, omega0 and drive_at finite and >= 0, n_traj and
+    n_record ints and seed an int in [0, 2**64), bool not among them
     (:class:`DomainError` naming the argument, before any work).
     """
+    for name, value in (("n_traj", n_traj), ("n_record", n_record), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise DomainError(f"{name} must be an int, got {value!r}")
+    if not 0 <= seed < 2**64:
+        raise DomainError(f"seed must lie in [0, 2**64), got {seed}")
     if n_traj < 1:
         raise DomainError(f"n_traj must be >= 1, got {n_traj}")
     if n_record < 2:
@@ -466,25 +455,25 @@ def simulate_ensemble(law, I, omega0, *, t_total, dt, n_traj, seed=0, drive_at=N
         W = np.full(stop - start, float(omega0))
         omegas[start:stop, 0] = W  # rec_idx[0] == 0: the start is always recorded
         rec_pos = 1
-        with _block_noise(seed, start, stop, n_steps) as chunks:
-            for step in range(n_steps):
-                s = step % NOISE_CHUNK
-                if s == 0:
-                    noise = next(chunks)  # row s: step s of the chunk, every trajectory
-                if step % GUARD_EVERY == 0:
-                    _check_finite(W, step, start)
-                    stiff = dt * inv_I * np.max(np.abs(law.drift_derivative(W)))
-                    if stiff >= STIFFNESS_LIMIT:
-                        raise StepSizeError(
-                            f"dt*(1/I)*dMbar/dW = {stiff:.3g} >= {STIFFNESS_LIMIT}")
-                    det = inv_I * np.abs(law.drift(W) - drive)
-                    wsafe = np.maximum(W, 1e-300)
-                    adiab_max = max(adiab_max, float(np.max(det / wsafe**2)))
-                W = langevin_step(W, law, I, dt, noise[s], drive=drive)
-                np.abs(W, out=W)  # reflecting boundary at W = 0
-                if rec_pos < len(rec_idx) and step + 1 == rec_idx[rec_pos]:
-                    omegas[start:stop, rec_pos] = W
-                    rec_pos += 1
+        chunks = _block_noise(seed, start, stop, n_steps)
+        for step in range(n_steps):
+            s = step % NOISE_CHUNK
+            if s == 0:
+                noise = next(chunks)  # row s: step s of the chunk, every trajectory
+            if step % GUARD_EVERY == 0:
+                _check_finite(W, step, start)
+                stiff = dt * inv_I * np.max(np.abs(law.drift_derivative(W)))
+                if stiff >= STIFFNESS_LIMIT:
+                    raise StepSizeError(
+                        f"dt*(1/I)*dMbar/dW = {stiff:.3g} >= {STIFFNESS_LIMIT}")
+                det = inv_I * np.abs(law.drift(W) - drive)
+                wsafe = np.maximum(W, 1e-300)
+                adiab_max = max(adiab_max, float(np.max(det / wsafe**2)))
+            W = langevin_step(W, law, I, dt, noise[s], drive=drive)
+            np.abs(W, out=W)  # reflecting boundary at W = 0
+            if rec_pos < len(rec_idx) and step + 1 == rec_idx[rec_pos]:
+                omegas[start:stop, rec_pos] = W
+                rec_pos += 1
         _check_finite(W, n_steps, start)
 
     if adiab_max > ADIABATIC_LIMIT:
@@ -496,233 +485,30 @@ def simulate_ensemble(law, I, omega0, *, t_total, dt, n_traj, seed=0, drive_at=N
     return RotorEnsemble(I, dt, seed, drive_at, times, omegas, adiab_max)
 
 
-def _generators(seed, lo, hi, skip=0):
-    """The noise streams of trajectories lo..hi-1, each advanced past ``skip`` normals.
-
-    Trajectory j draws from Philox(key=(seed, j)).
-    """
-    gens = [np.random.Generator(np.random.Philox(key=np.array([seed, j], dtype=np.uint64)))
-            for j in range(lo, hi)]
-    if skip:
-        for gen in gens:
-            gen.standard_normal(skip)
-    return gens
-
-
-def _draw_noise(gens, slot, col, k, tile):
-    """Draw the next k steps of each stream into slot[:k, col:col + len(gens)].
-
-    Stream i fills column col + i (row s: step s) by one
-    ``standard_normal(out=row)`` call into a row of ``tile`` (``_TILE``
-    rows), and each tile is copied transposed into the slot, so no buffer
-    holds more than one tile of streams.
-    """
-    rows = list(tile[:, :k])
-    for i in range(0, len(gens), _TILE):
-        part = gens[i:i + _TILE]
-        for gen, row in zip(part, rows):
-            gen.standard_normal(out=row)
-        slot[:k, col + i:col + i + len(part)] = tile[:len(part), :k].T
-
-
-def _drawn_inline(seed, start, stop, n_steps):
-    """The block's noise drawn in the caller, one chunk per iteration, into one slot."""
-    gens = _generators(seed, start, stop)
-    slot = np.empty((NOISE_CHUNK, stop - start))
-    tile = np.empty((_TILE, NOISE_CHUNK))
-    for first in range(0, n_steps, NOISE_CHUNK):
-        _draw_noise(gens, slot, 0, min(NOISE_CHUNK, n_steps - first), tile)
-        yield slot
-
-
-@contextlib.contextmanager
 def _block_noise(seed, start, stop, n_steps):
-    """The iterator of a block's noise chunks, drawn beside a producer where one can overlap.
+    """The noise of trajectories start..stop-1, one chunk of steps per iteration.
 
-    A block of two or more chunks, in a process with a spare CPU and no
-    other Python thread (fork copies only the calling one), forks one child
-    that draws into two slots of a shared anonymous mmap while the caller
-    steps (:func:`_produce`, :func:`_delivered`): a message on one pipe says
-    the producer's columns of the next chunk are ready, one on the other
-    that the caller is done with the slot the child is to refill, and
-    carries the caller's share of the columns.  SIGINT is blocked from the
-    fork until the kill-and-reap below is in force, so an interrupt cannot
-    leave the child unreaped.  Exiting the context closes the pipes, then
-    kills and reaps the child.  Every other block, a platform without
-    ``os.fork`` and a failed fork draw in the caller instead, into one slot.
+    Trajectory j at step n takes bit j % 64 of word (j % 256) // 64 of the
+    four outputs of Philox(key=(seed, 0)) at counter (n, j // 256, 0, 0): +1
+    where it is set, -1 where it is clear.  One generator per group of
+    ``_GROUP`` trajectories that the block touches draws the words of a
+    chunk in one call, and one unpacking of their bytes gives the chunk's
+    bits step-major, so row s of the yielded slot holds step s of the chunk
+    for every trajectory of the block.
     """
-    nb = stop - start
-    n_chunks = -(-n_steps // NOISE_CHUNK)
-    pid = None
-    if (n_chunks >= 2 and hasattr(os, "fork") and threading.active_count() == 1
-            and _spare_cpu()):
-        slots = np.frombuffer(mmap.mmap(-1, 2 * NOISE_CHUNK * nb * 8)).reshape(2, NOISE_CHUNK, nb)
-        ready_r, ready_w = os.pipe()
-        free_r, free_w = os.pipe()
-        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-        try:
-            with warnings.catch_warnings():
-                # Python >= 3.12 warns of a fork beside any other OS thread, and
-                # numpy's BLAS pool is one; the child calls no BLAS, only the
-                # Philox draws and the copies of _draw_noise.  (3.12 and 3.13
-                # drop that warning when filters make it an error: os.fork
-                # still returns the child's pid.)
-                warnings.filterwarnings("ignore", r".*multi-threaded, use of fork\(\)",
-                                        DeprecationWarning)
-                pid = os.fork()
-        except OSError:  # the only error os.fork raises, and then there is no child
-            for fd in (ready_r, ready_w, free_r, free_w):
-                os.close(fd)
-        finally:
-            if pid is None:
-                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        if pid == 0:
-            try:  # the child never returns into the caller
-                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-                os.close(ready_r)
-                os.close(free_w)
-                _produce(seed, start, stop, n_steps, slots, ready_w, free_r)
-            finally:
-                os._exit(0)
-    if pid is None:
-        yield _drawn_inline(seed, start, stop, n_steps)
-        return
-    try:
-        os.close(ready_w)
-        os.close(free_r)
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        yield _delivered(seed, start, stop, n_steps, slots, ready_r, free_w)
-    finally:
-        os.close(ready_r)
-        os.close(free_w)
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-
-
-def _spare_cpu():
-    """Whether this process may run on more than one CPU, so a producer can overlap.
-
-    Both its affinity mask and a cgroup-v2 CPU quota (:func:`_cpu_quota`)
-    must allow at least two CPUs.
-    """
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return cpus > 1 and _cpu_quota() >= 2
-
-
-def _cpu_quota():
-    """CPUs of time per period the cgroup-v2 ``cpu.max`` files allow this process.
-
-    The cgroup comes from ``/proc/self/cgroup``; a quota set on it or on any
-    ancestor applies, so the least over the path is returned.  A path with
-    no quota ("max"), and a file missing, unreadable or malformed, give inf.
-    """
-    try:
-        line = next(x for x in _read_text("/proc/self/cgroup").splitlines()
-                    if x.startswith("0::"))  # the cgroup-v2 hierarchy
-    except (OSError, StopIteration):
-        return math.inf
-    parts = [p for p in line[3:].split("/") if p]
-    quota = math.inf
-    for n in range(len(parts) + 1):
-        try:
-            limit, period = _read_text("/".join(["/sys/fs/cgroup", *parts[:n], "cpu.max"])).split()
-            quota = min(quota, int(limit) / int(period))
-        except (OSError, ValueError):  # no file, or no quota at this level
-            continue
-    return quota
-
-
-def _read_text(path):
-    with open(path) as f:
-        return f.read()
-
-
-def _caller_share(nb, step_s, column_s):
-    """How many of a forked block's nb columns the caller draws from chunk 2 on.
-
-    ``step_s`` is the caller's time for the steps of chunk 0, ``column_s``
-    the producer's time for drawing one column of chunk 0.  A column costs
-    about as much on either side, so the caller's step_s + k column_s and
-    the producer's (nb - k) column_s are equal at k = nb / 2 - step_s /
-    (2 column_s): never more than half the block, and 0 where the steps
-    alone take as long as drawing every column.
-    """
-    if step_s >= nb * column_s:
-        return 0
-    return int((nb * column_s - step_s) / (2.0 * column_s))
-
-
-def _produce(seed, start, stop, n_steps, slots, ready_w, free_r):
-    """The producer's loop: draw its columns of each chunk once its slot is free, then say so.
-
-    It draws columns nb // 2.. of chunks 0 and 1.  The message that frees
-    the slot of chunk 2 holds the caller's share k; from chunk 2 on the
-    producer draws columns k.., building the streams it takes over and
-    advancing them past chunks 0 and 1.  Each ready message holds the
-    nanoseconds that the chunk's draws took.
-    """
-    import time
-
-    col = (stop - start) // 2
-    gens = _generators(seed, start + col, stop)
-    tile = np.empty((_TILE, NOISE_CHUNK))
-    for c, first in enumerate(range(0, n_steps, NOISE_CHUNK)):
-        if c >= 2:  # chunk c - 2 is stepped
-            free = os.read(free_r, 8)
-            if not free:  # EOF: the caller left
-                return
-            if c == 2:
-                k = int.from_bytes(free, "little")
-                gens = (_generators(seed, start + k, start + col, 2 * NOISE_CHUNK)
-                        + gens[max(0, k - col):])
-                col = k
-        t0 = time.perf_counter_ns()
-        _draw_noise(gens, slots[c % 2], col, min(NOISE_CHUNK, n_steps - first), tile)
-        os.write(ready_w, (time.perf_counter_ns() - t0).to_bytes(8, "little"))
-
-
-def _delivered(seed, start, stop, n_steps, slots, ready_r, free_w):
-    """The caller's side: draw its columns of each chunk, then yield it once the producer's are ready.
-
-    The caller draws columns 0..nb // 2 - 1 of chunks 0 and 1, the
-    producer the rest.  After stepping chunk 0 the caller fixes its share k
-    of chunks 2.. by :func:`_caller_share`, from its time for those steps
-    and the producer's for drawing one column, and sends k with every
-    message that frees a slot; the streams that change hands at chunk 2 are
-    built by their new owner and advanced past chunks 0 and 1.  The caller
-    draws its columns of chunk c + 1 after it steps chunk c, into the slot
-    the producer is filling with the rest.
-    """
-    import time
-
-    nb = stop - start
-    n_chunks = -(-n_steps // NOISE_CHUNK)
-    k = nb // 2
-    gens = _generators(seed, start, start + k)
-    tile = np.empty((_TILE, NOISE_CHUNK))
-    for c in range(n_chunks):
-        try:
-            if c == 1 and n_chunks > 2:  # chunk 0 is stepped; `ready` timed its draws
-                share = min(nb, _caller_share(
-                    nb, step_s, int.from_bytes(ready, "little") * 1e-9 / (nb - k)))
-            if 1 <= c < n_chunks - 1:  # chunk c - 1 is stepped: its slot takes chunk c + 1
-                os.write(free_w, share.to_bytes(8, "little"))
-            _draw_noise(gens, slots[c % 2], 0, min(NOISE_CHUNK, n_steps - c * NOISE_CHUNK), tile)
-            if c == 1 and n_chunks > 2:
-                gens = gens[:share] + _generators(seed, start + k, start + share, 2 * NOISE_CHUNK)
-                k = share
-            ready = os.read(ready_r, 8)
-        except BrokenPipeError:
-            ready = b""
-        if not ready:
-            raise SpinradError(f"the noise producer of trajectories {start}..{stop - 1} "
-                               f"exited before chunk {c}")
-        t0 = time.perf_counter()
-        yield slots[c % 2]
-        step_s = time.perf_counter() - t0
+    key = np.array([seed, 0], dtype=np.uint64)
+    gens = [np.random.Philox(key=key, counter=np.array([0, g, 0, 0], dtype=np.uint64))
+            for g in range(start // _GROUP, (stop - 1) // _GROUP + 1)]
+    cols = slice(start % _GROUP, start % _GROUP + stop - start)
+    slot = np.empty((NOISE_CHUNK, stop - start))
+    for first in range(0, n_steps, NOISE_CHUNK):
+        rows = min(NOISE_CHUNK, n_steps - first)
+        words = np.stack([gen.random_raw(4 * rows).reshape(rows, 4) for gen in gens], axis=1)
+        octets = words.astype("<u8", copy=False).view(np.uint8).reshape(rows, -1)
+        bits = np.unpackbits(octets, axis=1, bitorder="little")
+        np.multiply(bits[:, cols], 2.0, out=slot[:rows])
+        slot[:rows] -= 1.0
+        yield slot
 
 
 def _check_finite(W, step, start):

@@ -470,6 +470,9 @@ class TestRotor:
         assert summary["IDeltaOmega_analytic"] == pytest.approx(
             math.sqrt(400.0 / 5.0), rel=1e-6
         )
+        # the default step 0.02/kappa over 30/kappa, kappa = Mbar'(W0)/I = 5/400
+        assert summary["dt"] == 0.02 / (5.0 / 400.0)
+        assert summary["n_steps"] == 1500
         assert summary["IDeltaOmega_mc"] == pytest.approx(
             summary["IDeltaOmega_analytic"], rel=0.15
         )
@@ -531,6 +534,22 @@ class TestRotor:
         summary = json.loads((tmp_path / "rotor.json").read_text())
         assert summary["IDeltaOmega_analytic"] == pytest.approx(math.sqrt(30.0 / 5.0),
                                                                 rel=1e-12)
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_out_of_range_exits_2_and_writes_no_file(self, tmp_path, capsys, seed):
+        out = tmp_path / "out"
+        cfg = write(tmp_path, self.POWERLAW_CFG.format(I=400.0))
+        assert main(["rotor", "--config", cfg, "--out", str(out), "--seed", seed]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "seed" in err
+        assert list(out.iterdir()) == []
+
+    def test_dt_and_n_steps_are_the_configured_ones(self, tmp_path):
+        cfg = write(tmp_path, self.POWERLAW_CFG.format(I=400.0).replace(
+            "n_record = 3\n", "n_record = 3\ndt = 0.5\nt_total = 100.25\n"))
+        assert main(["rotor", "--config", cfg, "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "rotor.json").read_text())
+        assert (summary["dt"], summary["n_steps"]) == (0.5, 200)  # 200.5 steps round to even
 
     def test_stationary_density_fault_writes_no_file(self, tmp_path, capsys, monkeypatch):
         def stalled(*args):

@@ -4,10 +4,8 @@ import dataclasses
 import hashlib
 import math
 import os
-import signal
 import threading
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +17,6 @@ from spinrad import (
     Drude,
     MSumPolicy,
     SphereTable,
-    SpinradError,
     StepSizeError,
     ThermalState,
     TorqueLaw,
@@ -124,14 +121,12 @@ def quintic(w):
 # not depend on the platform's math library; both moments share one power
 QUINTIC = TorqueLaw.from_moments(lambda w: (quintic(w),) * 2, lambda w: 5.0 * w * w * w * w)
 
-# SHA-256 of ens.omegas for the ledger runs below, keyed by (n_steps, n_traj).
-# The 64-trajectory ones were recorded before the noise was streamed in chunks
-# (the whole (block, n_steps) array was drawn at once), the 200-trajectory one
-# while the calling process drew every stream
+# SHA-256 of ens.omegas for the ledger runs below, keyed by (n_steps, n_traj),
+# recorded with the two-point increments read from Philox bits
 LEDGER_DIGESTS = {
-    (805, 64): "80fe5b7363ef1d74ea3230913f89782e5e5c5b89784a0101380f1d8146d6f52e",
-    (50, 64): "3587a3ad950707670a48b9fc692bbf704ed6407b5d085b608fab67aac727ef77",
-    (805, 200): "394c37d3ee1299a72bb36c188eea5151e9316f06b1f6c81328acbfff37e9aa3c",
+    (805, 64): "0f921209ec51c66984047a8786903c3736887afa2b80fd7c6eaaad9ed147af70",
+    (50, 64): "fce4c6b84257f660e3e0d3a2837d0df97632749df205e653ad2a0fb19ec0df11",
+    (805, 200): "06a77c37e4d23d3b739c9047e38889ff1e1a5454309578ead8f2fe042c942620",
 }
 
 
@@ -141,43 +136,13 @@ def assert_no_child():
         os.waitpid(-1, os.WNOHANG)
 
 
-SPARE_CPU = rotor._spare_cpu
-
-
-def draw_inline(monkeypatch):
-    """From now on every block draws its noise in the caller."""
-    monkeypatch.setattr(rotor, "_spare_cpu", lambda: False)
-
-
 @pytest.fixture
-def inline(monkeypatch):
-    draw_inline(monkeypatch)
+def no_fork(monkeypatch):
+    """os.fork raises, so a run that tried to start a process would fail."""
+    def refused():
+        raise AssertionError("os.fork called")
 
-
-@pytest.fixture
-def forks(monkeypatch):
-    """Every block of two or more chunks forks a noise producer, whatever CPUs
-    this process may use; returns the list of forks made.
-
-    Each fork first checks that no earlier producer is left, so at most one
-    is alive at a time.
-    """
-    monkeypatch.setattr(rotor, "_spare_cpu", lambda: True)
-    made = []
-    fork = os.fork
-
-    def counted():
-        assert_no_child()
-        made.append(1)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted)
-    return made
-
-
-def caller_share(monkeypatch, k):
-    """From now on the caller of every forked block draws k(nb) of its nb columns."""
-    monkeypatch.setattr(rotor, "_caller_share", lambda nb, step_s, column_s: k(nb))
+    monkeypatch.setattr(os, "fork", refused)
 
 
 def ledger_digest(n_steps, n_traj=64, law=QUINTIC):
@@ -186,64 +151,72 @@ def ledger_digest(n_steps, n_traj=64, law=QUINTIC):
     return hashlib.sha256(ens.omegas.tobytes()).hexdigest()
 
 
+def bit_noise(seed, n, j):
+    """The increment of trajectory j at step n, from its Philox output alone."""
+    gen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64),
+                           counter=np.array([n, j // 256, 0, 0], dtype=np.uint64))
+    word = int(gen.random_raw(4)[(j % 256) // 64])
+    return 2.0 * ((word >> (j % 64)) & 1) - 1.0
+
+
 class TestRNGLedger:
     # 805 steps span three default chunks plus a remainder; 50 is shorter than one
     @pytest.mark.parametrize("n_steps", [805, 50])
     @pytest.mark.parametrize("chunk", [1, 7, rotor.NOISE_CHUNK])
     @pytest.mark.parametrize("block_size", [7, 64, 4096])
-    def test_independent_of_chunk_and_block(self, monkeypatch, forks, n_steps, chunk,
-                                            block_size):
-        # the same digests whether a producer or the caller draws the noise
+    def test_independent_of_chunk_and_block(self, monkeypatch, n_steps, chunk, block_size):
         monkeypatch.setattr(rotor, "NOISE_CHUNK", chunk)
         monkeypatch.setattr(rotor, "BLOCK_SIZE", block_size)
         assert ledger_digest(n_steps) == LEDGER_DIGESTS[n_steps, 64]
-        # one producer per block, unless the noise fits in one chunk
-        n_forks = -(-64 // block_size) if n_steps > chunk else 0
-        assert len(forks) == n_forks
-        assert_no_child()
-        draw_inline(monkeypatch)
-        assert ledger_digest(n_steps) == LEDGER_DIGESTS[n_steps, 64]
-        assert len(forks) == n_forks
+        if n_steps == 805:  # 200 trajectories span a Philox group boundary
+            assert ledger_digest(n_steps, 200) == LEDGER_DIGESTS[n_steps, 200]
 
-    # 200 columns are not a whole number of tiles; nb // 2 = 100 columns are
-    # the caller's in chunks 0 and 1, so streams change hands either way
-    @pytest.mark.parametrize("k", [lambda nb: 0, lambda nb: 1, lambda nb: 77,
-                                   lambda nb: nb // 2, lambda nb: nb],
-                             ids=["0", "1", "77", "nb/2", "nb"])
-    def test_independent_of_the_callers_share(self, monkeypatch, forks, k):
-        caller_share(monkeypatch, k)
-        assert ledger_digest(805, 200) == LEDGER_DIGESTS[805, 200]
-        assert len(forks) == 1
-        assert_no_child()
-        draw_inline(monkeypatch)
-        assert ledger_digest(805, 200) == LEDGER_DIGESTS[805, 200]
-        assert len(forks) == 1
+    def test_noise_follows_the_philox_layout(self, monkeypatch):
+        # blocks of 7 start off the 256-trajectory group boundary, and 300
+        # trajectories span two groups; 300 steps span two chunks
+        monkeypatch.setattr(rotor, "BLOCK_SIZE", 7)
+        rows = []
 
-    def test_work_counts_independent_of_the_callers_share(self, monkeypatch, forks):
+        def recorded(omega, law, I, dt, xi, **kw):
+            rows.append(xi.copy())
+            return langevin_step(omega, law, I, dt, xi, **kw)
+
+        monkeypatch.setattr(rotor, "langevin_step", recorded)
+        n_steps, n_traj, seed = 300, 300, 9
+        simulate_ensemble(QUINTIC, I=100.0, omega0=1.0, t_total=n_steps * 1e-2, dt=1e-2,
+                          n_traj=n_traj, seed=seed, drive_at=1.0)
+        # block b's steps are calls b * n_steps .. (b + 1) * n_steps - 1
+        noise = np.vstack([np.concatenate(rows[n::n_steps]) for n in range(n_steps)])
+        assert noise.shape == (n_steps, n_traj)
+        for n in (0, 1, 6, 255, 256, 299):
+            for j in (0, 1, 6, 7, 63, 64, 130, 191, 192, 254, 255, 256, 257, 263, 299):
+                assert noise[n, j] == bit_noise(seed, n, j), (n, j)
+        assert set(np.unique(noise)) == {-1.0, 1.0}
+
+    def test_prefix_stable(self):
+        # the first k trajectories of an n-trajectory run equal a k-trajectory run
+        wide = simulate_ensemble(QUINTIC, I=100.0, omega0=1.0, t_total=3.0, dt=1e-2,
+                                 n_traj=200, seed=42, drive_at=1.0)
+        narrow = simulate_ensemble(QUINTIC, I=100.0, omega0=1.0, t_total=3.0, dt=1e-2,
+                                   n_traj=64, seed=42, drive_at=1.0)
+        assert np.array_equal(wide.omegas[:64], narrow.omegas)
+
+    def test_work_counts(self, monkeypatch):
         def counted(name, fn):
             def f(*args, **kwargs):
                 calls[name] += 1
                 return fn(*args, **kwargs)
             return f
 
-        def counts(k):
-            caller_share(monkeypatch, k)
-            calls.update(dict.fromkeys(calls, 0))
-            law = dataclasses.replace(QUINTIC, drift=counted("drift", QUINTIC.drift),
-                                      drift_derivative_fn=counted("slope",
-                                                                  QUINTIC.drift_derivative))
-            assert ledger_digest(805, 200, law) == LEDGER_DIGESTS[805, 200]
-            return dict(calls)
-
         calls = dict.fromkeys(["step", "drift", "slope"], 0)
         monkeypatch.setattr(rotor, "langevin_step", counted("step", langevin_step))
+        law = dataclasses.replace(QUINTIC, drift=counted("drift", QUINTIC.drift),
+                                  drift_derivative_fn=counted("slope", QUINTIC.drift_derivative))
+        assert ledger_digest(805, 200, law) == LEDGER_DIGESTS[805, 200]
         # 805 steps; the drive at drive_at, then one guard every 25 steps
-        expect = {"step": 805, "drift": 1 + 33, "slope": 33}
-        assert counts(lambda nb: 0) == counts(lambda nb: nb // 2) == expect
-        assert len(forks) == 2
-        assert_no_child()
+        assert calls == {"step": 805, "drift": 1 + 33, "slope": 33}
 
-    def test_noise_memory_does_not_grow_with_steps(self, inline):
+    def test_noise_memory_does_not_grow_with_steps(self):
         # drawn whole, the 64 x 20000 noise array alone would take 10 MB
         kw = dict(I=1e4, omega0=1.0, dt=20.0, n_traj=64, seed=3, drive_at=1.0)
         simulate_ensemble(power5(), t_total=20.0, **kw)  # first-call set-up off the books
@@ -254,25 +227,6 @@ class TestRNGLedger:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
-
-    def test_producer_slots_hold_two_chunks(self, monkeypatch, forks):
-        # tracemalloc sees neither the producer nor its shared slots, so the
-        # slots are counted where mapped
-        sizes = []
-        real = rotor.mmap.mmap
-
-        def recorded(fileno, length):
-            sizes.append(length)
-            return real(fileno, length)
-
-        monkeypatch.setattr(rotor.mmap, "mmap", recorded)
-        kw = dict(I=1e4, omega0=1.0, dt=20.0, n_traj=64, seed=3, drive_at=1.0)
-        ens = simulate_ensemble(power5(), t_total=20_000 * 20.0, **kw)
-        assert sizes == [2 * rotor.NOISE_CHUNK * 64 * 8] and len(forks) == 1
-        assert_no_child()
-        draw_inline(monkeypatch)
-        assert np.array_equal(ens.omegas, simulate_ensemble(power5(), t_total=20_000 * 20.0,
-                                                            **kw).omegas)
 
     def test_reproducible_and_blocking_independent(self, monkeypatch):
         law = power5()
@@ -294,33 +248,11 @@ class TestRNGLedger:
         assert not np.array_equal(a.omegas, b.omegas)
 
 
-def error_of(run):
-    """The (type, message) of the SpinradError that run() raises."""
-    with pytest.raises(SpinradError) as exc:
-        run()
-    return type(exc.value), str(exc.value)
-
-
 class TestStiffnessGuard:
     def test_raises_on_oversized_step(self):
         law = power5(10.0)
         with pytest.raises(StepSizeError):
             simulate_ensemble(law, I=0.1, omega0=1.0, t_total=1.0, dt=0.5, n_traj=2, seed=0)
-
-    def test_producer_raises_the_same_and_leaves_no_child(self, monkeypatch, forks):
-        # the guard trips at step 0, before the law ever sees a chunk's noise;
-        # one-step chunks make the two steps a block the producer draws
-        monkeypatch.setattr(rotor, "NOISE_CHUNK", 1)
-
-        def run():
-            simulate_ensemble(power5(10.0), I=0.1, omega0=1.0, t_total=1.0, dt=0.5,
-                              n_traj=2, seed=0)
-
-        on = error_of(run)
-        assert forks and on[0] is StepSizeError
-        assert_no_child()
-        draw_inline(monkeypatch)
-        assert error_of(run) == on
 
     def test_adiabaticity_monitor_warns(self):
         # a fast free decay violates |dW/dt| << W^2 and must say so
@@ -351,170 +283,54 @@ class TestNonFiniteGuard:
             simulate_ensemble(law, I=1e4, omega0=2.0, t_total=3.0, dt=1.0, n_traj=2,
                               seed=0)
 
-    @pytest.mark.parametrize("t_total", [100.0, 3.0])
-    def test_producer_raises_the_same_and_leaves_no_child(self, monkeypatch, forks, t_total):
-        monkeypatch.setattr(rotor, "NOISE_CHUNK", 1)  # even 3 steps span 3 chunks
-
-        def run():
-            simulate_ensemble(nan_above_one_and_a_half(), I=1e4, omega0=2.0,
-                              t_total=t_total, dt=1.0, n_traj=3, seed=0)
-
-        on = error_of(run)
-        assert forks and on[0] is StepSizeError
-        assert_no_child()
-        draw_inline(monkeypatch)
-        assert error_of(run) == on
-
 
 class TestNoiseProducer:
-    KW = dict(I=100.0, omega0=1.0, t_total=20.0, dt=1e-2, n_traj=8, seed=5, drive_at=1.0)
+    """The noise is drawn in the calling process, whatever its CPUs or threads."""
 
-    def test_forks_only_blocks_of_two_chunks_or_more(self, monkeypatch, forks):
-        simulate_ensemble(power5(), **{**self.KW, "t_total": 2.56})  # 256 steps: one chunk
-        assert not forks
-        two = simulate_ensemble(power5(), **{**self.KW, "t_total": 2.57}).omegas
-        assert len(forks) == 1
-        assert_no_child()
-        # two chunks, split between caller and producer at nb // 2, with no share sent
-        draw_inline(monkeypatch)
-        assert np.array_equal(simulate_ensemble(power5(), **{**self.KW, "t_total": 2.57}).omegas,
-                              two)
+    KW = dict(I=100.0, omega0=1.0, t_total=6.0, dt=1e-2, n_traj=8, seed=5, drive_at=1.0)
 
-    @pytest.mark.parametrize("files, forked", [
-        ({"/sys/fs/cgroup/a/b/cpu.max": "100000 100000\n"}, False),  # a quota of 1 CPU
-        ({"/sys/fs/cgroup/a/cpu.max": "150000 100000\n",  # 1.5 CPUs on an ancestor
-          "/sys/fs/cgroup/a/b/cpu.max": "max 100000\n"}, False),
-        ({"/sys/fs/cgroup/a/b/cpu.max": "200000 100000\n"}, True),
-        ({"/sys/fs/cgroup/a/b/cpu.max": "max 100000\n"}, True),
-        ({"/sys/fs/cgroup/a/b/cpu.max": PermissionError}, True),  # unreadable
-        ({"/proc/self/cgroup": PermissionError}, True),
-        ({"/proc/self/cgroup": "12:cpu,cpuacct:/a/b\n"}, True),  # cgroup v1 only
-    ])
-    def test_cpu_quota_below_two_draws_inline(self, monkeypatch, forks, files, forked):
-        files = {"/proc/self/cgroup": "0::/a/b\n", **files}
-
-        def read_text(path):
-            content = files.get(path, FileNotFoundError)
-            if isinstance(content, type):
-                raise content(path)
-            return content
-
-        monkeypatch.setattr(rotor, "_spare_cpu", SPARE_CPU)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        monkeypatch.setattr(rotor, "_read_text", read_text)
-        expect = simulate_ensemble(power5(), **self.KW).omegas
-        assert len(forks) == forked
-        assert_no_child()
-        draw_inline(monkeypatch)
-        assert np.array_equal(simulate_ensemble(power5(), **self.KW).omegas, expect)
-
-    def test_callers_share_balances_the_two_sides(self):
-        # the caller's step_s + k column_s against the producer's (nb - k) column_s
-        assert rotor._caller_share(100, 0.0, 1.0) == 50
-        assert rotor._caller_share(100, 40.0, 1.0) == 30
-        assert rotor._caller_share(100, 100.0, 1.0) == 0
-        assert rotor._caller_share(100, 1.0, 0.0) == 0
-
-    def test_one_usable_cpu_draws_inline(self, monkeypatch, forks):
-        monkeypatch.setattr(rotor, "_spare_cpu", SPARE_CPU)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        expect = simulate_ensemble(power5(), **self.KW).omegas
-        assert not forks
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        assert np.array_equal(simulate_ensemble(power5(), **self.KW).omegas, expect)
-        assert len(forks) == 1
-        assert_no_child()
-
-    def test_fork_warning_is_no_error(self, monkeypatch, forks):
-        # Python >= 3.12 warns when a fork has other OS threads beside it
-        counted = os.fork
-
-        def warning():
-            warnings.warn("This process (pid=1) is multi-threaded, use of fork() may "
-                          "lead to deadlocks in the child.", DeprecationWarning)
-            return counted()
-
-        monkeypatch.setattr(os, "fork", warning)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            simulate_ensemble(power5(), **self.KW)
-        assert len(forks) == 1
-        assert_no_child()
-
-    def test_normal_run_leaves_no_child(self, forks):
+    def test_normal_run_leaves_no_child(self, monkeypatch, no_fork):
+        # three chunks in each of two blocks
+        monkeypatch.setattr(rotor, "BLOCK_SIZE", 5)
         simulate_ensemble(power5(), **self.KW)
-        assert len(forks) == 1
         assert_no_child()
 
-    def test_interrupt_partway_leaves_no_child(self, forks):
+    def test_interrupt_partway_leaves_no_child(self, no_fork):
         calls = []
 
         def moments(w):
             calls.append(1)
-            if len(calls) == 600:  # in the third chunk of 256 steps
+            if len(calls) == 550:  # in the third chunk of 256 steps
                 raise KeyboardInterrupt
             return np.power(w, 5), np.power(w, 5)
 
         law = TorqueLaw.from_moments(moments, lambda w: 5.0 * np.power(w, 4))
         with pytest.raises(KeyboardInterrupt):
             simulate_ensemble(law, **self.KW)
-        assert len(forks) == 1
         assert_no_child()
 
-    def test_interrupt_at_the_fork_leaves_no_child(self, monkeypatch, forks):
-        # SIGINT right after fork returns, before the caller holds the pid
-        counted = os.fork
-
-        def interrupted():
-            pid = counted()
-            if pid:
-                os.kill(os.getpid(), signal.SIGINT)
-            return pid
-
-        monkeypatch.setattr(os, "fork", interrupted)
-        with pytest.raises(KeyboardInterrupt):
-            simulate_ensemble(power5(), **self.KW)
-        assert len(forks) == 1
-        assert_no_child()
-
-    def test_other_thread_or_failed_fork_draws_inline(self, monkeypatch, forks):
+    def test_other_thread_or_failed_fork_draws_inline(self, no_fork):
         expect = simulate_ensemble(power5(), **self.KW).omegas
-        assert len(forks) == 1
         release = threading.Event()
         waiter = threading.Thread(target=release.wait, args=(60,))
         waiter.start()
-        try:  # fork would copy only this thread
+        try:
             assert np.array_equal(simulate_ensemble(power5(), **self.KW).omegas, expect)
         finally:
             release.set()
             waiter.join(60)
-        assert not waiter.is_alive() and len(forks) == 1
+        assert not waiter.is_alive()
 
-        def refused():
-            raise OSError("fork refused")
-
-        monkeypatch.setattr(os, "fork", refused)
-        assert np.array_equal(simulate_ensemble(power5(), **self.KW).omegas, expect)
-        assert_no_child()
-
-    @pytest.mark.parametrize("chunks_made", [0, 2])
-    def test_early_exit_names_the_block(self, monkeypatch, forks, chunks_made):
-        draw = rotor._draw_noise
-        caller = os.getpid()
-        made = []
-
-        def dying(*args):  # the producer draws chunks_made chunks, then exits
-            if os.getpid() != caller:
-                if len(made) == chunks_made:
-                    os._exit(0)
-                made.append(1)
-            draw(*args)
-
-        monkeypatch.setattr(rotor, "_draw_noise", dying)
-        with pytest.raises(SpinradError, match=rf"^the noise producer of trajectories 0..7 "
-                                               rf"exited before chunk {chunks_made}$"):
-            simulate_ensemble(power5(), **self.KW)
-        assert_no_child()
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+    def test_one_usable_cpu_draws_inline(self):
+        expect = simulate_ensemble(power5(), **self.KW).omegas
+        cpus = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {min(cpus)})
+        try:
+            got = simulate_ensemble(power5(), **self.KW).omegas
+        finally:
+            os.sched_setaffinity(0, cpus)
+        assert np.array_equal(got, expect)
 
 
 class TestEnsembleInputs:
@@ -525,11 +341,29 @@ class TestEnsembleInputs:
         ("omega0", -1.0), ("omega0", math.nan), ("omega0", math.inf),
         ("drive_at", -1.0), ("drive_at", math.nan),
     ])
-    def test_bad_argument_is_named_before_any_fork(self, forks, name, value):
+    def test_bad_argument_is_named_before_any_fork(self, no_fork, name, value):
         kw = dict(I=1e4, omega0=1.0, t_total=2e4, dt=20.0, n_traj=4, seed=0, drive_at=1.0)
         with pytest.raises(DomainError, match=rf"^{name} must be finite"):
             simulate_ensemble(power5(), **{**kw, name: value})
-        assert not forks
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("seed", -1, "lie in"), ("seed", 2**64, "lie in"), ("seed", 1.5, "be an int"),
+        ("seed", True, "be an int"), ("n_traj", 2.5, "be an int"),
+        ("n_traj", True, "be an int"), ("n_record", 3.5, "be an int"),
+    ])
+    def test_seed_and_counts_are_ints_named_before_any_work(self, name, value, message):
+        def refuse(w):
+            raise AssertionError("the law was evaluated")
+
+        law = TorqueLaw.from_moments(refuse, refuse)
+        kw = dict(I=1e4, omega0=1.0, t_total=2e4, dt=20.0, n_traj=4, seed=0, drive_at=1.0)
+        with pytest.raises(DomainError, match=rf"^{name} must {message}"):
+            simulate_ensemble(law, **{**kw, name: value})
+
+    def test_largest_seed_runs(self):
+        ens = simulate_ensemble(power5(), I=100.0, omega0=1.0, t_total=0.1, dt=1e-2,
+                                n_traj=3, seed=2**64 - 1)
+        assert np.isfinite(ens.omegas).all()
 
     def test_step_count_must_be_finite(self):
         with pytest.raises(DomainError, match="not finite"):
