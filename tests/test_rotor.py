@@ -17,6 +17,7 @@ from spinrad import (
     Drude,
     MSumPolicy,
     SphereTable,
+    SpinradError,
     StepSizeError,
     ThermalState,
     TorqueLaw,
@@ -248,11 +249,32 @@ class TestRNGLedger:
         assert not np.array_equal(a.omegas, b.omegas)
 
 
+def error_of(run):
+    """The (type, message) of the SpinradError that run() raises."""
+    with pytest.raises(SpinradError) as exc:
+        run()
+    return type(exc.value), str(exc.value)
+
+
 class TestStiffnessGuard:
     def test_raises_on_oversized_step(self):
         law = power5(10.0)
         with pytest.raises(StepSizeError):
             simulate_ensemble(law, I=0.1, omega0=1.0, t_total=1.0, dt=0.5, n_traj=2, seed=0)
+
+    def test_producer_raises_the_same_and_leaves_no_child(self, monkeypatch, no_fork):
+        # the guard trips at step 0, before the law ever sees a chunk's noise;
+        # one-step chunks make the two steps a block of two chunks, whose
+        # noise is drawn in this process like that of a one-chunk block
+        def run():
+            simulate_ensemble(power5(10.0), I=0.1, omega0=1.0, t_total=1.0, dt=0.5,
+                              n_traj=2, seed=0)
+
+        one_chunk = error_of(run)
+        assert one_chunk[0] is StepSizeError
+        monkeypatch.setattr(rotor, "NOISE_CHUNK", 1)
+        assert error_of(run) == one_chunk
+        assert_no_child()
 
     def test_adiabaticity_monitor_warns(self):
         # a fast free decay violates |dW/dt| << W^2 and must say so
@@ -282,6 +304,19 @@ class TestNonFiniteGuard:
         with pytest.raises(StepSizeError, match="after step 3 "):
             simulate_ensemble(law, I=1e4, omega0=2.0, t_total=3.0, dt=1.0, n_traj=2,
                               seed=0)
+
+    @pytest.mark.parametrize("t_total", [100.0, 3.0])
+    def test_producer_raises_the_same_and_leaves_no_child(self, monkeypatch, no_fork,
+                                                          t_total):
+        def run():
+            simulate_ensemble(nan_above_one_and_a_half(), I=1e4, omega0=2.0,
+                              t_total=t_total, dt=1.0, n_traj=3, seed=0)
+
+        whole = error_of(run)
+        assert whole[0] is StepSizeError
+        monkeypatch.setattr(rotor, "NOISE_CHUNK", 1)  # even 3 steps span 3 chunks
+        assert error_of(run) == whole
+        assert_no_child()
 
 
 class TestNoiseProducer:
