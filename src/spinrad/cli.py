@@ -45,6 +45,7 @@ from .photonstats import counting_distribution, entropy_generation
 from .radiation import MSumPolicy, integrate_power, spectral_rows
 from .rotor import (
     TorqueLaw,
+    check_ensemble_counts,
     fokker_planck_stationary,
     simulate_ensemble,
     torque_law_from_radiation,
@@ -420,6 +421,8 @@ def run_rotor(args, parser):
     if body["inertia"] is None:
         raise ConfigError("[body] inertia: required for the rotor scenario")
     Omega0, I = body["omega"], body["inertia"]
+    # the ensemble's own rule, applied before the law and the density are built
+    check_ensemble_counts(numerics["n_traj"], numerics["n_record"], args.seed)
     law_kind = _get(parser, "rotor", "law", str, default="radiation").lower()
     if law_kind == "powerlaw":
         coeff = _get(parser, "rotor", "coeff", float, required=True)

@@ -92,16 +92,26 @@ class TorqueLaw:
 
     @classmethod
     def power_law(cls, coeff, exponent):
-        """Mbar = Mbar2 = coeff * W^exponent."""
+        """Mbar = Mbar2 = coeff * W^exponent.
+
+        A whole exponent n >= 1 takes W^n (and the slope's W^(n-1)) by
+        :func:`_whole_power`, in IEEE products only, so its bits are the same
+        on every CPU; any other exponent takes ``np.power``, whose bits follow
+        the SIMD loop numpy dispatches to.  Mbar and Mbar2 are one array.
+        """
         if coeff < 0:
             raise DomainError("torque-law coefficient must be >= 0")
+        if exponent >= 1 and float(exponent).is_integer():
+            n = int(exponent)
+            power = lambda w, k: _whole_power(w, n - k)
+        else:
+            power = lambda w, k: np.power(w, exponent - k)
 
-        def moments(w):  # one power of W serves both
-            p = np.power(w, exponent)
-            return coeff * p, coeff * p
+        def moments(w):  # one product serves both
+            m = coeff * power(w, 0)
+            return m, m
 
-        return cls.from_moments(moments,
-                                lambda w: coeff * exponent * np.power(w, exponent - 1))
+        return cls.from_moments(moments, lambda w: coeff * exponent * power(w, 1))
 
     def moments(self, w):
         """(Mbar(W), Mbar2(W)) in one evaluation."""
@@ -110,6 +120,26 @@ class TorqueLaw:
     def drift_derivative(self, w):
         """dMbar/dW."""
         return self.drift_derivative_fn(w)
+
+
+def _whole_power(w, n):
+    """W^n for a whole n >= 0 by square-and-multiply over the bits of n.
+
+    W^5 = W*(W^2)^2 and W^4 = (W^2)^2.  Every step is one IEEE product,
+    correctly rounded on any CPU, so the bits do not depend on the SIMD loop
+    numpy dispatches ``np.power`` to.  A scalar W gives the bits of its entry
+    in an array.
+    """
+    w = np.asarray(w, dtype=float)
+    if n < 2:
+        return w if n else np.ones_like(w)
+    p = w * w  # a new array (a float for 0-d W), so the products below may overwrite it
+    for i, bit in enumerate(bin(n)[3:]):  # the bits below the leading one, high to low
+        if i:
+            p *= p
+        if bit == "1":
+            p *= w
+    return p
 
 
 def torque_law_from_radiation(table, state, omega_range, rtol=1e-6, policy=None):
@@ -419,19 +449,11 @@ def simulate_ensemble(law, I, omega0, *, t_total, dt, n_traj, seed=0, drive_at=N
     must stay finite (both checked every ``GUARD_EVERY`` steps, and
     finiteness again at the end).  ``n_record`` (>= 2) counts the recorded
     times, the start and the end included.  I, dt and t_total must be
-    finite and > 0, omega0 and drive_at finite and >= 0, n_traj and
-    n_record ints and seed an int in [0, 2**64), bool not among them
+    finite and > 0, omega0 and drive_at finite and >= 0, and n_traj,
+    n_record and seed as :func:`check_ensemble_counts` requires
     (:class:`DomainError` naming the argument, before any work).
     """
-    for name, value in (("n_traj", n_traj), ("n_record", n_record), ("seed", seed)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise DomainError(f"{name} must be an int, got {value!r}")
-    if not 0 <= seed < 2**64:
-        raise DomainError(f"seed must lie in [0, 2**64), got {seed}")
-    if n_traj < 1:
-        raise DomainError(f"n_traj must be >= 1, got {n_traj}")
-    if n_record < 2:
-        raise DomainError(f"n_record must be >= 2, got {n_record}")
+    check_ensemble_counts(n_traj, n_record, seed)
     for name, value in (("I", I), ("dt", dt), ("t_total", t_total)):
         if not (math.isfinite(value) and value > 0):
             raise DomainError(f"{name} must be finite and > 0, got {value}")
@@ -485,6 +507,23 @@ def simulate_ensemble(law, I, omega0, *, t_total, dt, n_traj, seed=0, drive_at=N
     return RotorEnsemble(I, dt, seed, drive_at, times, omegas, adiab_max)
 
 
+def check_ensemble_counts(n_traj, n_record, seed):
+    """Raise :class:`DomainError` unless n_traj >= 1, n_record >= 2 and seed in [0, 2**64).
+
+    All three must be ints, bool not among them.  :func:`simulate_ensemble`
+    applies this rule, and a caller can apply it before building the law.
+    """
+    for name, value in (("n_traj", n_traj), ("n_record", n_record), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise DomainError(f"{name} must be an int, got {value!r}")
+    if not 0 <= seed < 2**64:
+        raise DomainError(f"seed must lie in [0, 2**64), got {seed}")
+    if n_traj < 1:
+        raise DomainError(f"n_traj must be >= 1, got {n_traj}")
+    if n_record < 2:
+        raise DomainError(f"n_record must be >= 2, got {n_record}")
+
+
 def _block_noise(seed, start, stop, n_steps):
     """The noise of trajectories start..stop-1, one chunk of steps per iteration.
 
@@ -494,7 +533,9 @@ def _block_noise(seed, start, stop, n_steps):
     ``_GROUP`` trajectories that the block touches draws the words of a
     chunk in one call, and one unpacking of their bytes gives the chunk's
     bits step-major, so row s of the yielded slot holds step s of the chunk
-    for every trajectory of the block.
+    for every trajectory of the block.  Each bit b becomes 2b - 1 in place in
+    its own byte (as int8), and one copy converts the chunk into the float
+    slot: exactly the +-1.0 of 2.0*b - 1.0, in one pass over the slot, not two.
     """
     key = np.array([seed, 0], dtype=np.uint64)
     gens = [np.random.Philox(key=key, counter=np.array([0, g, 0, 0], dtype=np.uint64))
@@ -505,9 +546,10 @@ def _block_noise(seed, start, stop, n_steps):
         rows = min(NOISE_CHUNK, n_steps - first)
         words = np.stack([gen.random_raw(4 * rows).reshape(rows, 4) for gen in gens], axis=1)
         octets = words.astype("<u8", copy=False).view(np.uint8).reshape(rows, -1)
-        bits = np.unpackbits(octets, axis=1, bitorder="little")
-        np.multiply(bits[:, cols], 2.0, out=slot[:rows])
-        slot[:rows] -= 1.0
+        sign = np.unpackbits(octets, axis=1, bitorder="little")[:, cols].view(np.int8)
+        sign *= 2  # +-1 formed in the int8 bytes, so the float slot is written once
+        sign -= 1
+        np.copyto(slot[:rows], sign)
         yield slot
 
 

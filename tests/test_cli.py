@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.constants import c as C_SI, epsilon_0, hbar as HBAR_SI, k as KB_SI
 
-from spinrad import ConvergenceError, Drude, disk_smatrix
+from spinrad import ConvergenceError, DomainError, Drude, disk_smatrix, simulate_ensemble
 from spinrad import cli
 from spinrad.cli import main
 from spinrad.units import UnitSystem, si_conductivity_to_gaussian
@@ -542,6 +542,25 @@ class TestRotor:
         assert main(["rotor", "--config", cfg, "--out", str(out), "--seed", seed]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error") and "seed" in err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("law", ["powerlaw", "radiation"])
+    def test_seed_is_checked_before_the_law_is_built(self, tmp_path, capsys, monkeypatch,
+                                                     law):
+        def refused(*args, **kwargs):
+            raise AssertionError("the torque law was built before the seed was checked")
+
+        monkeypatch.setattr(cli.TorqueLaw, "power_law", refused)
+        monkeypatch.setattr(cli, "torque_law_from_radiation", refused)
+        with pytest.raises(DomainError) as ensemble:
+            simulate_ensemble(None, I=1.0, omega0=1.0, t_total=1.0, dt=0.1, n_traj=1, seed=-1)
+        cfg = self.POWERLAW_CFG.format(I=400.0)
+        if law == "radiation":
+            cfg = cfg.replace("law = powerlaw", "law = radiation")
+        out = tmp_path / "out"
+        assert main(["rotor", "--config", write(tmp_path, cfg), "--out", str(out),
+                     "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == f"config error: {ensemble.value}\n"
         assert list(out.iterdir()) == []
 
     def test_dt_and_n_steps_are_the_configured_ones(self, tmp_path):

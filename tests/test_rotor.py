@@ -4,6 +4,8 @@ import dataclasses
 import hashlib
 import math
 import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 
@@ -29,6 +31,8 @@ from spinrad import (
     uncertainty,
 )
 from spinrad.radiation import run_jobs
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def power5(c=1.0):
@@ -405,14 +409,58 @@ class TestEnsembleInputs:
             simulate_ensemble(power5(), I=1.0, omega0=1.0, t_total=1e300, dt=1e-300, n_traj=1)
 
 
+def written_out_powers(w):
+    """W^1 .. W^8 as the products square-and-multiply takes, high bit first."""
+    w2 = w * w
+    w3 = w2 * w
+    w4 = w2 * w2
+    return {1: w, 2: w2, 3: w3, 4: w4, 5: w4 * w, 6: w3 * w3, 7: (w3 * w3) * w, 8: w4 * w4}
+
+
 class TestOnePassLaw:
     def test_power_law_pair_equals_separate_calls(self):
         w = np.linspace(0.0, 3.0, 101)
         law = TorqueLaw.power_law(0.7, 5)
         m1, m2 = law.moments(w)
-        assert np.array_equal(m1, 0.7 * np.power(w, 5))
+        w2 = w * w
+        assert np.array_equal(m1, 0.7 * ((w2 * w2) * w))
         assert np.array_equal(m1, law.drift(w))
         assert np.array_equal(m2, law.diffusion(w))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_whole_exponent_is_the_written_out_product(self, n):
+        w = np.linspace(0.0, 3.0, 1001)
+        powers = written_out_powers(w)
+        for exponent in (n, float(n)):  # the library's int, the CLI's float
+            law = TorqueLaw.power_law(0.7, exponent)
+            m1, m2 = law.moments(w)
+            assert np.array_equal(m1, 0.7 * powers[n]) and m2 is m1
+            slope = powers[n - 1] if n > 1 else np.ones_like(w)
+            assert np.array_equal(law.drift_derivative(w), 0.7 * exponent * slope)
+        assert np.array_equal(w, np.linspace(0.0, 3.0, 1001))  # W is not written
+
+    def test_other_exponent_keeps_np_power(self):
+        w = np.linspace(0.0, 3.0, 1001)
+        law = TorqueLaw.power_law(0.7, 4.5)
+        m1, m2 = law.moments(w)
+        assert np.array_equal(m1, 0.7 * np.power(w, 4.5)) and m2 is m1
+        assert np.array_equal(law.drift_derivative(w), 0.7 * 4.5 * np.power(w, 3.5))
+
+    @pytest.mark.parametrize("exponent", [1, 2, 5, 8])
+    def test_scalar_gives_the_bits_of_its_array_entry(self, exponent):
+        w = np.linspace(0.05, 3.0, 60)
+        law = TorqueLaw.power_law(0.7, exponent)
+        m1, _ = law.moments(w)
+        slope = law.drift_derivative(w)
+        for i, x in enumerate(w.tolist()):
+            assert float(law.moments(x)[0]) == m1[i] and float(law.drift(x)) == m1[i]
+            assert float(law.drift_derivative(x)) == slope[i]
+
+    def test_linear_law_slope_is_the_coefficient(self):
+        law = TorqueLaw.power_law(0.7, 1)
+        w = np.linspace(0.0, 3.0, 11)
+        assert np.array_equal(law.drift_derivative(w), np.full(11, 0.7))
+        assert law.drift_derivative(2.0) == 0.7
 
     def test_langevin_step_evaluates_the_law_once(self):
         calls = []
@@ -428,6 +476,46 @@ class TestOnePassLaw:
                                   drift=refuse, diffusion=refuse)
         langevin_step(np.ones(4), law, 100.0, 1e-2, np.zeros(4))
         assert len(calls) == 1
+
+
+def numpy_cpu_dispatch():
+    """The SIMD targets numpy's loops dispatch to, and this CPU's features."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    return umath.__cpu_dispatch__, umath.__cpu_features__
+
+
+# SHA-256 of the W^5 law's moments and slope on a fixed array, then of a
+# 4096 x 300-step W^5 ensemble
+DISPATCH_DIGESTS = """
+import hashlib
+import numpy as np
+from spinrad import TorqueLaw, simulate_ensemble
+law = TorqueLaw.power_law(1.0, 5)
+w = np.linspace(0.5, 1.5, 100_001)
+print(hashlib.sha256(np.concatenate([*law.moments(w), law.drift_derivative(w)])).hexdigest())
+ens = simulate_ensemble(law, I=1e4, omega0=1.0, t_total=300 * 20.0, dt=20.0, n_traj=4096,
+                        seed=1, drive_at=1.0)
+print(hashlib.sha256(ens.omegas).hexdigest())
+"""
+
+
+class TestCpuDispatch:
+    def test_power_law_bytes_do_not_follow_the_dispatch(self):
+        dispatch, features = numpy_cpu_dispatch()
+        if not any(features.get(target) for target in dispatch):
+            pytest.skip("no SIMD target that numpy dispatches to is active on this CPU")
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("NPY_DISABLE_CPU_FEATURES", "NPY_ENABLE_CPU_FEATURES")}
+        env["PYTHONPATH"] = os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])
+        baseline_only = dict(env, NPY_DISABLE_CPU_FEATURES=" ".join(dispatch))
+        digests = [subprocess.run([sys.executable, "-c", DISPATCH_DIGESTS], env=e, check=True,
+                                  capture_output=True, text=True, timeout=120).stdout.split()
+                   for e in (env, baseline_only)]
+        assert len(digests[0]) == 2
+        assert digests[0] == digests[1]
 
 
 # every kind of law that src/ builds; the benchmark's tracer rebuilds each one
