@@ -13,10 +13,15 @@ the error and the rounding-error floor are sums over the evaluated panels.
 
 One engine serves one integral or a batch of K independent ones, which
 advance in lock-step: each round makes one integrand call and one GK21
-pass over the bisected panels of every unfinished integral, while each
-integral keeps its own panel heap, panel values, totals, ``BATCH_PANELS``
-cap and stopping rule.  So a batch costs one call per round instead of one
-per integral and round, and every integral ends with the bits it has alone.
+pass over the bisected panels of every unfinished integral.  A batch keeps
+one panel table, parallel arrays of each panel's bounds, error, owner and
+value, beside each integral's total, error and rounding sums and panel
+count.  Each round sorts the table by (owner, -error, lo, hi): per
+integral, the order in which a heap of (-error, lo, hi) entries pops its
+panels, ties included.  Each integral then takes its own prefix under its
+own ``BATCH_PANELS`` cap and stopping rule.  So a batch costs one call per
+round instead of one per integral and round, and every integral ends with
+the bits it has alone.
 
 Integrand contract: for one interval ``f(w)`` receives a 1-D float array
 of nodes; for a batch ``f((w, k))`` receives one argument, the nodes and
@@ -36,10 +41,14 @@ axes, and temporaries are reused in place, never reassociated.  In a
 batch every per-panel quantity is elementwise or reduced within its panel,
 and every per-integral sum (the panel totals, the error and rounding
 sums) runs over that integral's own contiguous slice, left halves before
-right halves, as it does alone.
+right halves, as it does alone.  Panel values leave the table in C order,
+by ``take``: a fancy index ``vals[..., idx]`` is strided along the node
+axis, and a sum over slices of it rounds in another order.  The error of
+the panels an integral takes is a ``cumsum``, which adds in sequence like
+a running sum.
 """
 
-import heapq
+import math
 import sys
 
 import numpy as np
@@ -118,77 +127,6 @@ def _gk21(f, lo, hi, owner):
     return h * s_k, err, round_err
 
 
-class _Member:
-    """One integral of a batch: its panel heap and running totals.
-
-    A heap entry is (-error, lo, hi, value), one per panel.  No two panels of
-    an integral share (lo, hi), so the heap never compares values.  A member
-    starts with nothing evaluated: its first round bisects the entry
-    (0.0, a, b, 0.0) of the whole interval, which is never evaluated, and
-    since -0.0 + x is x for every x, its total then has the bits of
-    left + right.
-    """
-
-    __slots__ = ("k", "a", "b", "epsrel", "total", "error", "rounding", "heap", "success")
-
-    def __init__(self, k, a, b, epsrel):
-        self.k, self.a, self.b, self.epsrel = k, a, b, epsrel
-        self.total, self.error, self.rounding = -0.0, 0.0, 0.0
-        self.heap = []
-        self.success = False
-
-    def pop(self, limit):
-        """Pop the heap entries of the panels to bisect this round; [] once stopped.
-
-        Bisects the panels of largest error, up to ``BATCH_PANELS`` of them
-        and never more than would take the heap past ``limit`` panels,
-        stopping once the popped error would already meet the tolerance.
-        """
-        error = self.error
-        tol = max(EPSABS, self.epsrel * np.abs(self.total).max())
-        if error < tol / 8:
-            self.success = True
-            return []
-        rounding = self.rounding
-        if error < rounding or not (np.isfinite(error) and np.isfinite(rounding)):
-            return []
-        heap = self.heap
-        room = min(BATCH_PANELS, limit - len(heap))  # each bisection adds one panel
-        popped = []
-        err_sum = 0.0
-        while heap and len(popped) < room:
-            if popped and err_sum > error - tol / 8:
-                break
-            popped.append(heapq.heappop(heap))
-            err_sum -= popped[-1][0]
-        return popped
-
-    def update(self, popped, vals, errs, rnds, errs_list, mids, s):
-        """Replace the popped panels by their halves, at s.. (left) and s + k.. (right)."""
-        k = len(popped)
-        heap = self.heap
-        err_sum = 0.0
-        for neg_err, *_ in popped:
-            err_sum -= neg_err
-        old = np.stack([value for *_, value in popped], axis=-1)
-        self.total = self.total + (vals[..., s:s + k] + vals[..., s + k:s + 2 * k] - old).sum(
-            axis=-1)
-        self.error += float((errs[s:s + k] + errs[s + k:s + 2 * k]).sum()) - err_sum
-        self.rounding += float(rnds[s:s + 2 * k].sum())
-        for i, (_, p_lo, p_hi, _) in enumerate(popped):
-            m = mids[i]
-            for j, x1, x2 in ((s + i, p_lo, m), (s + k + i, m, p_hi)):
-                heapq.heappush(heap, (-errs_list[j], x1, x2, vals[..., j]))
-
-    def result(self):
-        """The error estimate, or None when the integral stalled short of its tolerance."""
-        err = float(self.error + self.rounding)
-        scale = float(np.abs(self.total).max())
-        if not self.success and not err <= max(EPSABS, self.epsrel * scale) * 50:  # NaN fails
-            return None
-        return err
-
-
 def adaptive_integral(f, a, b, *, epsrel=1e-9, limit=300):
     """Integrate a scalar or vector integrand over (a, b), or a batch of intervals.
 
@@ -209,63 +147,110 @@ def adaptive_integral(f, a, b, *, epsrel=1e-9, limit=300):
     hits the subdivision limit without meeting the tolerance, or when the
     integrand returns non-finite values; its ``index`` is the interval's
     position in the batch (the first such one).  Every other integral of the
-    batch still runs to its own end first.  A non-finite bound raises
-    :class:`DomainError` naming the interval and its position, before any call.
+    batch still runs to its own end first.  Raises :class:`DomainError`
+    naming the batch position, before any call, when ``a``, ``b`` and an
+    ``epsrel`` array differ in length, when a bound is not finite, or when an
+    ``epsrel`` is not a finite number > 0.
     """
-    batch = np.ndim(a) > 0
-    a = np.asarray(a, dtype=float).reshape(-1).tolist()
-    b = np.asarray(b, dtype=float).reshape(-1).tolist()
-    eps = list(epsrel) if np.ndim(epsrel) else [epsrel] * len(a)
-    for k, (lo, hi) in enumerate(zip(a, b)):
-        if not np.isfinite([lo, hi]).all():
-            raise DomainError(f"interval ({lo:g}, {hi:g}) at batch position {k} is not finite")
-    members = [_Member(k, *args) for k, args in enumerate(zip(a, b, eps))]
+    a = np.asarray(a, dtype=float)
+    batch = a.ndim > 0
+    a = a.reshape(-1)
+    b = np.asarray(b, dtype=float).reshape(-1)
+    eps = np.asarray(epsrel, dtype=float)
+    eps = eps.reshape(-1) if eps.ndim else eps.repeat(a.size)
+    for name, x in (("b", b), ("epsrel", eps)):
+        if x.size != a.size:
+            k = min(a.size, x.size)
+            raise DomainError(f"a has {a.size} entries and {name} has {x.size}: "
+                              f"batch position {k} is missing from {name if k == x.size else 'a'}")
+    ok = np.isfinite(a) & np.isfinite(b)
+    if not ok.all():
+        k = int(ok.argmin())
+        raise DomainError(f"interval ({a[k]:g}, {b[k]:g}) at batch position {k} is not finite")
+    ok = (eps > 0) & (eps < np.inf)
+    if not ok.all():
+        k = int(ok.argmin())
+        raise DomainError(f"epsrel={eps[k]:g} at batch position {k} is not a finite number > 0")
 
-    shape = None
-    # round 1 bisects each whole interval, which is never evaluated itself
-    running = [(mb, [(0.0, mb.a, mb.b, 0.0)]) for mb in members if mb.b > mb.a]
-    while running := [(mb, popped) for mb, popped in running if popped]:
-        plo, phi = np.array([entry[1:3] for _, popped in running for entry in popped]).T
+    live = b > a
+    total = None  # one row per member, of the integrand's component shape
+    error, rounding = [0.0] * a.size, [0.0] * a.size
+    n_panels = live.astype(int)
+    keys = np.empty((4, 0))  # per panel (hi, lo, -error, owner): np.lexsort's keys, last first
+    # round 1 bisects each whole interval, which is never evaluated itself but counts as a panel
+    run = live.nonzero()[0]
+    take = count = n_panels[run]
+    plo, phi, old, err_sums = a[run], b[run], np.zeros(run.size), [0.0] * run.size
+    while run.size:
+        # member j, with taken panels o_j .. o_j + k_j, puts the left halves at
+        # 2*o_j + [0, k_j) and the right halves after them: a stable sort of
+        # the doubled owners of the taken panels, which run in member order
         pmid = 0.5 * (plo + phi)
-        # member j, with popped panels o_j .. o_j + k_j, takes the left halves
-        # at 2*o_j + [0, k_j) and the right halves at 2*o_j + k_j + [0, k_j)
-        lo, hi, offsets = [], [], []
-        o = 0
-        for _, popped in running:
-            k = len(popped)
-            lo += (plo[o:o + k], pmid[o:o + k])
-            hi += (pmid[o:o + k], phi[o:o + k])
-            offsets.append(o)
-            o += k
-        owner = None
-        if batch:
-            owner = np.array([mb.k for mb, _ in running]).repeat(
-                [2 * len(popped) for _, popped in running])
-        vals, errs, rnds = _gk21(f, np.concatenate(lo), np.concatenate(hi), owner)
-        shape = vals.shape[:-1]
-        errs_list = errs.tolist()
-        mids = pmid.tolist()
-        for (mb, popped), o in zip(running, offsets):
-            mb.update(popped, vals, errs, rnds, errs_list, mids[o:o + len(popped)], 2 * o)
-        running = [(mb, mb.pop(limit)) for mb, _ in running]
+        owner = run.repeat(take)
+        layout = np.concatenate([owner, owner]).argsort(kind="stable")
+        new = np.array([[pmid, phi], [plo, pmid], [pmid, pmid], [owner, owner]])
+        new = new.reshape(4, -1).take(layout, axis=1)  # the halves' keys; -error comes below
+        vals, errs, rnds = _gk21(f, new[1], new[0], run.repeat(2 * take) if batch else None)
+        np.negative(errs, out=new[2])
+        if total is None:  # -0.0 + x is x for every x: a total has the bits of its first sum
+            total, values = -np.zeros((a.size,) + vals.shape[:-1]), vals[..., :0]
+        # each member adds one slice sum each to its total, error and rounding sums,
+        # then stops once it meets tol/8, stalls on rounding or reaches the limit
+        count = n_panels[run] = count + take  # each bisection adds one panel
+        offsets = take.cumsum() - take
+        go, thr = [], []
+        for j, o, k, err_sum, n, rel in zip(run.tolist(), offsets.tolist(), take.tolist(),
+                                             err_sums, count.tolist(), eps[run].tolist()):
+            s = 2 * o
+            total[j] = total[j] + (
+                vals[..., s:s + k] + vals[..., s + k:s + 2 * k] - old[..., o:o + k]).sum(axis=-1)
+            error[j] += float((errs[s:s + k] + errs[s + k:s + 2 * k]).sum()) - err_sum
+            rounding[j] += float(rnds[s:s + 2 * k].sum())
+            e, r = error[j], rounding[j]
+            tol8 = max(EPSABS, rel * float(abs(total[j]).max())) / 8
+            go.append(not (e < tol8 or e < r or not (math.isfinite(e) and math.isfinite(r))
+                           or n >= limit))
+            thr.append(e - tol8)
+        if not any(go):
+            break
+        keys = np.concatenate([keys, new], axis=1)
+        values = np.concatenate([values, vals], axis=-1)
+        go = np.array(go)
+        # rank the live panels of each member in heap order; drop the stopped members'
+        order = np.lexsort(keys)
+        rank = np.arange(order.size) - (count.cumsum() - count).repeat(count)
+        mine = go.repeat(count)
+        order, rank = order[mine], rank[mine]
+        run, count, thr = run[go], count[go], np.array(thr)[go]
+        room = np.minimum(np.minimum(limit - count, count), BATCH_PANELS)
+        # a member takes its first panel, and the next while the error taken before it is <= thr:
+        # along its zero-padded row of errors, cumsum adds in sequence like the heap's loop
+        rows = np.arange(run.size)
+        popped = np.zeros((run.size, count.max()))
+        popped[rows.repeat(count), rank] = -keys[2, order]
+        popped = popped.cumsum(axis=1)
+        take = np.minimum(room, 1 + (popped <= thr[:, None]).sum(axis=1))
+        err_sums = popped[rows, take - 1].tolist()
+        taken = rank < take.repeat(count)
+        t, rest = order[taken], order[~taken]
+        plo, phi, old = keys[1, t], keys[0, t], values.take(t, axis=-1)
+        keys, values = keys[:, rest], values.take(rest, axis=-1)
 
-    if shape is None:  # no interval to evaluate: an empty call only reveals the component shape
+    if total is None:  # no interval to evaluate: an empty call only reveals the component shape
         shape = np.shape(f((np.empty(0), np.empty(0, dtype=int)) if batch else np.empty(0)))[:-1]
-    totals, errors = [], []
-    for k, mb in enumerate(members):
-        if mb.b <= mb.a:
-            totals.append(np.zeros(shape))
-            errors.append(0.0)
-            continue
-        err = mb.result()
-        if err is None:
+        total = np.zeros((a.size,) + shape)
+    total[~live] = 0.0
+    errors = []
+    scale = np.abs(total).max(axis=tuple(range(1, total.ndim))).tolist()  # over the components
+    for k, (e, r, rel, s) in enumerate(zip(error, rounding, eps.tolist(), scale)):
+        tol = max(EPSABS, rel * s)  # the stopping rule's: e < tol/8 is success
+        errors.append(e + r)
+        if live[k] and not e < tol / 8 and not e + r <= tol * 50:  # NaN fails
             raise ConvergenceError(
-                f"quadrature on ({mb.a:g}, {mb.b:g}) stalled: "
-                f"err={float(mb.error + mb.rounding):g} after {len(mb.heap)} panels",
+                f"quadrature on ({a[k]:g}, {b[k]:g}) stalled: "
+                f"err={e + r:g} after {n_panels[k]} panels",
                 index=k,
             )
-        totals.append(mb.total)
-        errors.append(err)
     if batch:
-        return totals, errors
-    return totals[0][()], errors[0]
+        return list(total), errors
+    return total[0], errors[0]

@@ -17,6 +17,8 @@ from spinrad import (
 )
 from spinrad.quadrature import adaptive_integral
 
+from quadrature_reference import adaptive_integral as heap_integral
+
 
 class Recorder:
     """Integrand wrapper that keeps every node array it is handed."""
@@ -125,6 +127,39 @@ def test_non_finite_bound_of_a_batch_names_its_position():
         adaptive_integral(f, [0.0, 0.5, 1.0, 2.0], [1.0, 1.5, math.nan, math.inf])
 
 
+def never_called(x):
+    raise AssertionError("the integrand must not be called")
+
+
+@pytest.mark.parametrize("a, b, epsrel, position, missing_from", [
+    ([0.0, 1.0], [1.0], 1e-9, 1, "b"),
+    ([0.0], [1.0, 2.0], 1e-9, 1, "a"),
+    ([0.0, 1.0], [1.0, 2.0], [1e-9], 1, "epsrel"),
+    ([0.0, 1.0], [1.0, 2.0], [1e-9, 1e-9, 1e-9], 2, "a"),
+])
+def test_batch_inputs_of_different_lengths_raise_before_any_call(a, b, epsrel, position,
+                                                                  missing_from):
+    # zip would keep the shortest input and silently drop the rest of the batch
+    with pytest.raises(DomainError, match=rf"batch position {position} is missing from "
+                                          rf"{missing_from}$"):
+        adaptive_integral(never_called, a, b, epsrel=epsrel)
+
+
+@pytest.mark.parametrize("epsrel", [0.0, -1e-9, math.nan, math.inf])
+def test_a_tolerance_that_is_not_finite_and_positive_raises_before_any_call(epsrel):
+    # such a tolerance can never be met: the integral would stall at the limit
+    with pytest.raises(DomainError, match=r"^epsrel=.* at batch position 0 is not a finite "):
+        adaptive_integral(never_called, 0.0, 1.0, epsrel=epsrel)
+    with pytest.raises(DomainError, match=r"^epsrel=.* at batch position 2 is not a finite "):
+        adaptive_integral(never_called, [0.0] * 3, [1.0] * 3, epsrel=[1e-9, 1e-9, epsrel])
+
+
+def test_a_nan_policy_tolerance_is_a_domain_error_not_a_stall():
+    state = ThermalState(Omega=1.0)
+    with pytest.raises(DomainError, match=r"^epsrel=nan at batch position 0 "):
+        integrate_power(DiskTable(Drude(1.0), 0.1), state, MSumPolicy(m_max=3, epsrel=math.nan))
+
+
 def test_empty_interval_returns_zeros_of_the_component_shape():
     f = Recorder(lambda w: np.array([w, 2 * w, 3 * w]))
     val, err = adaptive_integral(f, 1.0, 1.0)
@@ -226,3 +261,72 @@ def test_stalled_member_raises_and_its_neighbours_run_as_alone():
         mine = [w[owner == k] for w, owner in seen if (owner == k).any()]
         assert len(mine) == len(alone.calls)
         assert all(np.array_equal(x, y) for x, y in zip(mine, alone.calls))
+
+
+# the panel table against the heap engine of quadrature_reference.py, case by case
+KINDS = ("peak", "kink", "step", "const", "nan", "oscillating", "singular")
+
+
+def random_case(seed):
+    """A seeded batch: intervals (some empty or reversed), integrands, tolerances and a limit."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.choice([1, 2, 3, 5, 12, 40, 120], p=[0.32, 0.2, 0.17, 0.15, 0.12, 0.03, 0.01]))
+    a = rng.uniform(-2.0, 2.0, n)
+    b = a + rng.choice([-1.0, 0.0, 0.5, 2.0, 6.0], n, p=[0.05, 0.05, 0.3, 0.3, 0.3])
+    # kinks and steps on panel edges (halves, quarters) as well as off them
+    where = np.where(rng.random(n) < 0.5, rng.choice([0.5, 0.25, 0.75], n), rng.random(n))
+    params = dict(
+        kind=rng.choice(len(KINDS), n, p=[0.25, 0.2, 0.2, 0.2, 0.03, 0.07, 0.05]),
+        p=a + where * (b - a),
+        amp=10.0 ** rng.uniform(-3.0, 3.0, n),
+        freq=rng.choice([30.0, 3000.0], n),
+    )
+    epsrel = rng.choice([1e-5, 1e-8, 1e-11], n) if rng.random() < 0.5 else 1e-9
+    limit = int(rng.choice([2, 5, 50, 300], p=[0.15, 0.2, 0.4, 0.25]))
+    return dict(a=a, b=b, epsrel=epsrel, limit=limit, vector=bool(rng.random() < 0.5),
+                scalar_call=bool(n == 1 and rng.random() < 0.5), **params)
+
+
+def random_integrand(case, w, k):
+    kind, p, amp, freq = (case[name][k] for name in ("kind", "p", "amp", "freq"))
+    x = w - p
+    with np.errstate(all="ignore"):
+        out = np.select([kind == i for i in range(len(KINDS))], [
+            amp / (1.0 + x * x / 1e-3),
+            amp * np.abs(x),
+            amp * (x > 0),
+            amp + 0.0 * w,  # equal errors on equal panels: ties broken by lo, hi
+            np.where(x > 0, np.nan, w),
+            np.sin(freq * w) * np.exp(w),
+            1.0 / np.sqrt(np.abs(x) + 1e-300),  # finite at a node on p
+        ])
+    return np.array([out, w * out, (p - w) * out]) if case["vector"] else out
+
+
+def outcome(engine, case):
+    """Everything a caller can see: value bytes and shapes, errors, exception, and every node."""
+    seen = []
+
+    def f(x):
+        w, k = x if not case["scalar_call"] else (x, np.zeros(x.size, dtype=int))
+        seen.append(w.tobytes() + k.tobytes())
+        return random_integrand(case, w, k)
+
+    a, b, epsrel = case["a"], case["b"], case["epsrel"]
+    if case["scalar_call"]:
+        a, b, epsrel = float(a[0]), float(b[0]), float(np.reshape(epsrel, -1)[0])
+    try:
+        values, errors = engine(f, a, b, epsrel=epsrel, limit=case["limit"])
+    except (ConvergenceError, DomainError) as exc:
+        return type(exc), str(exc), getattr(exc, "index", None), seen
+    if case["scalar_call"]:
+        values, errors = [values], [errors]
+    return ([(np.shape(v), np.asarray(v).tobytes()) for v in values],
+            np.array(errors).tobytes(), seen)
+
+
+def test_panel_table_reproduces_the_heap_engine_bit_for_bit():
+    mismatched = [seed for seed in range(400)
+                  if outcome(adaptive_integral, random_case(seed))
+                  != outcome(heap_integral, random_case(seed))]
+    assert mismatched == []
