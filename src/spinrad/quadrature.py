@@ -1,4 +1,4 @@
-"""Shared adaptive quadrature used by the radiation, statistics and two-body layers.
+"""Adaptive quadrature behind the channel engine of ``radiation.integrate_stages``.
 
 A QUADPACK-style adaptive Gauss-Kronrod engine (Piessens et al. 1983) with
 the 21-point Kronrod extension of the 10-point Gauss rule on every panel.
@@ -11,27 +11,29 @@ and then replaces it by its halves, the engine never evaluates the whole
 interval: the first round bisects it like any other panel.  So the totals,
 the error and the rounding-error floor are sums over the evaluated panels.
 
-One engine serves one integral or a batch of K independent ones, which
-advance in lock-step: each round makes one integrand call and one GK21
-pass over the bisected panels of every unfinished integral.  A batch keeps
-one panel table, parallel arrays of each panel's bounds, error, owner and
-value, beside each integral's total, error and rounding sums and panel
-count.  Each round sorts the table by (owner, -error, lo, hi): per
-integral, the order in which a heap of (-error, lo, hi) entries pops its
-panels, ties included.  Each integral then takes its own prefix under its
-own ``BATCH_PANELS`` cap and stopping rule.  So a batch costs one call per
+The engine integrates a batch of K independent integrals in lock-step:
+each round makes one integrand call and one GK21 pass over the bisected
+panels of every unfinished integral.  A batch keeps one panel table,
+parallel arrays of each panel's bounds, error, owner and value, beside
+each integral's total, error and rounding sums and panel count.  Each
+round sorts the table by (owner, -error, lo, hi): per integral, the order
+in which a heap of (-error, lo, hi) entries pops its panels, ties
+included.  Each integral then takes its own prefix under its own
+``BATCH_PANELS`` cap and stopping rule.  So a batch costs one call per
 round instead of one per integral and round, and every integral ends with
 the bits it has alone.
 
-Integrand contract: for one interval ``f(w)`` receives a 1-D float array
-of nodes; for a batch ``f((w, k))`` receives one argument, the nodes and
-their owners (k[i] is the index of the interval node w[i] belongs to).
-Either way it returns values with the nodes on the last axis, shape
-``(..., len(w))``, the same component shape for every integral.  Nodes
-are strictly interior to their interval, so integrable endpoint
-singularities (the removable n(omega - Omega*m) divergence) are never
-evaluated.  Vector components share panels, which keeps linear identities
-such as Q = Omega*M - P exact to roundoff.
+Integrand contract: ``f((w, k))`` receives one argument, the 1-D float
+array of nodes and their owners (k[i] is the index of the interval node
+w[i] belongs to).  It returns values with the nodes on the last axis,
+shape ``(..., len(w))``, the same component shape for every integral.
+An infinite or NaN value stalls its integral with no floating-point
+warning from the engine's arithmetic; the integrand is called outside
+that suppression, so its own warnings surface.  Nodes are strictly
+interior to their interval, so integrable endpoint singularities (the
+removable n(omega - Omega*m) divergence) are never evaluated.  Vector
+components share panels, which keeps linear identities such as
+Q = Omega*M - P exact to roundoff.
 
 Bit-identity rules: the rule's arithmetic keeps its order and stays in
 numpy array operations (the ``** 1.5`` of the error estimate included:
@@ -91,71 +93,68 @@ def _gk21(f, lo, hi, owner):
     """GK21 on the panels (lo[i], hi[i]) with one integrand call.
 
     ``owner[i]`` is the batch member panel i belongs to: the integrand gets
-    the nodes and the owner of each node, or the nodes alone when ``owner``
-    is None.  Returns (integrals, errors, rounding errors); integrals carry
-    the panel index on the last axis, the two error arrays are per panel.
+    the nodes and the owner of each node.  Returns (integrals, errors,
+    rounding errors); integrals carry the panel index on the last axis, the
+    two error arrays are per panel.
     """
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
     nodes = (c[:, None] + h[:, None] * _XK).ravel()
-    fv = np.asarray(f(nodes if owner is None else (nodes, owner.repeat(_XK.size))), dtype=float)
+    fv = np.asarray(f((nodes, owner.repeat(_XK.size))), dtype=float)
     if fv.shape[-1:] != nodes.shape:
         raise ValueError(
             f"integrand returned shape {fv.shape} for {nodes.size} nodes; "
             "the nodes must be on the last axis"
         )
     fv = fv.reshape(fv.shape[:-1] + (len(lo), _XK.size))
-    # weighted sums by reduction, not BLAS, so the bits never depend on alignment;
-    # reductions are ndarray methods, which skip the np.sum/np.amax dispatch
-    s_k = (fv * _WK).sum(axis=-1)
-    s_g = (fv[..., 1::2] * _WG).sum(axis=-1)
-    t = np.abs(fv)
-    t *= _WK
-    s_k_abs = t.sum(axis=-1)
-    t = fv - 0.5 * s_k[..., None]
-    np.abs(t, out=t)
-    t *= _WK
-    s_k_dabs = t.sum(axis=-1)
-    axes = tuple(range(fv.ndim - 2))  # component axes, reduced by the max norm
-    err = np.abs((s_k - s_g) * h).max(axis=axes, initial=0.0)
-    dabs = np.abs(s_k_dabs * h).max(axis=axes, initial=0.0)
-    scaled = (dabs != 0) & (err != 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):  # the integrand is called outside, so its warnings surface
+        # weighted sums by reduction, not BLAS, so the bits never depend on alignment;
+        # reductions are ndarray methods, which skip the np.sum/np.amax dispatch
+        s_k = (fv * _WK).sum(axis=-1)
+        s_g = (fv[..., 1::2] * _WG).sum(axis=-1)
+        t = np.abs(fv)
+        t *= _WK
+        s_k_abs = t.sum(axis=-1)
+        t = fv - 0.5 * s_k[..., None]
+        np.abs(t, out=t)
+        t *= _WK
+        s_k_dabs = t.sum(axis=-1)
+        axes = tuple(range(fv.ndim - 2))  # component axes, reduced by the max norm
+        err = np.abs((s_k - s_g) * h).max(axis=axes, initial=0.0)
+        dabs = np.abs(s_k_dabs * h).max(axis=axes, initial=0.0)
+        scaled = (dabs != 0) & (err != 0)
         np.multiply(dabs, np.minimum(1.0, (200.0 * err / dabs) ** 1.5), out=err, where=scaled)
-    round_err = (50.0 * _EPS * h * s_k_abs).max(axis=axes, initial=0.0)
-    np.maximum(err, round_err, out=err, where=round_err > _TINY)
-    return h * s_k, err, round_err
+        round_err = (50.0 * _EPS * h * s_k_abs).max(axis=axes, initial=0.0)
+        np.maximum(err, round_err, out=err, where=round_err > _TINY)
+        return h * s_k, err, round_err
 
 
 def adaptive_integral(f, a, b, *, epsrel=1e-9, limit=300):
-    """Integrate a scalar or vector integrand over (a, b), or a batch of intervals.
+    """Integrate K scalar or vector integrands over the intervals (a[k], b[k]) in lock-step.
 
-    With scalar ``a``, ``b``: ``f`` takes a 1-D array of nodes and returns
-    values with the nodes on the last axis; returns (value, error_estimate),
-    value of the integrand's component shape.
-
-    With 1-D arrays ``a``, ``b`` of K intervals (``epsrel`` a scalar or one
-    per interval), the K integrals advance in lock-step: ``f`` takes one
-    argument, the pair (nodes, owners) of 1-D arrays, owners[i] the index of
-    the interval node i belongs to, and is called once per round for every
-    unfinished integral.  Returns (values, errors), the lists of the K
-    integrals' values (of the component shape) and errors.  Each integral
-    keeps its own panels, totals and stopping rule, so its value and error
-    are those of a batch of one.
+    ``a`` and ``b`` are 1-D sequences of K bounds, ``epsrel`` a scalar or
+    one per interval.  ``f`` takes one argument, the pair (nodes, owners) of
+    1-D arrays, owners[i] the index of the interval node i belongs to, and
+    returns values with the nodes on the last axis; it is called once per
+    round for every unfinished integral.  Returns (values, errors), the
+    lists of the K integrals' values (of the component shape) and errors.
+    Each integral keeps its own panels, totals and stopping rule, so its
+    value and error are those of a batch of one.
 
     Raises :class:`ConvergenceError` naming the interval when an integral
     hits the subdivision limit without meeting the tolerance, or when the
     integrand returns non-finite values; its ``index`` is the interval's
     position in the batch (the first such one).  Every other integral of the
     batch still runs to its own end first.  Raises :class:`DomainError`
-    naming the batch position, before any call, when ``a``, ``b`` and an
-    ``epsrel`` array differ in length, when a bound is not finite, or when an
-    ``epsrel`` is not a finite number > 0.
+    naming the batch position, before any call, when ``a`` or ``b`` is not
+    1-D, when ``a``, ``b`` and an ``epsrel`` array differ in length, when a
+    bound is not finite, or when an ``epsrel`` is not a finite number > 0.
     """
     a = np.asarray(a, dtype=float)
-    batch = a.ndim > 0
-    a = a.reshape(-1)
-    b = np.asarray(b, dtype=float).reshape(-1)
+    b = np.asarray(b, dtype=float)
+    if a.ndim != 1 or b.ndim != 1:
+        raise DomainError(f"a and b must be 1-D sequences of bounds, not of shapes "
+                          f"{a.shape} and {b.shape}")
     eps = np.asarray(epsrel, dtype=float)
     eps = eps.reshape(-1) if eps.ndim else eps.repeat(a.size)
     for name, x in (("b", b), ("epsrel", eps)):
@@ -190,54 +189,55 @@ def adaptive_integral(f, a, b, *, epsrel=1e-9, limit=300):
         layout = np.concatenate([owner, owner]).argsort(kind="stable")
         new = np.array([[pmid, phi], [plo, pmid], [pmid, pmid], [owner, owner]])
         new = new.reshape(4, -1).take(layout, axis=1)  # the halves' keys; -error comes below
-        vals, errs, rnds = _gk21(f, new[1], new[0], run.repeat(2 * take) if batch else None)
-        np.negative(errs, out=new[2])
-        if total is None:  # -0.0 + x is x for every x: a total has the bits of its first sum
-            total, values = -np.zeros((a.size,) + vals.shape[:-1]), vals[..., :0]
-        # each member adds one slice sum each to its total, error and rounding sums,
-        # then stops once it meets tol/8, stalls on rounding or reaches the limit
-        count = n_panels[run] = count + take  # each bisection adds one panel
-        offsets = take.cumsum() - take
-        go, thr = [], []
-        for j, o, k, err_sum, n, rel in zip(run.tolist(), offsets.tolist(), take.tolist(),
-                                             err_sums, count.tolist(), eps[run].tolist()):
-            s = 2 * o
-            total[j] = total[j] + (
-                vals[..., s:s + k] + vals[..., s + k:s + 2 * k] - old[..., o:o + k]).sum(axis=-1)
-            error[j] += float((errs[s:s + k] + errs[s + k:s + 2 * k]).sum()) - err_sum
-            rounding[j] += float(rnds[s:s + 2 * k].sum())
-            e, r = error[j], rounding[j]
-            tol8 = max(EPSABS, rel * float(abs(total[j]).max())) / 8
-            go.append(not (e < tol8 or e < r or not (math.isfinite(e) and math.isfinite(r))
-                           or n >= limit))
-            thr.append(e - tol8)
-        if not any(go):
-            break
-        keys = np.concatenate([keys, new], axis=1)
-        values = np.concatenate([values, vals], axis=-1)
-        go = np.array(go)
-        # rank the live panels of each member in heap order; drop the stopped members'
-        order = np.lexsort(keys)
-        rank = np.arange(order.size) - (count.cumsum() - count).repeat(count)
-        mine = go.repeat(count)
-        order, rank = order[mine], rank[mine]
-        run, count, thr = run[go], count[go], np.array(thr)[go]
-        room = np.minimum(np.minimum(limit - count, count), BATCH_PANELS)
-        # a member takes its first panel, and the next while the error taken before it is <= thr:
-        # along its zero-padded row of errors, cumsum adds in sequence like the heap's loop
-        rows = np.arange(run.size)
-        popped = np.zeros((run.size, count.max()))
-        popped[rows.repeat(count), rank] = -keys[2, order]
-        popped = popped.cumsum(axis=1)
-        take = np.minimum(room, 1 + (popped <= thr[:, None]).sum(axis=1))
-        err_sums = popped[rows, take - 1].tolist()
-        taken = rank < take.repeat(count)
-        t, rest = order[taken], order[~taken]
-        plo, phi, old = keys[1, t], keys[0, t], values.take(t, axis=-1)
-        keys, values = keys[:, rest], values.take(rest, axis=-1)
+        vals, errs, rnds = _gk21(f, new[1], new[0], run.repeat(2 * take))
+        with np.errstate(all="ignore"):  # inf or NaN values make a NaN error: the member stalls
+            np.negative(errs, out=new[2])
+            if total is None:  # -0.0 + x is x for every x: a total has the bits of its first sum
+                total, values = -np.zeros((a.size,) + vals.shape[:-1]), vals[..., :0]
+            # each member adds one slice sum each to its total, error and rounding sums,
+            # then stops once it meets tol/8, stalls on rounding or reaches the limit
+            count = n_panels[run] = count + take  # each bisection adds one panel
+            offsets = take.cumsum() - take
+            go, thr = [], []
+            for j, o, k, err_sum, n, rel in zip(run.tolist(), offsets.tolist(), take.tolist(),
+                                                 err_sums, count.tolist(), eps[run].tolist()):
+                s = 2 * o
+                total[j] = total[j] + (vals[..., s:s + k] + vals[..., s + k:s + 2 * k]
+                                       - old[..., o:o + k]).sum(axis=-1)
+                error[j] += float((errs[s:s + k] + errs[s + k:s + 2 * k]).sum()) - err_sum
+                rounding[j] += float(rnds[s:s + 2 * k].sum())
+                e, r = error[j], rounding[j]
+                tol8 = max(EPSABS, rel * float(abs(total[j]).max())) / 8
+                go.append(not (e < tol8 or e < r or not (math.isfinite(e) and math.isfinite(r))
+                               or n >= limit))
+                thr.append(e - tol8)
+            if not any(go):
+                break
+            keys = np.concatenate([keys, new], axis=1)
+            values = np.concatenate([values, vals], axis=-1)
+            go = np.array(go)
+            # rank the live panels of each member in heap order; drop the stopped members'
+            order = np.lexsort(keys)
+            rank = np.arange(order.size) - (count.cumsum() - count).repeat(count)
+            mine = go.repeat(count)
+            order, rank = order[mine], rank[mine]
+            run, count, thr = run[go], count[go], np.array(thr)[go]
+            room = np.minimum(np.minimum(limit - count, count), BATCH_PANELS)
+            # a member takes its first panel, and the next while the error taken before it is
+            # <= thr: along its zero-padded row of errors, cumsum adds in sequence like the heap's
+            rows = np.arange(run.size)
+            popped = np.zeros((run.size, count.max()))
+            popped[rows.repeat(count), rank] = -keys[2, order]
+            popped = popped.cumsum(axis=1)
+            take = np.minimum(room, 1 + (popped <= thr[:, None]).sum(axis=1))
+            err_sums = popped[rows, take - 1].tolist()
+            taken = rank < take.repeat(count)
+            t, rest = order[taken], order[~taken]
+            plo, phi, old = keys[1, t], keys[0, t], values.take(t, axis=-1)
+            keys, values = keys[:, rest], values.take(rest, axis=-1)
 
     if total is None:  # no interval to evaluate: an empty call only reveals the component shape
-        shape = np.shape(f((np.empty(0), np.empty(0, dtype=int)) if batch else np.empty(0)))[:-1]
+        shape = np.shape(f((np.empty(0), np.empty(0, dtype=int))))[:-1]
         total = np.zeros((a.size,) + shape)
     total[~live] = 0.0
     errors = []
@@ -251,6 +251,4 @@ def adaptive_integral(f, a, b, *, epsrel=1e-9, limit=300):
                 f"err={e + r:g} after {n_panels[k]} panels",
                 index=k,
             )
-    if batch:
-        return list(total), errors
-    return total[0], errors[0]
+    return list(total), errors

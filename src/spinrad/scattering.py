@@ -62,8 +62,6 @@ def disk_smatrix(model, R, Omega, omega, m):
     Unitary for lossless media; sub-unitary for a lossy body at rest;
     super-unitary in the superradiant window of a lossy rotating body.
     """
-    if R <= 0:
-        raise DomainError("radius must be > 0")
     w = np.atleast_1d(np.asarray(omega, dtype=float))
     wt, J, Jp, den = _disk_matching(model, R, Omega, w, m)
     zh = w * R
@@ -79,6 +77,8 @@ def _disk_matching(model, R, Omega, w, m):
     J and H^(1) are evaluated once at each of the orders |m| and |m| - 1
     (four AMOS calls); the derivatives follow from the recurrence.
     """
+    if not R > 0:
+        raise DomainError("radius must be > 0")
     if (w <= 0).any():
         raise DomainError("disk scattering needs omega > 0")
     wt = disk_interior_frequency(model, Omega, w, m)
@@ -163,20 +163,16 @@ def sphere_smatrix_dipole(model, R, Omega, omega, m):
     return 1.0 + 1j * (4.0 * omega**3 / 3.0) * alpha
 
 
-def sphere_flux_dipole(model, R, Omega, omega, m, exact=False):
-    """Flux factor 1 - |S_{1mE}|^2 of the dipole channel.
+def sphere_flux_dipole(model, R, Omega, omega, m):
+    """Flux factor 1 - |S_{1mE}|^2 of the dipole channel to leading order, (8 w^3/3) Im alpha.
 
-    The default keeps the leading order (8 w^3 / 3) Im alpha(w - Omega*m),
-    consistent with the closed-form radiation laws; ``exact=True`` adds the
-    O(alpha^2) magnitude of the dipole amplitude (computed from the deviation
-    X = (4 w^3/3) alpha directly, so no precision is lost near |S| = 1).
+    That is the order of the closed-form radiation laws.  It drops the
+    O(alpha^2) magnitude |X|^2 of X = (4 w^3/3) alpha(w - Omega*m), so it
+    vanishes at corotation omega = Omega*m, and N stays integrable there.
     """
     w = np.atleast_1d(np.asarray(omega, dtype=float))
     alpha = _dipole_alpha(model, R, w - Omega * m)
     F = (8.0 * w**3 / 3.0) * alpha.imag
-    if exact:
-        X = (4.0 * w**3 / 3.0) * alpha
-        F = F - np.abs(X) ** 2  # 1 - |1 + iX|^2 = 2 Im X - |X|^2
     return F if np.ndim(omega) else F.item()
 
 
@@ -232,13 +228,12 @@ def cylinder_smatrix_block(model, R, Omega, omega, kz, m=1):
     )
 
 
-def cylinder_flux_block(model, R, Omega, omega, kz, m=1, exact=False):
-    """Polarization-summed flux factor sum_{P,P'} (delta - |S_PP'|^2).
+def cylinder_flux_block(model, R, Omega, omega, kz, m=1):
+    """Polarization-summed flux factor sum_{P,P'} (delta - |S_PP'|^2), to O(R^2).
 
-    Default truncates |S|^2 - 1 at O(R^2): pi * Im r * (w^2 + k_z^2) R^2,
-    dropping all O(R^4) magnitudes.  ``exact=True`` keeps the full block,
-    evaluated from the deviation g = (i pi/2) r R^2 so that the O(R^4)
-    magnitudes never pass through a 1 - |1 + small|^2 cancellation.
+    Truncates |S|^2 - 1 at O(R^2): pi * Im r * (w^2 + k_z^2) R^2, dropping
+    all O(R^4) magnitudes, the order at which the thin-cylinder block
+    satisfies the optical theorem.
     """
     scalar = np.ndim(omega) == 0 and np.ndim(kz) == 0
     w, kz = np.broadcast_arrays(np.atleast_1d(np.asarray(omega, dtype=float)), kz)
@@ -248,9 +243,6 @@ def cylinder_flux_block(model, R, Omega, omega, kz, m=1, exact=False):
         raise DomainError(f"|k_z| = {abs(k):g} exceeds omega = {wk:g} (evanescent)")
     r = _cyl_response(model, w - Omega * m)
     F = np.pi * r.imag * (w**2 + kz**2) * R**2
-    if exact:
-        g = 0.5j * np.pi * r * R**2
-        F = F - (np.abs(g * w**2) ** 2 + np.abs(g * kz**2) ** 2 + 2 * np.abs(g * w * kz) ** 2)
     return F.item() if scalar else F
 
 
@@ -316,22 +308,17 @@ class DiskTable(ChannelTable):
 class SphereTable(ChannelTable):
     """EM dipole channels (l = 1, polarization E) of a sphere of radius R."""
 
-    def __init__(self, model, R, exact=False):
+    def __init__(self, model, R):
         if R <= 0:
             raise DomainError("radius must be > 0")
         self.model = model
         self.R = R
-        self.exact = exact
 
     def channels(self, m_max):
         return [(m, 1, "E") for m in (-1, 0, 1) if abs(m) <= m_max]
 
     def flux(self, omega, m, extra, pol, Omega):
-        return sphere_flux_dipole(self.model, self.R, Omega, omega, m, exact=self.exact)
-
-
-# 8-point Gauss-Legendre is exact for the degree <= 4 polynomials in k_z of the block
-_KZ_RULE = np.polynomial.legendre.leggauss(8)
+        return sphere_flux_dipole(self.model, self.R, Omega, omega, m)
 
 
 class CylinderTable(ChannelTable):
@@ -339,38 +326,26 @@ class CylinderTable(ChannelTable):
 
     One channel per m, labelled (None, "block"), whose flux is the
     polarization-summed block integrated over propagating axial wavenumbers
-    k_z in [-w, w] with measure L dk_z / 2pi.  The default keeps the O(R^2)
+    k_z in [-w, w] with measure L dk_z / 2pi.  The block keeps the O(R^2)
     cross terms, the order at which the thin-cylinder blocks satisfy the
-    optical theorem, and integrates them analytically.  ``exact=True`` is a
-    convergence diagnostic that keeps the full block magnitudes, summed by an
-    8-point Gauss-Legendre rule over k_z; for good conductors their spurious
-    O(R^4) non-unitarity is relatively enhanced by 1/Im r.
+    optical theorem, so the k_z integral is done analytically.
     """
 
-    def __init__(self, model, R, L, exact=False):
+    def __init__(self, model, R, L):
         if R <= 0 or L <= 0:
             raise DomainError("R and L must be > 0")
         self.model = model
         self.R = R
         self.L = L
-        self.exact = exact
 
     def channels(self, m_max):
         return [(m, None, "block") for m in (-1, 1) if abs(m) <= m_max]
 
     def flux(self, omega, m, extra, pol, Omega):
         w = np.atleast_1d(np.asarray(omega, dtype=float))
-        if self.exact:
-            x, g = _KZ_RULE
-            terms = g[:, None] * cylinder_flux_block(self.model, self.R, Omega, w,
-                                                     x[:, None] * w, m=m, exact=True)
-            # sum adds the k_z terms left to right, so one node sums as among many
-            F = sum(terms[1:], terms[0]) * w
-        else:
-            # truncated flux pi*Im r*(w^2 + kz^2)*R^2: the kz integral is 8 w^3/3
-            r_im = _cyl_response(self.model, w - Omega * m).imag
-            F = np.pi * r_im * self.R**2 * (8.0 * w**3 / 3.0)
-        F = self.L / (2.0 * np.pi) * F
+        # truncated flux pi*Im r*(w^2 + kz^2)*R^2: the kz integral is 8 w^3/3
+        r_im = _cyl_response(self.model, w - Omega * m).imag
+        F = self.L / (2.0 * np.pi) * (np.pi * r_im * self.R**2 * (8.0 * w**3 / 3.0))
         return F if np.ndim(omega) else F.item()
 
 

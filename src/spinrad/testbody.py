@@ -5,6 +5,8 @@ translation matrices, transfers angular momentum (spinning the test body
 parallel to the source's axis) and exerts a tangential force.  One
 scattering event off the test body is kept; validity needs d well above both
 radii, and a warning is emitted below 3x the larger one.
+Each quantity is a weight over the source's |m| = 1 channels, integrated by
+``radiation.integrate_channels`` like every other output.
 """
 
 import dataclasses
@@ -15,7 +17,6 @@ import numpy as np
 from . import bessel
 from .errors import DomainError
 from .material import ThermalState, sphere_polarizability
-from .quadrature import adaptive_integral
 from .radiation import integrate_channels
 from .scattering import DiskTable, SphereTable, disk_flux, sphere_flux_dipole
 
@@ -40,6 +41,9 @@ class TwoBodyConfig:
     test_radius: float
 
     def __post_init__(self):
+        for name in ("source_radius", "test_radius"):
+            if not getattr(self, name) > 0:
+                raise DomainError(f"{name} must be > 0")
         if self.d <= self.source_radius + self.test_radius:
             raise DomainError("bodies overlap: need d > R_source + R_test")
         if self.d < 3.0 * max(self.source_radius, self.test_radius):
@@ -54,17 +58,6 @@ def _transfer(source, state, weight, epsrel):
     """sum over the source's |m| = 1 channels of int dw/2pi weight(w, m, N_m(w))."""
     vals = integrate_channels(source, state, weight, 1, m_min=1, epsrel=epsrel)
     return float(sum(val for *_, val, _ in vals))
-
-
-def _small_particle(cfg, Omega, power, epsrel):
-    """int_0^Omega dw w^power |Im a1(w - Omega)| Im a2(w) over the two polarizabilities."""
-    def integrand(w):
-        a1 = sphere_polarizability(cfg.source_model, cfg.source_radius, w - Omega)
-        a2 = sphere_polarizability(cfg.test_model, cfg.test_radius, w)
-        return w**power * abs(a1.imag) * a2.imag
-
-    val, _ = adaptive_integral(integrand, 0.0, Omega, epsrel=epsrel)
-    return float(val)
 
 
 def torque_on_test_2d(cfg, Omega, T=0.0, *, epsrel=1e-8):
@@ -93,26 +86,23 @@ def torque_on_test_2d(cfg, Omega, T=0.0, *, epsrel=1e-8):
     return _transfer(source, state, weight, epsrel) / 4.0
 
 
-def torque_on_test_3d(cfg, Omega, *, small_particle=False, epsrel=1e-10):
+def torque_on_test_3d(cfg, Omega, *, epsrel=1e-10):
     """Torque on a static test sphere from the rotating sphere's dipole radiation.
 
     General form (falls off as 1/d^2):
 
         M = hbar c^2/(8 pi d^2) int_0^Omega dw w^-2 (|S_11E|^2-1)(1-|S'_11E|^2)
 
-    ``small_particle=True`` uses the polarizability form
-    (8 hbar c^2 / 9 pi d^2) int w^4 |Im a1(w - Omega)| Im a2(w) dw instead.
     The kernel |h^(1)_0(wd)|^2 is written as (c/wd)^2, which it equals
     exactly for real arguments.  Both flux factors of a dipole go as
-    w^3 Im a, so the kernel's w^-2 leaves the integrand going as w^4.
+    w^3 Im a, so the kernel's w^-2 leaves the integrand going as w^4: for
+    small particles this is (8 hbar c^2 / 9 pi d^2) int w^4 |Im a1(w - Omega)|
+    Im a2(w) dw.
     """
     if Omega <= 0:
         return 0.0
     if cfg.test_model.lossless:
         return 0.0
-
-    if small_particle:
-        return 8.0 * _small_particle(cfg, Omega, 4, epsrel) / (9.0 * np.pi * cfg.d**2)
 
     def weight(w, m, N):
         loss = sphere_flux_dipole(cfg.test_model, cfg.test_radius, 0.0, w, 1)
@@ -123,19 +113,16 @@ def torque_on_test_3d(cfg, Omega, *, small_particle=False, epsrel=1e-10):
     return _transfer(source, ThermalState(Omega=Omega), weight, epsrel) / 4.0
 
 
-def tangential_force_3d(cfg, Omega, *, small_particle=False, epsrel=1e-10):
+def tangential_force_3d(cfg, Omega, *, epsrel=1e-10):
     """Tangential force (along +y) on the static test sphere; falls off as 1/d.
 
     F_y = hbar/(32 pi d) int_0^Omega dw (|S_11E|^2 - 1)(1 - Re S'_11E),
 
-    assuming a non-magnetic test body (its 10M channel stays at 1).  The
-    small-particle form is (hbar / 9 pi d) int w^6 |Im a1(w-Omega)| Im a2(w) dw.
+    assuming a non-magnetic test body (its 10M channel stays at 1).  For
+    small particles this is (hbar / 9 pi d) int w^6 |Im a1(w-Omega)| Im a2(w) dw.
     """
     if Omega <= 0:
         return 0.0
-
-    if small_particle:
-        return _small_particle(cfg, Omega, 6, epsrel) / (9.0 * np.pi * cfg.d)
 
     def weight(w, m, N):
         # 1 - Re S' = Im X for S' = 1 + iX: evaluated from the polarizability
@@ -151,13 +138,7 @@ def tangential_force_3d(cfg, Omega, *, small_particle=False, epsrel=1e-10):
 
 def torque_vs_distance(cfg, Omega, distances, *, mode="3d", **kw):
     """Torque sweep over separations (for the power-law falloff diagnostics)."""
-    out = []
-    for d in distances:
-        c = dataclasses.replace(cfg, d=d)
-        if mode == "2d":
-            out.append(torque_on_test_2d(c, Omega, **kw))
-        elif mode == "3d":
-            out.append(torque_on_test_3d(c, Omega, **kw))
-        else:
-            raise DomainError("mode must be '2d' or '3d'")
-    return np.array(out)
+    torque = {"2d": torque_on_test_2d, "3d": torque_on_test_3d}.get(mode)
+    if torque is None:
+        raise DomainError(f"mode must be '2d' or '3d', not {mode!r}")
+    return np.array([torque(dataclasses.replace(cfg, d=d), Omega, **kw) for d in distances])

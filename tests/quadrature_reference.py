@@ -109,6 +109,7 @@ def adaptive_integral(f, a, b, *, epsrel=1e-9, limit=300):
     :class:`DomainError` naming the interval and its position, before any call.
     """
     batch = np.ndim(a) > 0
+    g = f if batch else (lambda x: f(x[0]))  # the production rule hands over (nodes, owners)
     a = np.asarray(a, dtype=float).reshape(-1).tolist()
     b = np.asarray(b, dtype=float).reshape(-1).tolist()
     eps = list(epsrel) if np.ndim(epsrel) else [epsrel] * len(a)
@@ -133,11 +134,9 @@ def adaptive_integral(f, a, b, *, epsrel=1e-9, limit=300):
             hi += (pmid[o:o + k], phi[o:o + k])
             offsets.append(o)
             o += k
-        owner = None
-        if batch:
-            owner = np.array([mb.k for mb, _ in running]).repeat(
-                [2 * len(popped) for _, popped in running])
-        vals, errs, rnds = _gk21(f, np.concatenate(lo), np.concatenate(hi), owner)
+        owner = np.array([mb.k for mb, _ in running]).repeat(
+            [2 * len(popped) for _, popped in running])
+        vals, errs, rnds = _gk21(g, np.concatenate(lo), np.concatenate(hi), owner)
         shape = vals.shape[:-1]
         errs_list = errs.tolist()
         mids = pmid.tolist()

@@ -246,6 +246,17 @@ class TestValidation:
         assert err.startswith("config error") and "[twobody] mode" in err
         assert not any(out.iterdir())
 
+    @pytest.mark.parametrize("cfg", [DISK_CFG, SPHERE_CFG], ids=["disk", "sphere"])
+    def test_twobody_non_positive_test_radius_exits_2(self, tmp_path, capsys, cfg):
+        # a disk used to run with test_radius = -0.01 and report about the torque of +0.01
+        text = cfg + ("[twobody]\nd = 2.0\ntest_model = drude\ntest_sigma = 1.0\n"
+                      "test_radius = -0.01\n")
+        out = tmp_path / "out"
+        assert main(["twobody", "--config", write(tmp_path, text), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: test_radius must be > 0")
+        assert not any(out.iterdir())
+
 
 class TestPower:
     def test_sphere_closed_form_and_exit_zero(self, tmp_path):

@@ -1,10 +1,15 @@
-"""Import cost: the package loads scipy only when an operation needs it.
+"""Imports: the package loads scipy only when an operation needs it, and one engine integrates.
 
 ``scipy.special`` (the disk's AMOS Bessel functions) is the only scipy module
 any operation loads; the rotor layer's PCHIP and Simpson rules are in-repo.
 Each case runs in a fresh interpreter and lists the scipy modules it loaded.
+
+Every output is a weight over one channel-integration engine, so only
+``radiation.py`` may import the quadrature module; the source is parsed,
+not run.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -90,3 +95,40 @@ def test_library_ensemble_and_stationary_law_load_no_scipy():
         dist = fokker_planck_stationary(law, 1.0, 1e4)
         assert dist.mean() > 0 and dist.std() > 0 and uncertainty(law, 1.0, 1e4) > 0
     """) == set()
+
+
+def imports_quadrature(source):
+    """Whether module source of the spinrad package imports spinrad.quadrature, in any form."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level <= 1:
+            # "from . import x" and "from .x import y" resolve against the package itself
+            base = ".".join(filter(None, ["spinrad" if node.level else None, node.module]))
+            modules = [base] + [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if "spinrad.quadrature" in modules:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("from .quadrature import adaptive_integral", True),
+    ("from . import bessel, quadrature", True),
+    ("from spinrad.quadrature import BATCH_PANELS", True),
+    ("import spinrad.quadrature as q", True),
+    ("from spinrad import quadrature", True),
+    ("from .radiation import integrate_channels", False),
+    ("from .. import quadrature", False),
+], ids=["relative", "relative-package", "absolute", "import", "absolute-package",
+        "other-module", "outside-package"])
+def test_the_structure_guard_sees_every_import_form(source, expected):
+    assert imports_quadrature(source) == expected
+
+
+def test_only_radiation_imports_the_quadrature_engine():
+    package = Path(SRC) / "spinrad"
+    importers = [path.name for path in sorted(package.glob("*.py"))
+                 if imports_quadrature(path.read_text())]
+    assert importers == ["radiation.py"]

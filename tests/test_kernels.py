@@ -32,6 +32,13 @@ from spinrad import (
 from spinrad import bessel
 from spinrad.scattering import _cyl_response, _dipole_alpha
 
+from reference_routes import (
+    ExactCylinderTable,
+    ExactSphereTable,
+    exact_cylinder_flux_block,
+    exact_sphere_flux_dipole,
+)
+
 
 def stacked(fn, xs):
     return np.array([fn(x) for x in xs])
@@ -101,10 +108,11 @@ class TestFlux:
     @pytest.mark.parametrize("exact", [False, True])
     @pytest.mark.parametrize("m", [-1, 0, 1])
     def test_sphere(self, m, exact):
-        # w = Omega*m hits the Drude alpha -> R^3 limit at m = 1
+        # w = Omega*m hits the Drude alpha -> R^3 limit at m = 1; exact: the test oracle
         ws = [0.1, 0.5, self.OMEGA, 2.5]
-        assert_same(lambda w: sphere_flux_dipole(Drude(10.0), 0.01, self.OMEGA, w, m, exact), ws)
-        table = SphereTable(Lorentz(1.0, 1.0, 2.0, 0.3), 0.05, exact=exact)
+        flux = exact_sphere_flux_dipole if exact else sphere_flux_dipole
+        assert_same(lambda w: flux(Drude(10.0), 0.01, self.OMEGA, w, m), ws)
+        table = (ExactSphereTable if exact else SphereTable)(Lorentz(1.0, 1.0, 2.0, 0.3), 0.05)
         assert_same(lambda w: table.flux(w, m, 1, "E", self.OMEGA), ws)
 
     def test_dipole_alpha_limit_at_corotation(self):
@@ -116,16 +124,13 @@ class TestFlux:
     def test_cylinder(self, model):
         assert_same(lambda w: _cyl_response(model, w), [-0.5, 0.0, 0.5])
         for kz_frac in (-0.7, 0.0, 0.9):
-            for exact in (False, True):
-                assert_same(
-                    lambda w: cylinder_flux_block(model, 1e-3, self.OMEGA, w, kz_frac * w,
-                                                  exact=exact),
-                    [0.2, self.OMEGA, 1.6],
-                )
+            for flux in (cylinder_flux_block, exact_cylinder_flux_block):
+                assert_same(lambda w: flux(model, 1e-3, self.OMEGA, w, kz_frac * w),
+                            [0.2, self.OMEGA, 1.6])
 
     @pytest.mark.parametrize("exact", [False, True])
     def test_cylinder_table(self, exact):
-        table = CylinderTable(Drude(1e3), 1e-3, 1.5, exact=exact)
+        table = (ExactCylinderTable if exact else CylinderTable)(Drude(1e3), 1e-3, 1.5)
         for m in (-1, 1):
             assert_same(lambda w: table.flux(w, m, None, "block", self.OMEGA),
                         [0.2, self.OMEGA, 1.6])

@@ -27,7 +27,6 @@ from spinrad import (
     mode_flux,
     tabulate_torque_law,
 )
-from spinrad.quadrature import adaptive_integral
 from spinrad.radiation import (
     TWO_PI,
     channel_stage,
@@ -35,6 +34,8 @@ from spinrad.radiation import (
     run_jobs,
 )
 from spinrad.scattering import ChannelTable
+
+from reference_routes import ExactCylinderTable, ExactSphereTable, integrate_one
 
 
 def user_table():
@@ -46,9 +47,9 @@ def user_table():
 TABLES = {
     "disk": DiskTable(Drude(1.0), 0.1),
     "sphere": SphereTable(Drude(10.0), 0.01),
-    "sphere-exact": SphereTable(Drude(10.0), 0.01, exact=True),
+    "sphere-exact": ExactSphereTable(Drude(10.0), 0.01),
     "cylinder": CylinderTable(Drude(10.0), 0.01, 1.0),
-    "cylinder-exact": CylinderTable(Drude(10.0), 0.01, 1.0, exact=True),
+    "cylinder-exact": ExactCylinderTable(Drude(10.0), 0.01, 1.0),
     "user": user_table(),
 }
 # rates and nodes: node 2 sits at corotation omega = Omega*m for m = 1
@@ -144,16 +145,16 @@ def graded(integrand, lo, hi):
 
 
 def alone(stage):
-    """Each channel of the stage, each segment its own scalar quadrature, added left to right."""
+    """Each channel of the stage, each segment its own quadrature, added left to right."""
     out = []
     for m, extra, pol, points in stage.channels:
         def integrand(w):
             return stage.weight(w, m, mode_flux(stage.table, stage.state, w, m, extra, pol)) / TWO_PI
         if stage.graded:
-            parts = [adaptive_integral(graded(integrand, a, b), 0.0, 1.0, epsrel=stage.epsrel)
+            parts = [integrate_one(graded(integrand, a, b), 0.0, 1.0, epsrel=stage.epsrel)
                      for a, b in zip(points, points[1:])]
         else:
-            parts = [adaptive_integral(integrand, a, b, epsrel=stage.epsrel)
+            parts = [integrate_one(integrand, a, b, epsrel=stage.epsrel)
                      for a, b in zip(points, points[1:])]
         total, err = parts[0]
         for val, e in parts[1:]:

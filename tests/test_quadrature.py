@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from spinrad import (
 from spinrad.quadrature import adaptive_integral
 
 from quadrature_reference import adaptive_integral as heap_integral
+from reference_routes import integrate_one as integrate
 
 
 class Recorder:
@@ -40,7 +42,7 @@ def test_gk21_exact_on_polynomials():
     # the 21-point Kronrod rule integrates degree <= 31 exactly on each panel
     a, b = 0.3, 1.7
     degrees = np.arange(32)
-    val, err = adaptive_integral(lambda w: w ** degrees[:, None], a, b)
+    val, err = integrate(lambda w: w ** degrees[:, None], a, b)
     exact = (b ** (degrees + 1) - a ** (degrees + 1)) / (degrees + 1)
     np.testing.assert_allclose(val, exact, rtol=1e-14)
     assert err < 1e-12 * np.max(exact)  # only the rounding floor is left
@@ -51,7 +53,7 @@ def test_a_degree_19_polynomial_takes_one_call_on_the_two_halves():
     # it evaluates the two halves only, never the whole interval
     a, b = 0.3, 1.7
     f = Recorder(lambda w: np.polynomial.polynomial.polyval(w, np.arange(1.0, 21.0)))
-    val, _ = adaptive_integral(f, a, b)
+    val, _ = integrate(f, a, b)
     assert [w.size for w in f.calls] == [42]
     nodes = f.calls[0]
     assert (nodes[:21] < 1.0).all() and (nodes[21:] > 1.0).all() and 1.0 not in nodes
@@ -63,7 +65,7 @@ def test_a_degree_19_polynomial_takes_one_call_on_the_two_halves():
 def test_integrand_never_receives_the_endpoints():
     # 1/sqrt(w) is infinite at w = 0: an endpoint evaluation would poison the sum
     f = Recorder(lambda w: 1.0 / np.sqrt(w))
-    val, _ = adaptive_integral(f, 0.0, 1.0, epsrel=1e-10)
+    val, _ = integrate(f, 0.0, 1.0, epsrel=1e-10)
     assert val == pytest.approx(2.0, rel=1e-9)
     nodes = f.nodes
     assert nodes.min() > 0.0 and nodes.max() < 1.0
@@ -73,7 +75,7 @@ def test_integrand_never_receives_the_endpoints():
 def test_vector_components_share_panels():
     # components of very different shape and scale are evaluated on one node set
     f = Recorder(lambda w: np.array([np.exp(-50 * w), w**2, np.sin(40 * w)]))
-    val, _ = adaptive_integral(f, 0.0, 2.0)
+    val, _ = integrate(f, 0.0, 2.0)
     assert val.shape == (3,)
     assert val == pytest.approx(
         [(1 - math.exp(-100)) / 50, 8 / 3, (1 - math.cos(80)) / 40], rel=1e-9
@@ -91,7 +93,7 @@ def test_linear_identity_holds_to_roundoff_on_thermal_disk():
 
 def test_subdivision_limit_raises_naming_the_interval():
     with pytest.raises(ConvergenceError, match=r"\(0, 10\)"):
-        adaptive_integral(lambda w: np.sin(300 * w) * np.exp(w), 0.0, 10.0, limit=4)
+        integrate(lambda w: np.sin(300 * w) * np.exp(w), 0.0, 10.0, limit=4)
 
 
 @pytest.mark.parametrize("limit", [4, 150, 300])
@@ -99,14 +101,34 @@ def test_a_stall_never_takes_more_panels_than_the_limit(limit):
     # the integrand needs thousands of panels, and a round may bisect up to
     # BATCH_PANELS of them: the last round stops at the limit
     with pytest.raises(ConvergenceError, match=r"\(0, 10\) stalled") as exc:
-        adaptive_integral(lambda w: np.sin(3e4 * w) * np.exp(w), 0.0, 10.0, limit=limit)
+        integrate(lambda w: np.sin(3e4 * w) * np.exp(w), 0.0, 10.0, limit=limit)
     panels = int(re.search(r"after (\d+) panels", str(exc.value)).group(1))
     assert panels <= limit
 
 
 def test_non_finite_integrand_raises_instead_of_returning_nan():
     with pytest.raises(ConvergenceError, match=r"\(0, 1\)"):
-        adaptive_integral(lambda w: np.where(w > 0.5, np.nan, w), 0.0, 1.0)
+        integrate(lambda w: np.where(w > 0.5, np.nan, w), 0.0, 1.0)
+
+
+@pytest.mark.parametrize("f", [
+    lambda w: np.where(w > 0.5, np.inf, w),
+    lambda w: np.where(w > 0.5, -np.inf, w),
+    lambda w: np.where(w > 0.5, np.inf, -np.inf),  # inf - inf in the panel sums as well
+    lambda w: np.where(w > 0.5, np.nan, w),
+], ids=["inf", "-inf", "mixed", "nan"])
+def test_non_finite_integrand_stalls_without_a_floating_point_warning(f):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match=r"^quadrature on \(0, 1\) stalled: err=nan "):
+            integrate(f, 0.0, 1.0)
+
+
+def test_the_integrands_own_floating_point_warnings_surface():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeWarning, match="invalid value encountered in log"):
+            integrate(lambda w: np.log(w - 0.5), 0.0, 1.0)
 
 
 @pytest.mark.parametrize("a, b", [(0.0, math.nan), (math.nan, 1.0), (0.0, math.inf),
@@ -114,7 +136,7 @@ def test_non_finite_integrand_raises_instead_of_returning_nan():
 def test_non_finite_bound_raises_before_any_integrand_call(a, b):
     f = Recorder(np.sin)
     with pytest.raises(DomainError, match=r"at batch position 0 is not finite"):
-        adaptive_integral(f, a, b)
+        integrate(f, a, b)
     assert f.calls == []
 
 
@@ -145,11 +167,18 @@ def test_batch_inputs_of_different_lengths_raise_before_any_call(a, b, epsrel, p
         adaptive_integral(never_called, a, b, epsrel=epsrel)
 
 
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.0, [1.0]), ([0.0], 1.0), ([[0.0]], [[1.0]])])
+def test_bounds_that_are_not_1d_sequences_raise_before_any_call(a, b):
+    # a scalar pair is not a batch of one: every caller passes sequences
+    with pytest.raises(DomainError, match=r"^a and b must be 1-D sequences of bounds"):
+        adaptive_integral(never_called, a, b)
+
+
 @pytest.mark.parametrize("epsrel", [0.0, -1e-9, math.nan, math.inf])
 def test_a_tolerance_that_is_not_finite_and_positive_raises_before_any_call(epsrel):
     # such a tolerance can never be met: the integral would stall at the limit
     with pytest.raises(DomainError, match=r"^epsrel=.* at batch position 0 is not a finite "):
-        adaptive_integral(never_called, 0.0, 1.0, epsrel=epsrel)
+        adaptive_integral(never_called, [0.0], [1.0], epsrel=epsrel)
     with pytest.raises(DomainError, match=r"^epsrel=.* at batch position 2 is not a finite "):
         adaptive_integral(never_called, [0.0] * 3, [1.0] * 3, epsrel=[1e-9, 1e-9, epsrel])
 
@@ -162,9 +191,9 @@ def test_a_nan_policy_tolerance_is_a_domain_error_not_a_stall():
 
 def test_empty_interval_returns_zeros_of_the_component_shape():
     f = Recorder(lambda w: np.array([w, 2 * w, 3 * w]))
-    val, err = adaptive_integral(f, 1.0, 1.0)
+    val, err = integrate(f, 1.0, 1.0)
     assert np.shape(val) == (3,) and not np.any(val) and err == 0.0
-    val, err = adaptive_integral(lambda w: w, 2.0, 1.0)
+    val, err = integrate(lambda w: w, 2.0, 1.0)
     assert np.shape(val) == () and val == 0.0
     assert all(w.size == 0 for w in f.calls)  # no node was evaluated
 
@@ -174,14 +203,14 @@ def test_identical_calls_are_bit_identical():
         N = np.exp(-w / 0.3) / (1.0 + (w - 1.0) ** 2 / 1e-3)
         return np.array([w * N, N, (1.0 - w) * N])
 
-    v1, e1 = adaptive_integral(f, 0.0, 12.0)
-    v2, e2 = adaptive_integral(f, 0.0, 12.0)
+    v1, e1 = integrate(f, 0.0, 12.0)
+    v2, e2 = integrate(f, 0.0, 12.0)
     assert v1.tobytes() == v2.tobytes() and e1 == e2
 
 
 def test_integrand_must_put_nodes_on_the_last_axis():
     with pytest.raises(ValueError, match="last axis"):
-        adaptive_integral(lambda w: np.ones((w.size, 2)), 0.0, 1.0)
+        integrate(lambda w: np.ones((w.size, 2)), 0.0, 1.0)
 
 
 # lock-step batches: members with their own interval, integrand and tolerance
@@ -216,19 +245,8 @@ def test_batch_equals_batches_of_one():
     values, errors = adaptive_integral(batch_integrand(BATCH), a, b, epsrel=eps)
     assert len(values) == len(errors) == len(BATCH)
     for (lo, hi, e, p, wd), val, err in zip(BATCH, values, errors):
-        ref, ref_err = adaptive_integral(lambda w: peaked(w, p, wd), lo, hi, epsrel=e)
+        ref, ref_err = integrate(lambda w: peaked(w, p, wd), lo, hi, epsrel=e)
         assert val.tobytes() == ref.tobytes() and err == ref_err
-
-
-def test_scalar_pair_is_a_batch_of_one():
-    f = Recorder(lambda w: peaked(w, 1.0, 1e-3))
-    val, err = adaptive_integral(f, 0.0, 12.0)
-    seen = []
-    values, errors = adaptive_integral(batch_integrand([BATCH[0]], seen), [0.0], [12.0])
-    assert values[0].tobytes() == val.tobytes() and errors == [err]
-    assert len(seen) == len(f.calls)
-    for (w, k), ref in zip(seen, f.calls):
-        assert np.array_equal(w, ref) and not k.any()
 
 
 def test_each_member_starts_on_its_two_halves():
@@ -257,7 +275,7 @@ def test_stalled_member_raises_and_its_neighbours_run_as_alone():
     for k in (0, 2):
         lo, hi, e, p, wd = members[k]
         alone = Recorder(lambda w: peaked(w, p, wd))
-        adaptive_integral(alone, lo, hi, epsrel=e)
+        integrate(alone, lo, hi, epsrel=e)
         mine = [w[owner == k] for w, owner in seen if (owner == k).any()]
         assert len(mine) == len(alone.calls)
         assert all(np.array_equal(x, y) for x, y in zip(mine, alone.calls))
@@ -303,30 +321,36 @@ def random_integrand(case, w, k):
     return np.array([out, w * out, (p - w) * out]) if case["vector"] else out
 
 
-def outcome(engine, case):
-    """Everything a caller can see: value bytes and shapes, errors, exception, and every node."""
+def outcome(engine, case, scalar_call=False):
+    """Everything a caller can see: value bytes and shapes, errors, exception, and every node.
+
+    With ``scalar_call`` the engine gets the case's one interval as scalars and calls
+    the integrand with the nodes alone.
+    """
     seen = []
 
     def f(x):
-        w, k = x if not case["scalar_call"] else (x, np.zeros(x.size, dtype=int))
+        w, k = x if not scalar_call else (x, np.zeros(x.size, dtype=int))
         seen.append(w.tobytes() + k.tobytes())
         return random_integrand(case, w, k)
 
     a, b, epsrel = case["a"], case["b"], case["epsrel"]
-    if case["scalar_call"]:
+    if scalar_call:
         a, b, epsrel = float(a[0]), float(b[0]), float(np.reshape(epsrel, -1)[0])
     try:
         values, errors = engine(f, a, b, epsrel=epsrel, limit=case["limit"])
     except (ConvergenceError, DomainError) as exc:
         return type(exc), str(exc), getattr(exc, "index", None), seen
-    if case["scalar_call"]:
+    if scalar_call:
         values, errors = [values], [errors]
     return ([(np.shape(v), np.asarray(v).tobytes()) for v in values],
             np.array(errors).tobytes(), seen)
 
 
 def test_panel_table_reproduces_the_heap_engine_bit_for_bit():
+    # a scalar_call case calls the heap engine with scalars, and the panel table with
+    # the same interval as a batch of one
     mismatched = [seed for seed in range(400)
                   if outcome(adaptive_integral, random_case(seed))
-                  != outcome(heap_integral, random_case(seed))]
+                  != outcome(heap_integral, random_case(seed), random_case(seed)["scalar_call"])]
     assert mismatched == []

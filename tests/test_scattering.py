@@ -25,7 +25,9 @@ from spinrad import (
     sphere_flux_dipole,
     sphere_smatrix_dipole,
 )
-from spinrad.scattering import SmallVelocityWarning
+from spinrad.scattering import SmallVelocityWarning, disk_flux
+
+from reference_routes import exact_cylinder_flux_block, exact_sphere_flux_dipole
 
 LOSSLESS = [Vacuum(), ConstantEpsilon(4.0), Lorentz(1.0, 2.0, 5.0, 0.0)]
 LOSSY = [Drude(1.0), ConstantEpsilon(4.0, 0.8), Lorentz(1.0, 2.0, 5.0, 0.3)]
@@ -101,6 +103,13 @@ class TestDiskSMatrix:
         with pytest.raises(DomainError):
             disk_smatrix(Vacuum(), 0.5, 0.0, -1.0, 0)
 
+    @pytest.mark.parametrize("R", [-0.01, 0.0, math.nan])
+    @pytest.mark.parametrize("fn", [disk_smatrix, disk_flux])
+    def test_s_matrix_and_flux_need_a_positive_radius(self, fn, R):
+        # disk_flux used to integrate a negative radius without complaint
+        with pytest.raises(DomainError, match=r"^radius must be > 0$"):
+            fn(Drude(1.0), R, 1.0, np.array([0.5, 1.5]), 1)
+
 
 class TestDiskSmallVelocity:
     def test_zero_at_corotation(self):
@@ -148,7 +157,7 @@ class TestSphereDipole:
     def test_exact_flux_close_to_truncated(self):
         model, R, Omega, w = Drude(3.0), 0.01, 1.0, 0.4
         tr = sphere_flux_dipole(model, R, Omega, w, 1)
-        ex = sphere_flux_dipole(model, R, Omega, w, 1, exact=True)
+        ex = exact_sphere_flux_dipole(model, R, Omega, w, 1)
         assert ex == pytest.approx(tr, rel=1e-4)
 
 
@@ -182,7 +191,7 @@ class TestCylinderBlock:
     def test_exact_block_flux_near_truncated_for_thin(self):
         model, R, Omega, w, kz = Drude(1.0), 1e-3, 1.0, 0.4, 0.2
         tr = cylinder_flux_block(model, R, Omega, w, kz)
-        ex = cylinder_flux_block(model, R, Omega, w, kz, exact=True)
+        ex = exact_cylinder_flux_block(model, R, Omega, w, kz)
         assert ex == pytest.approx(tr, rel=1e-4)
 
 

@@ -17,6 +17,8 @@ from spinrad import (
 from spinrad.bessel import bessel_j_and_deriv, hankel
 from spinrad.testbody import ProximityWarning, torque_vs_distance
 
+from reference_routes import small_particle_force_3d, small_particle_torque_3d
+
 
 def drude_pair(d, s1=1.0, s2=1.0, R=0.01, a=0.01):
     return TwoBodyConfig(d, Drude(s1), R, Drude(s2), a)
@@ -95,7 +97,7 @@ class TestTorque3D:
         R = a = 1e-3
         d, Omega = 1.0, 1.0
         cfg = TwoBodyConfig(d, Drude(s1), R, Drude(s2), a)
-        got = torque_on_test_3d(cfg, Omega, small_particle=True)
+        got = small_particle_torque_3d(cfg, Omega)
         pref = (8 / (9 * math.pi * d**2)) * (3 * R**3 / (4 * math.pi * s1)) * (
             3 * a**3 / (4 * math.pi * s2)
         )
@@ -106,7 +108,7 @@ class TestTorque3D:
         # Im a1 Im a2 integrand
         cfg = drude_pair(3.0, s1=20.0, s2=5.0)
         a = torque_on_test_3d(cfg, 1.0)
-        b = torque_on_test_3d(cfg, 1.0, small_particle=True)
+        b = small_particle_torque_3d(cfg, 1.0)
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_inverse_square_distance(self):
@@ -135,7 +137,7 @@ class TestTangentialForce:
         R = a = 1e-3
         d, Omega = 1.0, 1.0
         cfg = TwoBodyConfig(d, Drude(s1), R, Drude(s2), a)
-        got = tangential_force_3d(cfg, Omega, small_particle=True)
+        got = small_particle_force_3d(cfg, Omega)
         pref = (1 / (9 * math.pi * d)) * (3 * R**3 / (4 * math.pi * s1)) * (
             3 * a**3 / (4 * math.pi * s2)
         )
@@ -144,7 +146,7 @@ class TestTangentialForce:
     def test_routes_agree_for_dipoles(self):
         cfg = drude_pair(3.0, s1=20.0, s2=5.0)
         a = tangential_force_3d(cfg, 1.0)
-        b = tangential_force_3d(cfg, 1.0, small_particle=True)
+        b = small_particle_force_3d(cfg, 1.0)
         assert a == pytest.approx(b, rel=1e-6)
 
     def test_inverse_distance(self):
@@ -164,3 +166,16 @@ class TestConfigValidation:
     def test_proximity_warning(self):
         with pytest.warns(ProximityWarning):
             TwoBodyConfig(0.025, Drude(1.0), 0.01, Drude(1.0), 0.01)
+
+    @pytest.mark.parametrize("radius", [-0.01, 0.0, math.nan])
+    @pytest.mark.parametrize("field", ["source_radius", "test_radius"])
+    def test_non_positive_radius_rejected_naming_the_field(self, field, radius):
+        radii = {"source_radius": 0.01, "test_radius": 0.01, field: radius}
+        with pytest.raises(DomainError, match=rf"^{field} must be > 0$"):
+            TwoBodyConfig(5.0, Drude(1.0), radii["source_radius"], Drude(1.0),
+                          radii["test_radius"])
+
+    @pytest.mark.parametrize("distances", [[], [5.0]])
+    def test_unknown_sweep_mode_rejected_even_without_distances(self, distances):
+        with pytest.raises(DomainError, match=r"^mode must be '2d' or '3d', not '4d'$"):
+            torque_vs_distance(drude_pair(5.0), 1.0, distances, mode="4d")
