@@ -31,7 +31,10 @@ of the SDE's paths.
 
 The layer imports no scipy.  The monotone cubic (PCHIP) of tabulated torque
 laws is private numpy code written op for op after scipy 1.17, so that its
-values, and with them every trajectory, equal scipy's bit for bit.  The
+values, and with them every trajectory, equal scipy's bit for bit.  An input
+that lies in one piece (a driven ensemble is far narrower than a piece)
+skips the per-point search and gathers and takes that piece's coefficients,
+with the same bits.  The
 stationary density, built only on evenly spaced grids, takes its integrals
 from one running Simpson rule for such grids and its CDF from the trapezoid
 rule.
@@ -289,6 +292,12 @@ class _PiecewiseCubic:
     t takes the piece i with x[i] <= t < x[i+1], the last piece also holds
     t = x[-1], and the end pieces extrapolate; each value is the power sum
     0.0 + c0 + c1*s + c2*(s*s) + c3*((s*s)*s), added in that order.
+
+    The pieces of min(t) and max(t) bound the search.  When both are one
+    piece and no t is NaN, every point takes that piece's coefficients
+    directly, with no per-point search and no gather; the operations and
+    their order are the same, so are the bits.  Otherwise each t is searched
+    among the breakpoints between those two pieces only.
     """
 
     __slots__ = ("x", "c", "_inner")
@@ -301,7 +310,25 @@ class _PiecewiseCubic:
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         flat = t.ravel()
-        i = np.searchsorted(self._inner, flat, "right")  # NaN takes the last piece, stays NaN
+        shape = self.c.shape[1:-1] + t.shape
+        inner = self._inner
+        lo, hi = 0, len(inner)
+        low = np.minimum.reduce(flat) if flat.size else math.nan  # NaN if any t is NaN
+        if low == low:  # no NaN: a NaN sorts last, so it keeps the whole search
+            lo, hi = inner.searchsorted((low, np.maximum.reduce(flat)), "right").tolist()
+            if lo == hi:  # one piece: its scalar coefficients, no search and no gather
+                c0, c1, c2, c3 = self.c[..., lo, None]
+                s = flat - self.x[lo]
+                out = np.multiply(c1, s)
+                np.add(0.0 + c0, out, out=out)
+                ss = s * s
+                term = np.multiply(c2, ss)
+                out += term
+                ss *= s
+                out += np.multiply(c3, ss, out=term)
+                return out.reshape(shape)
+        i = inner[lo:hi].searchsorted(flat, "right")  # every t lies in pieces lo..hi
+        i += lo
         powers = np.empty((3,) + (1,) * (self.c.ndim - 2) + flat.shape)  # s, s*s, (s*s)*s
         s = np.subtract(flat, self.x.take(i), out=powers[0])
         np.multiply(s, s, out=powers[1])
@@ -309,7 +336,7 @@ class _PiecewiseCubic:
         terms = self.c.take(i, axis=-1)
         terms[1:] *= powers
         out = terms.sum(axis=0, initial=0.0)  # numpy adds four terms in order, from 0.0
-        return out.reshape(self.c.shape[1:-1] + t.shape)
+        return out.reshape(shape)
 
 
 def _pchip(x, y):
@@ -454,12 +481,8 @@ def simulate_ensemble(law, I, omega0, *, t_total, dt, n_traj, seed=0, drive_at=N
     (:class:`DomainError` naming the argument, before any work).
     """
     check_ensemble_counts(n_traj, n_record, seed)
-    for name, value in (("I", I), ("dt", dt), ("t_total", t_total)):
-        if not (math.isfinite(value) and value > 0):
-            raise DomainError(f"{name} must be finite and > 0, got {value}")
-    for name, value in (("omega0", omega0), ("drive_at", drive_at)):
-        if value is not None and not (math.isfinite(value) and value >= 0):
-            raise DomainError(f"{name} must be finite and >= 0, got {value}")
+    _check_args((("I", I), ("dt", dt), ("t_total", t_total)),
+                (("omega0", omega0), ("drive_at", drive_at)))
     if not math.isfinite(t_total / dt):
         raise DomainError(f"t_total / dt = {t_total / dt} steps is not finite")
     n_steps = int(round(t_total / dt))
@@ -505,6 +528,20 @@ def simulate_ensemble(law, I, omega0, *, t_total, dt, n_traj, seed=0, drive_at=N
             stacklevel=2,
         )
     return RotorEnsemble(I, dt, seed, drive_at, times, omegas, adiab_max)
+
+
+def _check_args(positive, nonnegative):
+    """Raise :class:`DomainError` naming the first argument out of its range.
+
+    Each is a (name, value) pair: a ``positive`` value must be finite and > 0,
+    a ``nonnegative`` one finite and >= 0 or None.
+    """
+    for name, value in positive:
+        if not (math.isfinite(value) and value > 0):
+            raise DomainError(f"{name} must be finite and > 0, got {value}")
+    for name, value in nonnegative:
+        if value is not None and not (math.isfinite(value) and value >= 0):
+            raise DomainError(f"{name} must be finite and >= 0, got {value}")
 
 
 def check_ensemble_counts(n_traj, n_record, seed):
@@ -608,10 +645,10 @@ def fokker_planck_stationary(law, omega0, I):
     it is widened until the density has decayed at both ends, its lower end
     divided by ``FP_SPAN`` at a time.  Raises :class:`DomainError` when the
     density is not normalizable (e.g. free decay, Mbar(omega0) = 0, against a
-    diffusion vanishing at W = 0 with exponent >= 1).
+    diffusion vanishing at W = 0 with exponent >= 1).  I must be finite and
+    > 0 and omega0 finite and >= 0 (:class:`DomainError` naming the argument).
     """
-    if I <= 0:
-        raise DomainError("need I > 0")
+    _check_args((("I", I),), (("omega0", omega0),))
     drive = float(law.drift(omega0))
     try:
         sig = uncertainty(law, omega0, I) / I
@@ -685,10 +722,10 @@ def uncertainty(law, omega0, I):
 
     Mbar' is the law's own :meth:`TorqueLaw.drift_derivative` at omega0; a
     flat or decreasing torque has no confining steady state and raises
-    :class:`DomainError`.
+    :class:`DomainError`, as do an I that is not finite and > 0 and an
+    omega0 that is not finite and >= 0 (naming the argument).
     """
-    if I <= 0:
-        raise DomainError("need I > 0")
+    _check_args((("I", I),), (("omega0", omega0),))
     slope = law.drift_derivative(omega0)
     if slope <= 0:
         raise DomainError(f"dMbar/dW = {slope} at W0={omega0:g}: no confinement")

@@ -10,6 +10,7 @@ Each quantity is a weight over the source's |m| = 1 channels, integrated by
 """
 
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -44,6 +45,8 @@ class TwoBodyConfig:
         for name in ("source_radius", "test_radius"):
             if not getattr(self, name) > 0:
                 raise DomainError(f"{name} must be > 0")
+        if not math.isfinite(self.d):
+            raise DomainError(f"d must be finite, got {self.d}")
         if self.d <= self.source_radius + self.test_radius:
             raise DomainError("bodies overlap: need d > R_source + R_test")
         if self.d < 3.0 * max(self.source_radius, self.test_radius):

@@ -4,18 +4,24 @@ Each hot kernel skips its boolean masks when no node needs one (no W <= 0,
 no omega' = 0, no node at corotation or past x = 700, no real Bessel
 argument).  Every test here runs the fast path and then forces the general
 path in the same process by appending the one node that needs the mask; the
-entries the two calls share must agree exactly.  Nothing is compared with a
-stored digest, so the tests hold whatever the platform's transcendentals.
+entries the two calls share must agree exactly.  The PCHIP evaluator's
+one-piece path is compared instead with the per-point search it replaced,
+kept in ``spline_reference.py``.  Nothing is compared with a stored digest,
+so the tests hold whatever the platform's transcendentals.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
 
+import spline_reference
 from spinrad import (
     ConstantEpsilon,
     DiskTable,
     Drude,
     Lorentz,
+    MSumPolicy,
     SphereTable,
     TabulatedEpsilon,
     ThermalState,
@@ -25,9 +31,12 @@ from spinrad import (
     disk_interior_frequency,
     langevin_step,
     mode_flux,
+    simulate_ensemble,
     tabulate_torque_law,
+    torque_law_from_radiation,
 )
-from spinrad import bessel, cli
+from spinrad import bessel, cli, rotor
+from spinrad.rotor import _log_log_pchip, _pchip
 from spinrad.scattering import _cyl_response, _dipole_alpha, _disk_matching
 
 NAN = float("nan")
@@ -97,6 +106,96 @@ class TestLangevinStep:
         got = langevin_step(np.array([1.0, 2.0]), law, 10.0, 0.1, np.array([0.3, -0.2]))
         same(got, self.old_step(np.array([1.0, 2.0]), law, 10.0, 0.1,
                                 np.array([0.3, -0.2]), 0.0))
+
+
+def same_bytes(a, b):
+    """Equal shapes and bytes, NaN payloads and signed zeros included."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+def piece_count(spline, t):
+    """How many pieces the finite points of t take."""
+    t = np.ravel(t)
+    return len(np.unique(np.searchsorted(spline._inner, t[np.isfinite(t)], "right")))
+
+
+def spline_inputs(x, rng):
+    """Seeded evaluation points for breakpoints x: bands of 1-3 pieces, nodes, both ends."""
+    n = len(x)
+    span = x[-1] - x[0]
+    cases = []
+    for k in (1, 2, 3):
+        for _ in range(60):
+            p = int(rng.integers(0, n - k))  # pieces p .. p+k-1, the end pieces among them
+            inside = [rng.uniform(x[p + j], x[p + j + 1]) for j in range(k)]  # one per piece
+            t = np.concatenate([inside, rng.uniform(x[p], x[p + k], int(rng.integers(0, 600)))])
+            if rng.random() < 0.5:
+                t = np.append(t, x[p])  # the node that starts the band
+            cases.append(rng.permutation(t))
+    cases += [x, x[:-1], x[[3]], x[[3, 3]], np.array([x[3], np.nextafter(x[4], -np.inf)])]
+    cases += [rng.uniform(x[0] - span, x[0], 100), np.append(rng.uniform(x[0] - span, x[1], 50), x[0])]
+    cases += [x[[-1]], rng.uniform(x[-1], x[-1] + span, 100),
+              np.append(rng.uniform(x[-2], x[-1] + span, 50), x[-1])]
+    for specials in ([np.nan], [np.inf], [-np.inf], [np.nan, np.inf, -np.inf], [np.nan] * 3):
+        p = int(rng.integers(0, n - 1))
+        t = rng.uniform(x[p], x[p + 1], 64)
+        cases.append(np.insert(t, rng.integers(0, 65, len(specials)), specials))
+    cases += [np.array([np.inf]), np.array([np.inf, np.inf]), np.array([-np.inf]),
+              np.array([np.nan]), np.array([np.nan, x[3]])]
+    cases += [np.empty(0), np.empty((0, 3)), np.array(x[-2]), np.array(np.inf), float(x[2]),
+              rng.uniform(x[1], x[2], (3, 7)), rng.uniform(x[0], x[3], (2, 5))]
+    cases += [np.array([-0.0]), np.array(-0.0), np.array([-0.0, 0.0, 0.5])]  # s = -0.0 at x = 0
+    return cases
+
+
+def splines():
+    grid = np.geomspace(2e-4, 2.0, 33)
+    vals = np.column_stack([grid**5 + 0.3 * grid**3, 2.0 * grid**5 / (1.0 + grid)])
+    return {"two-column-log-log": _log_log_pchip(grid, vals),
+            "one-column-linear": _pchip(grid, grid**3 - 0.25 * grid),  # the signed drift
+            # c0 = -0.0 at x[0] = 0.0: only the leading 0.0 + c0 makes f(-0.0) = +0.0
+            "signed-zeros": _pchip(np.arange(5.0), np.array([-0.0, 1.0, -0.0, -0.0, 0.0]))}
+
+
+class TestPiecewiseCubic:
+    """The one-piece path and the narrowed search equal the per-point search, byte for byte."""
+
+    @pytest.mark.parametrize("kind", list(splines()))
+    def test_equals_the_per_point_search(self, kind):
+        spline = splines()[kind]
+        seen = set()
+        for t in spline_inputs(spline.x, np.random.default_rng(29)):
+            with np.errstate(all="ignore"):  # inf - x, then 0 * inf and inf - inf
+                same_bytes(spline(t), spline_reference.evaluate(spline, t))
+            seen.add(piece_count(spline, t))
+        assert {0, 1, 2, 3} <= seen
+
+    def test_thermal_ensemble_sha_equals_the_per_point_search(self, monkeypatch):
+        # a T > 0 Drude sphere: 512 trajectories x 300 steps, one piece at some
+        # steps and two at others; one SHA-256 with either evaluator
+        law = torque_law_from_radiation(SphereTable(Drude(10.0), 0.01), ThermalState(T_object=0.5),
+                                        omega_range=(0.0, 2.0), policy=MSumPolicy(m_max=2))
+        dt = 0.02 * 1e4 / law.drift_derivative(1.0)
+        counts = []
+        production = rotor._PiecewiseCubic.__call__
+
+        def counting(self, t):
+            if np.size(t) == 512:
+                counts.append(piece_count(self, t))
+            return production(self, t)
+
+        def sha():
+            ens = simulate_ensemble(law, I=1e4, omega0=1.0, t_total=300 * dt, dt=dt, n_traj=512,
+                                    seed=3, drive_at=1.0)
+            return hashlib.sha256(ens.omegas.tobytes()).hexdigest()
+
+        monkeypatch.setattr(rotor._PiecewiseCubic, "__call__", counting)
+        fast = sha()
+        assert set(counts) == {1, 2}
+        monkeypatch.setattr(rotor._PiecewiseCubic, "__call__", spline_reference.evaluate)
+        assert sha() == fast
 
 
 class TestMaterial:

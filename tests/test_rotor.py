@@ -70,6 +70,21 @@ class TestUncertainty:
             uncertainty(flat, 1.0, 1.0)
 
 
+BAD_WIDTH_ARGUMENTS = [
+    ("I", 0.0), ("I", -1.0), ("I", math.nan), ("I", math.inf), ("I", -math.inf),
+    ("omega0", -1.0), ("omega0", math.nan), ("omega0", math.inf), ("omega0", -math.inf),
+]
+
+
+@pytest.mark.parametrize("fn", [uncertainty, fokker_planck_stationary])
+@pytest.mark.parametrize("name, value", BAD_WIDTH_ARGUMENTS)
+def test_width_and_density_name_a_bad_argument(fn, name, value):
+    # unchecked, a NaN or inf comes back as the width, and a NaN omega0 runs
+    # the density's support search to a ConvergenceError
+    with pytest.raises(DomainError, match=rf"^{name} must be finite"):
+        fn(power5(), **{"omega0": 1.0, "I": 1e4, name: value})
+
+
 class TestDeterministicLimit:
     def test_zero_law_constant(self):
         silent = TorqueLaw.from_moments(lambda w: (0.0 * w, 0.0 * w), lambda w: 0.0 * w)

@@ -71,6 +71,25 @@ class TestPchip:
         t = points(x)
         same(_pchip(x, y)(t), PchipInterpolator(x, y)(t))
 
+    def test_one_piece_arrays(self):
+        # every t of an array in one piece (the end pieces extrapolating): the
+        # evaluator takes that piece's coefficients without a per-point search
+        vals = two_column_vals(GRID)
+        tiny = np.max(vals, axis=0) * 1e-290 + 1e-300
+        x = np.log(GRID)
+        mine = _log_log_pchip(GRID, vals)
+        ref = PchipInterpolator(x, np.log(np.maximum(vals, tiny)))
+        signed = GRID**3 - 0.25 * GRID
+        lin, lin_ref = _pchip(GRID, signed), PchipInterpolator(GRID, signed)
+        rng = np.random.default_rng(13)
+        for nodes, a, b in ((x, mine, lambda t: ref(t).T), (GRID, lin, lin_ref)):
+            span = nodes[-1] - nodes[0]
+            bands = [(nodes[p], nodes[p + 1]) for p in range(len(nodes) - 1)]
+            bands += [(nodes[0] - span, nodes[0]), (nodes[-1], nodes[-1] + span)]
+            for lo, hi in bands:
+                t = np.append(rng.uniform(lo, hi, 64), lo)
+                same(a(t), b(t))
+
     def test_scalar_point_gives_a_0d_array(self):
         x = np.linspace(0.0, 1.0, 5)
         y = np.array([0.0, 1.0, 0.5, 2.0, 2.5])

@@ -175,6 +175,14 @@ class TestConfigValidation:
             TwoBodyConfig(5.0, Drude(1.0), radii["source_radius"], Drude(1.0),
                           radii["test_radius"])
 
+    @pytest.mark.parametrize("d", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("op", [torque_on_test_2d, torque_on_test_3d], ids=["disk", "sphere"])
+    def test_non_finite_distance_rejected_naming_d(self, op, d):
+        # unchecked, NaN passes every comparison and stalls in the quadrature,
+        # and inf reaches the Bessel layer's argument cap
+        with pytest.raises(DomainError, match=r"^d must be finite, got"):
+            op(drude_pair(d), 1.0)
+
     @pytest.mark.parametrize("distances", [[], [5.0]])
     def test_unknown_sweep_mode_rejected_even_without_distances(self, distances):
         with pytest.raises(DomainError, match=r"^mode must be '2d' or '3d', not '4d'$"):
