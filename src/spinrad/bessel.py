@@ -1,9 +1,12 @@
 """Cylindrical Bessel and Hankel functions of integer order.
 
-Thin, guarded layer over ``scipy.special`` (AMOS) providing J_m and
-H^(1,2)_m of complex argument, each alone or paired with its derivative
-from the exact recurrence C'_m(z) = C_{m-1}(z) - (m/z) C_m(z), and the
-Hankel Wronskian used by the disk scattering matrix (the only user of Y_m).
+Thin, guarded layer over ``scipy.special`` (AMOS) providing J_m and the
+first-kind Hankel function H^(1)_m of complex argument, each alone or paired
+with its derivative from the exact recurrence
+C'_m(z) = C_{m-1}(z) - (m/z) C_m(z), and the Hankel Wronskian used by the
+disk scattering matrix (the only user of Y_m).  There is no second kind:
+the disk needs it only at real arguments, where H^(2)_m(x) = conj H^(1)_m(x)
+(DLMF 10.11.9), so it conjugates the first-kind pair it already holds.
 Orders are capped at |m| <= 200 and arguments at |z| <= 1e4; outside that
 range, or when the backend overflows, a :class:`DomainError` naming the first
 offending argument is raised instead of returning NaN.
@@ -100,11 +103,11 @@ def _reflect(m, *values):
             np.multiply(value, sign, out=value, where=negative)
 
 
-_AMOS = {"Y": "yv", "H1": "hankel1", "H2": "hankel2"}
+_AMOS = {"Y": "yv", "H1": "hankel1"}
 
 
 def _cyl(kind, m, z):
-    """C_m on a checked array: J, H1 or H2 of complex z, or Y of real x.
+    """C_m on a checked array: J or H1 of complex z, or Y of real x.
 
     m is one order or one per node.  AMOS is called at the orders |m| and
     the nodes of negative order reflected by (-1)^m.
@@ -150,24 +153,16 @@ def bessel_j_and_deriv(m, z):
     return _out(J, z), _out(d, z)
 
 
-def _kind(kind):
-    if kind not in (1, 2):
-        raise DomainError(f"kind must be 1 or 2, got {kind!r}")
-    return f"H{kind}"
-
-
-def hankel(kind, m, z):
-    """Hankel function H^(kind)_m(z) of the first (1) or second (2) kind."""
-    name = _kind(kind)
+def hankel(m, z):
+    """Hankel function of the first kind H^(1)_m(z)."""
     _check(m, z, nonzero=True)
-    return _out(_cyl(name, m, _array(z)), z)
+    return _out(_cyl("H1", m, _array(z)), z)
 
 
-def hankel_and_deriv(kind, m, z):
-    """(H^(kind)_m(z), dH^(kind)_m/dz), evaluating H once at each of |m| and |m| - 1."""
-    name = _kind(kind)
+def hankel_and_deriv(m, z):
+    """(H^(1)_m(z), dH^(1)_m/dz), evaluating H once at each of |m| and |m| - 1."""
     _check(m, z, nonzero=True)
-    H, d = _and_deriv(name, m, _array(z))
+    H, d = _and_deriv("H1", m, _array(z))
     return _out(H, z), _out(d, z)
 
 

@@ -423,14 +423,14 @@ def run_rotor(args, parser):
     Omega0, I = body["omega"], body["inertia"]
     # the ensemble's own rule, applied before the law and the density are built
     check_ensemble_counts(numerics["n_traj"], numerics["n_record"], args.seed)
-    law_kind = _get(parser, "rotor", "law", str, default="radiation").lower()
-    if law_kind == "powerlaw":
+    law_name = _get(parser, "rotor", "law", str, default="radiation").lower()
+    if law_name == "powerlaw":
         coeff = _get(parser, "rotor", "coeff", float, required=True)
         exponent = _get(parser, "rotor", "exponent", float, required=True)
         if units is not None:  # coeff in N m (rad/s)^-exponent
             coeff = units.torque(coeff) * units.frequency_si(1.0) ** exponent
         law = TorqueLaw.power_law(coeff, exponent)
-    elif law_kind == "radiation":
+    elif law_name == "radiation":
         state0 = ThermalState(T_object=body["t_object"], T_env=body["t_env"])
         hi = _get(parser, "rotor", "omega_hi", float)
         if hi is None:

@@ -242,10 +242,15 @@ class ThermalState:
     Omega: float = 0.0
 
     def __post_init__(self):
-        if self.T_object < 0 or self.T_env < 0:
-            raise DomainError("temperatures must be >= 0")
-        if np.any(np.less(self.Omega, 0)):
-            raise DomainError("Omega must be >= 0 (flip the axis instead)")
+        for name in ("T_object", "T_env"):
+            T = getattr(self, name)
+            if not 0.0 <= T < np.inf:
+                raise DomainError(f"{name} must be finite and >= 0, got {T!r}")
+        Omega = np.asarray(self.Omega, dtype=float)
+        bad = ~((Omega >= 0) & (Omega < np.inf))
+        if bad.any():
+            raise DomainError(f"Omega must be finite and >= 0 (flip the axis instead), "
+                              f"got {float(Omega[bad][0])!r}")
 
     @property
     def zero_temperature(self):

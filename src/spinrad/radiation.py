@@ -54,8 +54,14 @@ class MSumPolicy:
     epsrel: float = 1e-9
 
     def __post_init__(self):
-        if self.m_max < 0:
-            raise DomainError(f"m_max must be >= 0, got {self.m_max}")
+        for name in ("m_max", "m_cap"):
+            m = getattr(self, name)
+            if not isinstance(m, (int, np.integer)) or isinstance(m, bool):
+                raise DomainError(f"{name} must be an int, got {m!r}")
+            if m < 0:
+                raise DomainError(f"{name} must be >= 0, got {m}")
+        if not 0.0 < self.tail_tol < math.inf:
+            raise DomainError(f"tail_tol must be finite and > 0, got {self.tail_tol!r}")
 
 
 @dataclass(frozen=True)

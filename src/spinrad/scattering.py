@@ -59,20 +59,20 @@ def disk_smatrix(model, R, Omega, omega, m):
         S_m = - [d_R J_m(wt R) H2_m(wR) - J_m(wt R) d_R H2_m(wR)]
               / [d_R J_m(wt R) H1_m(wR) - J_m(wt R) d_R H1_m(wR)]
 
+    omega*R is real, so the outgoing pair is the conjugate of the incoming
+    one, H2_m = conj H1_m, taken from the H1 pair of the denominator.
     Unitary for lossless media; sub-unitary for a lossy body at rest;
     super-unitary in the superradiant window of a lossy rotating body.
     """
     w = np.atleast_1d(np.asarray(omega, dtype=float))
-    wt, J, Jp, den = _disk_matching(model, R, Omega, w, m)
-    zh = w * R
-    H2, H2p = bessel.hankel_and_deriv(2, m, zh)
-    num = wt * Jp * H2 - J * w * H2p
+    wt, J, Jp, H, Hp, den = _disk_matching(model, R, Omega, w, m)
+    num = wt * Jp * np.conj(H) - J * w * np.conj(Hp)
     S = -num / den
     return S if np.ndim(omega) else S.item()
 
 
 def _disk_matching(model, R, Omega, w, m):
-    """Interior wavenumber, J_m(wt R), J'_m(wt R) and the S-matrix denominator.
+    """Interior wavenumber, J_m(wt R), J'_m(wt R), H1_m(wR), H1'_m(wR) and the denominator.
 
     J and H^(1) are evaluated once at each of the orders |m| and |m| - 1
     (four AMOS calls); the derivatives follow from the recurrence.
@@ -82,16 +82,14 @@ def _disk_matching(model, R, Omega, w, m):
     if (w <= 0).any():
         raise DomainError("disk scattering needs omega > 0")
     wt = disk_interior_frequency(model, Omega, w, m)
-    zj = wt * R
-    zh = w * R
-    J, Jp = bessel.bessel_j_and_deriv(m, zj)
-    H, Hp = bessel.hankel_and_deriv(1, m, zh)
+    J, Jp = bessel.bessel_j_and_deriv(m, wt * R)
+    H, Hp = bessel.hankel_and_deriv(m, w * R)
     den = wt * Jp * H - J * w * Hp
     tiny = np.abs(den) < 1e-300
     if tiny.any():
         raise ResonanceError(f"disk S-matrix denominator underflow at omega={w[tiny][0]:g}, "
                              f"m={np.broadcast_to(m, w.shape)[tiny][0]}")
-    return wt, J, Jp, den
+    return wt, J, Jp, H, Hp, den
 
 
 def disk_flux(model, R, Omega, omega, m):
@@ -110,7 +108,7 @@ def disk_flux(model, R, Omega, omega, m):
     imaginary part is a smaller share of the product, and less is kept.
     """
     w = np.atleast_1d(np.asarray(omega, dtype=float))
-    wt, J, Jp, den = _disk_matching(model, R, Omega, w, m)
+    wt, J, Jp, _, _, den = _disk_matching(model, R, Omega, w, m)
     F = -(8.0 / (np.pi * R)) * (wt * Jp * np.conj(J)).imag / np.abs(den) ** 2
     return F if np.ndim(omega) else F.item()
 
@@ -140,17 +138,27 @@ def disk_smatrix_smallvel(model, R, Omega, omega):
 # EM sphere, dipole channel
 # ---------------------------------------------------------------------------
 
-def _dipole_alpha(model, R, om_p):
+def _static_limit(model, om_p, response, limit):
+    """response(omega') at each node; ``limit`` at omega' = 0 only where eps(0) raises.
+
+    A diverging (Drude-like) eps(0) takes the conductor limit; a finite one is
+    evaluated at omega' = 0 like any node, a pole there included.
+    """
     w = np.atleast_1d(np.asarray(om_p, dtype=float))
     live = slice(None)  # every node: a mask only when one sits at omega' = 0
     if not w.all():
         try:
-            sphere_polarizability(model, R, 0.0)
+            model.epsilon(0.0)
         except DomainError:
-            live = w != 0.0  # Drude-like responses diverge at omega' = 0 but alpha -> R^3 there
-    alpha = np.full(w.shape, complex(R**3))
-    alpha[live] = sphere_polarizability(model, R, w[live])
-    return alpha if np.ndim(om_p) else alpha.item()
+            live = w != 0.0
+    out = np.full(w.shape, complex(limit))
+    out[live] = response(w[live])
+    return out if np.ndim(om_p) else out.item()
+
+
+def _dipole_alpha(model, R, om_p):
+    # alpha -> R^3 for a diverging (metallic) eps'
+    return _static_limit(model, om_p, lambda w: sphere_polarizability(model, R, w), R**3)
 
 
 def sphere_smatrix_dipole(model, R, Omega, omega, m):
@@ -182,20 +190,14 @@ def sphere_flux_dipole(model, R, Omega, omega, m):
 
 def _cyl_response(model, om_p):
     # r = (eps' - 1)/(eps' + 1); -> 1 for diverging (metallic) eps'
-    w = np.atleast_1d(np.asarray(om_p, dtype=float))
-    live = slice(None)  # every node: a mask only when one sits at omega' = 0
-    if not w.all():
-        try:
-            model.epsilon(0.0)
-        except DomainError:
-            live = w != 0.0
-    eps = model.epsilon(w[live])
-    den = eps + 1.0
-    if (np.abs(den) < 1e-12).any():
-        raise ResonanceError("eps = -1 surface-plasmon pole of the cylinder block")
-    r = np.ones(w.shape, dtype=complex)
-    r[live] = (eps - 1.0) / den
-    return r if np.ndim(om_p) else r.item()
+    def response(w):
+        eps = model.epsilon(w)
+        den = eps + 1.0
+        if (np.abs(den) < 1e-12).any():
+            raise ResonanceError("eps = -1 surface-plasmon pole of the cylinder block")
+        return (eps - 1.0) / den
+
+    return _static_limit(model, om_p, response, 1.0)
 
 
 def cylinder_smatrix_block(model, R, Omega, omega, kz, m=1):

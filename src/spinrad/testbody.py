@@ -80,7 +80,7 @@ def torque_on_test_2d(cfg, Omega, T=0.0, *, epsrel=1e-8):
         return 0.0  # a lossless test body absorbs no angular momentum
 
     def weight(w, m, N):
-        kernel = abs(bessel.hankel(1, 0, w * cfg.d)) ** 2
+        kernel = abs(bessel.hankel(0, w * cfg.d)) ** 2
         return m * N * kernel * disk_flux(cfg.test_model, cfg.test_radius, 0.0, w, 1)
 
     source = DiskTable(cfg.source_model, cfg.source_radius)

@@ -9,9 +9,13 @@
   ``ExactSphereTable`` and ``ExactCylinderTable`` built on them.  Their
   flux does not vanish at corotation omega = Omega*m, so at T_object > 0
   their N has a pole there.
+- The outgoing wave of the disk from its own second-kind Hankel calls,
+  ``hankel2_and_deriv`` and ``disk_smatrix_h2``: the route the production
+  ``disk_smatrix`` replaced by conjugating its first-kind pair.
 """
 
 import numpy as np
+import scipy.special
 
 from spinrad.material import sphere_polarizability
 from spinrad.quadrature import adaptive_integral
@@ -20,6 +24,7 @@ from spinrad.scattering import (
     SphereTable,
     _cyl_response,
     _dipole_alpha,
+    _disk_matching,
     cylinder_flux_block,
 )
 
@@ -101,3 +106,34 @@ class ExactCylinderTable(CylinderTable):
         # sum adds the k_z terms left to right, so one node sums as among many
         F = self.L / (2.0 * np.pi) * (sum(terms[1:], terms[0]) * w)
         return F if np.ndim(omega) else F.item()
+
+
+def _reflect(m, value):
+    """C_{-k} = (-1)^k C_k on the nodes of negative order, in place."""
+    np.multiply(value, 1 - 2 * (abs(m) % 2), out=value, where=np.less(m, 0))
+    return value
+
+
+def hankel2_and_deriv(m, x):
+    """(H^(2)_m(x), dH^(2)_m/dx) from scipy's hankel2 at the orders |m| and |m| - 1.
+
+    The derivative follows C'_m = C_{m-1} - (m/z) C_m with z complex, and
+    the nodes of negative order are reflected by (-1)^m, as the Bessel layer
+    does for the first kind.  m is one order or one per node.
+    """
+    z = np.atleast_1d(np.asarray(x, dtype=complex))
+    k = abs(m)
+    H = scipy.special.hankel2(k, z)
+    d = _reflect(k - 1, scipy.special.hankel2(abs(k - 1), z)) - (k / z) * H
+    _reflect(m, H)
+    _reflect(m, d)
+    return (H, d) if np.ndim(x) else (H.item(), d.item())
+
+
+def disk_smatrix_h2(model, R, Omega, omega, m):
+    """The disk's S_m with the outgoing pair H^(2), H^(2)' evaluated, not conjugated."""
+    w = np.atleast_1d(np.asarray(omega, dtype=float))
+    wt, J, Jp, _, _, den = _disk_matching(model, R, Omega, w, m)
+    H2, H2p = hankel2_and_deriv(m, w * R)
+    S = -(wt * Jp * H2 - J * w * H2p) / den
+    return S if np.ndim(omega) else S.item()

@@ -341,7 +341,7 @@ class TestNumericDomainFault:
         from spinrad.scattering import DiskTable
 
         def overflowing(self, omega, m, extra, pol, Omega):
-            return bessel.hankel(1, 150, 1e-3 * omega).real  # |H_150| overflows there
+            return bessel.hankel(150, 1e-3 * omega).real  # |H_150| overflows there
 
         monkeypatch.setattr(DiskTable, "flux", overflowing)
         cfg = write(tmp_path, self.DISK_CFG)

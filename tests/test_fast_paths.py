@@ -6,7 +6,9 @@ argument).  Every test here runs the fast path and then forces the general
 path in the same process by appending the one node that needs the mask; the
 entries the two calls share must agree exactly.  The PCHIP evaluator's
 one-piece path is compared instead with the per-point search it replaced,
-kept in ``spline_reference.py``.  Nothing is compared with a stored digest,
+kept in ``spline_reference.py``, and the disk's conjugated outgoing wave
+with the second-kind Hankel calls it replaced, kept in
+``reference_routes.py``.  Nothing is compared with a stored digest,
 so the tests hold whatever the platform's transcendentals.
 """
 
@@ -15,6 +17,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import reference_routes
 import spline_reference
 from spinrad import (
     ConstantEpsilon,
@@ -29,6 +32,7 @@ from spinrad import (
     Vacuum,
     bose_occupation,
     disk_interior_frequency,
+    disk_smatrix,
     langevin_step,
     mode_flux,
     simulate_ensemble,
@@ -273,28 +277,60 @@ class TestScattering:
         return (-1) ** (-m) * d if m < 0 else d
 
     @staticmethod
-    def old_h_deriv(kind, m, z):
+    def old_h_deriv(m, z):
         za = np.asarray(z, dtype=complex)
         k = abs(m)
-        d = bessel.hankel(kind, k - 1, za) - (k / za) * bessel.hankel(kind, k, za)
+        d = bessel.hankel(k - 1, za) - (k / za) * bessel.hankel(k, za)
         return (-1) ** (-m) * d if m < 0 else d
 
     @pytest.mark.parametrize("m", [-3, -1, 0, 1, 2, 5])
     def test_disk_matching_against_six_call_expression(self, m):
         model, R, Omega = Drude(1.0), 0.1, 1.0
         w = np.append(W, [float(m)] if m > 0 else [])  # a corotation node where there is one
-        wt, J, Jp, den = _disk_matching(model, R, Omega, w, m)
+        wt, J, Jp, H, Hp, den = _disk_matching(model, R, Omega, w, m)
         zj, zh = wt * R, w * R
         same(J, bessel.bessel_j_and_deriv(m, zj)[0])
         same(Jp, self.old_j_deriv(m, zj))
-        same(den, wt * self.old_j_deriv(m, zj) * bessel.hankel(1, m, zh)
-             - bessel.bessel_j_and_deriv(m, zj)[0] * w * self.old_h_deriv(1, m, zh))
+        same(H, bessel.hankel(m, zh))
+        same(Hp, self.old_h_deriv(m, zh))
+        same(den, wt * self.old_j_deriv(m, zj) * bessel.hankel(m, zh)
+             - bessel.bessel_j_and_deriv(m, zj)[0] * w * self.old_h_deriv(m, zh))
 
     @pytest.mark.parametrize("m", [-2, 0, 3])
     def test_derivative_pairs_against_recurrence(self, m):
         z = np.array([0.0, 0.4, 2.0 + 0.5j, 7.0 - 1.0j, 15.0])
         same(bessel.bessel_j_and_deriv(m, z)[1], self.old_j_deriv(m, z))
-        same(bessel.hankel_and_deriv(2, m, z[1:].real)[1], self.old_h_deriv(2, m, z[1:].real))
+        same(bessel.hankel_and_deriv(m, z[1:].real)[1], self.old_h_deriv(m, z[1:].real))
+
+    @pytest.mark.parametrize("model", [Drude(1.0), Lorentz(1.5, 2.0, 1.3, 0.2),
+                                       ConstantEpsilon(3.0, 0.4)],
+                             ids=["drude", "lorentz", "constant"])
+    def test_disk_smatrix_equals_the_second_kind_route(self, model):
+        # omega*R over [1e-6, 1e3] at R = 1, through corotation at Omega = 1
+        w, R, Omega = np.geomspace(1e-6, 1e3, 271), 1.0, 1.0
+        orders = np.arange(-8, 9)
+        for m in orders.tolist():
+            same(disk_smatrix(model, R, Omega, w, m),
+                 reference_routes.disk_smatrix_h2(model, R, Omega, w, m))
+            for x in w[::30].tolist():
+                assert (np.asarray(disk_smatrix(model, R, Omega, x, m)).tobytes()
+                        == np.asarray(reference_routes.disk_smatrix_h2(model, R, Omega, x,
+                                                                       m)).tobytes())
+        per_node = np.resize(orders, w.shape)
+        same(disk_smatrix(model, R, Omega, w, per_node),
+             reference_routes.disk_smatrix_h2(model, R, Omega, w, per_node))
+
+    @pytest.mark.parametrize("sigma", [0.8, 1.0, 1.25])
+    @pytest.mark.parametrize("R", [0.08, 0.1, 0.12])
+    def test_disk_smatrix_user_table_rows_equal_the_second_kind_route(self, sigma, R):
+        # the rows bench/workloads.py writes for its user-table op: 17 per window
+        model = Drude(sigma)
+        for Omega in (0.9, 1.0, 1.1):
+            for m in (1, 2):
+                for w in np.linspace(Omega * m / 32.0, Omega * m, 17).tolist():
+                    S = disk_smatrix(model, R, Omega, w, m)
+                    ref = reference_routes.disk_smatrix_h2(model, R, Omega, w, m)
+                    assert (repr(S.real), repr(S.imag)) == (repr(ref.real), repr(ref.imag))
 
 
 class TestThermalModeFlux:

@@ -202,6 +202,20 @@ class TestThermalState:
         with pytest.raises(DomainError):
             ThermalState(Omega=-0.1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("T_object", math.nan), ("T_object", math.inf), ("T_env", math.nan),
+        ("T_env", -math.inf), ("Omega", math.nan), ("Omega", math.inf),
+        ("Omega", np.array([0.5, math.nan])), ("Omega", np.array([0.5, math.inf, -0.1])),
+    ], ids=["T_object-nan", "T_object-inf", "T_env-nan", "T_env--inf", "Omega-nan",
+            "Omega-inf", "Omega-node-nan", "Omega-node-inf"])
+    def test_non_finite_field_is_rejected_by_name(self, field, value):
+        with pytest.raises(DomainError, match=f"^{field} must be finite and >= 0"):
+            ThermalState(**{field: value})
+
+    def test_per_node_rates(self):
+        rates = np.array([0.0, 0.5, 2.0])
+        assert ThermalState(T_object=0.3, Omega=rates).Omega is rates
+
     def test_zero_temperature_flag(self):
         assert ThermalState(Omega=1.0).zero_temperature
         assert not ThermalState(T_object=0.5, Omega=1.0).zero_temperature

@@ -10,6 +10,7 @@ from spinrad import (
     ConvergenceError,
     CylinderTable,
     DiskTable,
+    DomainError,
     Drude,
     MSumPolicy,
     SphereTable,
@@ -212,6 +213,21 @@ class TestDiskRadiation:
         res = integrate_power(DiskTable(Drude(1.0), 0.05), ThermalState(Omega=1.0))
         assert res.flags["omega_R_over_c"] == pytest.approx(0.05)
         assert not res.flags["smallvel_warning"]
+
+
+class TestMSumPolicy:
+    @pytest.mark.parametrize("field, value", [
+        ("m_max", 2.5), ("m_max", True), ("m_max", -1), ("m_cap", 8.0), ("m_cap", False),
+        ("m_cap", -3), ("tail_tol", math.nan), ("tail_tol", math.inf), ("tail_tol", 0.0),
+        ("tail_tol", -1.0),
+    ])
+    def test_bad_field_is_a_domain_error_naming_it(self, field, value):
+        with pytest.raises(DomainError, match=f"^{field} must be"):
+            MSumPolicy(**{field: value})
+
+    def test_numpy_integers_are_ints(self):
+        policy = MSumPolicy(m_max=np.int64(2), m_cap=np.int64(8))
+        assert (policy.m_max, policy.m_cap) == (2, 8)
 
 
 class TestKirchhoff:

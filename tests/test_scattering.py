@@ -12,6 +12,7 @@ from spinrad import (
     DomainError,
     Drude,
     Lorentz,
+    ResonanceError,
     SphereTable,
     TableFormatError,
     UserTable,
@@ -25,12 +26,14 @@ from spinrad import (
     sphere_flux_dipole,
     sphere_smatrix_dipole,
 )
-from spinrad.scattering import SmallVelocityWarning, disk_flux
+from spinrad.scattering import SmallVelocityWarning, _cyl_response, disk_flux
 
 from reference_routes import exact_cylinder_flux_block, exact_sphere_flux_dipole
 
 LOSSLESS = [Vacuum(), ConstantEpsilon(4.0), Lorentz(1.0, 2.0, 5.0, 0.0)]
 LOSSY = [Drude(1.0), ConstantEpsilon(4.0, 0.8), Lorentz(1.0, 2.0, 5.0, 0.3)]
+# eps(0) = -2: the dipole's plasmon pole sits at the comoving frequency omega' = 0
+PLASMON_AT_REST = [Lorentz(-3.0, 1.0, 1.0, 0.1), ConstantEpsilon(-2.0)]
 
 
 class TestInteriorFrequency:
@@ -154,6 +157,24 @@ class TestSphereDipole:
         with pytest.raises(DomainError):
             sphere_smatrix_dipole(Vacuum(), 0.1, 1.0, 0.5, 2)
 
+    @pytest.mark.parametrize("model", PLASMON_AT_REST, ids=["lorentz", "constant"])
+    def test_plasmon_pole_at_corotation_raises(self, model):
+        # a finite eps(0) is evaluated at omega' = 0 like any other rate, pole included
+        with pytest.raises(ResonanceError):
+            sphere_flux_dipole(model, 0.01, 1.0, 1.0, 1)
+        with pytest.raises(ResonanceError):
+            sphere_flux_dipole(model, 0.01, 1.0, np.array([0.5, 1.0]), 1)
+        with pytest.raises(ResonanceError):
+            sphere_smatrix_dipole(model, 0.01, 1.0, 1.0, 1)
+
+    def test_drude_takes_the_conductor_limit_at_corotation(self):
+        model, R = Drude(10.0), 0.01
+        S = sphere_smatrix_dipole(model, R, 1.0, 1.0, 1)
+        assert S.real == 1.0 and S.imag == pytest.approx((4.0 / 3.0) * R**3, rel=1e-15)
+        assert sphere_flux_dipole(model, R, 1.0, 1.0, 1) == 0.0
+        F = sphere_flux_dipole(model, R, 1.0, np.array([0.5, 1.0]), 1)
+        assert F[0] < 0.0 and F[1] == 0.0
+
     def test_exact_flux_close_to_truncated(self):
         model, R, Omega, w = Drude(3.0), 0.01, 1.0, 0.4
         tr = sphere_flux_dipole(model, R, Omega, w, 1)
@@ -174,6 +195,18 @@ class TestCylinderBlock:
     def test_off_diagonal_symmetry(self):
         blk = cylinder_smatrix_block(Drude(1.0), 0.01, 1.0, 0.5, 0.3)
         assert blk[0, 1] == blk[1, 0]
+
+    @pytest.mark.parametrize("model, r0", [
+        (Drude(1e3), 1.0), (Vacuum(), 0.0), (ConstantEpsilon(3.0, 0.4), 0.5),
+        (ConstantEpsilon(-2.0), 3.0), (Lorentz(-3.0, 1.0, 1.0, 0.1), 3.0),
+    ], ids=["drude", "vacuum", "constant", "constant-eps0=-2", "lorentz-eps0=-2"])
+    def test_response_at_rest(self, model, r0):
+        # r(0) = (eps(0) - 1)/(eps(0) + 1), or the conductor limit 1 where eps(0) diverges
+        w = np.array([-0.5, 0.0, 0.5])
+        r = _cyl_response(model, w)
+        assert r[1] == r0 and _cyl_response(model, 0.0) == r0
+        eps = model.epsilon(w[::2])
+        np.testing.assert_array_equal(r[::2], (eps - 1.0) / (eps + 1.0))
 
     def test_evanescent_rejected(self):
         with pytest.raises(DomainError):
