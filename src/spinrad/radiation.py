@@ -16,11 +16,11 @@ every channel of several stages as one lock-step quadrature batch, calling
 temperatures, weight, extra, pol), with one m and one rotation rate per
 node.  A job is a generator that yields stages, is sent each stage's
 channel results and returns its result: :func:`partial_wave_sum` yields
-its block stage and then each ``auto_extend`` shell.  :func:`run_jobs`
-advances many jobs together, one batch per round, so the torque-law
-tabulation integrates every new rate of a refinement round at once.  Each
-integral keeps its own panels and stopping rule, so the results are those
-of each integral run alone.
+its block with the probe shell that closes its tail, then each
+``auto_extend`` shell.  :func:`run_jobs` advances many jobs together, one
+batch per round, as the torque law's rates and a two-body sweep's
+distances do.  Each integral keeps its own panels and stopping rule, so
+the results are those of each integral run alone.
 """
 
 import math
@@ -332,40 +332,37 @@ def integrate_stages(stages):
     return results
 
 
-def integrate_channels(table, state, weight, m_max, m_min=0, epsrel=1e-9):
-    """(m, extra, pol, value, error) of each radiating channel, m_min <= |m| <= m_max.
-
-    One stage: every channel is cut at the same thermal cutoff,
-    Omega*m_max + 40T, and all are integrated in one quadrature batch.
-    """
-    labels = [label for label in table.channels(m_max) if abs(label[0]) >= m_min]
-    stage = channel_stage(table, state, weight, labels, m_max, epsrel)
-    return integrate_stages([stage])[0]
-
-
 def partial_wave_sum(table, state, weight, policy, m_min=0):
-    """Job of the partial-wave sum; it returns (channels, m_used).
+    """Job of the partial-wave sum; it returns (channels, m_used, tail).
 
-    A generator, driven by :func:`run_jobs`: it yields its block stage,
-    m_min <= |m| <= m_max at the shared cutoff Omega*m_max + 40T, and then,
-    with ``auto_extend``, one shell |m| = k at a time at its own cutoff
-    Omega*k + 40T, while the outer shell's largest |first component|
-    exceeds ``tail_tol`` times the summed first component and k < ``m_cap``.
-    It is sent each stage's channel results and returns every radiating
-    channel's (m, extra, pol, value, error) and the last |m| summed.
+    A generator, driven by :func:`run_jobs`.  Its first stage holds the
+    block m_min <= |m| <= m_max and the probe, the first omitted shell, each
+    channel cut at Omega*max(|m|, m_max) + 40T.  With ``auto_extend``, while
+    the outer summed shell's largest |first component| exceeds ``tail_tol``
+    times the summed first component and m_used < ``m_cap``, the probe
+    joins the sum and the next shell is integrated as the new probe, so no
+    shell is integrated twice.  It is sent each stage's channel results and
+    returns every summed radiating channel's (m, extra, pol, value, error),
+    the last |m| summed and the tail beyond it, a geometric series closed
+    from the probe's largest |first component| (0 if none radiates).
     """
     def unconverged():
         scale = abs(_sum(val[0] for *_, val, _ in channels))
         return scale > 0 and _outer_peak(channels) > policy.tail_tol * scale
 
-    block = [label for label in table.channels(policy.m_max) if abs(label[0]) >= m_min]
-    channels = yield channel_stage(table, state, weight, block, policy.m_max, policy.epsrel)
+    def stage(lo, hi):  # lo <= |m| <= hi, each channel cut at Omega*max(|m|, m_max) + 40T
+        labels = [label for label in table.channels(hi) if abs(label[0]) >= lo]
+        return channel_stage(table, state, weight, labels, policy.m_max, policy.epsrel)
+
     m_used = policy.m_max
+    first = yield stage(m_min, m_used + 1)
+    channels = [channel for channel in first if abs(channel[0]) <= m_used]
+    probe = [channel for channel in first if abs(channel[0]) > m_used]
     while policy.auto_extend and m_used < policy.m_cap and unconverged():
         m_used += 1
-        shell = [label for label in table.channels(m_used) if abs(label[0]) == m_used]
-        channels += yield channel_stage(table, state, weight, shell, m_used, policy.epsrel)
-    return channels, m_used
+        channels += probe
+        probe = yield stage(m_used + 1, m_used + 1)
+    return channels, m_used, _geometric_tail(_outer_peak(channels), _outer_peak(probe))
 
 
 def run_jobs(jobs):
@@ -419,17 +416,11 @@ def integrate_power(table, state, policy=None):
     def weight(w, m, N):
         return np.array([w * N, m * N, (Omega * m - w) * N])
 
-    channels, m_used = run_jobs([partial_wave_sum(table, state, weight, policy)])[0]
+    channels, m_used, tail = run_jobs([partial_wave_sum(table, state, weight, policy)])[0]
     per_mode = [
         ModeContribution(m, extra, pol, float(val[0]), float(val[1]), float(val[2]), err)
         for m, extra, pol, val, err in channels
     ]
-
-    # probe the first omitted shell and close the geometric series with the
-    # measured decay ratio; a table with no higher partial waves has no tail
-    probe = integrate_channels(table, state, weight, m_used + 1, m_used + 1,
-                               epsrel=policy.epsrel) if channels else []
-    tail = _geometric_tail(_outer_peak(channels), _outer_peak(probe)) if probe else 0.0
 
     P, M, Q = (_sum(getattr(c, k) for c in per_mode) for k in "PMQ")
     # the lowest cutoff any channel used is that of the block |m| <= m_max
@@ -437,7 +428,7 @@ def integrate_power(table, state, policy=None):
         state, _thermal_cutoff(state, policy.m_max), max(len(per_mode), 1))
 
     scale = max(abs(P), abs(M) * max(Omega, 1.0))
-    if policy.raise_on_tail and scale > 0 and tail > policy.tail_tol * scale:
+    if policy.raise_on_tail and tail > policy.tail_tol * scale:
         raise ConvergenceError(
             f"partial-wave tail {tail:g} above tolerance at m_max={m_used}", m=m_used
         )

@@ -154,10 +154,12 @@ def torque_law_from_radiation(table, state, omega_range, rtol=1e-6, policy=None)
     evaluated at rotation rate W over the partial waves of ``policy`` (an
     :class:`MSumPolicy`; ``auto_extend`` grows the sum by |Mbar2|, the more
     slowly converging of the two) by one :func:`partial_wave_sum` job per
-    rate, the rates of a refinement round run in lock-step,
-    interpolated monotonically (PCHIP) and refined by grid doubling until
-    the interpolant reproduces midpoint evaluations to ``rtol`` relative.
+    rate, the rates of a refinement round run in lock-step, interpolated
+    monotonically (PCHIP) and refined by grid doubling until the
+    interpolant reproduces midpoint evaluations to ``rtol`` relative.
     Both weights vanish at m = 0, so that channel is never integrated.
+    The sum's partial-wave tail is dropped: ``raise_on_tail`` never applies,
+    and without ``auto_extend`` neither does ``tail_tol``.
     """
     policy = policy or MSumPolicy()
 
@@ -166,7 +168,7 @@ def torque_law_from_radiation(table, state, omega_range, rtol=1e-6, policy=None)
 
     def moments(W):  # a job: the stages of its partial-wave sum, then (Mbar, Mbar2)
         st = ThermalState(state.T_object, state.T_env, W)
-        channels, _ = yield from partial_wave_sum(table, st, weight, policy, m_min=1)
+        channels, _, _ = yield from partial_wave_sum(table, st, weight, policy, m_min=1)
         out = np.zeros(2)
         for *_, val, _ in channels:
             out += val

@@ -291,14 +291,18 @@ class ChannelTable:
         return F if np.ndim(omega) else F.item()
 
 
-class DiskTable(ChannelTable):
-    """Exact scalar partial waves of a uniform disk of radius R."""
+class _BodyTable(ChannelTable):
+    """The channels of a body of a dielectric model and a finite radius R > 0."""
 
     def __init__(self, model, R):
-        if R <= 0:
-            raise DomainError("radius must be > 0")
+        if not 0.0 < R < np.inf:
+            raise DomainError(f"R must be finite and > 0, got {R!r}")
         self.model = model
         self.R = R
+
+
+class DiskTable(_BodyTable):
+    """Exact scalar partial waves of a uniform disk of radius R."""
 
     def channels(self, m_max):
         return [(m, None, "scalar") for m in range(-m_max, m_max + 1)]
@@ -307,14 +311,8 @@ class DiskTable(ChannelTable):
         return disk_flux(self.model, self.R, Omega, omega, m)
 
 
-class SphereTable(ChannelTable):
+class SphereTable(_BodyTable):
     """EM dipole channels (l = 1, polarization E) of a sphere of radius R."""
-
-    def __init__(self, model, R):
-        if R <= 0:
-            raise DomainError("radius must be > 0")
-        self.model = model
-        self.R = R
 
     def channels(self, m_max):
         return [(m, 1, "E") for m in (-1, 0, 1) if abs(m) <= m_max]
@@ -323,7 +321,7 @@ class SphereTable(ChannelTable):
         return sphere_flux_dipole(self.model, self.R, Omega, omega, m)
 
 
-class CylinderTable(ChannelTable):
+class CylinderTable(_BodyTable):
     """Thin cylinder of radius R and length L: the |m| = 1 block, k_z-integrated.
 
     One channel per m, labelled (None, "block"), whose flux is the
@@ -334,10 +332,9 @@ class CylinderTable(ChannelTable):
     """
 
     def __init__(self, model, R, L):
-        if R <= 0 or L <= 0:
-            raise DomainError("R and L must be > 0")
-        self.model = model
-        self.R = R
+        super().__init__(model, R)
+        if not 0.0 < L < np.inf:
+            raise DomainError(f"L must be finite and > 0, got {L!r}")
         self.L = L
 
     def channels(self, m_max):

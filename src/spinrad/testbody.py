@@ -5,8 +5,8 @@ translation matrices, transfers angular momentum (spinning the test body
 parallel to the source's axis) and exerts a tangential force.  One
 scattering event off the test body is kept; validity needs d well above both
 radii, and a warning is emitted below 3x the larger one.
-Each quantity is a weight over the source's |m| = 1 channels, integrated by
-``radiation.integrate_channels`` like every other output.
+Each quantity is a weight over the source's |m| = 1 channels, integrated as
+a one-stage job of ``radiation.run_jobs``, so a sweep shares one batch.
 """
 
 import dataclasses
@@ -18,7 +18,7 @@ import numpy as np
 from . import bessel
 from .errors import DomainError
 from .material import ThermalState, sphere_polarizability
-from .radiation import integrate_channels
+from .radiation import channel_stage, run_jobs
 from .scattering import DiskTable, SphereTable, disk_flux, sphere_flux_dipole
 
 
@@ -57,9 +57,12 @@ class TwoBodyConfig:
             )
 
 
-def _transfer(source, state, weight, epsrel):
-    """sum over the source's |m| = 1 channels of int dw/2pi weight(w, m, N_m(w))."""
-    vals = integrate_channels(source, state, weight, 1, m_min=1, epsrel=epsrel)
+def _transfer(table, cfg, Omega, T, weight, epsrel):
+    """Job: int dw/2pi weight(w, m, N_m(w)) over the |m| = 1 channels of cfg's source ``table``."""
+    source = table(cfg.source_model, cfg.source_radius)
+    labels = [label for label in source.channels(1) if abs(label[0]) == 1]
+    state = ThermalState(T_object=T, T_env=0.0, Omega=Omega)
+    vals = yield channel_stage(source, state, weight, labels, 1, epsrel)
     return float(sum(val for *_, val, _ in vals))
 
 
@@ -76,6 +79,11 @@ def torque_on_test_2d(cfg, Omega, T=0.0, *, epsrel=1e-8):
     angular momentum and cancels the static-source torque exactly.  At
     large w d the kernel tends to 2/(pi w d), so the torque falls off as 1/d.
     """
+    return run_jobs([_torque_2d(cfg, Omega, T, epsrel=epsrel)])[0]
+
+
+def _torque_2d(cfg, Omega, T=0.0, *, epsrel=1e-8):
+    """Job of :func:`torque_on_test_2d`."""
     if cfg.test_model.lossless:
         return 0.0  # a lossless test body absorbs no angular momentum
 
@@ -83,10 +91,8 @@ def torque_on_test_2d(cfg, Omega, T=0.0, *, epsrel=1e-8):
         kernel = abs(bessel.hankel(0, w * cfg.d)) ** 2
         return m * N * kernel * disk_flux(cfg.test_model, cfg.test_radius, 0.0, w, 1)
 
-    source = DiskTable(cfg.source_model, cfg.source_radius)
-    state = ThermalState(T_object=T, T_env=0.0, Omega=Omega)
     # (1/8pi) int dw = (2pi/8pi) int dw/2pi
-    return _transfer(source, state, weight, epsrel) / 4.0
+    return (yield from _transfer(DiskTable, cfg, Omega, T, weight, epsrel)) / 4.0
 
 
 def torque_on_test_3d(cfg, Omega, *, epsrel=1e-10):
@@ -102,9 +108,12 @@ def torque_on_test_3d(cfg, Omega, *, epsrel=1e-10):
     small particles this is (8 hbar c^2 / 9 pi d^2) int w^4 |Im a1(w - Omega)|
     Im a2(w) dw.
     """
-    if Omega <= 0:
-        return 0.0
-    if cfg.test_model.lossless:
+    return run_jobs([_torque_3d(cfg, Omega, epsrel=epsrel)])[0]
+
+
+def _torque_3d(cfg, Omega, *, epsrel=1e-10):
+    """Job of :func:`torque_on_test_3d`."""
+    if Omega <= 0 or cfg.test_model.lossless:
         return 0.0
 
     def weight(w, m, N):
@@ -112,8 +121,7 @@ def torque_on_test_3d(cfg, Omega, *, epsrel=1e-10):
         return N * (1.0 / (w * cfg.d) ** 2) * loss
 
     # N_1 = |S_11E|^2 - 1 on (0, Omega) at T = 0; (1/8pi) int dw = (1/4) int dw/2pi
-    source = SphereTable(cfg.source_model, cfg.source_radius)
-    return _transfer(source, ThermalState(Omega=Omega), weight, epsrel) / 4.0
+    return (yield from _transfer(SphereTable, cfg, Omega, 0.0, weight, epsrel)) / 4.0
 
 
 def tangential_force_3d(cfg, Omega, *, epsrel=1e-10):
@@ -135,13 +143,13 @@ def tangential_force_3d(cfg, Omega, *, epsrel=1e-10):
         return N * (4.0 * w**3 / 3.0) * alpha2.imag
 
     # (1/32pi d) int dw = (1/16 d) int dw/2pi
-    source = SphereTable(cfg.source_model, cfg.source_radius)
-    return _transfer(source, ThermalState(Omega=Omega), weight, epsrel) / (16.0 * cfg.d)
+    return run_jobs([_transfer(SphereTable, cfg, Omega, 0.0, weight, epsrel)])[0] / (16.0 * cfg.d)
 
 
 def torque_vs_distance(cfg, Omega, distances, *, mode="3d", **kw):
-    """Torque sweep over separations (for the power-law falloff diagnostics)."""
-    torque = {"2d": torque_on_test_2d, "3d": torque_on_test_3d}.get(mode)
+    """Torque sweep over separations, in one batch (for the power-law falloff diagnostics)."""
+    torque = {"2d": _torque_2d, "3d": _torque_3d}.get(mode)
     if torque is None:
         raise DomainError(f"mode must be '2d' or '3d', not {mode!r}")
-    return np.array([torque(dataclasses.replace(cfg, d=d), Omega, **kw) for d in distances])
+    jobs = [torque(dataclasses.replace(cfg, d=d), Omega, **kw) for d in distances]
+    return np.array(run_jobs(jobs))

@@ -2,6 +2,8 @@
 
 - ``integrate_one``: one interval through the production engine as a batch
   of one, for an integrand of the nodes alone.
+- ``integrate_block``: the channels m_min <= |m| <= m_max of a table as one
+  stage at one shared cutoff, with no partial-wave tail.
 - The small-particle two-body integrals, over the two polarizabilities
   directly, with the prefactors of the torque and the tangential force.
 - The exact dipole and cylinder-block fluxes, which keep the O(alpha^2)
@@ -19,6 +21,7 @@ import scipy.special
 
 from spinrad.material import sphere_polarizability
 from spinrad.quadrature import adaptive_integral
+from spinrad.radiation import channel_stage, integrate_stages
 from spinrad.scattering import (
     CylinderTable,
     SphereTable,
@@ -36,6 +39,16 @@ def integrate_one(f, a, b, **kw):
     """(value, error) of one interval (a, b) as a batch of one; f takes the nodes alone."""
     [val], [err] = adaptive_integral(lambda x: f(x[0]), [a], [b], **kw)
     return val, err
+
+
+def integrate_block(table, state, weight, m_max, m_min=0, epsrel=1e-9):
+    """(m, extra, pol, value, error) of each radiating channel, m_min <= |m| <= m_max.
+
+    One stage: every channel is cut at the same thermal cutoff,
+    Omega*m_max + 40T, and all are integrated in one quadrature batch.
+    """
+    labels = [label for label in table.channels(m_max) if abs(label[0]) >= m_min]
+    return integrate_stages([channel_stage(table, state, weight, labels, m_max, epsrel)])[0]
 
 
 def _small_particle(cfg, Omega, power, epsrel):

@@ -119,7 +119,7 @@ def imports_quadrature(source):
     ("from spinrad.quadrature import BATCH_PANELS", True),
     ("import spinrad.quadrature as q", True),
     ("from spinrad import quadrature", True),
-    ("from .radiation import integrate_channels", False),
+    ("from .radiation import run_jobs", False),
     ("from .. import quadrature", False),
 ], ids=["relative", "relative-package", "absolute", "import", "absolute-package",
         "other-module", "outside-package"])

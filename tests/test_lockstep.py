@@ -19,14 +19,17 @@ from spinrad import (
     DiskTable,
     DomainError,
     Drude,
+    MSumPolicy,
     ResonanceError,
     SphereTable,
     ThermalState,
     UserTable,
     disk_smatrix,
+    integrate_power,
     mode_flux,
     tabulate_torque_law,
 )
+from spinrad import radiation
 from spinrad.radiation import (
     TWO_PI,
     channel_stage,
@@ -422,3 +425,45 @@ def test_tabulation_drives_moment_jobs_and_plain_pairs_alike():
     laws = [tabulate_torque_law(f, (0.0, 2.0), rtol=1e-6) for f in (as_job, as_pair)]
     for a, b in zip(laws[0].moments(w), laws[1].moments(w)):
         assert a.tobytes() == b.tobytes()
+
+
+@pytest.fixture
+def engine_calls(monkeypatch):
+    """Per quadrature-engine call, the (m, extra, pol) of every channel its batch integrates."""
+    calls, batch = [], []
+    integrate, adaptive_integral = radiation.integrate_stages, radiation.adaptive_integral
+
+    def recorded_stages(stages):
+        batch[:] = [channel[:3] for stage in stages for channel in stage.channels]
+        return integrate(stages)
+
+    def recorded_call(*args, **kw):
+        calls.append(list(batch))
+        return adaptive_integral(*args, **kw)
+
+    monkeypatch.setattr(radiation, "integrate_stages", recorded_stages)
+    monkeypatch.setattr(radiation, "adaptive_integral", recorded_call)
+    return calls
+
+
+@pytest.mark.parametrize("T, probe", [(0.0, {2}), (0.3, {-2, 2})])
+def test_a_fixed_sum_and_its_probe_shell_are_one_engine_call(engine_calls, T, probe):
+    policy = MSumPolicy(m_max=1, raise_on_tail=False)
+    res = integrate_power(TABLES["disk"], ThermalState(T, 0.0, 1.1), policy)
+    assert len(engine_calls) == 1
+    summed = [c.m for c in res.per_mode]
+    assert sorted(m for m, _, _ in engine_calls[0]) == sorted(summed + list(probe))
+    assert res.truncation_tail > 0.0
+
+
+def test_auto_extend_integrates_each_shell_once_in_one_call_per_shell(engine_calls):
+    res = integrate_power(DiskTable(Drude(1.0), 0.45), ThermalState(Omega=1.0),
+                          MSumPolicy(m_max=1, auto_extend=True, tail_tol=1e-9))
+    m_used = max(c.m for c in res.per_mode)
+    grown = m_used - 1
+    assert grown >= 2
+    assert len(engine_calls) == grown + 1
+    integrated = [label for call in engine_calls for label in call]
+    assert len(integrated) == len(set(integrated))
+    # at T = 0 only m >= 1 radiates: the summed shells and the probe past the last
+    assert integrated == [(m, None, "scalar") for m in range(1, m_used + 2)]

@@ -230,6 +230,34 @@ class TestMSumPolicy:
         assert (policy.m_max, policy.m_cap) == (2, 8)
 
 
+class TestEmptyBlock:
+    SPHERE = SphereTable(Drude(10.0), 0.01)
+
+    @pytest.mark.parametrize("auto_extend", [False, True])
+    def test_an_empty_block_is_not_a_converged_zero(self, auto_extend):
+        # at T = 0 the m = 0 block has no support, but its first omitted
+        # shell radiates P = 3.38e-10
+        with pytest.raises(ConvergenceError, match=r"above tolerance at m_max=0$") as exc:
+            integrate_power(self.SPHERE, ThermalState(Omega=1.0),
+                            MSumPolicy(m_max=0, auto_extend=auto_extend))
+        assert exc.value.m == 0
+
+    def test_its_tail_is_the_probe_shell(self):
+        res = integrate_power(self.SPHERE, ThermalState(Omega=1.0),
+                              MSumPolicy(m_max=0, raise_on_tail=False))
+        full = integrate_power(self.SPHERE, ThermalState(Omega=1.0), MSumPolicy(m_max=1))
+        assert (res.P, res.per_mode) == (0.0, [])
+        assert res.truncation_tail == full.P > 3e-10
+
+    @pytest.mark.parametrize("table, Omega", [
+        (SPHERE, 0.0), (SphereTable(ConstantEpsilon(4.0), 0.01), 1.0),
+    ], ids=["at-rest", "lossless"])
+    @pytest.mark.parametrize("m_max", [0, 5])
+    def test_nothing_radiating_is_still_a_converged_zero(self, table, Omega, m_max):
+        res = integrate_power(table, ThermalState(Omega=Omega), MSumPolicy(m_max=m_max))
+        assert (res.P, res.M, res.truncation_tail) == (0.0, 0.0, 0.0)
+
+
 class TestKirchhoff:
     def test_equilibrium_null(self):
         res = kirchhoff_power(DiskTable(Drude(1.0), 0.3), 0.7, 0.7)

